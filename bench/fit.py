@@ -7,14 +7,11 @@ import statistics
 from itertools import accumulate
 
 
-def median(values) -> float:
-    return statistics.median(values)
-
-
-def fastest_tenth(samples) -> list[float]:
+def fastest_tenth(samples, key=None) -> list:
     """The fastest tenth of repeated timings of one piece of work (at least
-    one): the timings least slowed by other load sharing the machine."""
-    return sorted(samples)[:max(1, len(samples) // 10)]
+    one), fastest first: the timings least slowed by other load sharing the
+    machine.  ``key`` gives the time of a sample that is not a number."""
+    return sorted(samples, key=key)[:max(1, len(samples) // 10)]
 
 
 def p90(values) -> float:
@@ -29,6 +26,21 @@ def slope(xs, ys) -> float:
     my = statistics.fmean(ys)
     sxx = sum((x - mx) ** 2 for x in xs)
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sxx
+
+
+def by_position(timed) -> list[float]:
+    """From (latency, place in its dialogue) pairs, the mean latency of the
+    k-th event of a dialogue for each k: one dialogue's latency curve, or
+    the mean curve of many."""
+    sums: list[float] = []
+    counts: list[int] = []
+    for latency, k in timed:
+        while len(sums) <= k:
+            sums.append(0.0)
+            counts.append(0)
+        sums[k] += latency
+        counts[k] += 1
+    return [total / n for total, n in zip(sums, counts)]
 
 
 def growth_exp(latencies) -> float:

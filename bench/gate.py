@@ -1,8 +1,8 @@
 """Correctness gate, run untimed before any timing.
 
-* ``corpus`` and ``long_chain`` outputs must match digests pinned in
-  ``pinned.json`` (the corpus ``stats`` text and each example's trace; the
-  trace and stats of the long_chain dialogue for ``PINNED_SEED``).
+* ``corpus`` and ``contested`` outputs must match digests pinned in
+  ``pinned.json`` (the corpus ``stats`` text and each example's trace; each
+  trace and the stats of the contested dialogues for ``PINNED_SEED``).
 * Every synthetic replay is checked from outside after each completed
   event (``Invariants``).
 * ``contested`` must replay to byte-identical output twice.
@@ -90,5 +90,5 @@ if __name__ == "__main__":
     root = Path(__file__).resolve().parent.parent
     sys.path.insert(0, str(root / "src"))
     pins = {"corpus": digests(workloads.Corpus(root, 0).run_pass()),
-            "long_chain": digests(workloads.LongChain(root, PINNED_SEED).run_pass())}
+            "contested": digests(workloads.Contested(root, PINNED_SEED).run_pass())}
     print(json.dumps(pins, indent=2))

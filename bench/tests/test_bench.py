@@ -2,7 +2,6 @@
 
 import json
 import math
-import random
 import shutil
 import subprocess
 import sys
@@ -24,20 +23,11 @@ ROOT = Path(__file__).resolve().parents[2]
 
 
 @pytest.mark.parametrize("seed", [0, 7])
-def test_generators_are_deterministic_and_parse(seed):
-    assert gen.long_chain(seed) == gen.long_chain(seed)
-    assert gen.contested(seed, dialogues=3) == gen.contested(seed, dialogues=3)
-    assert gen.long_chain(seed) != gen.long_chain(seed + 1)
-    chain = parse(gen.long_chain(seed))
-    assert len(chain.events) == gen.LONG_CHAIN_EVENTS
-    for text in gen.contested(seed, dialogues=3):
+def test_generator_is_deterministic_and_parses(seed):
+    assert gen.contested(seed) == gen.contested(seed)
+    assert gen.contested(seed) != gen.contested(seed + 1)
+    for text in gen.contested(seed)[:3]:
         assert len(parse(text).events) == sum(n for n, _ in gen.CONTESTED_MIX.values())
-
-
-def test_long_chain_blocks_hold_the_mix():
-    kinds = gen._blocks(random.Random(1), {"fresh": 2, "rule": 1}, 9, opening=3)
-    assert kinds[:3] == ["fresh"] * 3
-    assert sorted(kinds[3:6]) == sorted(kinds[6:9]) == ["fresh", "fresh", "rule"]
 
 
 def _span(tracer, name, start, end):
@@ -65,6 +55,23 @@ def test_self_time_subtracts_children_once():
         {"engine.process": 1.0, "harness.pass": 4.0})
     assert sum(v.self_s for v in s.values()) == pytest.approx(10)
 
+    # wrapper time leaves the spans it fell in and goes to the tracer entry
+    for name in ("engine.process", "propositions.closure"):
+        t.kinds[t.names.index(name)] = spans.PLAIN
+    s = spans.summarise(t, spans.WrapperCost(inside=0.1, outside=0.2))
+    assert s["propositions.closure"].total_s == pytest.approx(0.9 + 3.9)
+    assert s["engine.process"].total_s == pytest.approx(3 - 0.1 - 0.3)
+    assert s["engine.process"].self_s == pytest.approx(2.6 - 0.9)
+    assert s["harness.pass"].self_s == pytest.approx(10 - 0.9 - 2.6 - 3.9)
+    assert (s[spans.TRACER].calls, s[spans.TRACER].self_s) == (3, pytest.approx(0.9))
+    assert sum(v.self_s for v in s.values()) == pytest.approx(10)
+
+
+def test_wrapper_cost_is_measured():
+    cost = spans.wrapper_cost(calls=200, blocks=3)
+    assert 0 < cost.inside < 1e-4 and 0 < cost.outside < 1e-4
+    assert cost.observed >= cost.outside * 0.5
+
 
 def test_install_wraps_every_binding_and_restores(monkeypatch):
     def work(x):
@@ -87,10 +94,40 @@ def test_install_wraps_every_binding_and_restores(monkeypatch):
     assert (s.calls, s.raised, s.values) == (3, 1, [2.0, 3.0, -1.0])
 
 
+def test_install_wraps_a_classmethod_and_restores_it():
+    class Maker:
+        @classmethod
+        def make(cls, x):
+            return (cls, x)
+
+    original = vars(Maker)["make"]
+    t = spans.Tracer()
+    t.install("fakepkg", [("maker.make", Maker, "make", None)])
+    assert Maker.make(1) == (Maker, 1) and Maker().make(2) == (Maker, 2)
+    t.uninstall()
+    assert vars(Maker)["make"] is original
+    assert spans.summarise(t)["maker.make"].calls == 2
+
+
 def test_growth_exp_recovers_a_known_slope():
     for b in (1.0, 2.3):
         latencies = [k ** b - (k - 1) ** b for k in range(1, 301)]
         assert fit.growth_exp(latencies) == pytest.approx(b, abs=1e-9)
+
+
+def test_by_position_averages_the_kth_event_of_each_dialogue():
+    # two dialogues, the second cut off after two events
+    timed = [(1.0, 0), (2.0, 1), (3.0, 2), (3.0, 0), (4.0, 1)]
+    assert fit.by_position(timed) == [2.0, 3.0, 3.0]
+
+
+def test_pass_segments_cover_the_pass_wall_to_wall():
+    from array import array
+    p = run.Pass(wall=10.0, starts=array("d", [1.0, 2.5, 4.0, 7.0, 8.0]),
+                 latencies=array("d", [1.0] * 5), positions=array("i", range(5)))
+    segments = [p.segment_wall(first, min(first + 2, 5)) for first in range(0, 5, 2)]
+    assert segments == [4.0 - 0.0, 8.0 - 4.0, 10.0 - 8.0]
+    assert sum(segments) == p.wall
 
 
 def test_p90_has_ten_samples_beyond_it():

@@ -5,8 +5,6 @@
                 ``fixtures/example*.dlg``, in process, stdout captured.  Short
                 dialogues, so parsing, rendering and the engine's own
                 bookkeeping carry weight next to closure.
-``long_chain``  one seeded dialogue that only grows knowledge.  Closure
-                dominates and per-event cost rises with dialogue length.
 ``contested``   many short seeded goal-marked dialogues full of disputes:
                 rejections, contradictions, rising checks and denials of
                 derived literals.  Stresses defeat, retraction and trial
@@ -15,7 +13,9 @@
 
 A pass calls the program only through module and class attributes, so the
 tracer's wrappers see every call.  The program's modules are imported when a
-workload is built, never when this module is imported.
+workload is built, never when this module is imported.  Generated inputs are
+written as ``.dlg`` files under ``.bench_build/inputs`` in the checkout, so
+the program and the set-up timing read them like the fixtures.
 """
 
 from __future__ import annotations
@@ -32,15 +32,20 @@ def _count_events(text: str) -> int:
     return sum(1 for line in text.splitlines() if line.startswith("id:"))
 
 
-def load(name: str, root: Path, seed: int) -> list[str]:
-    """The workload's input texts: read from the fixtures or generated."""
+def input_paths(name: str, root: Path, seed: int) -> list[Path]:
+    """The workload's input files: the fixtures, or the seed's generated
+    dialogues, written afresh under ``.bench_build/inputs``."""
     if name == "corpus":
-        return [p.read_text(encoding="utf-8") for p in Corpus.paths(root)]
-    if name == "long_chain":
-        return [gen.long_chain(seed)]
-    if name == "contested":
-        return gen.contested(seed)
-    raise ValueError(f"unknown workload {name!r}")
+        return Corpus.paths(root)
+    if name != "contested":
+        raise ValueError(f"unknown workload {name!r}")
+    texts = gen.contested(seed)
+    out = root / ".bench_build" / "inputs" / f"{name}-{seed}"
+    out.mkdir(parents=True, exist_ok=True)
+    paths = [out / f"{i:04d}.dlg" for i in range(len(texts))]
+    for path, text in zip(paths, texts):
+        path.write_text(text, encoding="utf-8")
+    return paths
 
 
 class Workload:
@@ -54,7 +59,8 @@ class Workload:
             cli, engine, errors, stats, trace, transcript
         self.root = root
         self.seed = seed
-        self.texts = load(self.name, root, seed)
+        self.paths = input_paths(self.name, root, seed)
+        self.texts = [p.read_text(encoding="utf-8") for p in self.paths]
         self.events = sum(_count_events(t) for t in self.texts)
 
     def run_pass(self) -> dict[str, str]:
@@ -132,19 +138,6 @@ class Synthetic(Workload):
         return invariants.violations, outputs
 
 
-class LongChain(Synthetic):
-    name = "long_chain"
-
-    def gate(self):
-        problems, outputs = self.checked_pass()
-        pin_outputs = outputs
-        if self.seed != gate.PINNED_SEED:
-            pin_problems, pin_outputs = LongChain(self.root, gate.PINNED_SEED).checked_pass()
-            problems += pin_problems
-        problems += gate.compare(pin_outputs, gate.load_pins()["long_chain"], "long_chain")
-        return problems, outputs
-
-
 class Contested(Synthetic):
     name = "contested"
 
@@ -153,7 +146,12 @@ class Contested(Synthetic):
         again = self.run_pass()
         problems += [f"contested: {name} differs between two replays"
                      for name in sorted(outputs) if again.get(name) != outputs[name]]
+        pin_outputs = outputs
+        if self.seed != gate.PINNED_SEED:
+            pin_problems, pin_outputs = Contested(self.root, gate.PINNED_SEED).checked_pass()
+            problems += pin_problems
+        problems += gate.compare(pin_outputs, gate.load_pins()["contested"], "contested")
         return problems, outputs
 
 
-WORKLOADS = {cls.name: cls for cls in (Corpus, LongChain, Contested)}
+WORKLOADS = {cls.name: cls for cls in (Corpus, Contested)}
