@@ -5,7 +5,8 @@
   trace and the stats of the contested dialogues for ``PINNED_SEED``).
 * Every synthetic replay is checked from outside after each completed
   event (``Invariants``).
-* ``contested`` must replay to byte-identical output twice.
+* ``contested`` must replay to byte-identical output twice, and a dialogue
+  may end early only in ``ConflictDetected`` (``unexpected_errors``).
 
 Run ``python3 bench/gate.py`` from the repository root to print fresh pins;
 only do so for a change that is meant to alter the program's output.
@@ -15,10 +16,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from pathlib import Path
 
 PINNED_FILE = Path(__file__).with_name("pinned.json")
 PINNED_SEED = 0
+#: the one error a contested dialogue may end in: the program's known
+#: uncaught-conflict crash, reported by ``completed_frac``
+KNOWN_CRASH = "ConflictDetected"
+ERROR_LINE = re.compile(r"^error: (\w+): ", re.MULTILINE)
 
 
 def digest(text: str) -> str:
@@ -35,6 +41,13 @@ def compare(outputs: dict[str, str], pinned: dict[str, str], label: str) -> list
     return [f"{label}: {name} digest {got.get(name, 'missing')} != pinned {want}"
             for name, want in sorted(pinned.items()) if got.get(name) != want] + \
         [f"{label}: {name} has no pin" for name in sorted(set(got) - set(pinned))]
+
+
+def unexpected_errors(outputs: dict[str, str], label: str) -> list[str]:
+    """Every output that reports an error other than ``KNOWN_CRASH``."""
+    return [f"{label}: {name} ended in {error}"
+            for name, text in sorted(outputs.items())
+            for error in ERROR_LINE.findall(text) if error != KNOWN_CRASH]
 
 
 def load_pins() -> dict:

@@ -19,7 +19,8 @@ import random
 # Many short goal-marked dialogues in which the participants disagree.  The
 # seed chooses the order of kinds and what each event refers back to.
 # Denials of derived literals are a known crash class of the program; they
-# stay in the mix, and the crash shows as failed events.
+# stay in the mix, and the crash shows as events it cuts off, which
+# lower ``completed_frac``.
 
 CONTESTED_DIALOGUES = 300
 CONTESTED_OPENING = 3

@@ -11,9 +11,13 @@ gate's outputs byte for byte.  The last line of stdout is the result::
 
     {"correct": true, "attempted": 1840, "failed": 0, "metrics": {...}}
 
-``attempted`` counts events the timed passes tried to replay; ``failed``
-counts events that raised or that an earlier failure in their dialogue cut
-off (failed/attempted is the workload's failed fraction).
+``attempted`` counts the events the timed passes offered the program;
+``failed`` counts the events of passes that did not reproduce the gate's
+outputs, so it is 0 when the program is correct.  The program's known
+uncaught-conflict crash is an outcome the gate checks, not a
+failed operation: the events it raises on or cuts off are what
+``completed_frac`` (events replayed to completion / events offered) leaves
+out.
 
 ``--trace 0`` reports the end-to-end metrics (``END_TO_END``).  Every pass
 replays the same events; each segment of a pass is timed by the fastest
@@ -313,7 +317,7 @@ def end_to_end(w: workloads.Workload, seconds: float, reference) -> tuple[dict, 
         "setup_s": statistics.median(fit.fastest_tenth(setups)),
     }
     metrics = {name: {"value": values[name], "unit": unit} for name, unit in END_TO_END.items()}
-    return metrics, attempted, attempted - completed, mismatches
+    return metrics, attempted, w.events * len(mismatches), mismatches
 
 
 def per_layer(w: workloads.Workload, seconds: float, reference,
@@ -390,8 +394,8 @@ def per_layer(w: workloads.Workload, seconds: float, reference,
         "stats.render_stats.us": get("stats.render_stats").total_s * 1e6 / passes,
     })
     metrics = {name: {"value": values[name], "unit": unit} for name, unit in PER_LAYER.items()}
-    attempted = w.events * passes
-    return metrics, attempted, attempted - (events - process.raised), mismatches
+    attempted = w.events * (len(untraced) + len(traced))
+    return metrics, attempted, w.events * len(mismatches), mismatches
 
 
 def main(argv=None) -> int:

@@ -145,6 +145,13 @@ def test_one_byte_change_to_a_pinned_output_trips_the_gate():
         f"corpus: stats digest {gate.digest(outputs['stats'])} != pinned {pins['stats']}"]
 
 
+def test_gate_allows_only_the_known_crash():
+    outputs = {"dialogue0": "u0 ...\n", "dialogue1": "u0 ...\nerror: ConflictDetected: x\n",
+               "dialogue2": "u0 ...\nerror: UnknownProposition: p\n"}
+    assert gate.unexpected_errors(outputs, "contested") == [
+        "contested: dialogue2 ended in UnknownProposition"]
+
+
 def test_invariants_flag_each_violation():
     lit = lambda atom, positive: SimpleNamespace(atom=atom, positive=positive)  # noqa: E731
     entry = lambda prop, strength, status="live", deps=(): SimpleNamespace(  # noqa: E731
@@ -193,3 +200,13 @@ def test_corpus_run_prints_every_end_to_end_metric():
     assert result["correct"] and result["failed"] == 0 and result["attempted"] >= 92
     assert set(result["metrics"]) == set(run.END_TO_END)
     assert all(math.isfinite(m["value"]) and m["value"] > 0 for m in result["metrics"].values())
+
+
+def test_contested_crash_lowers_completed_frac_without_failing():
+    done = subprocess.run([sys.executable, "bench/run.py", "--workload", "contested",
+                           "--seed", "0", "--seconds", "0.2", "--trace", "0"],
+                          cwd=ROOT, capture_output=True, text=True, timeout=170)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout.splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0 and result["attempted"] >= 9000
+    assert 0 < result["metrics"]["completed_frac"]["value"] < 1

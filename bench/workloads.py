@@ -8,8 +8,10 @@
 ``contested``   many short seeded goal-marked dialogues full of disputes:
                 rejections, contradictions, rising checks and denials of
                 derived literals.  Stresses defeat, retraction and trial
-                closures that raise; some dialogues end in an uncaught
-                ConflictDetected, and their remaining events count as failed.
+                closures that raise; most dialogues end in the program's
+                known uncaught ConflictDetected.  The gate checks that no
+                other error ends one; events the crash cuts off lower
+                ``completed_frac``, they are not failed operations.
 
 A pass calls the program only through module and class attributes, so the
 tracer's wrappers see every call.  The program's modules are imported when a
@@ -143,6 +145,7 @@ class Contested(Synthetic):
 
     def gate(self):
         problems, outputs = self.checked_pass()
+        problems += gate.unexpected_errors(outputs, "contested")
         again = self.run_pass()
         problems += [f"contested: {name} differs between two replays"
                      for name in sorted(outputs) if again.get(name) != outputs[name]]
