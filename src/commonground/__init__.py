@@ -15,7 +15,7 @@ from .errors import (BadPropositionSyntax, CommonGroundError, ConflictDetected,
                      OrderingViolation, ParseIssue, TranscriptError, UnknownProposition)
 from .evidence import Strength, defeats, min_strength
 from .grounding import (ActType, AssumptionRecord, IRUClass, Intonation, LicenseLink,
-                        Participant, UnderstandingBelief, UtteranceEvent,
+                        Participant, UtteranceEvent,
                         apply_any_next_upgrade, apply_iru_upgrade, classify_iru,
                         open_record, record_license_evidence, understanding_strength)
 from .propositions import (Biconditional, Context, ContextEntry, Literal, Proposition,
@@ -37,7 +37,7 @@ __all__ = [
     "OrderingViolation", "ParseIssue", "Participant", "Proposition",
     "RedundancyVerdict", "RetractionReport", "Rule", "StatsConfig", "Strength",
     "SupportLink", "TraceRecord", "Transcript", "TranscriptError",
-    "UnderstandingBelief", "UnknownProposition", "UtteranceEvent",
+    "UnknownProposition", "UtteranceEvent",
     "aggregate", "apply_any_next_upgrade", "apply_iru_upgrade", "classify_iru",
     "collect_observations", "defeat", "defeats", "detect_conflict",
     "evaluate_acceptance", "format_proposition", "min_strength", "open_record",

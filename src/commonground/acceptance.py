@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional
 from .errors import ConflictDetected, DefeatRejected, OrderingViolation, UnknownProposition
 from .evidence import Strength, defeats
 from .grounding import ActType, Intonation, IRUClass, UtteranceEvent
-from .propositions import LIVE, Literal, Proposition, prop_key, retract
+from .propositions import LIVE, Fixpoint, Literal, Proposition, prop_key, retract
 
 if TYPE_CHECKING:  # pragma: no cover
     from .state import DiscourseState
@@ -107,13 +107,19 @@ class RetractionReport:
     defeated: tuple[str, ...]
 
 
-def detect_conflict(state: "DiscourseState", event: UtteranceEvent) -> Optional[ConflictEvidence]:
+def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
+                    fixpoints: Optional[list[Fixpoint]] = None) -> Optional[ConflictEvidence]:
     """Does this event evidence non-acceptance of live content?
 
     Annotation first: a ``rejects`` link is explicit rejection regardless of
-    content.  Otherwise the event's propositions are asserted into a scratch
-    copy of the context and chained to fixpoint; any clash is contradictory
-    assertion evidence against the previously live half of the pair.
+    content.  Then a direct contrary: a realized literal whose negation is
+    live.  Otherwise the event's propositions are asserted into a scratch
+    copy of the context and saturated (``Context.saturate``); any clash is
+    contradictory assertion evidence against the previously live half of the
+    pair.  When the trial finds no clash and ``fixpoints`` is given, the
+    trial's fixpoint is appended to it: asserting the same propositions on
+    the live context and committing that fixpoint gives the same context as
+    saturating it again, as long as nothing writes the context in between.
     """
     if event.rejects is not None:
         target = state.events.get(event.rejects)
@@ -136,7 +142,7 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent) -> Optional[
     try:
         for p in event.realizes:
             trial.assert_prop(p, Strength.LINGUISTIC, event.utterance_id)
-        trial.closure()
+        fixpoint = trial.saturate()
     except ConflictDetected as clash:
         # the contested side is whatever half of a clashing pair is live in
         # the real (pre-event) context; the other half came with the event
@@ -149,6 +155,8 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent) -> Optional[
                     pair = (came, live)
         return ConflictEvidence(event.utterance_id, pair,
                                 CONTRADICTORY_ASSERTION, frozenset(against))
+    if fixpoints is not None:
+        fixpoints.append(fixpoint)
     return None
 
 

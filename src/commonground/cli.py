@@ -29,13 +29,6 @@ EXIT_INPUT = 2
 EXIT_SEMANTIC = 3
 
 
-def _read(path: Path) -> str:
-    try:
-        return path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise TranscriptError([]) from exc
-
-
 def _load(path: Path):
     try:
         text = path.read_text(encoding="utf-8")

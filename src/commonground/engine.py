@@ -7,15 +7,22 @@ Per-event order of operations (it matters, and it is fixed):
    to the current speaker (copresence to linguistic, the rest to at least
    default) -- before the event's own classification,
 3. classify the event against the pre-event context,
-4. detect conflict evidence (annotation first, then closure on a scratch
-   context),
+4. detect conflict evidence (annotation first, then a direct contrary, then
+   saturation of a scratch copy of the context that holds the event's
+   propositions),
 5. upgrade the antecedent records named by the classification, and lift the
    matched license links to linguistic,
 6. settle acceptance: pending questions first, then the adjacent pair,
 7. on conflict, defeat whatever weaker beliefs the evidence defeats;
    contested content never enters the common ground,
 8. otherwise assert the event's propositions (linguistic), chain the
-   closure, and record inference licenses for newly derived content,
+   closure, and record inference licenses for newly derived content.  When
+   step 4 found no conflict, its scratch fixpoint is committed as it stands:
+   steps 5-6 write no context entry and step 7 has nothing to do, so
+   saturating again would give the same fixpoint.  After conflict evidence
+   that settles without contesting the content (a ``rejects`` annotation, a
+   direct contrary, or a clash whose live side was defeated) the closure is
+   saturated afresh,
 9. register annotated implicature and support links.
 """
 
@@ -27,8 +34,8 @@ from . import acceptance as acc
 from . import grounding as grd
 from .errors import DanglingAntecedent, OrderingViolation
 from .evidence import Strength
-from .grounding import ActType, AssumptionRecord, IRUClass, LicenseLink, UtteranceEvent
-from .propositions import LIVE, Literal, prop_key
+from .grounding import AssumptionRecord, IRUClass, LicenseLink, UtteranceEvent
+from .propositions import LIVE, Fixpoint, Literal, prop_key
 from .state import DiscourseState, EngineConfig
 from .trace import TraceRecord, prop_text, snapshot_record, write_trace
 
@@ -82,7 +89,8 @@ class DialogueEngine:
         cls = grd.classify_iru(event, state)
         antecedents = grd.resolved_antecedents(event, state, cls)
         redundancy = {prop_key(p): state.context.is_redundant(p) for p in event.realizes}
-        conflict = acc.detect_conflict(state, event)
+        fixpoints: list[Fixpoint] = []
+        conflict = acc.detect_conflict(state, event, fixpoints)
         if conflict is not None:
             state.conflicts.append(conflict)
 
@@ -118,7 +126,6 @@ class DialogueEngine:
         derived_lines: list[tuple[str, Strength, tuple[str, ...]]] = []
         support_lines: list[tuple[str, str]] = []
         if not contested:
-            derived_before = {eid for eid, e in state.context.entries.items() if e.derived}
             for p in event.realizes:
                 verdict = redundancy[prop_key(p)]
                 entry = state.context.assert_prop(p, Strength.LINGUISTIC, event.utterance_id)
@@ -127,19 +134,20 @@ class DialogueEngine:
                 if verdict.redundant:
                     note = f"redundant: {verdict.kind} " + ", ".join(sorted(verdict.antecedents))
                 asserted_lines.append((prop_text(p), entry.strength, note))
+            derived = []
             if event.realizes:
-                state.context.closure()
-            for eid, entry in state.context.entries.items():
-                if entry.derived and eid not in derived_before and entry.status == LIVE:
-                    state.register_entry(entry)
-                    roots = sorted(state.context.asserted_roots(entry))
-                    derived_lines.append((prop_text(entry.proposition), entry.strength,
-                                          tuple(roots)))
-                    link = self._license_for_derivation(event, entry, roots)
-                    if link is not None:
-                        license_lines.append((prop_text(link.premise), prop_text(link.conclusion),
-                                              link.strength, link.origin))
-                        touched[event.utterance_id] = record
+                fixpoint = fixpoints[0] if fixpoints else state.context.saturate()
+                derived = state.context.commit(fixpoint)
+            for entry in derived:
+                state.register_entry(entry)
+                roots = sorted(state.context.asserted_roots(entry))
+                derived_lines.append((prop_text(entry.proposition), entry.strength,
+                                      tuple(roots)))
+                link = self._license_for_derivation(event, entry, roots)
+                if link is not None:
+                    license_lines.append((prop_text(link.premise), prop_text(link.conclusion),
+                                          link.strength, link.origin))
+                    touched[event.utterance_id] = record
             if event.implicates is not None:
                 premise, conclusion = event.implicates
                 link = grd.record_license_evidence(

@@ -17,7 +17,10 @@ from typing import Iterable
 
 
 class Strength(IntEnum):
-    """Ordered evidence grade.  Integer values are ranks, not weights."""
+    """Ordered evidence grade.  Integer values are ranks, not weights.
+
+    ``PHYSICAL`` completes the lattice, but no operation in this package
+    produces it: copresence upgrades stop at linguistic."""
 
     HYPOTHESIS = 1
     DEFAULT = 2
@@ -39,10 +42,6 @@ class Strength(IntEnum):
         except KeyError:
             raise ValueError(f"unknown evidence strength {label!r}") from None
 
-
-#: ``physical`` is reserved: it completes the lattice but no operation in
-#: this package ever produces it (copresence upgrades stop at linguistic).
-RESERVED_TOP = Strength.PHYSICAL
 
 #: Derived (never-uttered) content is capped at inference grade.
 DERIVED_CAP = Strength.INFERENCE

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import DanglingAntecedent, DuplicateUtterance, UnknownProposition
 from .evidence import Strength, min_strength
-from .propositions import Literal, Proposition, RedundancyVerdict, prop_key
+from .propositions import Proposition, RedundancyVerdict, prop_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from .state import DiscourseState
@@ -179,13 +179,6 @@ class AssumptionRecord:
             self.strengths[name] = strength
 
 
-@dataclass(frozen=True)
-class UnderstandingBelief:
-    utterance_id: str
-    proposition: Proposition
-    strength: Strength
-
-
 def open_record(state: "DiscourseState", event: UtteranceEvent) -> AssumptionRecord:
     """Create the assumption record for a new utterance, all at hypothesis."""
     if event.utterance_id in state.records:
@@ -198,13 +191,6 @@ def open_record(state: "DiscourseState", event: UtteranceEvent) -> AssumptionRec
 def understanding_strength(record: AssumptionRecord) -> Strength:
     """Weakest link over every assumption currently in the record."""
     return min_strength(record.strengths.values())
-
-
-def understanding_beliefs(state: "DiscourseState", utterance_id: str) -> list[UnderstandingBelief]:
-    record = state.records[utterance_id]
-    event = state.events[utterance_id]
-    strength = understanding_strength(record)
-    return [UnderstandingBelief(utterance_id, p, strength) for p in event.realizes]
 
 
 def apply_iru_upgrade(record: AssumptionRecord, cls: IRUClass) -> AssumptionRecord:

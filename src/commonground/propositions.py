@@ -41,7 +41,11 @@ class Literal:
             raise BadPropositionSyntax(f"bad atom name {self.atom!r}")
 
     def negated(self) -> "Literal":
-        return Literal(self.atom, not self.positive)
+        # the atom was validated when self was made, so skip __post_init__
+        other = object.__new__(Literal)
+        object.__setattr__(other, "atom", self.atom)
+        object.__setattr__(other, "positive", not self.positive)
+        return other
 
     def __str__(self) -> str:
         return self.atom if self.positive else "!" + self.atom
@@ -184,6 +188,20 @@ class _Deriv:
         return self.rank < other.rank
 
 
+@dataclass(frozen=True)
+class Fixpoint:
+    """A settled saturation of one context, ready for ``Context.commit``.
+
+    ``settled`` holds every literal of the fixpoint as (key, (literal,
+    winning derivation)), in commit order: earliest premises first.
+    ``entries`` maps the key of each live literal entry the saturation
+    started from to its id.
+    """
+
+    settled: list[tuple[str, tuple[Literal, _Deriv]]]
+    entries: dict[str, str]
+
+
 class Context:
     """Mutable common-ground store for one dialogue.
 
@@ -302,16 +320,30 @@ class Context:
     def closure(self) -> set[Literal]:
         """Forward-chain to fixpoint and return all live literals.
 
+        Saturates (``saturate``) and commits the result (``commit``).  Raises
+        ConflictDetected if the fixpoint contains both polarities of an
+        atom, listing the clashing literals; the context is then unchanged.
+        """
+        self.commit(self.saturate())
+        return {e.proposition for e in self.live_entries()
+                if isinstance(e.proposition, Literal)}
+
+    def saturate(self) -> Fixpoint:
+        """Chain the live entries to fixpoint without writing anything.
+
         Mechanisms: modus ponens on rules, biconditionals expanded to both
         directional rules, contrapositives of single-antecedent rules, and
         self-refutation (a literal whose own negation implies it is forced).
-        Each newly derived literal is stored as an entry depending on its
-        premises, with strength MIN over premises capped at inference.
-        When several derivations reach the same literal, the strongest wins
-        and remaining ties go to the derivation with earliest premises.
+        A derived literal's strength is MIN over its premises, capped at
+        inference.  When several derivations reach the same literal, the
+        strongest wins and remaining ties go to the derivation with earliest
+        premises.
 
-        Raises ConflictDetected if the fixpoint contains both polarities of
-        an atom, listing the clashing literals; the context is unchanged.
+        The result depends only on the id, proposition, strength and order
+        of the live entries, so a clone that received the same assertions
+        saturates to a fixpoint this context can commit.  Raises
+        ConflictDetected if the fixpoint contains both polarities of an
+        atom, listing the clashing literals.
         """
         live = self.live_entries()
         lit_entries = {prop_key(e.proposition): e for e in live
@@ -382,13 +414,22 @@ class Context:
         if clashes:
             raise ConflictDetected(clashes)
 
-        for key, (lit, deriv) in sorted(settled.items(), key=lambda kv: kv[1][1].rank):
-            if key in lit_entries:
-                entry = lit_entries[key]
-                derived_strength = capped(deriv.strength)
+        return Fixpoint(sorted(settled.items(), key=lambda kv: kv[1][1].rank),
+                        {key: e.entry_id for key, e in lit_entries.items()})
+
+    def commit(self, fixpoint: Fixpoint) -> list[ContextEntry]:
+        """Apply a fixpoint from ``saturate``: raise the strengths it improves,
+        with their new dependencies, and insert the literals it derives.
+        Returns the inserted entries in insertion order."""
+        inserted = []
+        for key, (lit, deriv) in fixpoint.settled:
+            eid = fixpoint.entries.get(key)
+            if eid is not None:
+                entry = self.entries[eid]
+                derived_strength = min(deriv.strength, DERIVED_CAP)
                 if derived_strength > entry.strength:
                     entry.strength = derived_strength
-                    entry.dependencies = set(deriv.deps - {entry.entry_id})
+                    entry.dependencies = set(deriv.deps - {eid})
                 continue
             existing = self.lookup(lit)
             if existing is not None:
@@ -396,10 +437,8 @@ class Context:
                     existing.strength = deriv.strength
                     existing.dependencies = set(deriv.deps)
                 continue
-            self._insert(lit, deriv.strength, (), set(deriv.deps))
-
-        return {e.proposition for e in self.live_entries()
-                if isinstance(e.proposition, Literal)}
+            inserted.append(self._insert(lit, deriv.strength, (), set(deriv.deps)))
+        return inserted
 
     def _rank(self, deps: Iterable[str]) -> tuple[int, ...]:
         return tuple(sorted(self.entries[d].order for d in deps))
@@ -410,6 +449,8 @@ class Context:
         A chain !L -> ... -> L forces L regardless of any asserted facts;
         this closes the gap left by pure unit propagation (e.g. a -> b plus
         !a -> b forces b).  The widest (strongest-weakest-rule) chain wins.
+        Only literals that pass a plain reachability test from their
+        negation get the labelled search.
         """
         forced = []
         nodes = set(edges)
@@ -422,6 +463,8 @@ class Context:
         for key in sorted(nodes):
             target = lits[key]
             start = str(target.negated())
+            if not _reaches(edges, start, key):
+                continue
             best: dict[str, _Deriv] = {}
             heap: list[tuple[tuple[int, tuple[int, ...], str], str, _Deriv]] = []
             seed = _Deriv(Strength.PHYSICAL, frozenset(), ())
@@ -483,23 +526,41 @@ class Context:
         return roots
 
 
+def _reaches(edges, start: str, goal: str) -> bool:
+    """Is ``goal`` reachable from ``start`` along ``edges``?"""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for dst, _ in edges.get(stack.pop(), ()):
+            key = str(dst)
+            if key == goal:
+                return True
+            if key not in seen:
+                seen.add(key)
+                stack.append(key)
+    return False
+
+
 def retract(nodes: dict, target_id: str) -> list[str]:
     """Mark ``target_id`` defeated plus everything whose dependency closure
     reaches it.  Returns the defeated ids, sorted.  ``nodes`` maps ids to
     objects with ``status`` and ``dependencies`` attributes; dependency ids
-    with no node (e.g. raw event ids kept for provenance) are ignored."""
+    with no node (e.g. raw event ids kept for provenance) are ignored, and
+    nodes that are not live neither join nor pass the defeat on."""
     if target_id not in nodes:
         raise KeyError(target_id)
+    dependents: dict[str, list[str]] = {}
+    for nid, node in nodes.items():
+        if getattr(node, "status", LIVE) == LIVE:
+            for dep in node.dependencies:
+                dependents.setdefault(dep, []).append(nid)
     defeated = {target_id}
-    changed = True
-    while changed:
-        changed = False
-        for nid, node in nodes.items():
-            if nid in defeated or getattr(node, "status", LIVE) != LIVE:
-                continue
-            if node.dependencies & defeated:
+    frontier = [target_id]
+    while frontier:
+        for nid in dependents.get(frontier.pop(), ()):
+            if nid not in defeated:
                 defeated.add(nid)
-                changed = True
+                frontier.append(nid)
     result = sorted(defeated)
     for nid in result:
         nodes[nid].status = DEFEATED

@@ -7,7 +7,7 @@ bit-exact: the same dialogue always renders to the same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .evidence import Strength
 from .grounding import ASSUMPTION_ORDER

@@ -6,6 +6,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))  # make the oracle module importable
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
+#: every fixture dialogue: the worked examples, then the corpus
+DIALOGUES = sorted(FIXTURES.glob("example*.dlg")) + sorted((FIXTURES / "corpus").glob("*.dlg"))
 
 
 @pytest.fixture

@@ -1,6 +1,9 @@
 import random
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from commonground import (BadPropositionSyntax, Biconditional, ConflictDetected, Context,
                           Literal, RedundancyVerdict, Rule, Strength, format_proposition,
@@ -36,6 +39,21 @@ def test_parse_valid(text, expected):
 def test_parse_invalid(text):
     with pytest.raises(BadPropositionSyntax):
         parse_proposition(text)
+
+
+def test_literal_rejects_bad_atom():
+    with pytest.raises(BadPropositionSyntax):
+        L("1x")
+
+
+@pytest.mark.parametrize("atom", ["a", "x_1", "Rate9"])
+@pytest.mark.parametrize("positive", [True, False])
+def test_negated_equals_a_constructed_literal(atom, positive):
+    negated = L(atom, positive).negated()
+    assert negated == L(atom, not positive)
+    assert hash(negated) == hash(L(atom, not positive))
+    assert negated.negated() == L(atom, positive)
+    assert {negated: 1}[L(atom, not positive)] == 1
 
 
 def test_rule_invariants():
@@ -175,6 +193,60 @@ def test_closure_is_idempotent_and_monotone():
     ctx.closure()
     for e in ctx.live_entries():
         assert e.strength >= before[e.entry_id]
+
+
+def entry_view(ctx):
+    return {eid: (e.proposition, e.strength, frozenset(e.dependencies), e.status, e.order)
+            for eid, e in ctx.entries.items()}
+
+
+def chained_context():
+    ctx = Context()
+    ctx.assert_prop(lit("a -> b"), Strength.LINGUISTIC, "u1")
+    ctx.assert_prop(lit("b <-> c"), Strength.DEFAULT, "u2")
+    ctx.assert_prop(lit("a"), Strength.LINGUISTIC, "u3")
+    return ctx
+
+
+def test_saturate_writes_nothing():
+    ctx = chained_context()
+    before = entry_view(ctx)
+    fixpoint = ctx.saturate()
+    assert entry_view(ctx) == before
+    assert {key for key, _ in fixpoint.settled} == {"a", "b", "c"}
+
+
+def test_saturate_raises_and_leaves_context_unchanged():
+    ctx = chained_context()
+    ctx.assert_prop(lit("!c"), Strength.LINGUISTIC, "u4")
+    before = entry_view(ctx)
+    with pytest.raises(ConflictDetected):
+        ctx.saturate()
+    assert entry_view(ctx) == before
+
+
+def test_commit_returns_inserted_entries_in_order():
+    ctx = chained_context()
+    ids_before = set(ctx.entries)
+    inserted = ctx.commit(ctx.saturate())
+    new = [e for eid, e in ctx.entries.items() if eid not in ids_before]
+    assert inserted == new
+    # commit order is by premise orders: c rests on u1, u2, u3; b on u1, u3
+    assert [str(e.proposition) for e in inserted] == ["c", "b"]
+    assert all(e.derived and e.status == LIVE for e in inserted)
+    assert ctx.commit(ctx.saturate()) == []
+
+
+def test_clone_fixpoint_commits_like_a_fresh_closure():
+    ctx = chained_context()
+    ctx.closure()
+    fresh = ctx.clone()
+    trial = ctx.clone()
+    for c in (fresh, trial, ctx):
+        c.assert_prop(lit("c -> d"), Strength.LINGUISTIC, "u4")
+    fresh.closure()
+    ctx.commit(trial.saturate())
+    assert entry_view(ctx) == entry_view(fresh)
 
 
 # -- randomized oracle comparison -------------------------------------------
@@ -322,3 +394,50 @@ def test_retract_walks_reverse_dependencies():
 def test_retract_unknown_target():
     with pytest.raises(KeyError):
         retract({}, "missing")
+
+
+def retract_by_rescan(nodes, target_id):
+    """Reference for ``retract``: rescan every node until nothing joins."""
+    defeated = {target_id}
+    changed = True
+    while changed:
+        changed = False
+        for nid, node in nodes.items():
+            if nid in defeated or getattr(node, "status", LIVE) != LIVE:
+                continue
+            if node.dependencies & defeated:
+                defeated.add(nid)
+                changed = True
+    result = sorted(defeated)
+    for nid in result:
+        nodes[nid].status = DEFEATED
+    return result
+
+
+@st.composite
+def dependency_graphs(draw):
+    """Nodes n0..nk with random (possibly cyclic) dependencies, some on ids
+    with no node, some nodes already defeated or without a status."""
+    ids = [f"n{i}" for i in range(draw(st.integers(1, 12)))]
+    pool = ids + ["u1", "u2"]
+    nodes = {}
+    for nid in ids:
+        deps = set(draw(st.lists(st.sampled_from(pool), max_size=4)))
+        kind = draw(st.sampled_from([LIVE, LIVE, LIVE, DEFEATED, None]))
+        nodes[nid] = (SimpleNamespace(dependencies=deps) if kind is None
+                      else SimpleNamespace(dependencies=deps, status=kind))
+    return nodes, draw(st.sampled_from(ids))
+
+
+def copy_graph(nodes):
+    return {nid: SimpleNamespace(**vars(node)) for nid, node in nodes.items()}
+
+
+@given(dependency_graphs())
+def test_retract_matches_rescan_reference(graph):
+    nodes, target = graph
+    expected_nodes = copy_graph(nodes)
+    expected = retract_by_rescan(expected_nodes, target)
+    assert retract(nodes, target) == expected
+    assert {nid: vars(n) for nid, n in nodes.items()} == \
+        {nid: vars(n) for nid, n in expected_nodes.items()}

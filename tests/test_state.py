@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from commonground import (AcceptanceBelief, AcceptanceOutcome, ActType, ConflictEvidence,
-                          ContextEntry, DefeatRejected, DiscourseState, IRUClass,
+                          ContextEntry, DefeatRejected, DialogueEngine, DiscourseState, IRUClass,
                           Intonation, OrderingViolation, Participant, Strength,
                           SupportLink, UnknownProposition, UtteranceEvent, defeat,
                           detect_conflict, evaluate_acceptance, parse, parse_proposition,
@@ -15,7 +15,7 @@ from commonground import (AcceptanceBelief, AcceptanceOutcome, ActType, Conflict
 from commonground.acceptance import (CONTRADICTORY_ASSERTION, EXPLICIT_REJECTION,
                                      RISING_IRU)
 from commonground.propositions import DEFEATED, LIVE
-from conftest import load_fixture
+from conftest import DIALOGUES, load_fixture
 
 P = parse_proposition
 
@@ -136,6 +136,45 @@ def test_detect_conflict_none_for_consistent_assertion():
     seeded(state, "u1", "p")
     assert detect_conflict(state, event("u2", 1, speaker="b", addressee="a",
                                         realizes=(P("q"),))) is None
+
+
+def test_detect_conflict_hands_over_the_trial_fixpoint():
+    state = fresh_state()
+    seeded(state, "u1", "p -> q")
+    consistent = event("u2", 1, speaker="b", addressee="a", realizes=(P("p"),))
+    fixpoints = []
+    assert detect_conflict(state, consistent, fixpoints) is None
+    assert {key for key, _ in fixpoints[0].settled} == {"p", "q"}
+    assert state.context.lookup(P("p")) is None  # the trial ran on a copy
+
+
+def test_detect_conflict_hands_over_nothing_on_a_clash():
+    state = fresh_state()
+    seeded(state, "u1", "p -> q")
+    seeded(state, "u2", "!q")
+    fixpoints = []
+    clashing = event("u3", 1, speaker="b", addressee="a", realizes=(P("p"),))
+    assert detect_conflict(state, clashing, fixpoints) is not None
+    assert fixpoints == []
+
+
+def context_view(context):
+    return {eid: (e.strength, frozenset(e.dependencies), e.status)
+            for eid, e in context.entries.items()}
+
+
+@pytest.mark.parametrize("path", DIALOGUES, ids=lambda path: path.stem)
+def test_live_context_is_a_fixpoint_after_every_event(path):
+    """Chaining the live context again after any completed event changes
+    nothing: the engine committed the event's whole closure."""
+    transcript = parse(path.read_text(encoding="utf-8"))
+    engine = DialogueEngine.for_transcript(transcript)
+    for ev in transcript.events:
+        engine.process(ev)
+        context = engine.state.context
+        again = context.clone()
+        again.closure()
+        assert context_view(again) == context_view(context), ev.utterance_id
 
 
 # -- defeat and retraction ------------------------------------------------------
