@@ -21,7 +21,7 @@ from .grounding import (ActType, AssumptionRecord, IRUClass, Intonation, License
 from .propositions import (Biconditional, Context, ContextEntry, Literal, Proposition,
                            RedundancyVerdict, Rule, format_proposition, parse_proposition,
                            prop_key)
-from .state import DiscourseState, EngineConfig
+from .state import DiscourseState
 from .stats import CorpusStats, StatsConfig, aggregate, collect_observations, render_stats
 from .trace import TraceRecord, write_trace
 from .transcript import Transcript, parse, serialize
@@ -33,7 +33,7 @@ __all__ = [
     "BadPropositionSyntax", "Biconditional", "CommonGroundError", "ConflictDetected",
     "ConflictEvidence", "Context", "ContextEntry", "CorpusStats", "DanglingAntecedent",
     "DefeatRejected", "DialogueEngine", "DiscourseState", "DuplicateUtterance",
-    "EngineConfig", "IRUClass", "Intonation", "LicenseLink", "Literal",
+    "IRUClass", "Intonation", "LicenseLink", "Literal",
     "OrderingViolation", "ParseIssue", "Participant", "Proposition",
     "RedundancyVerdict", "RetractionReport", "Rule", "StatsConfig", "Strength",
     "SupportLink", "TraceRecord", "Transcript", "TranscriptError",

@@ -19,28 +19,26 @@ from typing import TYPE_CHECKING, Optional
 from .errors import ConflictDetected, DefeatRejected, OrderingViolation, UnknownProposition
 from .evidence import Strength, defeats
 from .grounding import ActType, Intonation, IRUClass, UtteranceEvent
-from .propositions import LIVE, Fixpoint, Literal, Proposition, prop_key, retract
+from .propositions import LIVE, Fixpoint, Literal, Proposition, prop_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from .state import DiscourseState
 
 EXPLICIT_REJECTION = "explicit_rejection"
 CONTRADICTORY_ASSERTION = "contradictory_assertion"
-RISING_IRU = "rising_iru"
 
 
 @dataclass(frozen=True)
 class ConflictEvidence:
     """Evidence that an addressee does not (or may not) accept some content.
 
-    For the two strong kinds the clashing pair is inconsistent under closure
-    or the event is annotated as a rejection; a rising redundant check
-    carries the questioned proposition as both halves of the pair.
+    The clashing pair is inconsistent under closure, or the event is
+    annotated as a rejection.
     """
 
     event_id: str
     pair: tuple[Proposition, Proposition]
-    kind: str  # EXPLICIT_REJECTION | CONTRADICTORY_ASSERTION | RISING_IRU
+    kind: str  # EXPLICIT_REJECTION | CONTRADICTORY_ASSERTION
     against: frozenset[str] = frozenset()  # keys of the contested propositions
 
     @property
@@ -116,7 +114,8 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
     live.  Otherwise the event's propositions are asserted into a scratch
     copy of the context and saturated (``Context.saturate``); any clash is
     contradictory assertion evidence against the previously live half of the
-    pair.  When the trial finds no clash and ``fixpoints`` is given, the
+    pair.  The trial defeats nothing, as a live contrary returns before it.
+    When the trial finds no clash and ``fixpoints`` is given, the
     trial's fixpoint is appended to it: asserting the same propositions on
     the live context and committing that fixpoint gives the same context as
     saturating it again, as long as nothing writes the context in between.
@@ -246,7 +245,10 @@ def _accept(state: "DiscourseState", p: Proposition, agent: str, strength: Stren
         deps.add(entry.entry_id)
     if belief is None:
         belief = AcceptanceBelief(
-            belief_id=state.next_belief_id(),
+            # never an utterance id: dependencies cite those, and this event's
+            # entries (already allocated by its conflict trial) are not in yet
+            belief_id=state.context.fresh_id("a", len(state.acceptance_beliefs) + 1,
+                                             state.events),
             proposition=p,
             accepting_agent=agent,
             strength=strength,
@@ -264,10 +266,13 @@ def _accept(state: "DiscourseState", p: Proposition, agent: str, strength: Stren
 
 
 def defeat(state: "DiscourseState", target_id: str, by: ConflictEvidence) -> RetractionReport:
-    """Defeat a belief with strictly stronger contrary evidence.
+    """Defeat a node of the dependency graph with strictly stronger contrary
+    evidence, and report what went with it.
 
-    The target flips to defeated, as does every live node whose dependency
-    closure reaches it.  Strengths are untouched; only status changes.
+    The target may be a proposition entry, an acceptance belief or a support
+    link; ``Context.defeat_entry`` flips it and every live node whose
+    dependencies reach it to defeated.  Strengths are untouched; only status
+    changes.
     """
     node = state.nodes.get(target_id)
     if node is None:
@@ -275,9 +280,7 @@ def defeat(state: "DiscourseState", target_id: str, by: ConflictEvidence) -> Ret
     if not defeats(by.strength, node.strength):
         raise DefeatRejected(
             f"{by.strength} evidence cannot defeat a {node.strength} belief")
-    defeated = retract(state.nodes, target_id)
-    state.sync_context_after_defeat(defeated)
-    report = RetractionReport(target_id, by.kind, tuple(defeated))
+    report = RetractionReport(target_id, by.kind, tuple(state.context.defeat_entry(target_id)))
     state.retractions.append(report)
     return report
 
@@ -298,7 +301,7 @@ def record_support(state: "DiscourseState", belief: Proposition,
         if (prop_key(link.belief), prop_key(link.goal)) == (prop_key(belief), prop_key(goal)):
             return link
     link = SupportLink(
-        link_id=state.next_support_id(),
+        link_id=state.context.fresh_id("s", len(state.support_links) + 1, state.events),
         belief=belief,
         goal=goal,
         dependencies={belief_entry.entry_id, goal_entry.entry_id},

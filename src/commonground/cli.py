@@ -54,15 +54,27 @@ def cmd_check(args) -> int:
     return status
 
 
-def cmd_trace(args) -> int:
-    transcript = _load(Path(args.file))
+class _Failed(Exception):
+    """A transcript failed to load or replay and was reported; carries the
+    exit code."""
+
+
+def _replay(name):
+    """Load and replay one transcript; returns (transcript, traces).  On
+    failure, reports it on stderr and raises _Failed with the exit code."""
+    transcript = _load(Path(name))
     if transcript is None:
-        return EXIT_INPUT
+        raise _Failed(EXIT_INPUT)
     try:
         _, traces = replay_transcript(transcript)
     except CommonGroundError as exc:
-        print(f"{args.file}: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
+        print(f"{name}: {exc}", file=sys.stderr)
+        raise _Failed(EXIT_SEMANTIC)
+    return transcript, traces
+
+
+def cmd_trace(args) -> int:
+    _, traces = _replay(args.file)
     sys.stdout.write(write_trace(traces))
     return EXIT_OK
 
@@ -70,15 +82,7 @@ def cmd_trace(args) -> int:
 def cmd_classify(args) -> int:
     observations = []
     for name in args.files:
-        transcript = _load(Path(name))
-        if transcript is None:
-            return EXIT_INPUT
-        try:
-            _, traces = replay_transcript(transcript)
-        except CommonGroundError as exc:
-            print(f"{name}: {exc}", file=sys.stderr)
-            return EXIT_SEMANTIC
-        observations.extend(collect_observations(transcript, traces))
+        observations.extend(collect_observations(*_replay(name)))
     sys.stdout.write(render_classification(observations, args.format))
     return EXIT_OK
 
@@ -90,22 +94,13 @@ def cmd_stats(args) -> int:
         print(f"{directory}: no .dlg transcripts found", file=sys.stderr)
         return EXIT_INPUT
     observations = []
-    dialogues = 0
     turns = 0
     for path in paths:
-        transcript = _load(path)
-        if transcript is None:
-            return EXIT_INPUT
-        try:
-            _, traces = replay_transcript(transcript)
-        except CommonGroundError as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            return EXIT_SEMANTIC
+        transcript, traces = _replay(path)
         observations.extend(collect_observations(transcript, traces))
-        dialogues += 1
         turns += len(transcript.events)
     config = StatsConfig(remote_gap=args.remote_gap)
-    stats = aggregate(observations, dialogues, turns, config)
+    stats = aggregate(observations, len(paths), turns, config)
     sys.stdout.write(render_stats(stats, args.format, config))
     return EXIT_OK
 
@@ -140,7 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failed as failed:
+        return failed.args[0]
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -36,7 +36,7 @@ from .errors import DanglingAntecedent, OrderingViolation
 from .evidence import Strength
 from .grounding import AssumptionRecord, IRUClass, LicenseLink, UtteranceEvent
 from .propositions import LIVE, Fixpoint, Literal, prop_key
-from .state import DiscourseState, EngineConfig
+from .state import DiscourseState
 from .trace import TraceRecord, prop_text, snapshot_record, write_trace
 
 
@@ -48,12 +48,11 @@ class DialogueEngine:
         self.traces: list[TraceRecord] = []
 
     @classmethod
-    def for_transcript(cls, transcript, config: Optional[EngineConfig] = None) -> "DialogueEngine":
+    def for_transcript(cls, transcript) -> "DialogueEngine":
         state = DiscourseState(
             dialogue_id=transcript.dialogue_id,
             participants=transcript.participants,
             require_acceptance=transcript.require_acceptance,
-            config=config,
         )
         return cls(state)
 
@@ -129,7 +128,6 @@ class DialogueEngine:
             for p in event.realizes:
                 verdict = redundancy[prop_key(p)]
                 entry = state.context.assert_prop(p, Strength.LINGUISTIC, event.utterance_id)
-                state.register_entry(entry)
                 note = ""
                 if verdict.redundant:
                     note = f"redundant: {verdict.kind} " + ", ".join(sorted(verdict.antecedents))
@@ -139,7 +137,6 @@ class DialogueEngine:
                 fixpoint = fixpoints[0] if fixpoints else state.context.saturate()
                 derived = state.context.commit(fixpoint)
             for entry in derived:
-                state.register_entry(entry)
                 roots = sorted(state.context.asserted_roots(entry))
                 derived_lines.append((prop_text(entry.proposition), entry.strength,
                                       tuple(roots)))
@@ -243,11 +240,8 @@ class DialogueEngine:
             for e in entries:
                 if e.status != LIVE:
                     continue  # already swept up by an earlier cascade
-                if e.entry_id in state.nodes:
-                    report = acc.defeat(state, e.entry_id, conflict)
-                    retraction_lines.append(report.defeated)
-                else:
-                    retraction_lines.append(tuple(state.context.defeat_entry(e.entry_id)))
+                report = acc.defeat(state, e.entry_id, conflict)
+                retraction_lines.append(report.defeated)
             return False
         return True
 
@@ -270,13 +264,13 @@ class DialogueEngine:
         return grd.record_license_evidence(state, link, Strength.INFERENCE)
 
 
-def replay_transcript(transcript, config: Optional[EngineConfig] = None):
+def replay_transcript(transcript):
     """Convenience: run a parsed transcript; returns (engine, trace records)."""
-    engine = DialogueEngine.for_transcript(transcript, config)
+    engine = DialogueEngine.for_transcript(transcript)
     traces = engine.replay(transcript)
     return engine, traces
 
 
-def trace_document(transcript, config: Optional[EngineConfig] = None) -> str:
-    _, traces = replay_transcript(transcript, config)
+def trace_document(transcript) -> str:
+    _, traces = replay_transcript(transcript)
     return write_trace(traces)

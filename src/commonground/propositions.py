@@ -203,25 +203,36 @@ class Fixpoint:
 
 
 class Context:
-    """Mutable common-ground store for one dialogue.
+    """Mutable common-ground store for one dialogue, and the one dependency
+    graph of its discourse state.
+
+    ``nodes`` maps every id to its node: the proposition entries, and the
+    acceptance beliefs and support links that rest on them.  ``entries``
+    holds the proposition entries among them.  Ids are allocated against
+    every node, so no node ever overwrites or aliases another.
 
     Single-threaded per dialogue by contract; distinct dialogues never share
     a context.  ``clone()`` gives an independent copy for what-if checks.
     """
 
     def __init__(self):
+        self.nodes: dict[str, object] = {}
         self.entries: dict[str, ContextEntry] = {}
-        self._by_key: dict[str, str] = {}  # live proposition key -> entry id
+        self._by_key: dict[str, str] = {}  # proposition key -> latest entry id
         self._counter = 0
 
     # -- plumbing ---------------------------------------------------------
 
     def clone(self) -> "Context":
+        """Copy the entries and share the other nodes.  The clone sees every
+        id, so it allocates the ids this context would; a defeat on the
+        clone would reach the shared acceptance beliefs and support links."""
         other = Context()
         other._counter = self._counter
-        other._by_key = dict(self._by_key)
+        other._by_key.update(self._by_key)
+        other.nodes.update(self.nodes)
         for eid, e in self.entries.items():
-            other.entries[eid] = ContextEntry(
+            other.entries[eid] = other.nodes[eid] = ContextEntry(
                 entry_id=e.entry_id,
                 proposition=e.proposition,
                 strength=e.strength,
@@ -245,20 +256,24 @@ class Context:
         entry = self.entries[eid]
         return entry if entry.status == LIVE else None
 
-    def _fresh_id(self, source: Optional[str]) -> str:
-        if source is None:
-            self._counter += 1
-            return f"d{self._counter}"
-        if source not in self.entries:
-            return source
-        n = 2
-        while f"{source}#{n}" in self.entries:
+    def fresh_id(self, prefix: str, n: int, reserved=()) -> str:
+        """The first of ``<prefix><n>``, ``<prefix><n+1>``, ... that names no
+        node and is not in ``reserved``."""
+        nid = f"{prefix}{n}"
+        while nid in self.nodes or nid in reserved:
             n += 1
-        return f"{source}#{n}"
+            nid = f"{prefix}{n}"
+        return nid
 
     def _insert(self, p: Proposition, strength: Strength, sources: tuple[str, ...],
                 dependencies: set[str]) -> ContextEntry:
-        eid = self._fresh_id(sources[0] if sources else None)
+        if not sources:
+            self._counter += 1
+            eid = self.fresh_id("d", self._counter)
+        elif sources[0] in self.nodes:
+            eid = self.fresh_id(sources[0] + "#", 2)
+        else:
+            eid = sources[0]
         self._counter += 1
         entry = ContextEntry(
             entry_id=eid,
@@ -268,7 +283,7 @@ class Context:
             dependencies=dependencies,
             order=self._counter,
         )
-        self.entries[eid] = entry
+        self.entries[eid] = self.nodes[eid] = entry
         self._by_key[prop_key(p)] = eid
         return entry
 
@@ -299,21 +314,11 @@ class Context:
                 self.defeat_entry(contrary.entry_id)
         return self._insert(p, strength, (source,), set())
 
-    def defeat_entry(self, entry_id: str) -> list[str]:
-        """Mark an entry defeated and cascade through dependent entries."""
-        defeated = retract(self.entries, entry_id)
-        for eid in defeated:
-            self.unindex(eid)
-        return defeated
-
-    def unindex(self, entry_id: str) -> None:
-        """Drop a (defeated) entry from the live-proposition index."""
-        entry = self.entries.get(entry_id)
-        if entry is None:
-            return
-        key = prop_key(entry.proposition)
-        if self._by_key.get(key) == entry_id:
-            del self._by_key[key]
+    def defeat_entry(self, node_id: str) -> list[str]:
+        """Mark a node defeated, with every live node whose dependencies
+        reach it: entries, acceptance beliefs and support links alike.  This
+        is the one retraction walk.  Returns the defeated ids, sorted."""
+        return retract(self.nodes, node_id)
 
     # -- inference --------------------------------------------------------
 

@@ -8,6 +8,8 @@ sys.path.insert(0, str(Path(__file__).parent))  # make the oracle module importa
 FIXTURES = Path(__file__).parent.parent / "fixtures"
 #: every fixture dialogue: the worked examples, then the corpus
 DIALOGUES = sorted(FIXTURES.glob("example*.dlg")) + sorted((FIXTURES / "corpus").glob("*.dlg"))
+#: hand-written disputes: defeats, retraction cascades and swept support links
+DISPUTES = sorted((FIXTURES / "disputes").glob("*.dlg"))
 
 
 @pytest.fixture

@@ -1,0 +1,77 @@
+"""Exit codes and stderr text of the CLI's error paths."""
+
+import pytest
+
+from commonground import cli
+
+MALFORMED = "dialogue: broken\nparticipants: a, b\n\nid: u0\nturn: zero\n"
+
+CRASH = """dialogue: crash
+participants: a, b
+
+id: u0
+turn: 0
+speaker: a
+addressee: b
+text: if p then q, and not q
+realizes: p -> q; !q
+
+id: u1
+turn: 1
+speaker: b
+addressee: a
+text: p
+realizes: p
+"""
+
+SUBCOMMANDS = ("trace", "classify", "stats")
+
+
+def run(capsys, *argv):
+    status = cli.main(list(argv))
+    out, err = capsys.readouterr()
+    return status, out, err
+
+
+def target(command, corpus, name):
+    """stats reads a directory; trace and classify read the file itself."""
+    return str(corpus) if command == "stats" else str(corpus / name)
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_unreadable_file(command, tmp_path, capsys):
+    (tmp_path / "gone.dlg").mkdir()  # a directory cannot be read as text
+    path = tmp_path / "gone.dlg"
+    status, out, err = run(capsys, command, target(command, tmp_path, "gone.dlg"))
+    assert (status, out) == (cli.EXIT_INPUT, "")
+    assert err == f"{path}: [Errno 21] Is a directory: '{path}'\n"
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_malformed_transcript(command, tmp_path, capsys):
+    path = tmp_path / "broken.dlg"
+    path.write_text(MALFORMED, encoding="utf-8")
+    status, out, err = run(capsys, command, target(command, tmp_path, "broken.dlg"))
+    assert (status, out) == (cli.EXIT_INPUT, "")
+    assert err == (f"{path}:4: event lacks speaker, addressee, text [missing-field]\n")
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_empty_corpus_directory(command, tmp_path, capsys):
+    status, out, err = run(capsys, command, str(tmp_path))
+    assert (status, out) == (cli.EXIT_INPUT, "")
+    if command == "stats":
+        assert err == f"{tmp_path}: no .dlg transcripts found\n"
+    else:
+        assert err == f"{tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_uncaught_conflict_exits_semantic(command, tmp_path, capsys):
+    path = tmp_path / "crash.dlg"
+    path.write_text(CRASH, encoding="utf-8")
+    status, out, err = run(capsys, command, target(command, tmp_path, "crash.dlg"))
+    assert (status, out) == (cli.EXIT_SEMANTIC, "")
+    assert err == (f"{path}: contradictory literals: "
+                   "((Literal(atom='p', positive=True), Literal(atom='p', positive=False)), "
+                   "(Literal(atom='q', positive=True), Literal(atom='q', positive=False)))\n")

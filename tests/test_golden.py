@@ -1,7 +1,8 @@
 """Byte-for-byte CLI output on every fixture dialogue.
 
 The goldens under ``fixtures/golden`` pin what ``trace`` and ``classify``
-print for each fixture dialogue and what ``stats`` prints for the corpus.
+print for each fixture dialogue, what ``trace`` prints for each dispute
+dialogue, and what ``stats`` prints for the corpus.
 Any change to the engine, the closure or the renderers that alters a single
 byte of user-visible output fails here.  To regenerate them after a change
 that is meant to alter output, run from the repository root::
@@ -19,7 +20,7 @@ import pytest
 from commonground import cli
 
 sys.path.insert(0, str(Path(__file__).parent))  # conftest, when run as a script
-from conftest import DIALOGUES, FIXTURES  # noqa: E402
+from conftest import DIALOGUES, DISPUTES, FIXTURES  # noqa: E402
 
 GOLDEN = FIXTURES / "golden"
 
@@ -38,6 +39,8 @@ def golden_outputs() -> dict[str, list[str]]:
     for path in DIALOGUES:
         cases[f"{path.stem}.trace"] = ["trace", str(path)]
         cases[f"{path.stem}.classify"] = ["classify", str(path)]
+    for path in DISPUTES:
+        cases[f"{path.stem}.trace"] = ["trace", str(path)]
     corpus = str(FIXTURES / "corpus")
     cases["corpus.stats"] = ["stats", corpus]
     cases["corpus.stats.tabular"] = ["stats", corpus, "--format", "tabular"]
@@ -49,6 +52,7 @@ CASES = golden_outputs()
 
 def test_every_fixture_dialogue_has_goldens():
     assert len(DIALOGUES) == 30
+    assert len(DISPUTES) == 3
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(CASES)
 
 

@@ -12,10 +12,9 @@ from commonground import (AcceptanceBelief, AcceptanceOutcome, ActType, Conflict
                           SupportLink, UnknownProposition, UtteranceEvent, defeat,
                           detect_conflict, evaluate_acceptance, parse, parse_proposition,
                           record_support, replay_transcript)
-from commonground.acceptance import (CONTRADICTORY_ASSERTION, EXPLICIT_REJECTION,
-                                     RISING_IRU)
+from commonground.acceptance import CONTRADICTORY_ASSERTION, EXPLICIT_REJECTION
 from commonground.propositions import DEFEATED, LIVE
-from conftest import DIALOGUES, load_fixture
+from conftest import DIALOGUES, DISPUTES, load_fixture
 
 P = parse_proposition
 
@@ -32,8 +31,7 @@ def event(uid, turn, speaker="a", addressee="b", text="something new here", **kw
 def seeded(state, uid, prop, speaker="a", addressee="b", turn=0):
     e = event(uid, turn, speaker, addressee, realizes=(P(prop),))
     state.events[uid] = e
-    entry = state.context.assert_prop(P(prop), Strength.LINGUISTIC, uid)
-    state.register_entry(entry)
+    state.context.assert_prop(P(prop), Strength.LINGUISTIC, uid)
     return e
 
 
@@ -363,3 +361,121 @@ def test_rejection_does_not_touch_linguistic_beliefs():
     with pytest.raises(DefeatRejected):
         defeat(state, "a0", conflict)
     assert belief.status == LIVE
+
+
+# -- one dependency graph, one id space -------------------------------------------
+
+def utterance(uid, turn, realizes="", act="assert"):
+    speaker, addressee = ("a", "b") if turn % 2 == 0 else ("b", "a")
+    lines = [f"id: {uid}", f"turn: {turn}", f"speaker: {speaker}",
+             f"addressee: {addressee}", f"text: turn {turn}", f"act: {act}"]
+    if realizes:
+        lines.append(f"realizes: {realizes}")
+    return "\n".join(lines)
+
+
+def replay_checked(require, *blocks):
+    """Replay event by event, checking after each that the context is a fixpoint."""
+    transcript = parse(mini(require, *blocks))
+    engine = DialogueEngine.for_transcript(transcript)
+    for ev in transcript.events:
+        engine.process(ev)
+        again = engine.state.context.clone()
+        again.closure()
+        assert context_view(again) == context_view(engine.state.context), ev.utterance_id
+    return engine.state
+
+
+def test_derived_entry_never_overwrites_an_utterance_entry():
+    state = replay_checked("false", utterance("u0", 0, "p -> q"), utterance("d4", 1, "r"),
+                           utterance("u2", 2, "p"))
+    r = state.context.lookup(P("r"))
+    assert (r.entry_id, r.proposition) == ("d4", P("r"))
+    assert state.nodes["d4"] is r
+    q = state.context.lookup(P("q"))
+    assert q.entry_id not in {"u0", "d4", "u2"}
+    assert state.nodes[q.entry_id] is q
+
+
+def test_acceptance_belief_never_takes_an_entry_id():
+    state = replay_checked("true", utterance("a1", 0, "p"), utterance("u1", 1, "q"))
+    assert state.nodes["a1"] is state.context.lookup(P("p"))
+    belief = state.find_acceptance(P("p"), "b")
+    assert belief.belief_id != "a1"
+    assert state.nodes[belief.belief_id] is belief
+    assert belief.belief_id not in belief.dependencies
+
+
+def test_acceptance_belief_never_takes_the_id_of_the_turn_that_triggers_it():
+    # a1 accepts u0 by default before its own content is asserted
+    state = replay_checked("true", utterance("u0", 0, "p -> q"), utterance("a1", 1, "p"))
+    assert state.nodes["a1"] is state.context.lookup(P("p"))
+    belief = state.find_acceptance(P("p -> q"), "b")
+    assert belief.belief_id != "a1"
+    assert state.nodes[belief.belief_id] is belief
+    assert state.context.lookup(P("q")).dependencies == {"a1", "u0"}
+
+
+def test_utterance_after_a_belief_of_its_id_gets_an_entry_of_its_own():
+    # the belief a1 exists before the utterance a1 arrives; a1's content
+    # derives s, so the conflict trial's fixpoint is committed on the live
+    # context and must carry the ids the live context allocates
+    state = replay_checked("false", utterance("u0", 0, "p"),
+                           utterance("u1", 1, act="affirmation"),
+                           utterance("u2", 2, "r -> s"), utterance("a1", 3, "r"))
+    belief = state.find_acceptance(P("p"), "b")
+    assert belief.belief_id == "a1" and state.nodes["a1"] is belief
+    r = state.context.lookup(P("r"))
+    assert r.entry_id == "a1#2" and state.nodes["a1#2"] is r
+    s = state.context.lookup(P("s"))
+    assert s.dependencies == {"a1#2", "u2"}
+    assert state.context.asserted_roots(s) == {"a1", "u2"}
+
+
+def _accepted(state, prev, trigger):
+    """Default acceptance of ``prev``'s content by its addressee."""
+    nxt = event(trigger, prev.turn_index + 1, speaker=prev.addressee,
+                addressee=prev.speaker, realizes=(P("unrelated"),))
+    evaluate_acceptance(state, prev, nxt)
+    return [state.find_acceptance(p, prev.addressee) for p in prev.realizes]
+
+
+def test_assert_prop_defeat_of_a_weaker_contrary_cascades_through_the_graph():
+    state = fresh_state()
+    seeded(state, "u1", "p -> q")
+    seeded(state, "u2", "p")
+    goal_event = seeded(state, "u3", "goal")
+    state.context.closure()
+    q = state.context.lookup(P("q"))
+    assert q.derived and q.strength < Strength.LINGUISTIC
+    [goal] = _accepted(state, goal_event, "u4")
+    link = record_support(state, P("q"), P("goal"))
+    prev = event("u5", 5, realizes=(P("q"),))
+    [belief] = _accepted(state, prev, "u6")
+    assert q.entry_id in belief.dependencies and link.link_id in goal.dependencies
+    state.context.assert_prop(P("!q"), Strength.LINGUISTIC, "u7")
+    assert q.status == DEFEATED
+    assert (belief.status, link.status, goal.status) == (DEFEATED, DEFEATED, DEFEATED)
+    assert state.context.lookup(P("p")).status == LIVE
+
+
+@pytest.mark.parametrize("path", DIALOGUES + DISPUTES, ids=lambda path: path.stem)
+def test_one_dependency_graph_after_every_event(path):
+    """Entries, acceptance beliefs and support links are the nodes of one
+    graph, each under its own id, and retraction left no live node resting
+    on a defeated one."""
+    transcript = parse(path.read_text(encoding="utf-8"))
+    engine = DialogueEngine.for_transcript(transcript)
+    state = engine.state
+    for ev in transcript.events:
+        engine.process(ev)
+        kinds = (state.context.entries, state.acceptance_beliefs, state.support_links)
+        for nodes in kinds:
+            for nid, node in nodes.items():
+                assert state.nodes[nid] is node, (ev.utterance_id, nid)
+        assert len(state.nodes) == sum(len(nodes) for nodes in kinds), ev.utterance_id
+        for nid, node in state.nodes.items():
+            if node.status == LIVE:
+                for dep in node.dependencies:
+                    target = state.nodes.get(dep)
+                    assert target is None or target.status == LIVE, (ev.utterance_id, nid, dep)
