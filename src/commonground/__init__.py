@@ -12,10 +12,11 @@ from .acceptance import (AcceptanceBelief, AcceptanceOutcome, ConflictEvidence,
 from .engine import DialogueEngine, replay_transcript, trace_document
 from .errors import (BadPropositionSyntax, CommonGroundError, ConflictDetected,
                      DanglingAntecedent, DefeatRejected, DuplicateUtterance,
-                     OrderingViolation, ParseIssue, TranscriptError, UnknownProposition)
+                     OrderingViolation, ParseIssue, SelfContradiction, TranscriptError,
+                     UnknownProposition)
 from .evidence import Strength, defeats, min_strength
 from .grounding import (ActType, AssumptionRecord, IRUClass, Intonation, LicenseLink,
-                        Participant, UtteranceEvent,
+                        Participant, UtteranceEvent, admission_issues,
                         apply_any_next_upgrade, apply_iru_upgrade, classify_iru,
                         open_record, record_license_evidence, understanding_strength)
 from .propositions import (Biconditional, Context, ContextEntry, Literal, Proposition,
@@ -35,11 +36,11 @@ __all__ = [
     "DefeatRejected", "DialogueEngine", "DiscourseState", "DuplicateUtterance",
     "IRUClass", "Intonation", "LicenseLink", "Literal",
     "OrderingViolation", "ParseIssue", "Participant", "Proposition",
-    "RedundancyVerdict", "RetractionReport", "Rule", "StatsConfig", "Strength",
-    "SupportLink", "TraceRecord", "Transcript", "TranscriptError",
+    "RedundancyVerdict", "RetractionReport", "Rule", "SelfContradiction", "StatsConfig",
+    "Strength", "SupportLink", "TraceRecord", "Transcript", "TranscriptError",
     "UnknownProposition", "UtteranceEvent",
-    "aggregate", "apply_any_next_upgrade", "apply_iru_upgrade", "classify_iru",
-    "collect_observations", "defeat", "defeats", "detect_conflict",
+    "admission_issues", "aggregate", "apply_any_next_upgrade", "apply_iru_upgrade",
+    "classify_iru", "collect_observations", "defeat", "defeats", "detect_conflict",
     "evaluate_acceptance", "format_proposition", "min_strength", "open_record",
     "parse", "parse_proposition", "prop_key", "record_license_evidence",
     "record_support", "render_stats", "replay_transcript", "serialize",

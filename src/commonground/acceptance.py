@@ -109,22 +109,20 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
                     fixpoints: Optional[list[Fixpoint]] = None) -> Optional[ConflictEvidence]:
     """Does this event evidence non-acceptance of live content?
 
-    Annotation first: a ``rejects`` link is explicit rejection regardless of
-    content.  Then a direct contrary: a realized literal whose negation is
-    live.  Otherwise the event's propositions are asserted into a scratch
-    copy of the context and saturated (``Context.saturate``); any clash is
-    contradictory assertion evidence against the previously live half of the
-    pair.  The trial defeats nothing, as a live contrary returns before it.
-    When the trial finds no clash and ``fixpoints`` is given, the
-    trial's fixpoint is appended to it: asserting the same propositions on
-    the live context and committing that fixpoint gives the same context as
-    saturating it again, as long as nothing writes the context in between.
+    Annotation first: a ``rejects`` link (to an earlier utterance, as
+    admission checked) is explicit rejection regardless of content.  Then a
+    direct contrary: a realized literal whose negation is live.  Otherwise
+    the event's propositions are asserted into a scratch copy of the context
+    and saturated (``Context.saturate``); any clash is contradictory
+    assertion evidence against the previously live half of the pair.  The
+    trial defeats nothing, as a live contrary returns before it.  When the
+    trial finds no clash and ``fixpoints`` is given, the trial's fixpoint is
+    appended to it: asserting the same propositions on the live context and
+    committing that fixpoint gives the same context as saturating it again,
+    as long as nothing writes the context in between.
     """
     if event.rejects is not None:
-        target = state.events.get(event.rejects)
-        if target is None:
-            raise OrderingViolation(f"{event.utterance_id}: rejects unknown event {event.rejects}")
-        props = target.realizes
+        props = state.events[event.rejects].realizes
         pair = (props[0], props[0]) if props else (Literal("nothing"), Literal("nothing"))
         return ConflictEvidence(event.utterance_id, pair, EXPLICIT_REJECTION,
                                 frozenset(prop_key(p) for p in props))
@@ -245,10 +243,7 @@ def _accept(state: "DiscourseState", p: Proposition, agent: str, strength: Stren
         deps.add(entry.entry_id)
     if belief is None:
         belief = AcceptanceBelief(
-            # never an utterance id: dependencies cite those, and this event's
-            # entries (already allocated by its conflict trial) are not in yet
-            belief_id=state.context.fresh_id("a", len(state.acceptance_beliefs) + 1,
-                                             state.events),
+            belief_id=state.context.fresh_id("a", len(state.acceptance_beliefs) + 1),
             proposition=p,
             accepting_agent=agent,
             strength=strength,
@@ -301,7 +296,7 @@ def record_support(state: "DiscourseState", belief: Proposition,
         if (prop_key(link.belief), prop_key(link.goal)) == (prop_key(belief), prop_key(goal)):
             return link
     link = SupportLink(
-        link_id=state.context.fresh_id("s", len(state.support_links) + 1, state.events),
+        link_id=state.context.fresh_id("s", len(state.support_links) + 1),
         belief=belief,
         goal=goal,
         dependencies={belief_entry.entry_id, goal_entry.entry_id},

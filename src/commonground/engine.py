@@ -2,7 +2,8 @@
 
 Per-event order of operations (it matters, and it is fixed):
 
-1. validate ordering, open the event's own assumption record (hypothesis),
+1. admit the event (``grounding.admission_issues``: raise the first issue
+   before any state changes), open its own assumption record (hypothesis),
 2. apply the any-next-utterance upgrade to every earlier record addressed
    to the current speaker (copresence to linguistic, the rest to at least
    default) -- before the event's own classification,
@@ -32,12 +33,18 @@ from typing import Optional
 
 from . import acceptance as acc
 from . import grounding as grd
-from .errors import DanglingAntecedent, OrderingViolation
+from .errors import DanglingAntecedent, DuplicateUtterance, OrderingViolation, \
+    SelfContradiction
 from .evidence import Strength
 from .grounding import AssumptionRecord, IRUClass, LicenseLink, UtteranceEvent
 from .propositions import LIVE, Fixpoint, Literal, prop_key
 from .state import DiscourseState
 from .trace import TraceRecord, prop_text, snapshot_record, write_trace
+
+#: the error ``process`` raises for each admission issue code
+ADMISSION_ERRORS = {"duplicate-utterance": DuplicateUtterance, "turn-order": OrderingViolation,
+                    "bad-value": OrderingViolation, "dangling-antecedent": DanglingAntecedent,
+                    "self-contradiction": SelfContradiction}
 
 
 class DialogueEngine:
@@ -65,7 +72,11 @@ class DialogueEngine:
 
     def process(self, event: UtteranceEvent) -> TraceRecord:
         state = self.state
-        self._validate(event)
+        issues = grd.admission_issues(event, state.participant_ids(), state.events,
+                                      len(state.order))
+        if issues:
+            _, code, message = issues[0]
+            raise ADMISSION_ERRORS[code](f"{event.utterance_id}: {message}")
         record = grd.open_record(state, event)
         state.events[event.utterance_id] = event
         state.order.append(event.utterance_id)
@@ -190,23 +201,6 @@ class DialogueEngine:
 
     # ------------------------------------------------------------------
 
-    def _validate(self, event: UtteranceEvent) -> None:
-        state = self.state
-        ids = state.participant_ids()
-        if event.speaker not in ids or event.addressee not in ids:
-            raise OrderingViolation(
-                f"{event.utterance_id}: unknown participant {event.speaker}/{event.addressee}")
-        if state.order:
-            last = state.events[state.order[-1]]
-            if event.turn_index <= last.turn_index:
-                raise OrderingViolation(
-                    f"{event.utterance_id}: turn {event.turn_index} after {last.turn_index}")
-        for ant in event.antecedent_ids:
-            if ant not in state.events:
-                raise DanglingAntecedent(f"{event.utterance_id}: antecedent {ant} unknown")
-        if event.rejects is not None and event.rejects not in state.events:
-            raise DanglingAntecedent(f"{event.utterance_id}: rejects unknown {event.rejects}")
-
     def _upgrade_targets(self, event: UtteranceEvent, cls: IRUClass,
                          antecedents: tuple[str, ...]) -> list[AssumptionRecord]:
         state = self.state
@@ -216,12 +210,8 @@ class DialogueEngine:
                 if state.records[uid].addressee == event.speaker:
                     ids = [uid]
                     break
-        targets = []
-        for uid in ids:
-            rec = state.records.get(uid)
-            if rec is not None and rec.addressee == event.speaker:
-                targets.append(rec)
-        return targets
+        return [state.records[uid] for uid in ids
+                if state.records[uid].addressee == event.speaker]
 
     def _handle_defeats(self, conflict: acc.ConflictEvidence,
                         retraction_lines: list) -> bool:

@@ -33,6 +33,10 @@ class OrderingViolation(CommonGroundError):
     pass
 
 
+class SelfContradiction(CommonGroundError):
+    """An utterance realizes a literal together with its negation."""
+
+
 class DefeatRejected(CommonGroundError):
     """Defeat requires strictly stronger evidence than the target holds."""
 

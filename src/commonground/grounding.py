@@ -16,11 +16,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Collection, Container, Optional
 
-from .errors import DanglingAntecedent, DuplicateUtterance, UnknownProposition
+from .errors import UnknownProposition
 from .evidence import Strength, min_strength
-from .propositions import Proposition, RedundancyVerdict, prop_key
+from .propositions import Literal, Proposition, RedundancyVerdict, prop_key
 
 if TYPE_CHECKING:  # pragma: no cover
     from .state import DiscourseState
@@ -96,12 +96,48 @@ class UtteranceEvent:
             raise ValueError(f"{self.utterance_id}: speaker and addressee coincide")
         if self.act is ActType.PROMPT and self.realizes:
             raise ValueError(f"{self.utterance_id}: a prompt realizes no propositions")
-        if self.turn_index < 0:
-            raise ValueError(f"{self.utterance_id}: negative turn index")
 
     @property
     def tokens(self) -> tuple[str, ...]:
         return normalize_tokens(self.text)
+
+
+def admission_issues(event: UtteranceEvent, participants: Collection[str],
+                     earlier: Container[str], position: int) -> list[tuple[str, str, str]]:
+    """Every admission rule (see ``transcript``) that ``event`` breaks by
+    following a dialogue prefix, as (field, code, message) triples.
+
+    ``participants`` are the participant ids (none: not known), ``earlier``
+    the ids before the event and ``position`` its place, from 0.  A reused id
+    is reported alone: the event is not the one its references were written
+    for.  ``transcript.parse`` reports each triple on the field's line, and
+    ``DialogueEngine.process`` raises the first before it changes any state.
+    """
+    uid = event.utterance_id
+    if uid in earlier:
+        return [("id", "duplicate-utterance", f"utterance {uid!r} already defined")]
+    issues = []
+    if participants and event.speaker not in participants:
+        issues.append(("speaker", "bad-value", f"speaker {event.speaker!r} not a participant"))
+    if participants and event.addressee not in participants:
+        issues.append(("addressee", "bad-value",
+                       f"addressee {event.addressee!r} not a participant"))
+    if event.turn_index != position:
+        issues.append(("turn", "turn-order",
+                       f"turn {event.turn_index} out of place; expected {position}"))
+    for ant in event.antecedent_ids:
+        if ant not in earlier:
+            issues.append(("antecedents", "dangling-antecedent",
+                           f"antecedent {ant!r} not an earlier utterance"))
+    if event.rejects is not None and event.rejects not in earlier:
+        issues.append(("rejects", "dangling-antecedent",
+                       f"rejected utterance {event.rejects!r} not defined earlier"))
+    if len(event.realizes) > 1:
+        realized = set(event.realizes)
+        issues += [("realizes", "self-contradiction", f"realizes both {p} and {p.negated()}")
+                   for p in event.realizes
+                   if isinstance(p, Literal) and p.positive and p.negated() in realized]
+    return issues
 
 
 def normalize_tokens(text: str) -> tuple[str, ...]:
@@ -181,8 +217,6 @@ class AssumptionRecord:
 
 def open_record(state: "DiscourseState", event: UtteranceEvent) -> AssumptionRecord:
     """Create the assumption record for a new utterance, all at hypothesis."""
-    if event.utterance_id in state.records:
-        raise DuplicateUtterance(event.utterance_id)
     record = AssumptionRecord.fresh(event)
     state.records[event.utterance_id] = record
     return record
@@ -223,12 +257,10 @@ def classify_iru(event: UtteranceEvent, state: "DiscourseState") -> IRUClass:
     """Classify an utterance against the current discourse state.
 
     Pure function of (event, state); it inspects but never changes either.
-    Precedence on overlap: implicature reinforcement beats explicit
-    inference beats repeat beats paraphrase.
+    The event has been admitted (``admission_issues``), so its antecedents
+    are earlier utterances.  Precedence on overlap: implicature
+    reinforcement beats explicit inference beats repeat beats paraphrase.
     """
-    for ant in event.antecedent_ids:
-        if ant not in state.events:
-            raise DanglingAntecedent(f"{event.utterance_id}: antecedent {ant} unknown")
     if event.act is ActType.PROMPT:
         return IRUClass.PROMPT
     if not event.realizes:

@@ -208,8 +208,9 @@ class Context:
 
     ``nodes`` maps every id to its node: the proposition entries, and the
     acceptance beliefs and support links that rest on them.  ``entries``
-    holds the proposition entries among them.  Ids are allocated against
-    every node, so no node ever overwrites or aliases another.
+    holds the proposition entries among them, and ``utterances`` the
+    dialogue's utterances by id.  Ids are allocated against every node and
+    utterance, so no node overwrites or aliases another or an utterance.
 
     Single-threaded per dialogue by contract; distinct dialogues never share
     a context.  ``clone()`` gives an independent copy for what-if checks.
@@ -218,16 +219,19 @@ class Context:
     def __init__(self):
         self.nodes: dict[str, object] = {}
         self.entries: dict[str, ContextEntry] = {}
+        self.utterances: dict[str, object] = {}
         self._by_key: dict[str, str] = {}  # proposition key -> latest entry id
         self._counter = 0
 
     # -- plumbing ---------------------------------------------------------
 
     def clone(self) -> "Context":
-        """Copy the entries and share the other nodes.  The clone sees every
-        id, so it allocates the ids this context would; a defeat on the
-        clone would reach the shared acceptance beliefs and support links."""
+        """Copy the entries and share the utterances and other nodes.  The
+        clone sees every id, so it allocates the ids this context would; a
+        defeat on the clone would reach the shared acceptance beliefs and
+        support links."""
         other = Context()
+        other.utterances = self.utterances
         other._counter = self._counter
         other._by_key.update(self._by_key)
         other.nodes.update(self.nodes)
@@ -256,11 +260,11 @@ class Context:
         entry = self.entries[eid]
         return entry if entry.status == LIVE else None
 
-    def fresh_id(self, prefix: str, n: int, reserved=()) -> str:
+    def fresh_id(self, prefix: str, n: int) -> str:
         """The first of ``<prefix><n>``, ``<prefix><n+1>``, ... that names no
-        node and is not in ``reserved``."""
+        node and no utterance."""
         nid = f"{prefix}{n}"
-        while nid in self.nodes or nid in reserved:
+        while nid in self.nodes or nid in self.utterances:
             n += 1
             nid = f"{prefix}{n}"
         return nid

@@ -16,8 +16,9 @@ class DiscourseState:
     the retraction reports.  The context owns the one dependency graph:
     ``nodes`` is the context's own dict of proposition entries, acceptance
     beliefs and support links, and ``Context.defeat_entry`` is the one walk
-    that retracts along it.  Strictly sequential within a dialogue;
-    independent dialogues may run in parallel.
+    that retracts along it.  ``events`` is the context's dict of utterances,
+    so no node takes an utterance's id.  Strictly sequential within a
+    dialogue; independent dialogues may run in parallel.
     """
 
     def __init__(self, dialogue_id: str, participants: tuple[Participant, Participant],
@@ -28,7 +29,7 @@ class DiscourseState:
         self.participants = participants
         self.require_acceptance = require_acceptance
         self.context = Context()
-        self.events: dict[str, UtteranceEvent] = {}
+        self.events: dict[str, UtteranceEvent] = self.context.utterances
         self.order: list[str] = []
         self.records: dict[str, AssumptionRecord] = {}
         self.license_links: dict[tuple[str, str], LicenseLink] = {}

@@ -61,29 +61,6 @@ class CorpusStats:
     rising_count: int
     affirmation_followed_count: int
 
-    @property
-    def remote_fraction(self) -> Optional[float]:
-        return self._frac(self.remote_count)
-
-    @property
-    def multi_antecedent_fraction(self) -> Optional[float]:
-        return self._frac(self.multi_antecedent_count)
-
-    @property
-    def self_antecedent_fraction(self) -> Optional[float]:
-        return self._frac(self.self_antecedent_count)
-
-    @property
-    def other_antecedent_fraction(self) -> Optional[float]:
-        if self.with_antecedents == 0:
-            return None
-        return (self.with_antecedents - self.self_antecedent_count) / self.with_antecedents
-
-    def _frac(self, count: int) -> Optional[float]:
-        if self.with_antecedents == 0:
-            return None
-        return count / self.with_antecedents
-
 
 def collect_observations(transcript: Transcript,
                          traces: list[TraceRecord]) -> list[IRUObservation]:
@@ -96,11 +73,9 @@ def collect_observations(transcript: Transcript,
             continue
         event = events[trace.event_id]
         ants = trace.antecedents
-        gaps = [event.turn_index - events[a].turn_index for a in ants if a in events]
+        gaps = [event.turn_index - events[a].turn_index for a in ants]
         min_gap = min(gaps) if gaps else None
-        all_self = None
-        if ants:
-            all_self = all(events[a].speaker == event.speaker for a in ants if a in events)
+        all_self = all(events[a].speaker == event.speaker for a in ants) if ants else None
         next_id = order[i + 1] if i + 1 < len(order) else None
         followed = next_id is not None and events[next_id].act is ActType.AFFIRMATION
         observations.append(IRUObservation(

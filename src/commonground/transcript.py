@@ -15,6 +15,13 @@ truth for tests, so nothing is silently ignored.
 When ``act`` is omitted it is resolved from the text: an utterance matching
 the affirmation lexicon is an affirmation, anything that realizes content is
 an assertion, the rest are ``other``.
+
+Admission rules, checked by ``grounding.admission_issues`` for the parser and
+the engine alike: an utterance's id is new; its turn is its place among the
+utterance records, from 0; speaker and addressee are participants; every
+antecedent and the ``rejects`` target is an earlier utterance; it does not
+realize a literal together with its negation.  ``UtteranceEvent`` itself
+requires a speaker other than the addressee and a prompt to realize nothing.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 
 from .errors import BadPropositionSyntax, ParseIssue, TranscriptError
 from .grounding import (ActType, DEFAULT_AFFIRMATIONS, Intonation, Participant,
-                        UtteranceEvent, is_affirmation_text)
+                        UtteranceEvent, admission_issues, is_affirmation_text)
 from .propositions import Proposition, format_proposition, parse_proposition
 
 HEADER_KEYS = ("dialogue", "participants", "require-acceptance")
@@ -136,9 +143,9 @@ def parse(text: str, affirmations=DEFAULT_AFFIRMATIONS) -> Transcript:
         require_acceptance = value == "true"
 
     events: list[UtteranceEvent] = []
-    seen_ids: dict[str, int] = {}
+    earlier: set[str] = set()
     participant_ids = {p.id for p in participants}
-    for index, record in enumerate(records[1:]):
+    for position, record in enumerate(records[1:]):
         fields = _fields(record, EVENT_KEYS, issues)
         start_line = record[0][0]
         missing = [k for k in REQUIRED_EVENT_KEYS if k not in fields]
@@ -146,25 +153,13 @@ def parse(text: str, affirmations=DEFAULT_AFFIRMATIONS) -> Transcript:
             issues.append(ParseIssue(start_line, "missing-field",
                                      f"event lacks {', '.join(missing)}"))
             continue
-        lineno, uid = fields["id"]
-        if uid in seen_ids:
-            issues.append(ParseIssue(lineno, "duplicate-utterance",
-                                     f"utterance {uid!r} already defined"))
-            continue
+        uid = fields["id"][1]
         turn_line, turn_text = fields["turn"]
         try:
             turn = int(turn_text)
         except ValueError:
             issues.append(ParseIssue(turn_line, "bad-value", f"turn must be an integer"))
             continue
-        if turn != index:
-            issues.append(ParseIssue(turn_line, "turn-order",
-                                     f"turn {turn} out of place; expected {index}"))
-        speaker = fields["speaker"][1]
-        addressee = fields["addressee"][1]
-        for role, (l, who) in (("speaker", fields["speaker"]), ("addressee", fields["addressee"])):
-            if participant_ids and who not in participant_ids:
-                issues.append(ParseIssue(l, "bad-value", f"{role} {who!r} not a participant"))
         text_line, utt_text = fields["text"]
         if not utt_text:
             issues.append(ParseIssue(text_line, "bad-value", "text must be nonempty"))
@@ -194,12 +189,8 @@ def parse(text: str, affirmations=DEFAULT_AFFIRMATIONS) -> Transcript:
                                          f"unknown intonation {int_text!r}"))
         antecedents: tuple[str, ...] = ()
         if "antecedents" in fields:
-            ant_line, ant_text = fields["antecedents"]
-            antecedents = tuple(a.strip() for a in ant_text.split(",") if a.strip())
-            for ant in antecedents:
-                if ant not in seen_ids:
-                    issues.append(ParseIssue(ant_line, "dangling-antecedent",
-                                             f"antecedent {ant!r} not an earlier utterance"))
+            antecedents = tuple(a.strip() for a in fields["antecedents"][1].split(",")
+                                if a.strip())
         implicates = None
         if "implicates" in fields:
             implicates = _parse_pair(fields["implicates"][1], fields["implicates"][0],
@@ -214,27 +205,21 @@ def parse(text: str, affirmations=DEFAULT_AFFIRMATIONS) -> Transcript:
             if iv not in ("true", "false"):
                 issues.append(ParseIssue(il, "bad-value", "interrupted: true|false"))
             interrupted = iv == "true"
-        rejects = None
-        if "rejects" in fields:
-            rl, rv = fields["rejects"]
-            if rv not in seen_ids:
-                issues.append(ParseIssue(rl, "dangling-antecedent",
-                                         f"rejected utterance {rv!r} not defined earlier"))
-            rejects = rv
-        seen_ids[uid] = start_line
-        if speaker == addressee or (act is ActType.PROMPT and realizes):
-            issues.append(ParseIssue(start_line, "bad-value",
-                                     "speaker must differ from addressee and prompts "
-                                     "realize nothing"))
-            continue
         try:
-            events.append(UtteranceEvent(
-                utterance_id=uid, turn_index=turn, speaker=speaker, addressee=addressee,
-                text=utt_text, act=act, intonation=intonation, realizes=realizes,
-                antecedent_ids=antecedents, implicates=implicates, supports=supports,
-                interrupted=interrupted, rejects=rejects))
+            event = UtteranceEvent(
+                utterance_id=uid, turn_index=turn, speaker=fields["speaker"][1],
+                addressee=fields["addressee"][1], text=utt_text, act=act,
+                intonation=intonation, realizes=realizes, antecedent_ids=antecedents,
+                implicates=implicates, supports=supports, interrupted=interrupted,
+                rejects=fields["rejects"][1] if "rejects" in fields else None)
         except ValueError as exc:
             issues.append(ParseIssue(start_line, "bad-value", str(exc)))
+        else:
+            for field, code, message in admission_issues(event, participant_ids, earlier,
+                                                         position):
+                issues.append(ParseIssue(fields[field][0], code, message))
+            events.append(event)
+        earlier.add(uid)  # refused or not, it is reported; later records may name it
 
     if not events and not issues:
         issues.append(ParseIssue(records[0][-1][0], "empty-transcript",

@@ -1,0 +1,198 @@
+"""Admission: whether an event may follow its dialogue prefix.
+
+``grounding.admission_issues`` holds the rules.  ``transcript.parse`` reports
+each broken rule on its field's line, and ``DialogueEngine.process`` raises
+the first before it changes any state, so the two agree on every input.
+"""
+
+import copy
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from commonground import (DanglingAntecedent, DialogueEngine, DiscourseState,
+                          DuplicateUtterance, Literal, OrderingViolation, Participant,
+                          SelfContradiction, Transcript, TranscriptError, UtteranceEvent,
+                          admission_issues, parse, serialize)
+
+HEADER = "dialogue: d\nparticipants: a, b\n"
+
+#: what ``process`` raises for an event that may not follow its prefix
+ADMISSION_ERRORS = (DuplicateUtterance, DanglingAntecedent, OrderingViolation,
+                    SelfContradiction)
+
+
+def record(uid, turn, speaker="a", addressee="b", **extra):
+    lines = [f"id: {uid}", f"turn: {turn}", f"speaker: {speaker}",
+             f"addressee: {addressee}", f"text: turn {turn}"]
+    lines += [f"{key}: {value}" for key, value in extra.items()]
+    return "\n".join(lines)
+
+
+def document(*records):
+    return HEADER + "\n" + "\n\n".join(records) + "\n"
+
+
+def issues_of(text):
+    with pytest.raises(TranscriptError) as exc:
+        parse(text)
+    return [(i.line, i.code) for i in exc.value.issues]
+
+
+def engine():
+    return DialogueEngine(DiscourseState("d", (Participant("a"), Participant("b"))))
+
+
+def event(uid, turn, speaker="a", addressee="b", **kw):
+    return UtteranceEvent(uid, turn, speaker, addressee, f"turn {turn}", **kw)
+
+
+def snapshot(state):
+    return copy.deepcopy((state.events, state.order, state.records, state.nodes))
+
+
+# -- the rules ------------------------------------------------------------------
+
+def test_every_broken_rule_is_one_triple_on_its_field():
+    bad = event("u3", 2, speaker="z", antecedent_ids=("u0", "u9"), rejects="u7",
+                realizes=(Literal("p"), Literal("p", False)))
+    assert admission_issues(bad, {"a", "b"}, {"u0"}, 1) == [
+        ("speaker", "bad-value", "speaker 'z' not a participant"),
+        ("turn", "turn-order", "turn 2 out of place; expected 1"),
+        ("antecedents", "dangling-antecedent", "antecedent 'u9' not an earlier utterance"),
+        ("rejects", "dangling-antecedent", "rejected utterance 'u7' not defined earlier"),
+        ("realizes", "self-contradiction", "realizes both p and !p"),
+    ]
+    assert admission_issues(event("u0", 1), {"a", "b"}, {"u0"}, 1) == [
+        ("id", "duplicate-utterance", "utterance 'u0' already defined")]
+    assert admission_issues(event("u1", 1), {"a", "b"}, {"u0"}, 1) == []
+
+
+def test_a_reused_id_is_reported_alone():
+    # the second u0's antecedent is no earlier utterance, but that event is
+    # not the utterance its references were written for
+    text = document(record("u0", 0), record("u0", 1, speaker="b", addressee="a",
+                                            antecedents="u5"))
+    assert issues_of(text) == [(10, "duplicate-utterance")]
+
+
+# -- parser and engine on the same inputs ------------------------------------------
+
+def test_engine_turns_are_dense_from_zero():
+    e = engine()
+    e.process(event("u0", 0))
+    gap = event("u1", 5, speaker="b", addressee="a")
+    with pytest.raises(OrderingViolation, match="turn 5 out of place; expected 1"):
+        e.process(gap)
+    text = document(record("u0", 0), record("u1", 5, speaker="b", addressee="a"))
+    assert issues_of(text) == [(11, "turn-order")]
+
+
+def test_negative_turn_is_out_of_place():
+    assert issues_of(document(record("u0", -1))) == [(5, "turn-order")]
+    with pytest.raises(OrderingViolation):
+        engine().process(event("u0", -1))
+
+
+def test_unknown_rejects_is_a_dangling_antecedent_in_both():
+    text = document(record("u0", 0), record("u1", 1, speaker="b", addressee="a", rejects="u9"))
+    assert issues_of(text) == [(15, "dangling-antecedent")]
+    e = engine()
+    e.process(event("u0", 0))
+    with pytest.raises(DanglingAntecedent, match="rejected utterance 'u9'"):
+        e.process(event("u1", 1, speaker="b", addressee="a", rejects="u9"))
+
+
+def test_unknown_participant_is_an_ordering_violation():
+    assert issues_of(document(record("u0", 0, speaker="z"))) == [(6, "bad-value")]
+    with pytest.raises(OrderingViolation, match="speaker 'z' not a participant"):
+        engine().process(event("u0", 0, speaker="z"))
+
+
+def test_self_contradictory_event_changes_no_state():
+    text = document(record("u0", 0, realizes="p; !p"))
+    assert issues_of(text) == [(9, "self-contradiction")]
+    e = engine()
+    e.process(event("u0", 0, realizes=(Literal("q"),)))
+    before = snapshot(e.state)
+    both = event("u1", 1, speaker="b", addressee="a",
+                 realizes=(Literal("p", False), Literal("p")))
+    with pytest.raises(SelfContradiction, match="u1: realizes both p and !p"):
+        e.process(both)
+    assert snapshot(e.state) == before
+    assert e.state.context.lookup(Literal("p")) is None
+
+
+def test_a_dropped_record_keeps_its_place():
+    # the second record lacks its text and the third its turn's integer; the
+    # records after them still sit at their own places
+    text = document(record("u0", 0), "id: u1\nturn: 1\nspeaker: b\naddressee: a",
+                    record("u2", "two"), record("u3", 3, speaker="b", addressee="a"))
+    assert issues_of(text) == [(10, "missing-field"), (16, "bad-value")]
+
+
+def test_a_refused_record_still_counts_as_earlier():
+    # speaker and addressee coincide: UtteranceEvent refuses it, and the id
+    # still counts as earlier for the records after it
+    text = document(record("u0", 0), record("u1", 1, speaker="b", addressee="b"),
+                    record("u2", 2, antecedents="u1"))
+    assert issues_of(text) == [(10, "bad-value")]
+
+
+# -- property: the parser and the engine agree ---------------------------------------
+
+#: an event's seeded fault, if any; most events have none
+FAULTS = ("none",) * 14 + ("gap", "dangling_antecedent", "dangling_rejects", "duplicate",
+                           "unknown_speaker", "self_contradiction")
+
+
+@st.composite
+def faulty_transcripts(draw):
+    """Dialogues of fresh literals, some events with one seeded fault."""
+    events = []
+    for i in range(draw(st.integers(1, 6))):
+        fault = draw(st.sampled_from(FAULTS))
+        earlier = [e.utterance_id for e in events]
+        uid = f"u{i}"
+        if fault == "duplicate" and earlier:
+            uid = draw(st.sampled_from(earlier))
+        turn = i + draw(st.integers(1, 3)) if fault == "gap" else i
+        speaker, addressee = ("a", "b") if i % 2 == 0 else ("b", "a")
+        if fault == "unknown_speaker":
+            speaker = "z"
+        antecedents = tuple(draw(st.lists(st.sampled_from(earlier), max_size=2, unique=True))
+                            if earlier else [])
+        if fault == "dangling_antecedent":
+            antecedents += (f"u{i + draw(st.integers(0, 2))}",)  # itself or later
+        rejects = draw(st.none() | st.sampled_from(earlier)) if earlier else None
+        if fault == "dangling_rejects":
+            rejects = f"x{i}"
+        realizes = (Literal(f"p{i}"),) if draw(st.booleans()) else ()
+        if fault == "self_contradiction":
+            realizes = (Literal(f"p{i}"), Literal(f"p{i}", False))
+        events.append(event(uid, turn, speaker, addressee, realizes=realizes,
+                            antecedent_ids=antecedents, rejects=rejects))
+    return Transcript("d", (Participant("a"), Participant("b")), draw(st.booleans()),
+                      tuple(events))
+
+
+@settings(max_examples=300, deadline=None)
+@given(faulty_transcripts())
+def test_parse_raises_exactly_when_process_refuses_an_event(t):
+    try:
+        parse(serialize(t))
+        parsed = True
+    except TranscriptError:
+        parsed = False
+    e = DialogueEngine.for_transcript(t)
+    refused = False
+    for ev in t.events:
+        before = snapshot(e.state)
+        try:
+            e.process(ev)
+        except ADMISSION_ERRORS:
+            refused = True
+            assert snapshot(e.state) == before, ev.utterance_id
+            break
+    assert parsed != refused

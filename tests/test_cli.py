@@ -24,7 +24,20 @@ text: p
 realizes: p
 """
 
+SELF_CONTRADICTION = """dialogue: both
+participants: a, b
+
+id: u0
+turn: 0
+speaker: a
+addressee: b
+text: p and not p
+realizes: p; !p
+"""
+
 SUBCOMMANDS = ("trace", "classify", "stats")
+#: every subcommand that loads transcripts: the replaying ones and ``check``
+LOADING = ("check",) + SUBCOMMANDS
 
 
 def run(capsys, *argv):
@@ -38,7 +51,7 @@ def target(command, corpus, name):
     return str(corpus) if command == "stats" else str(corpus / name)
 
 
-@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("command", LOADING)
 def test_unreadable_file(command, tmp_path, capsys):
     (tmp_path / "gone.dlg").mkdir()  # a directory cannot be read as text
     path = tmp_path / "gone.dlg"
@@ -47,13 +60,22 @@ def test_unreadable_file(command, tmp_path, capsys):
     assert err == f"{path}: [Errno 21] Is a directory: '{path}'\n"
 
 
-@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("command", LOADING)
 def test_malformed_transcript(command, tmp_path, capsys):
     path = tmp_path / "broken.dlg"
     path.write_text(MALFORMED, encoding="utf-8")
     status, out, err = run(capsys, command, target(command, tmp_path, "broken.dlg"))
     assert (status, out) == (cli.EXIT_INPUT, "")
     assert err == (f"{path}:4: event lacks speaker, addressee, text [missing-field]\n")
+
+
+@pytest.mark.parametrize("command", LOADING)
+def test_self_contradictory_event_is_an_input_error(command, tmp_path, capsys):
+    path = tmp_path / "both.dlg"
+    path.write_text(SELF_CONTRADICTION, encoding="utf-8")
+    status, out, err = run(capsys, command, target(command, tmp_path, "both.dlg"))
+    assert (status, out) == (cli.EXIT_INPUT, "")
+    assert err == f"{path}:9: realizes both p and !p [self-contradiction]\n"
 
 
 @pytest.mark.parametrize("command", SUBCOMMANDS)

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from commonground import (ActType, DiscourseState, DuplicateUtterance, IRUClass,
-                          LicenseLink, Participant, Strength, UnknownProposition,
+from commonground import (ActType, DialogueEngine, DiscourseState, DuplicateUtterance,
+                          IRUClass, LicenseLink, Participant, Strength, UnknownProposition,
                           UtteranceEvent, apply_any_next_upgrade, apply_iru_upgrade,
                           classify_iru, min_strength, open_record, parse,
                           parse_proposition, record_license_evidence,
@@ -72,11 +72,11 @@ def test_open_record_with_implicature_adds_license_slot():
     assert record.strengths[LICENSE] is Strength.HYPOTHESIS
 
 
-def test_open_record_rejects_duplicates():
-    state = fresh_state()
-    open_record(state, event("u7", 0))
+def test_process_rejects_duplicate_utterance():
+    engine = DialogueEngine(fresh_state())
+    engine.process(event("u7", 0))
     with pytest.raises(DuplicateUtterance):
-        open_record(state, event("u7", 1))
+        engine.process(event("u7", 1, speaker="b", addressee="a"))
 
 
 # -- upgrade table ----------------------------------------------------------
@@ -262,10 +262,10 @@ def test_classification_is_deterministic_and_pure():
     assert {k: v.strength for k, v in state.license_links.items()} == before
 
 
-def test_classify_rejects_dangling_antecedent():
-    state = fresh_state()
+def test_process_rejects_dangling_antecedent():
+    engine = DialogueEngine(fresh_state())
     with pytest.raises(DanglingAntecedent):
-        classify_iru(event("u1", 0, antecedent_ids=("missing",)), state)
+        engine.process(event("u1", 0, antecedent_ids=("missing",)))
 
 
 # -- license links -------------------------------------------------------------

@@ -432,6 +432,22 @@ def test_utterance_after_a_belief_of_its_id_gets_an_entry_of_its_own():
     assert state.context.asserted_roots(s) == {"a1", "u2"}
 
 
+def test_derived_entry_never_takes_the_id_of_an_utterance():
+    # d3 realizes nothing, so no node holds its id, but the acceptance it
+    # triggers cites it as provenance: a derived entry named d3 would become
+    # that acceptance's premise
+    state = replay_checked("true", utterance("u0", 0, "p -> q"),
+                           utterance("d3", 1, act="affirmation"), utterance("u2", 2, "p"))
+    assert "d3" not in state.nodes
+    belief = state.find_acceptance(P("p -> q"), "b")
+    assert belief.belief_id == "a1" and "d3" in belief.dependencies
+    q = state.context.lookup(P("q"))
+    assert q.entry_id not in state.events
+    defeat(state, q.entry_id, evidence(against=("q",)))
+    assert q.status == DEFEATED
+    assert belief.status == LIVE
+
+
 def _accepted(state, prev, trigger):
     """Default acceptance of ``prev``'s content by its addressee."""
     nxt = event(trigger, prev.turn_index + 1, speaker=prev.addressee,
