@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING, Optional
 from .errors import ConflictDetected, DefeatRejected, OrderingViolation, UnknownProposition
 from .evidence import Strength, defeats
 from .grounding import ActType, Intonation, IRUClass, UtteranceEvent
-from .propositions import LIVE, Fixpoint, Literal, Proposition, prop_key
+from .propositions import LIVE, Literal, Proposition, prop_key
+from .saturation import Fixpoint
 
 if TYPE_CHECKING:  # pragma: no cover
     from .state import DiscourseState
@@ -112,14 +113,16 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
     Annotation first: a ``rejects`` link (to an earlier utterance, as
     admission checked) is explicit rejection regardless of content.  Then a
     direct contrary: a realized literal whose negation is live.  Otherwise
-    the event's propositions are asserted into a scratch copy of the context
-    and saturated (``Context.saturate``); any clash is contradictory
-    assertion evidence against the previously live half of the pair.  The
-    trial defeats nothing, as a live contrary returns before it.  When the
-    trial finds no clash and ``fixpoints`` is given, the trial's fixpoint is
-    appended to it: asserting the same propositions on the live context and
-    committing that fixpoint gives the same context as saturating it again,
-    as long as nothing writes the context in between.
+    a trial: the event's propositions are asserted on the live context and
+    saturated (``Context.saturate``) under an undo trail (``Context.trial``),
+    and ``Context.rollback`` leaves the context as it was, whether the trial
+    returns or raises.  Any clash is contradictory assertion evidence
+    against the previously live half of the pair.  The trial defeats
+    nothing, as a live contrary returns before it.  When the trial finds no
+    clash and ``fixpoints`` is given, the trial's fixpoint is appended to
+    it: asserting the same propositions again and committing that fixpoint
+    gives the same context as saturating it again, as long as nothing
+    writes the context in between.
     """
     if event.rejects is not None:
         props = state.events[event.rejects].realizes
@@ -135,19 +138,24 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
                 return ConflictEvidence(event.utterance_id, (p, contrary.proposition),
                                         CONTRADICTORY_ASSERTION,
                                         frozenset([prop_key(contrary.proposition)]))
-    trial = state.context.clone()
+    context, clash = state.context, None
+    mark = context.trial()
     try:
         for p in event.realizes:
-            trial.assert_prop(p, Strength.LINGUISTIC, event.utterance_id)
-        fixpoint = trial.saturate()
-    except ConflictDetected as clash:
+            context.assert_prop(p, Strength.LINGUISTIC, event.utterance_id)
+        fixpoint = context.saturate()
+    except ConflictDetected as raised:
+        clash = raised
+    finally:
+        context.rollback(mark)
+    if clash is not None:
         # the contested side is whatever half of a clashing pair is live in
         # the real (pre-event) context; the other half came with the event
         against = set()
         pair = clash.clashes[0]
         for a, b in clash.clashes:
             for live, came in ((a, b), (b, a)):
-                if state.context.lookup(live) is not None:
+                if context.lookup(live) is not None:
                     against.add(prop_key(live))
                     pair = (came, live)
         return ConflictEvidence(event.utterance_id, pair,
@@ -251,8 +259,7 @@ def _accept(state: "DiscourseState", p: Proposition, agent: str, strength: Stren
             source_event=source_event,
             trigger_event=trigger,
         )
-        state.acceptance_beliefs[belief.belief_id] = belief
-        state.nodes[belief.belief_id] = belief
+        state.add_acceptance(belief)
     else:
         belief.strength = max(belief.strength, strength)
         belief.dependencies |= deps

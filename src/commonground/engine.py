@@ -6,11 +6,12 @@ Per-event order of operations (it matters, and it is fixed):
    before any state changes), open its own assumption record (hypothesis),
 2. apply the any-next-utterance upgrade to every earlier record addressed
    to the current speaker (copresence to linguistic, the rest to at least
-   default) -- before the event's own classification,
+   default) -- before the event's own classification; ``state.awaiting``
+   holds the records still waiting, per addressee,
 3. classify the event against the pre-event context,
 4. detect conflict evidence (annotation first, then a direct contrary, then
-   saturation of a scratch copy of the context that holds the event's
-   propositions),
+   a trial: the event's propositions are asserted on the live context and
+   saturated, and an undo trail rolls the context back),
 5. upgrade the antecedent records named by the classification, and lift the
    matched license links to linguistic,
 6. settle acceptance: pending questions first, then the adjacent pair,
@@ -18,12 +19,13 @@ Per-event order of operations (it matters, and it is fixed):
    contested content never enters the common ground,
 8. otherwise assert the event's propositions (linguistic), chain the
    closure, and record inference licenses for newly derived content.  When
-   step 4 found no conflict, its scratch fixpoint is committed as it stands:
-   steps 5-6 write no context entry and step 7 has nothing to do, so
-   saturating again would give the same fixpoint.  After conflict evidence
-   that settles without contesting the content (a ``rejects`` annotation, a
-   direct contrary, or a clash whose live side was defeated) the closure is
-   saturated afresh,
+   step 4 found no conflict, the trial's fixpoint is committed as it stands:
+   steps 5-6 write no context entry and step 7 has nothing to do, so the
+   same assertions leave the context as the trial saw it.  After conflict
+   evidence that settles without contesting the content (a ``rejects``
+   annotation, a direct contrary, or a clash whose live side was defeated)
+   the context is saturated again.  Each saturation covers what changed
+   since the last commit, or every key after an entry was defeated,
 9. register annotated implicature and support links.
 """
 
@@ -37,7 +39,8 @@ from .errors import DanglingAntecedent, DuplicateUtterance, OrderingViolation, \
     SelfContradiction
 from .evidence import Strength
 from .grounding import AssumptionRecord, IRUClass, LicenseLink, UtteranceEvent
-from .propositions import LIVE, Fixpoint, Literal, prop_key
+from .propositions import LIVE, Literal, prop_key
+from .saturation import Fixpoint
 from .state import DiscourseState
 from .trace import TraceRecord, prop_text, snapshot_record, write_trace
 
@@ -85,16 +88,15 @@ class DialogueEngine:
 
         # any-next-utterance upgrade, before this event's own classification
         if not event.interrupted:
-            for uid in state.order[:-1]:
+            for uid in state.awaiting.pop(event.speaker, ()):
                 prior = state.records[uid]
-                if (prior.addressee == event.speaker and not prior.any_next_applied
-                        and not prior.interrupted):
-                    grd.apply_any_next_upgrade(prior)
-                    prior.any_next_applied = True
-                    for key in prior.license_keys:
-                        link = state.license_links[key]
-                        link.strength = max(link.strength, Strength.DEFAULT)
-                    touched[uid] = prior
+                grd.apply_any_next_upgrade(prior)
+                for key in prior.license_keys:
+                    link = state.license_links[key]
+                    link.strength = max(link.strength, Strength.DEFAULT)
+                touched[uid] = prior
+            # an interrupted utterance's record never gets the upgrade
+            state.awaiting.setdefault(event.addressee, []).append(event.utterance_id)
 
         cls = grd.classify_iru(event, state)
         antecedents = grd.resolved_antecedents(event, state, cls)

@@ -193,7 +193,6 @@ class AssumptionRecord:
     addressee: str
     strengths: dict[str, Strength]
     interrupted: bool = False
-    any_next_applied: bool = False
     license_keys: set[tuple[str, str]] = field(default_factory=set)
 
     @classmethod

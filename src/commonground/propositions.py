@@ -17,13 +17,14 @@ Identifiers match ``[A-Za-z][A-Za-z0-9_]*`` and are case-sensitive.
 
 from __future__ import annotations
 
-import heapq
 import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .errors import BadPropositionSyntax, ConflictDetected
 from .evidence import DERIVED_CAP, Strength
+from .saturation import Derivation, Fixpoint, Graph, Item, clashes, forced_literals, forward, \
+    settle
 
 ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
@@ -172,36 +173,6 @@ class ContextEntry:
         return not self.sources
 
 
-@dataclass(frozen=True)
-class _Deriv:
-    """Best-known derivation label for a literal during saturation."""
-
-    strength: Strength
-    deps: frozenset[str]
-    rank: tuple[int, ...]  # sorted insertion orders of deps; earlier premises win ties
-
-    def beats(self, other: Optional["_Deriv"]) -> bool:
-        if other is None:
-            return True
-        if self.strength != other.strength:
-            return self.strength > other.strength
-        return self.rank < other.rank
-
-
-@dataclass(frozen=True)
-class Fixpoint:
-    """A settled saturation of one context, ready for ``Context.commit``.
-
-    ``settled`` holds every literal of the fixpoint as (key, (literal,
-    winning derivation)), in commit order: earliest premises first.
-    ``entries`` maps the key of each live literal entry the saturation
-    started from to its id.
-    """
-
-    settled: list[tuple[str, tuple[Literal, _Deriv]]]
-    entries: dict[str, str]
-
-
 class Context:
     """Mutable common-ground store for one dialogue, and the one dependency
     graph of its discourse state.
@@ -212,8 +183,18 @@ class Context:
     dialogue's utterances by id.  Ids are allocated against every node and
     utterance, so no node overwrites or aliases another or an utterance.
 
+    For saturation the context also keeps three things: the implication
+    graph of its live rules (rebuilt when a rule is inserted or raised, or an
+    entry is defeated); the run of its last committed saturation (every
+    settled literal's label, in pop order); and the literal keys whose seeds
+    or in-edges changed since (literals inserted or raised by an assertion
+    or raised by ``commit``, and the targets of inserted and raised rules).
+    Defeating an entry drops the graph and the run, so the next saturation
+    covers every key, as on a fresh context.
+
     Single-threaded per dialogue by contract; distinct dialogues never share
-    a context.  ``clone()`` gives an independent copy for what-if checks.
+    a context.  ``trial`` and ``rollback`` undo what-if writes on the
+    context itself.
     """
 
     def __init__(self):
@@ -222,6 +203,11 @@ class Context:
         self.utterances: dict[str, object] = {}
         self._by_key: dict[str, str] = {}  # proposition key -> latest entry id
         self._counter = 0
+        self._graph: Optional[Graph] = None  # graph at the last commit
+        self._rules_changed = False  # a rule was inserted or raised since
+        self._run: Optional[dict[str, Item]] = None  # last committed run
+        self._changed: set[str] = set()  # literal keys with new seeds since
+        self._trail: Optional[list[tuple]] = None  # undo records of a trial
 
     # -- plumbing ---------------------------------------------------------
 
@@ -229,7 +215,9 @@ class Context:
         """Copy the entries and share the utterances and other nodes.  The
         clone sees every id, so it allocates the ids this context would; a
         defeat on the clone would reach the shared acceptance beliefs and
-        support links."""
+        support links.  The clone keeps no run, so its first saturation
+        covers every key.  Off the per-event path: the conflict trial uses
+        ``trial`` and ``rollback``."""
         other = Context()
         other.utterances = self.utterances
         other._counter = self._counter
@@ -246,6 +234,40 @@ class Context:
                 order=e.order,
             )
         return other
+
+    def trial(self) -> tuple:
+        """Start an undo trail: from here on every write to the context is
+        logged (entry fields, insertions, defeats) until ``rollback`` with
+        the returned mark undoes them.  The id counter, graph, run and
+        changed keys are restored as a whole.  Trials nest.  Nodes the
+        context does not own (acceptance beliefs, support links) are
+        restored only in their status."""
+        mark = (self._trail, self._counter, self._graph, self._rules_changed, self._run,
+                self._changed)
+        self._trail, self._changed = [], set(self._changed)
+        return mark
+
+    def rollback(self, mark: tuple) -> None:
+        """Undo every write since ``trial`` returned ``mark``."""
+        for record in reversed(self._trail):
+            if record[0] == "entry":
+                _, entry, entry.sources, entry.strength, entry.dependencies = record
+            elif record[0] == "insert":
+                _, eid, key, previous = record
+                del self.entries[eid], self.nodes[eid]
+                if previous is None:
+                    del self._by_key[key]
+                else:
+                    self._by_key[key] = previous
+            else:
+                _, node, node.status = record
+        (self._trail, self._counter, self._graph, self._rules_changed, self._run,
+         self._changed) = mark
+
+    def _log(self, entry: ContextEntry) -> None:
+        if self._trail is not None:
+            self._trail.append(("entry", entry, entry.sources, entry.strength,
+                                entry.dependencies))
 
     def live_entries(self) -> list[ContextEntry]:
         return [e for e in self.entries.values() if e.status == LIVE]
@@ -287,9 +309,29 @@ class Context:
             dependencies=dependencies,
             order=self._counter,
         )
+        key = prop_key(p)
+        if self._trail is not None:
+            self._trail.append(("insert", eid, key, self._by_key.get(key)))
         self.entries[eid] = self.nodes[eid] = entry
-        self._by_key[prop_key(p)] = eid
+        self._by_key[key] = eid
         return entry
+
+    def _touch(self, p: Proposition, key: str) -> None:
+        """Mark the literal keys whose seeds or in-edges ``p`` (with key
+        ``key``) changes: a literal's own key, or the targets of a rule's
+        edges."""
+        if isinstance(p, Literal):
+            self._changed.add(key)
+            return
+        self._rules_changed = True
+        if isinstance(p, Rule):
+            self._changed.add(str(p.consequent))
+            if len(p.antecedents) == 1:
+                self._changed.add(str(p.antecedents[0].negated()))
+        else:
+            for side in (p.left, p.right):
+                self._changed.add(str(side))
+                self._changed.add(str(side.negated()))
 
     # -- assertion --------------------------------------------------------
 
@@ -301,10 +343,14 @@ class Context:
         of equal or greater strength raises ConflictDetected; a strictly
         weaker contrary literal is defeated in place and cascaded.
         """
-        existing = self.lookup(p)
+        key = prop_key(p)
+        existing = self.lookup_key(key)
         if existing is not None:
+            self._log(existing)
             if source not in existing.sources:
                 existing.sources = existing.sources + (source,)
+            if strength > existing.strength:
+                self._touch(p, key)
             if strength >= existing.strength:
                 existing.strength = strength
                 # direct assertion supersedes any derivation as support
@@ -316,13 +362,27 @@ class Context:
                 if contrary.strength >= strength:
                     raise ConflictDetected([(p, contrary.proposition)])
                 self.defeat_entry(contrary.entry_id)
+        self._touch(p, key)
         return self._insert(p, strength, (source,), set())
 
     def defeat_entry(self, node_id: str) -> list[str]:
         """Mark a node defeated, with every live node whose dependencies
         reach it: entries, acceptance beliefs and support links alike.  This
-        is the one retraction walk.  Returns the defeated ids, sorted."""
-        return retract(self.nodes, node_id)
+        is the one retraction walk.  Returns the defeated ids, sorted.  When
+        an entry goes, the graph and the run go with it, and the next
+        saturation covers every key; defeating only beliefs and links keeps
+        both."""
+        target = self.nodes.get(node_id)
+        status = getattr(target, "status", LIVE)
+        defeated = retract(self.nodes, node_id)
+        if self._trail is not None:
+            # every other defeated node was live: retract walks live nodes only
+            self._trail.extend(("status", self.nodes[nid], LIVE if nid != node_id else status)
+                               for nid in defeated)
+        if any(nid in self.entries for nid in defeated):
+            self._graph = self._run = None
+            self._changed = set()
+        return defeated
 
     # -- inference --------------------------------------------------------
 
@@ -332,6 +392,7 @@ class Context:
         Saturates (``saturate``) and commits the result (``commit``).  Raises
         ConflictDetected if the fixpoint contains both polarities of an
         atom, listing the clashing literals; the context is then unchanged.
+        Off the per-event path: the engine saturates and commits itself.
         """
         self.commit(self.saturate())
         return {e.proposition for e in self.live_entries()
@@ -344,92 +405,66 @@ class Context:
         directional rules, contrapositives of single-antecedent rules, and
         self-refutation (a literal whose own negation implies it is forced).
         A derived literal's strength is MIN over its premises, capped at
-        inference.  When several derivations reach the same literal, the
-        strongest wins and remaining ties go to the derivation with earliest
-        premises.
+        inference.  Labels settle in a Dijkstra order: strongest first, then
+        the derivation with earliest premises.
 
-        The result depends only on the id, proposition, strength and order
-        of the live entries, so a clone that received the same assertions
-        saturates to a fixpoint this context can commit.  Raises
-        ConflictDetected if the fixpoint contains both polarities of an
-        atom, listing the clashing literals.
+        The saturation covers an area: the keys whose seeds or in-edges
+        changed since the last commit, and every key the rule graph leads to
+        from them.  It runs the labelled search on the area only
+        (``saturation.settle``), and merges in the pops of the other keys
+        from the last committed run, in their recorded order, by heap key.
+        No edge leads out of the area, so those keys keep their labels and
+        relative order, and the result is exactly the saturation of the whole
+        context.  Seeding the changed keys with the stored labels as bounds
+        would not be: the rank tie-break is not monotone along a path.  A
+        forced label changes only through a new or raised rule whose target
+        leads to the forced literal, so the area holds it already.  A fresh
+        context, a clone, or one after an entry was defeated has no run: every
+        live literal and every forced literal counts as changed, so the area
+        is every key the search can reach.
+
+        Raises ConflictDetected if the fixpoint contains both polarities of
+        an atom, listing the clashing literals by atom.
         """
-        live = self.live_entries()
-        lit_entries = {prop_key(e.proposition): e for e in live
-                       if isinstance(e.proposition, Literal)}
-        edges: dict[str, list[tuple[Literal, ContextEntry]]] = {}
-        multis: list[tuple[tuple[Literal, ...], Literal, ContextEntry]] = []
-
-        def add_edge(src: Literal, dst: Literal, entry: ContextEntry) -> None:
-            edges.setdefault(str(src), []).append((dst, entry))
-
-        for e in sorted(live, key=lambda x: x.order):
-            p = e.proposition
-            if isinstance(p, Rule):
-                if len(p.antecedents) == 1:
-                    a = p.antecedents[0]
-                    add_edge(a, p.consequent, e)
-                    add_edge(p.consequent.negated(), a.negated(), e)
-                else:
-                    multis.append((p.antecedents, p.consequent, e))
-            elif isinstance(p, Biconditional):
-                l, r = p.left, p.right
-                for src, dst in ((l, r), (r, l), (r.negated(), l.negated()),
-                                 (l.negated(), r.negated())):
-                    add_edge(src, dst, e)
-
-        settled: dict[str, tuple[Literal, _Deriv]] = {}
-        agenda: list[tuple[tuple[int, tuple[int, ...], str], Literal, _Deriv]] = []
-
-        def push(lit: Literal, deriv: _Deriv) -> None:
-            heapq.heappush(agenda, ((-deriv.strength, deriv.rank, str(lit)), lit, deriv))
-
-        for e in sorted(lit_entries.values(), key=lambda x: x.order):
-            push(e.proposition, _Deriv(e.strength, frozenset([e.entry_id]), (e.order,)))
-        for lit, deriv in self._forced_literals(edges):
-            push(lit, deriv)
-
-        def capped(s: Strength) -> Strength:
-            return min(s, DERIVED_CAP)
-
-        while agenda:
-            _, lit, deriv = heapq.heappop(agenda)
-            key = str(lit)
-            if key in settled:
-                continue
-            settled[key] = (lit, deriv)
-            for dst, rule_entry in edges.get(key, ()):
-                if str(dst) in settled:
-                    continue
-                deps = deriv.deps | {rule_entry.entry_id}
-                push(dst, _Deriv(capped(min(deriv.strength, rule_entry.strength)),
-                                 deps, self._rank(deps)))
-            for ants, consequent, rule_entry in multis:
-                if str(consequent) in settled:
-                    continue
-                if all(str(a) in settled for a in ants):
-                    strengths = [settled[str(a)][1].strength for a in ants]
-                    deps = {rule_entry.entry_id}
-                    for a in ants:
-                        deps |= settled[str(a)][1].deps
-                    push(consequent, _Deriv(capped(min(min(strengths), rule_entry.strength)),
-                                            frozenset(deps), self._rank(deps)))
-
-        clashes = []
-        for key, (lit, _) in sorted(settled.items()):
-            neg = str(lit.negated())
-            if lit.positive and neg in settled:
-                clashes.append((lit, settled[neg][0]))
-        if clashes:
-            raise ConflictDetected(clashes)
-
-        return Fixpoint(sorted(settled.items(), key=lambda kv: kv[1][1].rank),
-                        {key: e.entry_id for key, e in lit_entries.items()})
+        graph = self._graph
+        if graph is None or self._rules_changed:
+            graph = self._build_graph()
+        run, changed = self._run, self._changed
+        if run is None:
+            run = {}
+            changed = [str(e.proposition) for e in self.entries.values()
+                       if e.status == LIVE and isinstance(e.proposition, Literal)]
+            changed += graph.forced.keys()
+        area = forward(graph, changed)
+        seeds = [_seed(e) for e in map(self.lookup_key, area) if e is not None]
+        seeds += [graph.forced[key] for key in area if key in graph.forced]
+        settled = settle(graph, seeds, self._rank, run, area)
+        # the last run had no clash, so a clash has a key in the area
+        clashing = clashes(settled, area)
+        if clashing:
+            raise ConflictDetected(clashing)
+        fresh = [(key, (item[1], item[2])) for key, item in settled.items() if key in area]
+        fresh.sort(key=lambda kv: kv[1][1].rank)
+        entries = {}
+        for key, _ in fresh:
+            e = self.lookup_key(key)
+            if e is not None:
+                entries[key] = e.entry_id
+        return Fixpoint(fresh, entries, graph, settled)
 
     def commit(self, fixpoint: Fixpoint) -> list[ContextEntry]:
         """Apply a fixpoint from ``saturate``: raise the strengths it improves,
         with their new dependencies, and insert the literals it derives.
-        Returns the inserted entries in insertion order."""
+        Returns the inserted entries in insertion order.
+
+        The context keeps the fixpoint's graph and run.  The raised keys
+        become the changed keys of the next saturation, since a raised
+        entry's own seed may now win its label.  An inserted entry's seed
+        ranks after every premise of its derivation, so it never pops first
+        and its key stays unchanged.  Keys outside the fixpoint's area kept
+        their labels, so committing them again would change nothing."""
+        self._graph, self._rules_changed, self._run = fixpoint.graph, False, fixpoint.run
+        self._changed = set()
         inserted = []
         for key, (lit, deriv) in fixpoint.settled:
             eid = fixpoint.entries.get(key)
@@ -437,14 +472,18 @@ class Context:
                 entry = self.entries[eid]
                 derived_strength = min(deriv.strength, DERIVED_CAP)
                 if derived_strength > entry.strength:
+                    self._log(entry)
                     entry.strength = derived_strength
                     entry.dependencies = set(deriv.deps - {eid})
+                    self._changed.add(key)
                 continue
-            existing = self.lookup(lit)
+            existing = self.lookup_key(key)
             if existing is not None:
                 if deriv.strength > existing.strength:
+                    self._log(existing)
                     existing.strength = deriv.strength
                     existing.dependencies = set(deriv.deps)
+                    self._changed.add(key)
                 continue
             inserted.append(self._insert(lit, deriv.strength, (), set(deriv.deps)))
         return inserted
@@ -452,51 +491,29 @@ class Context:
     def _rank(self, deps: Iterable[str]) -> tuple[int, ...]:
         return tuple(sorted(self.entries[d].order for d in deps))
 
-    def _forced_literals(self, edges) -> list[tuple[Literal, _Deriv]]:
-        """Literals L whose negation implies L through the rule graph.
-
-        A chain !L -> ... -> L forces L regardless of any asserted facts;
-        this closes the gap left by pure unit propagation (e.g. a -> b plus
-        !a -> b forces b).  The widest (strongest-weakest-rule) chain wins.
-        Only literals that pass a plain reachability test from their
-        negation get the labelled search.
-        """
-        forced = []
-        nodes = set(edges)
-        for dsts in edges.values():
-            nodes.update(str(d) for d, _ in dsts)
-        lits = {}
-        for key in nodes:
-            neg = key.startswith("!")
-            lits[key] = Literal(key.lstrip("!"), not neg)
-        for key in sorted(nodes):
-            target = lits[key]
-            start = str(target.negated())
-            if not _reaches(edges, start, key):
+    def _build_graph(self) -> Graph:
+        edges: dict[str, list[tuple[str, Literal, str, Strength, int]]] = {}
+        multis: dict[str, list[tuple[tuple[str, ...], str, Literal, str, Strength]]] = {}
+        for e in self.entries.values():
+            p = e.proposition
+            if e.status != LIVE or isinstance(p, Literal):
                 continue
-            best: dict[str, _Deriv] = {}
-            heap: list[tuple[tuple[int, tuple[int, ...], str], str, _Deriv]] = []
-            seed = _Deriv(Strength.PHYSICAL, frozenset(), ())
-            heapq.heappush(heap, ((-seed.strength, (), start), start, seed))
-            while heap:
-                _, node, deriv = heapq.heappop(heap)
-                if node in best:
+            if isinstance(p, Rule):
+                if len(p.antecedents) > 1:
+                    ants = tuple(str(a) for a in p.antecedents)
+                    rule = (ants, str(p.consequent), p.consequent, e.entry_id, e.strength)
+                    for a in ants:
+                        multis.setdefault(a, []).append(rule)
                     continue
-                best[node] = deriv
-                if node == key:
-                    break
-                for dst, rule_entry in edges.get(node, ()):
-                    dk = str(dst)
-                    if dk in best:
-                        continue
-                    deps = deriv.deps | {rule_entry.entry_id}
-                    cand = _Deriv(min(deriv.strength, rule_entry.strength),
-                                  deps, self._rank(deps))
-                    heapq.heappush(heap, ((-cand.strength, cand.rank, dk), dk, cand))
-            if key in best and best[key].deps:
-                d = best[key]
-                forced.append((target, _Deriv(min(d.strength, DERIVED_CAP), d.deps, d.rank)))
-        return forced
+                a = p.antecedents[0]
+                pairs = ((a, p.consequent), (p.consequent.negated(), a.negated()))
+            else:
+                l, r = p.left, p.right
+                pairs = ((l, r), (r, l), (r.negated(), l.negated()), (l.negated(), r.negated()))
+            for src, dst in pairs:
+                edges.setdefault(str(src), []).append(
+                    (str(dst), dst, e.entry_id, e.strength, e.order))
+        return Graph(edges, multis, forced_literals(edges))
 
     # -- redundancy -------------------------------------------------------
 
@@ -535,19 +552,10 @@ class Context:
         return roots
 
 
-def _reaches(edges, start: str, goal: str) -> bool:
-    """Is ``goal`` reachable from ``start`` along ``edges``?"""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for dst, _ in edges.get(stack.pop(), ()):
-            key = str(dst)
-            if key == goal:
-                return True
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-    return False
+def _seed(entry: ContextEntry) -> Item:
+    """The saturation's seed item for a live literal entry."""
+    return ((-entry.strength, (entry.order,), str(entry.proposition)), entry.proposition,
+            Derivation(entry.strength, frozenset([entry.entry_id]), (entry.order,)))
 
 
 def retract(nodes: dict, target_id: str) -> list[str]:

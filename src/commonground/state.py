@@ -32,8 +32,13 @@ class DiscourseState:
         self.events: dict[str, UtteranceEvent] = self.context.utterances
         self.order: list[str] = []
         self.records: dict[str, AssumptionRecord] = {}
+        #: addressee -> ids of the uninterrupted utterances, in dialogue
+        #: order, whose any-next upgrade waits for the addressee's next turn
+        self.awaiting: dict[str, list[str]] = {}
         self.license_links: dict[tuple[str, str], LicenseLink] = {}
         self.acceptance_beliefs: dict[str, AcceptanceBelief] = {}
+        #: (proposition key, agent) -> the beliefs ``add_acceptance`` added, in order
+        self._acceptances: dict[tuple[str, str], list[AcceptanceBelief]] = {}
         self.support_links: dict[str, SupportLink] = {}
         self.conflicts: list[ConflictEvidence] = []
         self.pending: list[PendingAcceptance] = []
@@ -47,11 +52,16 @@ class DiscourseState:
     def participant_ids(self) -> set[str]:
         return {p.id for p in self.participants}
 
+    def add_acceptance(self, belief: AcceptanceBelief) -> None:
+        """Add a belief to the acceptance beliefs, the graph and the index."""
+        self.acceptance_beliefs[belief.belief_id] = self.nodes[belief.belief_id] = belief
+        self._acceptances.setdefault((prop_key(belief.proposition), belief.accepting_agent),
+                                     []).append(belief)
+
     def find_acceptance(self, p: Proposition, agent: str) -> AcceptanceBelief | None:
-        key = prop_key(p)
-        for belief in self.acceptance_beliefs.values():
-            if (belief.status == LIVE and belief.accepting_agent == agent
-                    and prop_key(belief.proposition) == key):
+        """The first live belief of ``agent`` in ``p`` that ``add_acceptance`` added."""
+        for belief in self._acceptances.get((prop_key(p), agent), ()):
+            if belief.status == LIVE:
                 return belief
         return None
 

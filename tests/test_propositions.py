@@ -2,13 +2,14 @@ import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commonground import (BadPropositionSyntax, Biconditional, ConflictDetected, Context,
                           Literal, RedundancyVerdict, Rule, Strength, format_proposition,
                           parse_proposition, prop_key)
 from commonground.propositions import DEFEATED, LIVE, retract
+from saturation_reference import reference_commit, reference_saturate
 from truthtable import literal_consequences
 
 L = Literal
@@ -441,3 +442,107 @@ def test_retract_matches_rescan_reference(graph):
     assert retract(nodes, target) == expected
     assert {nid: vars(n) for nid, n in nodes.items()} == \
         {nid: vars(n) for nid, n in expected_nodes.items()}
+
+
+# -- incremental saturation against the from-scratch reference ----------------
+
+def full_view(ctx):
+    return {eid: (e.proposition, e.strength, frozenset(e.dependencies), e.status, e.order,
+                  e.sources) for eid, e in ctx.entries.items()}
+
+
+inc_literals = st.builds(L, st.sampled_from("abcdefgh"), st.sampled_from([True, True, False]))
+inc_props = st.one_of(
+    inc_literals,
+    st.builds(lambda a, c: Rule((a,), c), inc_literals, inc_literals),
+    st.lists(inc_literals, min_size=2, max_size=3, unique=True).flatmap(
+        lambda ants: st.builds(lambda c: Rule(tuple(ants), c), inc_literals)),
+    st.builds(Biconditional, inc_literals, inc_literals),
+)
+inc_assert = st.tuples(st.just("assert"), inc_props, st.sampled_from(list(Strength)[:4]))
+inc_saturate = st.tuples(st.just("saturate"))
+inc_event = st.tuples(st.just("event"), st.lists(inc_props, min_size=1, max_size=3))
+#: weighted by repetition: assert 4, saturate 3, event 2, defeat 1
+inc_steps = st.one_of(inc_assert, inc_assert, inc_assert, inc_assert,
+                      inc_saturate, inc_saturate, inc_saturate, inc_event, inc_event,
+                      st.tuples(st.just("defeat"), st.integers(0, 50)))
+
+#: a commit raises k; k's own seed then wins its label, which m inherits
+RAISED_SEED_WINS = [("assert", lit("k"), Strength.HYPOTHESIS),
+                    ("assert", lit("a"), Strength.LINGUISTIC),
+                    ("assert", lit("a -> k"), Strength.LINGUISTIC), ("saturate",),
+                    ("assert", lit("k -> m"), Strength.LINGUISTIC), ("saturate",)]
+#: seeding only from the changed keys, with the stored labels as bounds,
+#: settles c on a different derivation than a full saturation does
+BOUNDS_ARE_NOT_EXACT = [("assert", lit("!a"), Strength.HYPOTHESIS),
+                        ("event", [lit("b"), lit("e -> !b"), lit("d <-> !e")]),
+                        ("event", [lit("!e"), lit("!c -> !d")])]
+
+
+def clashes_of(run):
+    try:
+        return None, run()
+    except ConflictDetected as clash:
+        return clash.clashes, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(inc_steps, min_size=1, max_size=25))
+@example(RAISED_SEED_WINS)
+@example(BOUNDS_ARE_NOT_EXACT)
+def test_incremental_saturation_matches_from_scratch_reference(steps):
+    """Random assert / saturate+commit / trial event / defeat sequences give
+    the same entries, inserted ids and clash lists as the from-scratch
+    saturation, step by step."""
+    ctx, ref = Context(), Context()
+    for n, step in enumerate(steps):
+        source = f"u{n}"
+        if step[0] == "assert":
+            _, p, strength = step
+            got = clashes_of(lambda: ctx.assert_prop(p, strength, source).entry_id)
+            assert got == clashes_of(lambda: ref.assert_prop(p, strength, source).entry_id)
+        elif step[0] == "saturate":
+            got = clashes_of(lambda: [e.entry_id for e in ctx.commit(ctx.saturate())])
+            want = clashes_of(lambda: [e.entry_id for e in
+                                       reference_commit(ref, reference_saturate(ref))])
+            assert got == want
+            if got[0] is not None:
+                # settle the clash so later steps work on a consistent context
+                latest = max(ctx.live_entries(), key=lambda e: e.order).entry_id
+                assert ctx.defeat_entry(latest) == ref.defeat_entry(latest)
+        elif step[0] == "event":
+            # the engine's flow: a trial, then assert for real and commit its fixpoint
+            props = step[1]
+
+            def trial_live():
+                mark = ctx.trial()
+                try:
+                    for p in props:
+                        ctx.assert_prop(p, Strength.LINGUISTIC, source)
+                    return ctx.saturate()
+                finally:
+                    ctx.rollback(mark)
+
+            def trial_clone():
+                scratch = ref.clone()
+                for p in props:
+                    scratch.assert_prop(p, Strength.LINGUISTIC, source)
+                return reference_saturate(scratch)
+
+            (clash, fixpoint), (ref_clash, ref_fixpoint) = \
+                clashes_of(trial_live), clashes_of(trial_clone)
+            assert clash == ref_clash
+            assert full_view(ctx) == full_view(ref)
+            if fixpoint is not None:
+                for p in props:
+                    ctx.assert_prop(p, Strength.LINGUISTIC, source)
+                    ref.assert_prop(p, Strength.LINGUISTIC, source)
+                assert [e.entry_id for e in ctx.commit(fixpoint)] == \
+                    [e.entry_id for e in reference_commit(ref, ref_fixpoint)]
+        else:
+            live = sorted(e.entry_id for e in ctx.live_entries())
+            if live:
+                target = live[step[1] % len(live)]
+                assert ctx.defeat_entry(target) == ref.defeat_entry(target)
+        assert full_view(ctx) == full_view(ref)
+        assert ctx._by_key == ref._by_key and ctx._counter == ref._counter

@@ -1,17 +1,20 @@
 """Acceptance, conflict, defeat/retraction, and support-link behavior."""
 
+import heapq
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from commonground import (AcceptanceBelief, AcceptanceOutcome, ActType, ConflictEvidence,
-                          ContextEntry, DefeatRejected, DialogueEngine, DiscourseState, IRUClass,
-                          Intonation, OrderingViolation, Participant, Strength,
-                          SupportLink, UnknownProposition, UtteranceEvent, defeat,
+from commonground import (AcceptanceBelief, AcceptanceOutcome, ActType, ConflictDetected,
+                          ConflictEvidence, ContextEntry, DefeatRejected, DialogueEngine,
+                          DiscourseState, IRUClass, Intonation, OrderingViolation, Participant,
+                          Strength, SupportLink, UnknownProposition, UtteranceEvent, defeat,
                           detect_conflict, evaluate_acceptance, parse, parse_proposition,
                           record_support, replay_transcript)
+from commonground import saturation
 from commonground.acceptance import CONTRADICTORY_ASSERTION, EXPLICIT_REJECTION
 from commonground.propositions import DEFEATED, LIVE
 from conftest import DIALOGUES, DISPUTES, load_fixture
@@ -143,7 +146,7 @@ def test_detect_conflict_hands_over_the_trial_fixpoint():
     fixpoints = []
     assert detect_conflict(state, consistent, fixpoints) is None
     assert {key for key, _ in fixpoints[0].settled} == {"p", "q"}
-    assert state.context.lookup(P("p")) is None  # the trial ran on a copy
+    assert state.context.lookup(P("p")) is None  # the trial was rolled back
 
 
 def test_detect_conflict_hands_over_nothing_on_a_clash():
@@ -154,6 +157,86 @@ def test_detect_conflict_hands_over_nothing_on_a_clash():
     clashing = event("u3", 1, speaker="b", addressee="a", realizes=(P("p"),))
     assert detect_conflict(state, clashing, fixpoints) is not None
     assert fixpoints == []
+
+
+def trial_view(context):
+    """Everything a conflict trial may write, by value."""
+    return (list(context.entries), list(context.nodes), dict(context._by_key),
+            context._counter,
+            {eid: (e.sources, e.strength, frozenset(e.dependencies), e.status)
+             for eid, e in context.entries.items()})
+
+
+def saturation_view(context):
+    fixpoint = context.saturate()
+    return fixpoint.settled, fixpoint.entries
+
+
+def rollback_state():
+    """A committed context with a weak entry the trial events re-assert."""
+    state = fresh_state()
+    state.context.assert_prop(P("p"), Strength.DEFAULT, "u0")
+    state.context.assert_prop(P("p -> q"), Strength.LINGUISTIC, "u1")
+    state.context.closure()
+    state.context.assert_prop(P("r"), Strength.LINGUISTIC, "u2")  # changed since the commit
+    return state
+
+
+@pytest.mark.parametrize("realizes, clash", [
+    (("p", "q -> s"), False),  # re-asserts p, inserts a rule
+    (("p", "q -> !p"), True),  # the same, and the new rule clashes
+], ids=["returns", "raises"])
+def test_detect_conflict_trial_leaves_the_context_as_it_was(realizes, clash):
+    state = rollback_state()
+    before, saturated = trial_view(state.context), saturation_view(state.context)
+    fixpoints = []
+    found = detect_conflict(state, event("u3", 3, speaker="b", addressee="a",
+                                         realizes=tuple(P(t) for t in realizes)), fixpoints)
+    assert (found is not None) == clash and len(fixpoints) == (not clash)
+    assert trial_view(state.context) == before
+    assert state.context.lookup(P("p")).sources == ("u0",)
+    assert saturation_view(state.context) == saturated
+
+
+def test_trial_undoes_a_defeat_and_restores_the_run():
+    ctx = rollback_state().context
+    before, saturated = trial_view(ctx), saturation_view(ctx)
+    mark = ctx.trial()
+    ctx.assert_prop(P("!p"), Strength.LINGUISTIC, "u3")  # defeats the weaker p
+    assert ctx.lookup(P("p")) is None
+    ctx.assert_prop(P("!q"), Strength.LINGUISTIC, "u4")
+    ctx.assert_prop(P("!q -> p"), Strength.LINGUISTIC, "u5")
+    with pytest.raises(ConflictDetected):
+        ctx.saturate()
+    ctx.rollback(mark)
+    assert trial_view(ctx) == before
+    assert saturation_view(ctx) == saturated
+
+
+def test_saturation_work_per_event_stays_flat(monkeypatch):
+    """Labelled heap pushes per event do not grow with the dialogue: each
+    event's saturation covers what the event changed, not the whole context."""
+    pushes = []
+    monkeypatch.setattr(saturation, "heapq", SimpleNamespace(
+        heappush=lambda heap, item: (pushes.append(1), heapq.heappush(heap, item)),
+        heappop=heapq.heappop))
+    rng = random.Random(7)
+    engine = DialogueEngine(fresh_state(require_acceptance=False))
+    literals, per_event = [], []
+    for i in range(300):
+        speaker, addressee = ("a", "b") if i % 2 == 0 else ("b", "a")
+        if i % 2 == 0 or not literals:
+            literals.append(f"x{i}")
+            prop = P(literals[-1])
+        else:
+            prop = P(f"{rng.choice(literals)} -> y{i}")
+        before = len(pushes)
+        engine.process(event(f"u{i}", i, speaker, addressee, text=f"turn number {i}",
+                             realizes=(prop,)))
+        per_event.append(len(pushes) - before)
+    early, late = per_event[10:60], per_event[-50:]
+    assert sum(late) / len(late) <= 2 * sum(early) / len(early)
+    assert len(engine.state.context.entries) == 450  # every derivation was committed
 
 
 def context_view(context):
