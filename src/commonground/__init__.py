@@ -9,7 +9,7 @@ contrary evidence retracts what depended on a defeated belief.
 from .acceptance import (AcceptanceBelief, AcceptanceOutcome, ConflictEvidence,
                          RetractionReport, SupportLink, defeat, detect_conflict,
                          evaluate_acceptance, record_support)
-from .engine import DialogueEngine, replay_transcript, trace_document
+from .engine import DialogueEngine, replay_transcript
 from .errors import (BadPropositionSyntax, CommonGroundError, ConflictDetected,
                      DanglingAntecedent, DefeatRejected, DuplicateUtterance,
                      OrderingViolation, ParseIssue, SelfContradiction, TranscriptError,
@@ -20,10 +20,9 @@ from .grounding import (ActType, AssumptionRecord, IRUClass, Intonation, License
                         apply_any_next_upgrade, apply_iru_upgrade, classify_iru,
                         open_record, record_license_evidence, understanding_strength)
 from .propositions import (Biconditional, Context, ContextEntry, Literal, Proposition,
-                           RedundancyVerdict, Rule, format_proposition, parse_proposition,
-                           prop_key)
+                           RedundancyVerdict, Rule, parse_proposition)
 from .state import DiscourseState
-from .stats import CorpusStats, StatsConfig, aggregate, collect_observations, render_stats
+from .stats import CorpusStats, aggregate, collect_observations, render_stats
 from .trace import TraceRecord, write_trace
 from .transcript import Transcript, parse, serialize
 
@@ -36,13 +35,12 @@ __all__ = [
     "DefeatRejected", "DialogueEngine", "DiscourseState", "DuplicateUtterance",
     "IRUClass", "Intonation", "LicenseLink", "Literal",
     "OrderingViolation", "ParseIssue", "Participant", "Proposition",
-    "RedundancyVerdict", "RetractionReport", "Rule", "SelfContradiction", "StatsConfig",
+    "RedundancyVerdict", "RetractionReport", "Rule", "SelfContradiction",
     "Strength", "SupportLink", "TraceRecord", "Transcript", "TranscriptError",
     "UnknownProposition", "UtteranceEvent",
     "admission_issues", "aggregate", "apply_any_next_upgrade", "apply_iru_upgrade",
     "classify_iru", "collect_observations", "defeat", "defeats", "detect_conflict",
-    "evaluate_acceptance", "format_proposition", "min_strength", "open_record",
-    "parse", "parse_proposition", "prop_key", "record_license_evidence",
-    "record_support", "render_stats", "replay_transcript", "serialize",
-    "trace_document", "understanding_strength", "write_trace",
+    "evaluate_acceptance", "min_strength", "open_record", "parse", "parse_proposition",
+    "record_license_evidence", "record_support", "render_stats", "replay_transcript",
+    "serialize", "understanding_strength", "write_trace",
 ]

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Optional
 from .errors import ConflictDetected, DefeatRejected, OrderingViolation, UnknownProposition
 from .evidence import Strength, defeats
 from .grounding import ActType, Intonation, IRUClass, UtteranceEvent
-from .propositions import LIVE, Literal, Proposition, prop_key
+from .propositions import LIVE, Literal, Proposition
 from .saturation import Fixpoint
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -47,7 +47,7 @@ class ConflictEvidence:
         return Strength.LINGUISTIC
 
     def applies_to(self, props) -> bool:
-        return any(prop_key(p) in self.against for p in props)
+        return any(p.key in self.against for p in props)
 
 
 @dataclass
@@ -128,7 +128,7 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
         props = state.events[event.rejects].realizes
         pair = (props[0], props[0]) if props else (Literal("nothing"), Literal("nothing"))
         return ConflictEvidence(event.utterance_id, pair, EXPLICIT_REJECTION,
-                                frozenset(prop_key(p) for p in props))
+                                frozenset(p.key for p in props))
     if not event.realizes:
         return None
     for p in event.realizes:
@@ -137,7 +137,7 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
             if contrary is not None:
                 return ConflictEvidence(event.utterance_id, (p, contrary.proposition),
                                         CONTRADICTORY_ASSERTION,
-                                        frozenset([prop_key(contrary.proposition)]))
+                                        frozenset([contrary.proposition.key]))
     context, clash = state.context, None
     mark = context.trial()
     try:
@@ -156,7 +156,7 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
         for a, b in clash.clashes:
             for live, came in ((a, b), (b, a)):
                 if context.lookup(live) is not None:
-                    against.add(prop_key(live))
+                    against.add(live.key)
                     pair = (came, live)
         return ConflictEvidence(event.utterance_id, pair,
                                 CONTRADICTORY_ASSERTION, frozenset(against))
@@ -299,9 +299,9 @@ def record_support(state: "DiscourseState", belief: Proposition,
         raise UnknownProposition(f"support source {belief} not in state")
     if goal_entry is None:
         raise UnknownProposition(f"support target {goal} not in state")
-    for link in state.support_links.values():
-        if (prop_key(link.belief), prop_key(link.goal)) == (prop_key(belief), prop_key(goal)):
-            return link
+    link = state.support_between.get((belief.key, goal.key))
+    if link is not None:
+        return link
     link = SupportLink(
         link_id=state.context.fresh_id("s", len(state.support_links) + 1),
         belief=belief,
@@ -310,8 +310,7 @@ def record_support(state: "DiscourseState", belief: Proposition,
     )
     state.support_links[link.link_id] = link
     state.nodes[link.link_id] = link
-    goal_key = prop_key(goal)
-    for acc in state.acceptance_beliefs.values():
-        if acc.status == LIVE and prop_key(acc.proposition) == goal_key:
-            acc.dependencies.add(link.link_id)
+    state.support_between[(belief.key, goal.key)] = link
+    for acc in state.live_acceptances_of({goal.key}):
+        acc.dependencies.add(link.link_id)
     return link

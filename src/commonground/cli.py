@@ -19,8 +19,7 @@ from pathlib import Path
 
 from .engine import replay_transcript
 from .errors import CommonGroundError, TranscriptError
-from .stats import StatsConfig, aggregate, collect_observations, render_classification, \
-    render_stats
+from .stats import aggregate, collect_observations, render_classification, render_stats
 from .trace import write_trace
 from .transcript import parse
 
@@ -99,9 +98,8 @@ def cmd_stats(args) -> int:
         transcript, traces = _replay(path)
         observations.extend(collect_observations(transcript, traces))
         turns += len(transcript.events)
-    config = StatsConfig(remote_gap=args.remote_gap)
-    stats = aggregate(observations, len(paths), turns, config)
-    sys.stdout.write(render_stats(stats, args.format, config))
+    stats = aggregate(observations, len(paths), turns, args.remote_gap)
+    sys.stdout.write(render_stats(stats, args.format))
     return EXIT_OK
 
 

@@ -39,10 +39,10 @@ from .errors import DanglingAntecedent, DuplicateUtterance, OrderingViolation, \
     SelfContradiction
 from .evidence import Strength
 from .grounding import AssumptionRecord, IRUClass, LicenseLink, UtteranceEvent
-from .propositions import LIVE, Literal, prop_key
+from .propositions import LIVE, Literal
 from .saturation import Fixpoint
 from .state import DiscourseState
-from .trace import TraceRecord, prop_text, snapshot_record, write_trace
+from .trace import TraceRecord, prop_text, snapshot_record
 
 #: the error ``process`` raises for each admission issue code
 ADMISSION_ERRORS = {"duplicate-utterance": DuplicateUtterance, "turn-order": OrderingViolation,
@@ -100,7 +100,7 @@ class DialogueEngine:
 
         cls = grd.classify_iru(event, state)
         antecedents = grd.resolved_antecedents(event, state, cls)
-        redundancy = {prop_key(p): state.context.is_redundant(p) for p in event.realizes}
+        redundancy = {p.key: state.context.is_redundant(p) for p in event.realizes}
         fixpoints: list[Fixpoint] = []
         conflict = acc.detect_conflict(state, event, fixpoints)
         if conflict is not None:
@@ -112,9 +112,9 @@ class DialogueEngine:
                 grd.apply_iru_upgrade(target, cls)
                 touched[target.utterance_id] = target
             if cls in (IRUClass.EXPLICIT_INFERENCE, IRUClass.IMPLICATURE_REINFORCEMENT):
-                keys = {prop_key(p) for p in event.realizes}
+                keys = {p.key for p in event.realizes}
                 for link in list(state.license_links.values()):
-                    if prop_key(link.conclusion) in keys:
+                    if link.conclusion.key in keys:
                         grd.record_license_evidence(state, link, Strength.LINGUISTIC)
                         license_lines.append((prop_text(link.premise), prop_text(link.conclusion),
                                               link.strength, link.origin))
@@ -139,7 +139,7 @@ class DialogueEngine:
         support_lines: list[tuple[str, str]] = []
         if not contested:
             for p in event.realizes:
-                verdict = redundancy[prop_key(p)]
+                verdict = redundancy[p.key]
                 entry = state.context.assert_prop(p, Strength.LINGUISTIC, event.utterance_id)
                 note = ""
                 if verdict.redundant:
@@ -219,9 +219,8 @@ class DialogueEngine:
                         retraction_lines: list) -> bool:
         """Defeat what the evidence can; report whether content stays contested."""
         state = self.state
-        for belief in list(state.live_acceptances()):
-            if (prop_key(belief.proposition) in conflict.against
-                    and belief.strength < conflict.strength):
+        for belief in state.live_acceptances_of(conflict.against):
+            if belief.strength < conflict.strength:
                 report = acc.defeat(state, belief.belief_id, conflict)
                 retraction_lines.append(report.defeated)
         entries = [state.context.lookup_key(key) for key in sorted(conflict.against)]
@@ -261,8 +260,3 @@ def replay_transcript(transcript):
     engine = DialogueEngine.for_transcript(transcript)
     traces = engine.replay(transcript)
     return engine, traces
-
-
-def trace_document(transcript) -> str:
-    _, traces = replay_transcript(transcript)
-    return write_trace(traces)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Collection, Container, Optional
 
 from .errors import UnknownProposition
 from .evidence import Strength, min_strength
-from .propositions import Literal, Proposition, RedundancyVerdict, prop_key
+from .propositions import Literal, Proposition, RedundancyVerdict
 
 if TYPE_CHECKING:  # pragma: no cover
     from .state import DiscourseState
@@ -178,7 +178,7 @@ class LicenseLink:
 
     @property
     def key(self) -> tuple[str, str]:
-        return (prop_key(self.premise), prop_key(self.conclusion))
+        return (self.premise.key, self.conclusion.key)
 
 
 @dataclass
@@ -264,11 +264,11 @@ def classify_iru(event: UtteranceEvent, state: "DiscourseState") -> IRUClass:
         return IRUClass.PROMPT
     if not event.realizes:
         return IRUClass.NONE
-    keys = {prop_key(p) for p in event.realizes}
+    keys = {p.key for p in event.realizes}
     for link in state.license_links.values():
         if (link.origin == LicenseLink.ORIGIN_IMPLICATURE
                 and link.strength < Strength.LINGUISTIC
-                and prop_key(link.conclusion) in keys):
+                and link.conclusion.key in keys):
             return IRUClass.IMPLICATURE_REINFORCEMENT
     verdicts = [state.context.is_redundant(p) for p in event.realizes]
     if any(v.kind == RedundancyVerdict.ENTAILED for v in verdicts):
@@ -319,17 +319,18 @@ def resolved_antecedents(event: UtteranceEvent, state: "DiscourseState",
             if verdict.redundant:
                 ids |= {a for a in verdict.antecedents if a in state.events}
     if cls is IRUClass.IMPLICATURE_REINFORCEMENT:
-        keys = {prop_key(p) for p in event.realizes}
+        keys = {p.key for p in event.realizes}
         for link in state.license_links.values():
             if (link.origin == LicenseLink.ORIGIN_IMPLICATURE
-                    and prop_key(link.conclusion) in keys):
+                    and link.conclusion.key in keys):
                 ids.add(link.owner)
     return tuple(sorted(ids, key=lambda u: state.events[u].turn_index))
 
 
 # Affirmation phrases recognised when no explicit act annotation is given.
 DEFAULT_AFFIRMATIONS = ("that's correct", "right", "yup", "absolutely")
+_AFFIRMATION_TOKENS = frozenset(normalize_tokens(p) for p in DEFAULT_AFFIRMATIONS)
 
 
-def is_affirmation_text(text: str, lexicon=DEFAULT_AFFIRMATIONS) -> bool:
-    return normalize_tokens(text) in {normalize_tokens(p) for p in lexicon}
+def is_affirmation_text(text: str) -> bool:
+    return normalize_tokens(text) in _AFFIRMATION_TOKENS

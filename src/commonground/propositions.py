@@ -31,49 +31,68 @@ ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 LIVE = "live"
 DEFEATED = "defeated"
 
+_set = object.__setattr__  # fills the derived fields of the frozen propositions
+
 
 @dataclass(frozen=True)
 class Literal:
+    """An atom or its negation.  ``key`` is the canonical text (``p``,
+    ``!p``); it takes no part in equality, hashing or repr."""
+
     atom: str
     positive: bool = True
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not ATOM_RE.match(self.atom):
             raise BadPropositionSyntax(f"bad atom name {self.atom!r}")
+        _set(self, "key", self.atom if self.positive else "!" + self.atom)
 
     def negated(self) -> "Literal":
         # the atom was validated when self was made, so skip __post_init__
         other = object.__new__(Literal)
-        object.__setattr__(other, "atom", self.atom)
-        object.__setattr__(other, "positive", not self.positive)
+        _set(other, "atom", self.atom)
+        _set(other, "positive", not self.positive)
+        _set(other, "key", other.atom if other.positive else "!" + other.atom)
         return other
 
     def __str__(self) -> str:
-        return self.atom if self.positive else "!" + self.atom
+        return self.key
 
 
 @dataclass(frozen=True)
 class Rule:
+    """``key`` sorts the antecedents, so notational variants share it."""
+
     antecedents: tuple[Literal, ...]
     consequent: Literal
+    key: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.antecedents:
             raise BadPropositionSyntax("rule with no antecedents")
         if len(set(self.antecedents)) != len(self.antecedents):
             raise BadPropositionSyntax("duplicate rule antecedents")
+        _set(self, "key", " & ".join(sorted(a.key for a in self.antecedents))
+             + " -> " + self.consequent.key)
 
     def __str__(self) -> str:
-        return " & ".join(str(a) for a in self.antecedents) + " -> " + str(self.consequent)
+        return " & ".join(a.key for a in self.antecedents) + " -> " + self.consequent.key
 
 
 @dataclass(frozen=True)
 class Biconditional:
+    """``key`` sorts the sides, so notational variants share it."""
+
     left: Literal
     right: Literal
+    key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _set(self, "key", " <-> ".join(sorted((self.left.key, self.right.key))))
 
     def __str__(self) -> str:
-        return f"{self.left} <-> {self.right}"
+        return f"{self.left.key} <-> {self.right.key}"
 
 
 Proposition = Union[Literal, Rule, Biconditional]
@@ -88,9 +107,10 @@ def parse_proposition(text: str) -> Proposition:
         while chunk.startswith("!"):
             neg = not neg
             chunk = chunk[1:].strip()
-        if not ATOM_RE.match(chunk):
-            raise BadPropositionSyntax(f"bad literal {chunk!r} in {text!r}")
-        return Literal(chunk, not neg)
+        try:
+            return Literal(chunk, not neg)
+        except BadPropositionSyntax:
+            raise BadPropositionSyntax(f"bad literal {chunk!r} in {text!r}") from None
 
     s = text.strip()
     if not s:
@@ -109,20 +129,6 @@ def parse_proposition(text: str) -> Proposition:
     if "&" in s:
         raise BadPropositionSyntax(f"conjunction outside a rule body: {text!r}")
     return lit(s)
-
-
-def format_proposition(p: Proposition) -> str:
-    return str(p)
-
-
-def prop_key(p: Proposition) -> str:
-    """Canonical index key.  Rule antecedents and biconditional sides are
-    order-insensitive so that notational variants collapse to one entry."""
-    if isinstance(p, Literal):
-        return str(p)
-    if isinstance(p, Rule):
-        return " & ".join(sorted(str(a) for a in p.antecedents)) + " -> " + str(p.consequent)
-    return " <-> ".join(sorted((str(p.left), str(p.right))))
 
 
 @dataclass(frozen=True)
@@ -182,6 +188,8 @@ class Context:
     holds the proposition entries among them, and ``utterances`` the
     dialogue's utterances by id.  Ids are allocated against every node and
     utterance, so no node overwrites or aliases another or an utterance.
+    Every index names a proposition by its ``key``, which it carries from
+    construction.
 
     For saturation the context also keeps three things: the implication
     graph of its live rules (rebuilt when a rule is inserted or raised, or an
@@ -273,7 +281,7 @@ class Context:
         return [e for e in self.entries.values() if e.status == LIVE]
 
     def lookup(self, p: Proposition) -> Optional[ContextEntry]:
-        return self.lookup_key(prop_key(p))
+        return self.lookup_key(p.key)
 
     def lookup_key(self, key: str) -> Optional[ContextEntry]:
         eid = self._by_key.get(key)
@@ -309,29 +317,28 @@ class Context:
             dependencies=dependencies,
             order=self._counter,
         )
-        key = prop_key(p)
+        key = p.key
         if self._trail is not None:
             self._trail.append(("insert", eid, key, self._by_key.get(key)))
         self.entries[eid] = self.nodes[eid] = entry
         self._by_key[key] = eid
         return entry
 
-    def _touch(self, p: Proposition, key: str) -> None:
-        """Mark the literal keys whose seeds or in-edges ``p`` (with key
-        ``key``) changes: a literal's own key, or the targets of a rule's
-        edges."""
+    def _touch(self, p: Proposition) -> None:
+        """Mark the literal keys whose seeds or in-edges ``p`` changes: a
+        literal's own key, or the targets of a rule's edges."""
         if isinstance(p, Literal):
-            self._changed.add(key)
+            self._changed.add(p.key)
             return
         self._rules_changed = True
         if isinstance(p, Rule):
-            self._changed.add(str(p.consequent))
+            self._changed.add(p.consequent.key)
             if len(p.antecedents) == 1:
-                self._changed.add(str(p.antecedents[0].negated()))
+                self._changed.add(p.antecedents[0].negated().key)
         else:
             for side in (p.left, p.right):
-                self._changed.add(str(side))
-                self._changed.add(str(side.negated()))
+                self._changed.add(side.key)
+                self._changed.add(side.negated().key)
 
     # -- assertion --------------------------------------------------------
 
@@ -343,14 +350,13 @@ class Context:
         of equal or greater strength raises ConflictDetected; a strictly
         weaker contrary literal is defeated in place and cascaded.
         """
-        key = prop_key(p)
-        existing = self.lookup_key(key)
+        existing = self.lookup_key(p.key)
         if existing is not None:
             self._log(existing)
             if source not in existing.sources:
                 existing.sources = existing.sources + (source,)
             if strength > existing.strength:
-                self._touch(p, key)
+                self._touch(p)
             if strength >= existing.strength:
                 existing.strength = strength
                 # direct assertion supersedes any derivation as support
@@ -362,7 +368,7 @@ class Context:
                 if contrary.strength >= strength:
                     raise ConflictDetected([(p, contrary.proposition)])
                 self.defeat_entry(contrary.entry_id)
-        self._touch(p, key)
+        self._touch(p)
         return self._insert(p, strength, (source,), set())
 
     def defeat_entry(self, node_id: str) -> list[str]:
@@ -432,7 +438,7 @@ class Context:
         run, changed = self._run, self._changed
         if run is None:
             run = {}
-            changed = [str(e.proposition) for e in self.entries.values()
+            changed = [e.proposition.key for e in self.entries.values()
                        if e.status == LIVE and isinstance(e.proposition, Literal)]
             changed += graph.forced.keys()
         area = forward(graph, changed)
@@ -492,18 +498,17 @@ class Context:
         return tuple(sorted(self.entries[d].order for d in deps))
 
     def _build_graph(self) -> Graph:
-        edges: dict[str, list[tuple[str, Literal, str, Strength, int]]] = {}
-        multis: dict[str, list[tuple[tuple[str, ...], str, Literal, str, Strength]]] = {}
+        edges: dict[str, list[tuple[Literal, str, Strength, int]]] = {}
+        multis: dict[str, list[tuple[tuple[Literal, ...], Literal, str, Strength]]] = {}
         for e in self.entries.values():
             p = e.proposition
             if e.status != LIVE or isinstance(p, Literal):
                 continue
             if isinstance(p, Rule):
                 if len(p.antecedents) > 1:
-                    ants = tuple(str(a) for a in p.antecedents)
-                    rule = (ants, str(p.consequent), p.consequent, e.entry_id, e.strength)
-                    for a in ants:
-                        multis.setdefault(a, []).append(rule)
+                    rule = (p.antecedents, p.consequent, e.entry_id, e.strength)
+                    for a in p.antecedents:
+                        multis.setdefault(a.key, []).append(rule)
                     continue
                 a = p.antecedents[0]
                 pairs = ((a, p.consequent), (p.consequent.negated(), a.negated()))
@@ -511,8 +516,7 @@ class Context:
                 l, r = p.left, p.right
                 pairs = ((l, r), (r, l), (r.negated(), l.negated()), (l.negated(), r.negated()))
             for src, dst in pairs:
-                edges.setdefault(str(src), []).append(
-                    (str(dst), dst, e.entry_id, e.strength, e.order))
+                edges.setdefault(src.key, []).append((dst, e.entry_id, e.strength, e.order))
         return Graph(edges, multis, forced_literals(edges))
 
     # -- redundancy -------------------------------------------------------
@@ -554,7 +558,7 @@ class Context:
 
 def _seed(entry: ContextEntry) -> Item:
     """The saturation's seed item for a live literal entry."""
-    return ((-entry.strength, (entry.order,), str(entry.proposition)), entry.proposition,
+    return ((-entry.strength, (entry.order,), entry.proposition.key), entry.proposition,
             Derivation(entry.strength, frozenset([entry.entry_id]), (entry.order,)))
 
 

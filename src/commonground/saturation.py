@@ -3,11 +3,12 @@
 A literal settles with a ``Derivation``: its strength (MIN over its
 premises, derived content capped at inference), its premises, and their
 insertion orders, which break ties in favour of earlier premises.  The search
-is a Dijkstra over the implication graph of the live rules (``Graph``).  Keys
-are literal strings (``p``, ``!p``); literals ride along as payload.
-``settle`` can cover an area of the keys and merge in the recorded pops of
-the others.  ``propositions.Context`` keeps the state and decides what
-changed.
+is a Dijkstra over the implication graph of the live rules (``Graph``).  The
+graph and the search hold ``Literal`` objects, and index them by the
+``key`` each literal carries (``p``, ``!p``); a literal's negation is its
+``negated()``.  ``settle`` can cover an area of the keys and merge in the
+recorded pops of the others.  ``propositions.Context`` keeps the state and
+decides what changed.
 """
 
 from __future__ import annotations
@@ -27,26 +28,26 @@ class Derivation(NamedTuple):
     rank: tuple[int, ...]  # sorted insertion orders of deps; earlier premises win ties
 
 
-#: one labelled heap item: ((-strength, rank, key), literal, derivation).
-#: Heap order is a total order on the items that can differ.
+#: one labelled heap item: ((-strength, rank, literal.key), literal,
+#: derivation).  Heap order is a total order on the items that can differ.
 Item = tuple[tuple[int, tuple[int, ...], str], object, Derivation]
 
 
 class Graph(NamedTuple):
     """The implication graph of a context's live rules.
 
-    ``edges`` maps a literal key to its edges as (target key, target, rule
-    id, rule strength, rule order): single-antecedent rules and their
+    ``edges`` maps a literal's key to its edges as (target, rule id, rule
+    strength, rule order): single-antecedent rules and their
     contrapositives, and biconditionals both ways with their
-    contrapositives.  ``multis`` maps each antecedent key of a
-    multi-antecedent rule to (antecedent keys, consequent key, consequent,
-    rule id, rule strength).  ``forced`` maps the key of each forced literal
-    to its seed item (``forced_literals``).  The graph holds values, not
-    entries, so contexts and fixpoints share it.
+    contrapositives.  ``multis`` maps each antecedent's key of a
+    multi-antecedent rule to (antecedents, consequent, rule id, rule
+    strength).  ``forced`` maps the key of each forced literal to its seed
+    item (``forced_literals``).  The graph holds values, not entries, so
+    contexts and fixpoints share it.
     """
 
-    edges: dict[str, list[tuple[str, object, str, Strength, int]]]
-    multis: dict[str, list[tuple[tuple[str, ...], str, object, str, Strength]]]
+    edges: dict[str, list[tuple[object, str, Strength, int]]]
+    multis: dict[str, list[tuple[tuple[object, ...], object, str, Strength]]]
     forced: dict[str, Item]
 
 
@@ -103,7 +104,8 @@ def settle(graph: Graph, seeds: Iterable[Item], rank: Callable[[set[str]], tuple
             return settled
         settled[key] = item
         deriv = item[2]
-        for dst_key, dst, rule_id, rule_strength, rule_order in edges.get(key, ()):
+        for dst, rule_id, rule_strength, rule_order in edges.get(key, ()):
+            dst_key = dst.key
             if dst_key in settled or not (inside or dst_key in area):
                 continue
             strength = min(deriv.strength, rule_strength, DERIVED_CAP)
@@ -112,15 +114,16 @@ def settle(graph: Graph, seeds: Iterable[Item], rank: Callable[[set[str]], tuple
             else:
                 deps, order = deriv.deps | {rule_id}, _with_order(deriv.rank, rule_order)
             push(heap, ((-strength, order, dst_key), dst, Derivation(strength, deps, order)))
-        for ants, dst_key, dst, rule_id, rule_strength in multis.get(key, ()):
+        for ants, dst, rule_id, rule_strength in multis.get(key, ()):
+            dst_key = dst.key
             if dst_key in settled or not (inside or dst_key in area):
                 continue
-            if all(a in settled for a in ants):
-                strength = min(min(settled[a][2].strength for a in ants), rule_strength,
-                               DERIVED_CAP)
+            premises = [settled.get(a.key) for a in ants]
+            if None not in premises:
+                strength = min(min(p[2].strength for p in premises), rule_strength, DERIVED_CAP)
                 deps = {rule_id}
-                for a in ants:
-                    deps |= settled[a][2].deps
+                for p in premises:
+                    deps |= p[2].deps
                 order = rank(deps)
                 push(heap, ((-strength, order, dst_key), dst,
                             Derivation(strength, frozenset(deps), order)))
@@ -129,9 +132,14 @@ def settle(graph: Graph, seeds: Iterable[Item], rank: Callable[[set[str]], tuple
 def clashes(settled: dict[str, Item], keys: Iterable[str]) -> list[tuple[object, object]]:
     """The (positive, negative) literal pairs settled together, by atom, for
     every atom of ``keys``."""
-    atoms = sorted({key.lstrip("!") for key in keys
-                    if key.lstrip("!") in settled and "!" + key.lstrip("!") in settled})
-    return [(settled[atom][1], settled["!" + atom][1]) for atom in atoms]
+    pairs = {}
+    for key in keys:
+        if key in settled:
+            lit = settled[key][1]
+            other = settled.get(lit.negated().key)
+            if other is not None:
+                pairs[lit.atom] = (lit, other[1]) if lit.positive else (other[1], lit)
+    return [pairs[atom] for atom in sorted(pairs)]
 
 
 def forward(graph: Graph, keys: Iterable[str]) -> set[str]:
@@ -141,14 +149,12 @@ def forward(graph: Graph, keys: Iterable[str]) -> set[str]:
     stack = list(area)
     while stack:
         key = stack.pop()
-        for dst in graph.edges.get(key, ()):
-            if dst[0] not in area:
-                area.add(dst[0])
-                stack.append(dst[0])
-        for rule in graph.multis.get(key, ()):
-            if rule[1] not in area:
-                area.add(rule[1])
-                stack.append(rule[1])
+        targets = [edge[0] for edge in graph.edges.get(key, ())]
+        targets += [rule[1] for rule in graph.multis.get(key, ())]
+        for dst in targets:
+            if dst.key not in area:
+                area.add(dst.key)
+                stack.append(dst.key)
     return area
 
 
@@ -163,9 +169,10 @@ def forced_literals(edges) -> dict[str, Item]:
     labelled search.
     """
     forced: dict[str, Item] = {}
-    targets = {dst[0]: dst[1] for dsts in edges.values() for dst in dsts}
-    for key in sorted(targets.keys() | edges.keys()):
-        start = key[1:] if key.startswith("!") else "!" + key
+    # only an edge's target can be reached, so only targets can be forced
+    targets = {dst[0].key: dst[0] for dsts in edges.values() for dst in dsts}
+    for key in sorted(targets):
+        start = targets[key].negated().key
         if not _reaches(edges, start, key):
             continue
         best: dict[str, Derivation] = {}
@@ -179,7 +186,8 @@ def forced_literals(edges) -> dict[str, Item]:
             best[node] = deriv
             if node == key:
                 break
-            for dk, _, rule_id, rule_strength, rule_order in edges.get(node, ()):
+            for dst, rule_id, rule_strength, rule_order in edges.get(node, ()):
+                dk = dst.key
                 if dk in best:
                     continue
                 if rule_id in deriv.deps:
@@ -202,7 +210,7 @@ def _reaches(edges, start: str, goal: str) -> bool:
     stack = [start]
     while stack:
         for dst in edges.get(stack.pop(), ()):
-            key = dst[0]
+            key = dst[0].key
             if key == goal:
                 return True
             if key not in seen:

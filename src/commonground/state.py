@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Iterable
+
 from .acceptance import AcceptanceBelief, ConflictEvidence, PendingAcceptance, \
     RetractionReport, SupportLink
 from .grounding import AssumptionRecord, LicenseLink, Participant, UtteranceEvent
-from .propositions import LIVE, Context, Proposition, prop_key
+from .propositions import LIVE, Context, Proposition
 
 
 class DiscourseState:
@@ -37,9 +39,12 @@ class DiscourseState:
         self.awaiting: dict[str, list[str]] = {}
         self.license_links: dict[tuple[str, str], LicenseLink] = {}
         self.acceptance_beliefs: dict[str, AcceptanceBelief] = {}
-        #: (proposition key, agent) -> the beliefs ``add_acceptance`` added, in order
-        self._acceptances: dict[tuple[str, str], list[AcceptanceBelief]] = {}
+        #: (proposition key, agent) -> (add order, belief) for the beliefs
+        #: ``add_acceptance`` added, in order
+        self._acceptances: dict[tuple[str, str], list[tuple[int, AcceptanceBelief]]] = {}
         self.support_links: dict[str, SupportLink] = {}
+        #: (belief key, goal key) -> the link ``record_support`` added
+        self.support_between: dict[tuple[str, str], SupportLink] = {}
         self.conflicts: list[ConflictEvidence] = []
         self.pending: list[PendingAcceptance] = []
         self.retractions: list[RetractionReport] = []
@@ -54,16 +59,21 @@ class DiscourseState:
 
     def add_acceptance(self, belief: AcceptanceBelief) -> None:
         """Add a belief to the acceptance beliefs, the graph and the index."""
+        self._acceptances.setdefault((belief.proposition.key, belief.accepting_agent),
+                                     []).append((len(self.acceptance_beliefs), belief))
         self.acceptance_beliefs[belief.belief_id] = self.nodes[belief.belief_id] = belief
-        self._acceptances.setdefault((prop_key(belief.proposition), belief.accepting_agent),
-                                     []).append(belief)
 
     def find_acceptance(self, p: Proposition, agent: str) -> AcceptanceBelief | None:
         """The first live belief of ``agent`` in ``p`` that ``add_acceptance`` added."""
-        for belief in self._acceptances.get((prop_key(p), agent), ()):
+        for _, belief in self._acceptances.get((p.key, agent), ()):
             if belief.status == LIVE:
                 return belief
         return None
 
-    def live_acceptances(self) -> list[AcceptanceBelief]:
-        return [b for b in self.acceptance_beliefs.values() if b.status == LIVE]
+    def live_acceptances_of(self, keys: Iterable[str]) -> list[AcceptanceBelief]:
+        """The live beliefs of either participant in the propositions with
+        ``keys``, in the order ``add_acceptance`` added them."""
+        found = [(order, belief) for key in keys for agent in self.participants
+                 for order, belief in self._acceptances.get((key, agent.id), ())
+                 if belief.status == LIVE]
+        return [belief for _, belief in sorted(found, key=lambda f: f[0])]

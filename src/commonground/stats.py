@@ -33,11 +33,6 @@ REFERENCE_CORPUS = {
 
 
 @dataclass(frozen=True)
-class StatsConfig:
-    remote_gap: int = 1  # adjacent = some antecedent within this many turns back
-
-
-@dataclass(frozen=True)
 class IRUObservation:
     dialogue_id: str
     event_id: str
@@ -92,14 +87,14 @@ def collect_observations(transcript: Transcript,
 
 
 def aggregate(observations: list[IRUObservation], total_dialogues: int,
-              total_turns: int, config: StatsConfig = StatsConfig()) -> CorpusStats:
+              total_turns: int, remote_gap: int = 1) -> CorpusStats:
     with_ants = [o for o in observations if o.min_gap is not None]
     return CorpusStats(
         total_irus=len(observations),
         total_dialogues=total_dialogues,
         total_turns=total_turns,
         with_antecedents=len(with_ants),
-        remote_count=sum(1 for o in with_ants if o.min_gap > config.remote_gap),
+        remote_count=sum(1 for o in with_ants if o.min_gap > remote_gap),
         multi_antecedent_count=sum(1 for o in with_ants if len(o.antecedents) > 1),
         self_antecedent_count=sum(1 for o in with_ants if o.all_self),
         rising_count=sum(1 for o in observations if o.rising),
@@ -113,8 +108,7 @@ def _cell(count: int, total: int) -> str:
     return f"{count}/{total} ({100.0 * count / total:.1f}%)"
 
 
-def render_stats(stats: CorpusStats, fmt: str = "text",
-                 config: StatsConfig = StatsConfig()) -> str:
+def render_stats(stats: CorpusStats, fmt: str = "text") -> str:
     n = stats.with_antecedents
     rows = [
         ("dialogues", str(stats.total_dialogues)),

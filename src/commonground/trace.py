@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from .evidence import Strength
 from .grounding import ASSUMPTION_ORDER
-from .propositions import Proposition, format_proposition
+from .propositions import Proposition
 
 
 @dataclass(frozen=True)
@@ -95,4 +95,4 @@ def snapshot_record(record, turn_index: int, understanding: Strength) -> RecordS
 
 
 def prop_text(p: Proposition) -> str:
-    return format_proposition(p)
+    return str(p)

@@ -29,9 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BadPropositionSyntax, ParseIssue, TranscriptError
-from .grounding import (ActType, DEFAULT_AFFIRMATIONS, Intonation, Participant,
-                        UtteranceEvent, admission_issues, is_affirmation_text)
-from .propositions import Proposition, format_proposition, parse_proposition
+from .grounding import (ActType, Intonation, Participant, UtteranceEvent, admission_issues,
+                        is_affirmation_text)
+from .propositions import Proposition, parse_proposition
 
 HEADER_KEYS = ("dialogue", "participants", "require-acceptance")
 EVENT_KEYS = ("id", "turn", "speaker", "addressee", "text", "act", "intonation",
@@ -108,7 +108,7 @@ def _parse_pair(value, lineno, issues, what):
         return None
 
 
-def parse(text: str, affirmations=DEFAULT_AFFIRMATIONS) -> Transcript:
+def parse(text: str) -> Transcript:
     """Parse a ``.dlg`` document or raise TranscriptError listing every
     problem found, each with its 1-based line number."""
     issues: list[ParseIssue] = []
@@ -173,7 +173,7 @@ def parse(text: str, affirmations=DEFAULT_AFFIRMATIONS) -> Transcript:
             except ValueError:
                 issues.append(ParseIssue(act_line, "bad-value", f"unknown act {act_text!r}"))
                 act = ActType.OTHER
-        elif is_affirmation_text(utt_text, affirmations):
+        elif is_affirmation_text(utt_text):
             act = ActType.AFFIRMATION
         elif realizes:
             act = ActType.ASSERT
@@ -246,15 +246,15 @@ def serialize(t: Transcript) -> str:
         out.append(f"act: {e.act.value}")
         out.append(f"intonation: {e.intonation.value}")
         if e.realizes:
-            out.append("realizes: " + "; ".join(format_proposition(p) for p in e.realizes))
+            out.append("realizes: " + "; ".join(str(p) for p in e.realizes))
         if e.antecedent_ids:
             out.append("antecedents: " + ", ".join(e.antecedent_ids))
         if e.implicates is not None:
             p, q = e.implicates
-            out.append(f"implicates: {format_proposition(p)} => {format_proposition(q)}")
+            out.append(f"implicates: {p} => {q}")
         if e.supports is not None:
             p, q = e.supports
-            out.append(f"supports: {format_proposition(p)} => {format_proposition(q)}")
+            out.append(f"supports: {p} => {q}")
         if e.interrupted:
             out.append("interrupted: true")
         if e.rejects is not None:

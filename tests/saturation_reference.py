@@ -5,16 +5,29 @@ It rebuilds the rule graph and runs the labelled search over every key on
 every call.  ``Context.saturate`` covers only the keys a change can reach and
 must give the same labels, commit order and clash lists.  The reachability
 pre-test of the forced-literal search is left out: it skips only searches
-that find nothing.
+that find nothing.  Keys are rebuilt from the surface text
+(``reference_key``), independently of the key each proposition carries.
 """
 
 import heapq
 
-from commonground import Biconditional, ConflictDetected, Literal, Rule, Strength, prop_key
+from commonground import Biconditional, ConflictDetected, Literal, Rule, Strength
 from commonground.evidence import DERIVED_CAP
 from commonground.saturation import Derivation
 
 L = Literal
+
+
+def reference_key(p):
+    """Canonical index key, rebuilt from the atoms.  Rule antecedents and
+    biconditional sides are order-insensitive so that notational variants
+    collapse to one entry."""
+    if isinstance(p, Literal):
+        return p.atom if p.positive else "!" + p.atom
+    if isinstance(p, Rule):
+        return (" & ".join(sorted(reference_key(a) for a in p.antecedents))
+                + " -> " + reference_key(p.consequent))
+    return " <-> ".join(sorted((reference_key(p.left), reference_key(p.right))))
 
 
 def reference_saturate(ctx):
@@ -22,7 +35,7 @@ def reference_saturate(ctx):
     replaced, which rebuilds the rule graph and runs the labelled search over
     every key.  Returns (settled in commit order, literal entry ids by key)."""
     live = ctx.live_entries()
-    lit_entries = {prop_key(e.proposition): e for e in live
+    lit_entries = {reference_key(e.proposition): e for e in live
                    if isinstance(e.proposition, L)}
     edges = {}
     multis = []

@@ -1,4 +1,4 @@
-"""Exit codes and stderr text of the CLI's error paths."""
+"""Exit codes and stderr text of the CLI's error paths, and its options."""
 
 import pytest
 
@@ -97,3 +97,16 @@ def test_uncaught_conflict_exits_semantic(command, tmp_path, capsys):
     assert err == (f"{path}: contradictory literals: "
                    "((Literal(atom='p', positive=True), Literal(atom='p', positive=False)), "
                    "(Literal(atom='q', positive=True), Literal(atom='q', positive=False)))\n")
+
+
+@pytest.mark.parametrize("gap,remote", [("0", "22/22 (100.0%)"), ("1", "4/22 (18.2%)"),
+                                        ("1000000", "0/22 (0.0%)")])
+def test_stats_remote_gap(gap, remote, fixtures_dir, capsys):
+    """An antecedent further back than ``--remote-gap`` turns is remote; every
+    antecedent is at least one turn back, so gap 0 makes all of them remote."""
+    status, out, err = run(capsys, "stats", "--format", "tabular", "--remote-gap", gap,
+                           str(fixtures_dir / "corpus"))
+    assert (status, err) == (cli.EXIT_OK, "")
+    rows = dict(line.split("\t") for line in out.splitlines())
+    assert rows["with antecedents"] == "22"
+    assert rows["remote"] == remote

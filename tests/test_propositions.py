@@ -6,10 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commonground import (BadPropositionSyntax, Biconditional, ConflictDetected, Context,
-                          Literal, RedundancyVerdict, Rule, Strength, format_proposition,
-                          parse_proposition, prop_key)
+                          Literal, RedundancyVerdict, Rule, Strength, parse_proposition)
 from commonground.propositions import DEFEATED, LIVE, retract
-from saturation_reference import reference_commit, reference_saturate
+from saturation_reference import reference_commit, reference_key, reference_saturate
 from truthtable import literal_consequences
 
 L = Literal
@@ -66,14 +65,42 @@ def test_rule_invariants():
 
 @pytest.mark.parametrize("text", ["foo", "!foo", "a & b -> c", "a <-> !b"])
 def test_format_round_trip(text):
-    assert parse_proposition(format_proposition(parse_proposition(text))) \
-        == parse_proposition(text)
+    assert parse_proposition(str(parse_proposition(text))) == parse_proposition(text)
 
 
 def test_prop_key_collapses_notational_variants():
-    assert prop_key(lit("a & b -> c")) == prop_key(lit("b & a -> c"))
-    assert prop_key(lit("a <-> !b")) == prop_key(lit("!b <-> a"))
-    assert prop_key(lit("a")) != prop_key(lit("!a"))
+    assert lit("a & b -> c").key == lit("b & a -> c").key
+    assert lit("a <-> !b").key == lit("!b <-> a").key
+    assert lit("a").key != lit("!a").key
+
+
+key_literals = st.builds(L, st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,4}", fullmatch=True),
+                         st.booleans())
+key_props = st.one_of(
+    key_literals,
+    st.builds(Rule, st.lists(key_literals, min_size=1, max_size=4, unique=True).map(tuple),
+              key_literals),
+    st.builds(Biconditional, key_literals, key_literals),
+)
+
+
+@given(key_props, st.randoms(use_true_random=False))
+def test_carried_key_is_the_canonical_key(p, rng):
+    assert p.key == reference_key(p)
+    if isinstance(p, Rule):
+        ants = list(p.antecedents)
+        rng.shuffle(ants)
+        assert Rule(tuple(ants), p.consequent).key == p.key
+    elif isinstance(p, Biconditional):
+        assert Biconditional(p.right, p.left).key == p.key
+    assert parse_proposition(str(p)).key == p.key
+    literals = [p] if isinstance(p, L) else \
+        [*p.antecedents, p.consequent] if isinstance(p, Rule) else [p.left, p.right]
+    for l in literals:
+        assert l.negated().negated() == l
+        assert l.negated().key == reference_key(L(l.atom, not l.positive))
+        assert repr(l) == f"Literal(atom={l.atom!r}, positive={l.positive})"
+        assert hash(l) == hash((l.atom, l.positive))
 
 
 # -- assertion --------------------------------------------------------------

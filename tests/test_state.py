@@ -94,7 +94,7 @@ def test_no_default_without_goal_annotation():
     prev = seeded(state, "u1", "p")
     nxt = event("u2", 1, speaker="b", addressee="a", realizes=(P("q"),))
     assert evaluate_acceptance(state, prev, nxt) == []
-    assert state.live_acceptances() == []
+    assert state.acceptance_beliefs == {}
 
 
 def test_out_of_order_pair_raises():
