@@ -9,11 +9,15 @@ Subcommands::
 
 Exit codes: 0 ok, 2 input error (unreadable/malformed transcripts, empty
 corpus), 3 semantic error during replay.
+
+``main()`` may be called repeatedly in one process: it builds its parser on
+the first call and reuses it, since building costs more than a short replay.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -103,6 +107,7 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="commonground",

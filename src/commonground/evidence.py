@@ -28,9 +28,7 @@ class Strength(IntEnum):
     LINGUISTIC = 4
     PHYSICAL = 5
 
-    @property
-    def label(self) -> str:
-        return self.name.lower()
+    label: str  # the lowercase name, set once per member below
 
     def __str__(self) -> str:  # traces render the lowercase lattice names
         return self.label
@@ -42,6 +40,9 @@ class Strength(IntEnum):
         except KeyError:
             raise ValueError(f"unknown evidence strength {label!r}") from None
 
+
+for _member in Strength:
+    _member.label = _member.name.lower()
 
 #: Derived (never-uttered) content is capped at inference grade.
 DERIVED_CAP = Strength.INFERENCE

@@ -1,7 +1,9 @@
 """The ``.dlg`` annotated-transcript format: parsing and canonical output.
 
-A document is a sequence of blank-line-separated records of ``key: value``
-lines.  The first record is the header (``dialogue``, ``participants``,
+A document is read line by line (``str.splitlines``).  A line with a ``:`` is a
+field: its key is the text before the first colon, its value the rest, both
+stripped.  A whitespace-only line ends the record; any other line is a
+``bad-line``.  The first record is the header (``dialogue``, ``participants``,
 optional ``require-acceptance``); every following record is one utterance.
 
 Event keys -- required: ``id``, ``turn``, ``speaker``, ``addressee``,
@@ -38,6 +40,8 @@ EVENT_KEYS = ("id", "turn", "speaker", "addressee", "text", "act", "intonation",
               "realizes", "antecedents", "implicates", "supports", "interrupted",
               "rejects")
 REQUIRED_EVENT_KEYS = ("id", "turn", "speaker", "addressee", "text")
+ACTS = {act.value: act for act in ActType}
+INTONATIONS = {intonation.value: intonation for intonation in Intonation}
 
 
 @dataclass(frozen=True)
@@ -54,17 +58,15 @@ def _records(text: str):
     issues: list[ParseIssue] = []
     records: list[list[tuple[int, str, str]]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.rstrip()
-        if not line.strip():
-            if record:
-                records.append(record)
-                record = []
-            continue
-        key, sep, value = line.partition(":")
-        if not sep:
-            issues.append(ParseIssue(lineno, "bad-line", f"expected 'key: value', got {line!r}"))
-            continue
-        record.append((lineno, key.strip(), value.strip()))
+        key, sep, value = raw.partition(":")
+        if sep:
+            record.append((lineno, key.strip(), value.strip()))
+        elif raw.strip():
+            issues.append(ParseIssue(lineno, "bad-line",
+                                     f"expected 'key: value', got {raw.rstrip()!r}"))
+        elif record:
+            records.append(record)
+            record = []
     if record:
         records.append(record)
     return records, issues
@@ -158,7 +160,7 @@ def parse(text: str) -> Transcript:
         try:
             turn = int(turn_text)
         except ValueError:
-            issues.append(ParseIssue(turn_line, "bad-value", f"turn must be an integer"))
+            issues.append(ParseIssue(turn_line, "bad-value", "turn must be an integer"))
             continue
         text_line, utt_text = fields["text"]
         if not utt_text:
@@ -168,9 +170,8 @@ def parse(text: str) -> Transcript:
             realizes = _parse_prop_list(fields["realizes"][1], fields["realizes"][0], issues)
         if "act" in fields:
             act_line, act_text = fields["act"]
-            try:
-                act = ActType(act_text)
-            except ValueError:
+            act = ACTS.get(act_text)
+            if act is None:
                 issues.append(ParseIssue(act_line, "bad-value", f"unknown act {act_text!r}"))
                 act = ActType.OTHER
         elif is_affirmation_text(utt_text):
@@ -182,11 +183,9 @@ def parse(text: str) -> Transcript:
         intonation = Intonation.UNMARKED
         if "intonation" in fields:
             int_line, int_text = fields["intonation"]
-            try:
-                intonation = Intonation(int_text)
-            except ValueError:
-                issues.append(ParseIssue(int_line, "bad-value",
-                                         f"unknown intonation {int_text!r}"))
+            intonation = INTONATIONS.get(int_text, intonation)
+            if int_text not in INTONATIONS:
+                issues.append(ParseIssue(int_line, "bad-value", f"unknown intonation {int_text!r}"))
         antecedents: tuple[str, ...] = ()
         if "antecedents" in fields:
             antecedents = tuple(a.strip() for a in fields["antecedents"][1].split(",")

@@ -110,3 +110,39 @@ def test_stats_remote_gap(gap, remote, fixtures_dir, capsys):
     rows = dict(line.split("\t") for line in out.splitlines())
     assert rows["with antecedents"] == "22"
     assert rows["remote"] == remote
+
+
+def outcome(capsys, argv):
+    """Exit status, stdout and stderr of one call, usage errors included."""
+    try:
+        status = cli.main(list(argv))
+    except SystemExit as exc:
+        status = f"SystemExit {exc.code}"
+    out, err = capsys.readouterr()
+    return status, out, err
+
+
+def test_one_parser_serves_every_call_in_a_process(fixtures_dir, capsys):
+    """Options of one call do not leak into the next: each output equals
+    what a freshly built parser gives."""
+    corpus, example = str(fixtures_dir / "corpus"), str(fixtures_dir / "example1.dlg")
+    calls = [("stats", "--format", "tabular", "--remote-gap", "0", corpus),
+             ("stats", "--format", "tabular", corpus),
+             ("classify", "--format", "tabular", example),
+             ("classify", example),
+             ("stats",),
+             ("trace", example)]
+    cli.build_parser.cache_clear()
+    reused = [outcome(capsys, argv) for argv in calls]
+    assert cli.build_parser() is cli.build_parser()
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(outcome(capsys, argv))
+    assert reused == fresh
+    assert [status for status, _, _ in reused] == [0, 0, 0, 0, "SystemExit 2", 0]
+    remote = [dict(line.split("\t") for line in out.splitlines())["remote"]
+              for _, out, _ in reused[:2]]
+    assert remote == ["22/22 (100.0%)", "4/22 (18.2%)"]
+    assert reused[2][1] != reused[3][1]  # tabular, then text again
+    assert "the following arguments are required: directory" in reused[4][2]

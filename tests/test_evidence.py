@@ -33,7 +33,8 @@ def test_order_is_transitive_and_antisymmetric():
 def test_labels_render_lowercase():
     assert [s.label for s in ALL] == [
         "hypothesis", "default", "inference", "linguistic", "physical"]
-    assert str(Strength.LINGUISTIC) == "linguistic"
+    for s in ALL:  # traces render strengths with str() and f-strings
+        assert str(s) == f"{s}" == s.label == s.name.lower()
     assert Strength.from_label("default") is Strength.DEFAULT
     with pytest.raises(ValueError):
         Strength.from_label("plausible")

@@ -1,10 +1,14 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from commonground import (ActType, Intonation, Literal, TranscriptError, parse, serialize,
                           write_trace)
+from commonground.transcript import _records
 from conftest import FIXTURES, load_fixture
+from transcript_reference import reference_records
 
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.dlg"))
 CORPUS_FIXTURES = sorted("corpus/" + p.name for p in (FIXTURES / "corpus").glob("*.dlg"))
@@ -82,6 +86,24 @@ def test_bad_proposition_syntax_with_line():
     issues = issues_of(text)
     assert issues[0].code == "bad-proposition"
     assert issues[0].line == 9
+
+
+def test_bad_line_message_keeps_the_text_without_trailing_space():
+    text = MINIMAL.replace("text: hello there", "text: hello there\n  just words \t")
+    assert [(i.line, i.code, i.message) for i in issues_of(text)] == [
+        (9, "bad-line", "expected 'key: value', got '  just words'")]
+
+
+def test_unknown_act_message():
+    text = MINIMAL.replace("text: hello there", "text: hello there\nact: x")
+    assert [(i.line, i.code, i.message) for i in issues_of(text)] == [
+        (9, "bad-value", "unknown act 'x'")]
+
+
+def test_unknown_intonation_message():
+    text = MINIMAL.replace("text: hello there", "text: hello there\nintonation: x")
+    assert [(i.line, i.code, i.message) for i in issues_of(text)] == [
+        (9, "bad-value", "unknown intonation 'x'")]
 
 
 def test_missing_required_key():
@@ -163,3 +185,26 @@ speaker: a
 
 def test_write_trace_empty_is_empty_document():
     assert write_trace([]) == ""
+
+
+#: Line pieces: padding, blank lines made of the whitespace ``splitlines``
+#: and ``strip`` treat specially, and words with and without colons.
+PAD = st.sampled_from(["", " ", "\t", " \t ", "\x0c", "\x1f"])
+WORD = st.sampled_from(["id", "text", "a b", "u0", "p -> q"])
+BLANK_LINES = st.sampled_from(["", " ", "\t", " \t ", "\r", "\r\n", "\x0c", "\x85", "\x1f",
+                               " \x0c\t"])
+NO_COLON = st.builds("".join, st.tuples(PAD, WORD, PAD))
+LEADING_COLON = st.builds("".join, st.tuples(PAD, st.just(":"), PAD, WORD, PAD))
+DOUBLE_COLON = st.builds("".join, st.tuples(PAD, WORD, st.just("::"), WORD, PAD))
+FIELD = st.builds("".join, st.tuples(PAD, WORD, PAD, st.just(":"), PAD, WORD, PAD))
+LINES = st.one_of(BLANK_LINES, NO_COLON, LEADING_COLON, DOUBLE_COLON, FIELD)
+DOCUMENTS = st.builds(lambda lines, end: "\n".join(lines) + end,
+                      st.lists(LINES, max_size=12), st.sampled_from(["", "\n", "\r\n"]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(DOCUMENTS)
+def test_line_reader_matches_the_reference(text):
+    """A line with a colon is a field, a whitespace-only line ends the record,
+    and any other line is a bad line reported without its trailing space."""
+    assert _records(text) == reference_records(text)
