@@ -34,7 +34,7 @@ EXIT_SEMANTIC = 3
 
 def _load(path: Path):
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         return None

@@ -8,7 +8,9 @@ Per-event order of operations (it matters, and it is fixed):
    to the current speaker (copresence to linguistic, the rest to at least
    default) -- before the event's own classification; ``state.awaiting``
    holds the records still waiting, per addressee,
-3. classify the event against the pre-event context,
+3. classify the event against the pre-event context.  The redundancy
+   verdicts of its propositions and the stored license links it concludes
+   are worked out once here, and steps 5 and 8 reuse them (step 4 adds no link),
 4. detect conflict evidence (annotation first, then a direct contrary, then
    a trial: the event's propositions are asserted on the live context and
    saturated, and an undo trail rolls the context back),
@@ -98,9 +100,11 @@ class DialogueEngine:
             # an interrupted utterance's record never gets the upgrade
             state.awaiting.setdefault(event.addressee, []).append(event.utterance_id)
 
-        cls = grd.classify_iru(event, state)
-        antecedents = grd.resolved_antecedents(event, state, cls)
-        redundancy = {p.key: state.context.is_redundant(p) for p in event.realizes}
+        keys = {p.key for p in event.realizes}
+        matched = [link for link in state.license_links.values() if link.conclusion.key in keys]
+        verdicts = [state.context.is_redundant(p) for p in event.realizes]
+        cls = grd.classify_iru(event, state, verdicts, matched)
+        antecedents = grd.resolved_antecedents(event, state, cls, verdicts, matched)
         fixpoints: list[Fixpoint] = []
         conflict = acc.detect_conflict(state, event, fixpoints)
         if conflict is not None:
@@ -112,15 +116,13 @@ class DialogueEngine:
                 grd.apply_iru_upgrade(target, cls)
                 touched[target.utterance_id] = target
             if cls in (IRUClass.EXPLICIT_INFERENCE, IRUClass.IMPLICATURE_REINFORCEMENT):
-                keys = {p.key for p in event.realizes}
-                for link in list(state.license_links.values()):
-                    if link.conclusion.key in keys:
-                        grd.record_license_evidence(state, link, Strength.LINGUISTIC)
-                        license_lines.append((prop_text(link.premise), prop_text(link.conclusion),
-                                              link.strength, link.origin))
-                        owner = state.records.get(link.owner)
-                        if owner is not None:
-                            touched[link.owner] = owner
+                for link in matched:
+                    grd.record_license_evidence(state, link, Strength.LINGUISTIC)
+                    license_lines.append((prop_text(link.premise), prop_text(link.conclusion),
+                                          link.strength, link.origin))
+                    owner = state.records.get(link.owner)
+                    if owner is not None:
+                        touched[link.owner] = owner
 
         outcomes = acc.reevaluate_pending(state, event, conflict=conflict)
         prev = state.events[state.order[-2]] if len(state.order) > 1 else None
@@ -138,8 +140,7 @@ class DialogueEngine:
         derived_lines: list[tuple[str, Strength, tuple[str, ...]]] = []
         support_lines: list[tuple[str, str]] = []
         if not contested:
-            for p in event.realizes:
-                verdict = redundancy[p.key]
+            for p, verdict in zip(event.realizes, verdicts):
                 entry = state.context.assert_prop(p, Strength.LINGUISTIC, event.utterance_id)
                 note = ""
                 if verdict.redundant:
@@ -237,22 +238,15 @@ class DialogueEngine:
         return True
 
     def _license_for_derivation(self, event: UtteranceEvent, entry, roots) -> Optional[LicenseLink]:
-        """Derived content licenses an inference from this event's contribution."""
-        state = self.state
+        """Derived content licenses an inference from this event's contribution:
+        its first literal, or else its first proposition.  Only an event that
+        realizes something derives anything."""
         if event.utterance_id not in roots:
             return None
-        premise = None
-        for p in event.realizes:
-            if isinstance(p, Literal):
-                premise = p
-                break
-        if premise is None and event.realizes:
-            premise = event.realizes[0]
-        if premise is None:
-            return None
+        premise = next((p for p in event.realizes if isinstance(p, Literal)), event.realizes[0])
         link = LicenseLink(premise, entry.proposition, Strength.INFERENCE,
                            LicenseLink.ORIGIN_INFERENCE, event.utterance_id)
-        return grd.record_license_evidence(state, link, Strength.INFERENCE)
+        return grd.record_license_evidence(self.state, link, Strength.INFERENCE)
 
 
 def replay_transcript(transcript):

@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Collection, Container, Optional
+from typing import TYPE_CHECKING, Collection, Container, Optional, Sequence
 
 from .errors import UnknownProposition
 from .evidence import Strength, min_strength
@@ -252,25 +252,25 @@ def apply_any_next_upgrade(record: AssumptionRecord) -> AssumptionRecord:
     return record
 
 
-def classify_iru(event: UtteranceEvent, state: "DiscourseState") -> IRUClass:
+def classify_iru(event: UtteranceEvent, state: "DiscourseState",
+                 verdicts: Sequence[RedundancyVerdict],
+                 links: Sequence[LicenseLink]) -> IRUClass:
     """Classify an utterance against the current discourse state.
 
-    Pure function of (event, state); it inspects but never changes either.
-    The event has been admitted (``admission_issues``), so its antecedents
-    are earlier utterances.  Precedence on overlap: implicature
-    reinforcement beats explicit inference beats repeat beats paraphrase.
+    ``verdicts`` are the redundancy verdicts of the event's propositions, in
+    order, and ``links`` the stored license links whose conclusion it
+    realizes, in stored order (``DialogueEngine.process`` step 3).  Pure
+    function; it inspects but never changes its arguments.  The event has
+    been admitted (``admission_issues``), so its antecedents are earlier
+    utterances.  Precedence on overlap: implicature reinforcement beats
+    explicit inference beats repeat beats paraphrase.
     """
     if event.act is ActType.PROMPT:
         return IRUClass.PROMPT
-    if not event.realizes:
-        return IRUClass.NONE
-    keys = {p.key for p in event.realizes}
-    for link in state.license_links.values():
+    for link in links:
         if (link.origin == LicenseLink.ORIGIN_IMPLICATURE
-                and link.strength < Strength.LINGUISTIC
-                and link.conclusion.key in keys):
+                and link.strength < Strength.LINGUISTIC):
             return IRUClass.IMPLICATURE_REINFORCEMENT
-    verdicts = [state.context.is_redundant(p) for p in event.realizes]
     if any(v.kind == RedundancyVerdict.ENTAILED for v in verdicts):
         return IRUClass.EXPLICIT_INFERENCE
     said = [v for v in verdicts if v.kind == RedundancyVerdict.SAID]
@@ -308,22 +308,18 @@ def record_license_evidence(state: "DiscourseState", link: LicenseLink,
     return stored
 
 
-def resolved_antecedents(event: UtteranceEvent, state: "DiscourseState",
-                         cls: IRUClass) -> tuple[str, ...]:
+def resolved_antecedents(event: UtteranceEvent, state: "DiscourseState", cls: IRUClass,
+                         verdicts: Sequence[RedundancyVerdict],
+                         links: Sequence[LicenseLink]) -> tuple[str, ...]:
     """Utterances this redundant event points back at: the annotated links
-    plus whatever redundancy detection or a matched license link adds."""
+    plus whatever the redundancy verdicts or the matched implicature links
+    add.  ``verdicts`` and ``links`` are the ones ``classify_iru`` took."""
     ids = set(event.antecedent_ids)
     if cls in (IRUClass.REPEAT, IRUClass.PARAPHRASE, IRUClass.EXPLICIT_INFERENCE):
-        for p in event.realizes:
-            verdict = state.context.is_redundant(p)
-            if verdict.redundant:
-                ids |= {a for a in verdict.antecedents if a in state.events}
+        for verdict in verdicts:  # a verdict that is not redundant has no antecedents
+            ids |= {a for a in verdict.antecedents if a in state.events}
     if cls is IRUClass.IMPLICATURE_REINFORCEMENT:
-        keys = {p.key for p in event.realizes}
-        for link in state.license_links.values():
-            if (link.origin == LicenseLink.ORIGIN_IMPLICATURE
-                    and link.conclusion.key in keys):
-                ids.add(link.owner)
+        ids |= {link.owner for link in links if link.origin == LicenseLink.ORIGIN_IMPLICATURE}
     return tuple(sorted(ids, key=lambda u: state.events[u].turn_index))
 
 

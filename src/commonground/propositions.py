@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Union
 
 from .errors import BadPropositionSyntax, ConflictDetected
-from .evidence import DERIVED_CAP, Strength
+from .evidence import Strength
 from .saturation import Derivation, Fixpoint, Graph, Item, clashes, forced_literals, forward, \
     settle
 
@@ -169,10 +169,6 @@ class ContextEntry:
     dependencies: set[str] = field(default_factory=set)
     status: str = LIVE
     order: int = 0
-
-    @property
-    def source(self) -> str:
-        return self.sources[0] if self.sources else "derived"
 
     @property
     def derived(self) -> bool:
@@ -427,7 +423,8 @@ class Context:
         leads to the forced literal, so the area holds it already.  A fresh
         context, a clone, or one after an entry was defeated has no run: every
         live literal and every forced literal counts as changed, so the area
-        is every key the search can reach.
+        is every key the search can reach.  The fixpoint holds labels, not
+        entries: ``commit`` looks up the live entry of each key itself.
 
         Raises ConflictDetected if the fixpoint contains both polarities of
         an atom, listing the clashing literals by atom.
@@ -451,17 +448,19 @@ class Context:
             raise ConflictDetected(clashing)
         fresh = [(key, (item[1], item[2])) for key, item in settled.items() if key in area]
         fresh.sort(key=lambda kv: kv[1][1].rank)
-        entries = {}
-        for key, _ in fresh:
-            e = self.lookup_key(key)
-            if e is not None:
-                entries[key] = e.entry_id
-        return Fixpoint(fresh, entries, graph, settled)
+        return Fixpoint(fresh, graph, settled)
 
     def commit(self, fixpoint: Fixpoint) -> list[ContextEntry]:
-        """Apply a fixpoint from ``saturate``: raise the strengths it improves,
-        with their new dependencies, and insert the literals it derives.
-        Returns the inserted entries in insertion order.
+        """Apply a fixpoint from ``saturate``: raise the live entry of each
+        settled key whose label is stronger, with the label's dependencies,
+        and insert the literals it derives.  Returns the inserted entries in
+        insertion order.
+
+        The entries are the ones ``saturate`` saw: commit follows it, or a
+        rollback that replays the same assertions under the same ids.  A
+        label other than its entry's own seed is derived, so already capped
+        at inference; one resting on the entry's own id starts from that
+        seed, which settles the key first and never raises it.
 
         The context keeps the fixpoint's graph and run.  The raised keys
         become the changed keys of the next saturation, since a raised
@@ -473,25 +472,14 @@ class Context:
         self._changed = set()
         inserted = []
         for key, (lit, deriv) in fixpoint.settled:
-            eid = fixpoint.entries.get(key)
-            if eid is not None:
-                entry = self.entries[eid]
-                derived_strength = min(deriv.strength, DERIVED_CAP)
-                if derived_strength > entry.strength:
-                    self._log(entry)
-                    entry.strength = derived_strength
-                    entry.dependencies = set(deriv.deps - {eid})
-                    self._changed.add(key)
-                continue
             existing = self.lookup_key(key)
-            if existing is not None:
-                if deriv.strength > existing.strength:
-                    self._log(existing)
-                    existing.strength = deriv.strength
-                    existing.dependencies = set(deriv.deps)
-                    self._changed.add(key)
-                continue
-            inserted.append(self._insert(lit, deriv.strength, (), set(deriv.deps)))
+            if existing is None:
+                inserted.append(self._insert(lit, deriv.strength, (), set(deriv.deps)))
+            elif deriv.strength > existing.strength:
+                self._log(existing)
+                existing.strength = deriv.strength
+                existing.dependencies = set(deriv.deps)
+                self._changed.add(key)
         return inserted
 
     def _rank(self, deps: Iterable[str]) -> tuple[int, ...]:

@@ -56,14 +56,12 @@ class Fixpoint(NamedTuple):
 
     ``settled`` holds every literal the saturation settled in its area as
     (key, (literal, winning derivation)), in commit order: earliest premises
-    first.  ``entries`` maps the key of each of them that has a live literal
-    entry to the entry's id.  ``graph`` and ``run`` are what the context
-    keeps once it commits: the implication graph, and the heap item of every
-    settled literal, in pop order.
+    first.  ``commit`` looks up the live entry of each key itself.  ``graph``
+    and ``run`` are what the context keeps once it commits: the implication
+    graph, and the heap item of every settled literal, in pop order.
     """
 
     settled: list[tuple[str, tuple[object, Derivation]]]
-    entries: dict[str, str]
     graph: Graph
     run: dict[str, Item]
 

@@ -114,8 +114,6 @@ def parse(text: str) -> Transcript:
     """Parse a ``.dlg`` document or raise TranscriptError listing every
     problem found, each with its 1-based line number."""
     issues: list[ParseIssue] = []
-    if not text.strip():
-        raise TranscriptError([ParseIssue(1, "empty-transcript", "document has no records")])
     records, line_issues = _records(text)
     issues.extend(line_issues)
     if not records:

@@ -146,3 +146,14 @@ def test_one_parser_serves_every_call_in_a_process(fixtures_dir, capsys):
     assert remote == ["22/22 (100.0%)", "4/22 (18.2%)"]
     assert reused[2][1] != reused[3][1]  # tabular, then text again
     assert "the following arguments are required: directory" in reused[4][2]
+
+
+def test_byte_order_mark_is_read_past(fixtures_dir, tmp_path, capsys):
+    """A ``.dlg`` file saved with a UTF-8 byte-order mark loads as the same
+    file without it."""
+    plain = fixtures_dir / "example1.dlg"
+    marked = tmp_path / plain.name
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    status, _, err = run(capsys, "check", str(marked))
+    assert (status, err) == (cli.EXIT_OK, "")
+    assert run(capsys, "trace", str(marked)) == run(capsys, "trace", str(plain))

@@ -14,7 +14,8 @@ from commonground.errors import DanglingAntecedent
 from commonground.grounding import (ATTEND, BASE_ASSUMPTIONS, COPRESENT, HEAR, LICENSE,
                                     REALIZE, UPGRADE_TABLE, AssumptionRecord,
                                     normalize_tokens, tokens_match_repeat)
-from conftest import load_fixture
+from commonground.propositions import Context
+from conftest import DIALOGUES, DISPUTES, load_fixture
 
 PRODUCIBLE = [Strength.HYPOTHESIS, Strength.DEFAULT, Strength.INFERENCE,
               Strength.LINGUISTIC]
@@ -246,7 +247,7 @@ def test_classification_matches_printed_examples(fixtures_dir):
 def test_prompt_classification():
     state = fresh_state()
     assert classify_iru(event("u1", 0, act=ActType.PROMPT, text="uh huh"),
-                        state) is IRUClass.PROMPT
+                        state, [], []) is IRUClass.PROMPT
 
 
 def test_classification_is_deterministic_and_pure():
@@ -256,10 +257,55 @@ def test_classification_is_deterministic_and_pure():
     e = event("u99", 99, speaker="h", addressee="j",
               realizes=(parse_proposition("!eligible81"),))
     before = {k: v.strength for k, v in state.license_links.items()}
-    first = classify_iru(e, state)
-    second = classify_iru(e, state)
+    verdicts = [state.context.is_redundant(p) for p in e.realizes]
+    links = [link for link in state.license_links.values()
+             if link.conclusion.key in {p.key for p in e.realizes}]
+    first = classify_iru(e, state, verdicts, links)
+    second = classify_iru(e, state, verdicts, links)
     assert first is second
     assert {k: v.strength for k, v in state.license_links.items()} == before
+
+
+class CountingLinks(dict):
+    """A license-link store that counts the scans of its links."""
+
+    scans = 0
+
+    def values(self):
+        self.scans += 1
+        return super().values()
+
+
+def per_event_counts(monkeypatch):
+    """Replay every fixture dialogue; yields each event with the number of
+    ``Context.is_redundant`` calls and license-link scans it made."""
+    calls = []
+    is_redundant = Context.is_redundant
+    monkeypatch.setattr(Context, "is_redundant",
+                        lambda self, p: calls.append(p) or is_redundant(self, p))
+    for path in DIALOGUES + DISPUTES:
+        transcript = parse(path.read_text(encoding="utf-8"))
+        engine = DialogueEngine.for_transcript(transcript)
+        links = engine.state.license_links = CountingLinks()
+        for ev in transcript.events:
+            calls.clear()
+            links.scans = 0
+            engine.process(ev)
+            yield f"{path.name} {ev.utterance_id}", ev, len(calls), links.scans
+
+
+def test_one_redundancy_verdict_per_realized_proposition(monkeypatch):
+    """Classification, antecedent resolution and the trace's redundancy
+    notes share one verdict per realized proposition."""
+    for where, ev, verdicts, _ in per_event_counts(monkeypatch):
+        assert verdicts == len(ev.realizes), where
+
+
+def test_license_links_are_scanned_once_per_event(monkeypatch):
+    """Classification, antecedent resolution and the license lift share one
+    match of the stored links against the event's content."""
+    for where, _, _, scans in per_event_counts(monkeypatch):
+        assert scans <= 1, where
 
 
 def test_process_rejects_dangling_antecedent():

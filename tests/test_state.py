@@ -168,8 +168,7 @@ def trial_view(context):
 
 
 def saturation_view(context):
-    fixpoint = context.saturate()
-    return fixpoint.settled, fixpoint.entries
+    return context.saturate().settled
 
 
 def rollback_state():

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commonground import (ActType, Intonation, Literal, TranscriptError, parse, serialize,
-                          write_trace)
+from commonground import (ActType, Intonation, Literal, ParseIssue, TranscriptError, parse,
+                          serialize, write_trace)
 from commonground.transcript import _records
 from conftest import FIXTURES, load_fixture
 from transcript_reference import reference_records
@@ -44,9 +44,9 @@ def test_parse_example1(fixtures_dir):
 
 
 def test_empty_document():
-    issues = issues_of("   \n  \n")
-    assert issues[0].code == "empty-transcript"
-    assert issues[0].line == 1
+    for text in ("", "   \n  \n", "\x0c\n"):
+        assert list(issues_of(text)) == [ParseIssue(1, "empty-transcript",
+                                                    "document has no records")], repr(text)
 
 
 def test_header_only_document():
