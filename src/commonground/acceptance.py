@@ -262,7 +262,7 @@ def _accept(state: "DiscourseState", p: Proposition, agent: str, strength: Stren
         state.add_acceptance(belief)
     else:
         belief.strength = max(belief.strength, strength)
-        belief.dependencies |= deps
+        state.context.depend(belief.belief_id, deps)
     return AcceptanceOutcome(AcceptanceOutcome.ACCEPTED, p, agent, source_event,
                              trigger, strength=belief.strength)
 
@@ -309,8 +309,8 @@ def record_support(state: "DiscourseState", belief: Proposition,
         dependencies={belief_entry.entry_id, goal_entry.entry_id},
     )
     state.support_links[link.link_id] = link
-    state.nodes[link.link_id] = link
+    state.context.add_node(link.link_id, link)
     state.support_between[(belief.key, goal.key)] = link
     for acc in state.live_acceptances_of({goal.key}):
-        acc.dependencies.add(link.link_id)
+        state.context.depend(acc.belief_id, (link.link_id,))
     return link

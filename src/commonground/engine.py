@@ -10,7 +10,8 @@ Per-event order of operations (it matters, and it is fixed):
    holds the records still waiting, per addressee,
 3. classify the event against the pre-event context.  The redundancy
    verdicts of its propositions and the stored license links it concludes
-   are worked out once here, and steps 5 and 8 reuse them (step 4 adds no link),
+   (looked up by conclusion key) are worked out once here, and steps 5 and 8
+   reuse them (step 4 adds no link),
 4. detect conflict evidence (annotation first, then a direct contrary, then
    a trial: the event's propositions are asserted on the live context and
    saturated, and an undo trail rolls the context back),
@@ -27,7 +28,8 @@ Per-event order of operations (it matters, and it is fixed):
    evidence that settles without contesting the content (a ``rejects``
    annotation, a direct contrary, or a clash whose live side was defeated)
    the context is saturated again.  Each saturation covers what changed
-   since the last commit, or every key after an entry was defeated,
+   since the last commit, a defeat included: the keys of the defeated
+   literals, the targets of the defeated rules, and what they lead to,
 9. register annotated implicature and support links.
 """
 
@@ -100,8 +102,7 @@ class DialogueEngine:
             # an interrupted utterance's record never gets the upgrade
             state.awaiting.setdefault(event.addressee, []).append(event.utterance_id)
 
-        keys = {p.key for p in event.realizes}
-        matched = [link for link in state.license_links.values() if link.conclusion.key in keys]
+        matched = state.links_concluding(event.realizes)
         verdicts = [state.context.is_redundant(p) for p in event.realizes]
         cls = grd.classify_iru(event, state, verdicts, matched)
         antecedents = grd.resolved_antecedents(event, state, cls, verdicts, matched)

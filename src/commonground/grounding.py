@@ -298,7 +298,7 @@ def record_license_evidence(state: "DiscourseState", link: LicenseLink,
     if stored is None:
         stored = LicenseLink(link.premise, link.conclusion,
                              max(strength, link.strength), link.origin, link.owner)
-        state.license_links[link.key] = stored
+        state.add_license_link(stored)
     else:
         stored.strength = max(stored.strength, strength)
     owner = state.records.get(stored.owner)

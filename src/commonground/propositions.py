@@ -19,17 +19,17 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Optional, Union
 
 from .errors import BadPropositionSyntax, ConflictDetected
 from .evidence import Strength
-from .saturation import Derivation, Fixpoint, Graph, Item, clashes, forced_literals, forward, \
+# the status names stay importable from here, as the package does
+from .retraction import DEFEATED, LIVE, add_dependents, retract  # noqa: F401
+from .saturation import Derivation, Fixpoint, Graph, Item, boundary, clashes, forward, put, \
     settle
 
 ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
-
-LIVE = "live"
-DEFEATED = "defeated"
 
 _set = object.__setattr__  # fills the derived fields of the frozen propositions
 
@@ -62,11 +62,15 @@ class Literal:
 
 @dataclass(frozen=True)
 class Rule:
-    """``key`` sorts the antecedents, so notational variants share it."""
+    """``key`` sorts the antecedents, so notational variants share it.
+    ``edges`` holds the implication edges of a single-antecedent rule: the
+    rule and then its contrapositive; a rule with several antecedents has
+    none."""
 
     antecedents: tuple[Literal, ...]
     consequent: Literal
     key: str = field(init=False, repr=False, compare=False)
+    edges: tuple[tuple[Literal, Literal], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.antecedents:
@@ -75,6 +79,9 @@ class Rule:
             raise BadPropositionSyntax("duplicate rule antecedents")
         _set(self, "key", " & ".join(sorted(a.key for a in self.antecedents))
              + " -> " + self.consequent.key)
+        a, c = self.antecedents[0], self.consequent
+        _set(self, "edges", ((a, c), (c.negated(), a.negated())) if len(self.antecedents) == 1
+             else ())
 
     def __str__(self) -> str:
         return " & ".join(a.key for a in self.antecedents) + " -> " + self.consequent.key
@@ -82,14 +89,20 @@ class Rule:
 
 @dataclass(frozen=True)
 class Biconditional:
-    """``key`` sorts the sides, so notational variants share it."""
+    """``key`` sorts the sides, so notational variants share it.  ``edges``
+    holds its implication edges: both ways, and then their contrapositives
+    in the same order."""
 
     left: Literal
     right: Literal
     key: str = field(init=False, repr=False, compare=False)
+    edges: tuple[tuple[Literal, Literal], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _set(self, "key", " <-> ".join(sorted((self.left.key, self.right.key))))
+        l, r = self.left, self.right
+        _set(self, "key", " <-> ".join(sorted((l.key, r.key))))
+        _set(self, "edges", ((l, r), (r, l),
+                             (r.negated(), l.negated()), (l.negated(), r.negated())))
 
     def __str__(self) -> str:
         return f"{self.left.key} <-> {self.right.key}"
@@ -160,6 +173,9 @@ class ContextEntry:
     proposition, in order; it is empty for purely derived entries.
     ``dependencies`` holds the entry ids a derivation rests on; a derived
     entry's strength is the MIN over those premises, capped at inference.
+    An entry a context inserted carries that context's reverse-dependency
+    index (``index``), and setting its ``dependencies`` records them there,
+    whoever sets them.
     """
 
     entry_id: str
@@ -170,9 +186,20 @@ class ContextEntry:
     status: str = LIVE
     order: int = 0
 
+    index = None  # not a field: the reverse-dependency index of the holding context
+
     @property
     def derived(self) -> bool:
         return not self.sources
+
+
+def _set_dependencies(entry: ContextEntry, ids: set[str]) -> None:
+    entry._dependencies = ids
+    if entry.index is not None:
+        add_dependents(entry.index, entry.entry_id, ids)
+
+
+ContextEntry.dependencies = property(attrgetter("_dependencies"), _set_dependencies)
 
 
 class Context:
@@ -185,16 +212,20 @@ class Context:
     dialogue's utterances by id.  Ids are allocated against every node and
     utterance, so no node overwrites or aliases another or an utterance.
     Every index names a proposition by its ``key``, which it carries from
-    construction.
+    construction.  Nodes join through ``add_node``, beliefs and links gain
+    dependencies through ``depend``, and entries record theirs whenever they
+    are set (``ContextEntry``): so the context keeps the index ``retract``
+    walks, for each id the nodes whose dependencies may hold it.
 
-    For saturation the context also keeps three things: the implication
-    graph of its live rules (rebuilt when a rule is inserted or raised, or an
-    entry is defeated); the run of its last committed saturation (every
-    settled literal's label, in pop order); and the literal keys whose seeds
-    or in-edges changed since (literals inserted or raised by an assertion
-    or raised by ``commit``, and the targets of inserted and raised rules).
-    Defeating an entry drops the graph and the run, so the next saturation
-    covers every key, as on a fresh context.
+    For saturation the context also keeps three things, each written only
+    where an assertion, a defeat or a commit changes it: the implication
+    graph of its live rules (``saturation.Graph``: a rule's edges join when
+    it is inserted, are replaced when it is raised and go when it is
+    defeated); the run, every literal's item as its committed saturations
+    settled it; and the literal keys whose seeds or in-edges changed since
+    the last commit (literals inserted or raised by an assertion or raised by
+    ``commit``, the keys of defeated literals, the targets of the rules
+    inserted, raised or defeated, and the literals whose forced seed changed).
 
     Single-threaded per dialogue by contract; distinct dialogues never share
     a context.  ``trial`` and ``rollback`` undo what-if writes on the
@@ -206,11 +237,11 @@ class Context:
         self.entries: dict[str, ContextEntry] = {}
         self.utterances: dict[str, object] = {}
         self._by_key: dict[str, str] = {}  # proposition key -> latest entry id
+        self._dependents: dict[str, set[str]] = {}  # id -> nodes that may depend on it
         self._counter = 0
-        self._graph: Optional[Graph] = None  # graph at the last commit
-        self._rules_changed = False  # a rule was inserted or raised since
-        self._run: Optional[dict[str, Item]] = None  # last committed run
-        self._changed: set[str] = set()  # literal keys with new seeds since
+        self._graph = Graph()
+        self._run: dict[str, Item] = {}  # key -> settled item, as last committed
+        self._changed: set[str] = set()  # literal keys with new seeds or in-edges since
         self._trail: Optional[list[tuple]] = None  # undo records of a trial
 
     # -- plumbing ---------------------------------------------------------
@@ -219,16 +250,18 @@ class Context:
         """Copy the entries and share the utterances and other nodes.  The
         clone sees every id, so it allocates the ids this context would; a
         defeat on the clone would reach the shared acceptance beliefs and
-        support links.  The clone keeps no run, so its first saturation
-        covers every key.  Off the per-event path: the conflict trial uses
-        ``trial`` and ``rollback``."""
+        support links.  The clone enters its live entries as an assertion
+        does and has no run, so its first saturation covers every key.  Off
+        the per-event path: the conflict trial uses ``trial`` and
+        ``rollback``."""
         other = Context()
         other.utterances = self.utterances
         other._counter = self._counter
         other._by_key.update(self._by_key)
         other.nodes.update(self.nodes)
+        other._dependents = {nid: set(ids) for nid, ids in self._dependents.items()}
         for eid, e in self.entries.items():
-            other.entries[eid] = other.nodes[eid] = ContextEntry(
+            entry = other.entries[eid] = other.nodes[eid] = ContextEntry(
                 entry_id=e.entry_id,
                 proposition=e.proposition,
                 strength=e.strength,
@@ -237,18 +270,21 @@ class Context:
                 status=e.status,
                 order=e.order,
             )
+            entry.index = other._dependents
+            if entry.status == LIVE:
+                other._enter(entry)
         return other
 
     def trial(self) -> tuple:
         """Start an undo trail: from here on every write to the context is
-        logged (entry fields, insertions, defeats) until ``rollback`` with
-        the returned mark undoes them.  The id counter, graph, run and
-        changed keys are restored as a whole.  Trials nest.  Nodes the
-        context does not own (acceptance beliefs, support links) are
+        logged (entry fields, insertions, defeats, the graph and the run)
+        until ``rollback`` with the returned mark undoes them.  The id counter
+        and the changed keys are restored as a whole.  Trials nest.  Nodes
+        the context does not own (acceptance beliefs, support links) are
         restored only in their status."""
-        mark = (self._trail, self._counter, self._graph, self._rules_changed, self._run,
-                self._changed)
-        self._trail, self._changed = [], set(self._changed)
+        mark = (self._trail, self._counter, self._changed)
+        self._trail = self._graph.trail = []
+        self._changed = set(self._changed)
         return mark
 
     def rollback(self, mark: tuple) -> None:
@@ -256,6 +292,12 @@ class Context:
         for record in reversed(self._trail):
             if record[0] == "entry":
                 _, entry, entry.sources, entry.strength, entry.dependencies = record
+            elif record[0] == "put":
+                _, table, key, old = record
+                if old is None:
+                    table.pop(key, None)
+                else:
+                    table[key] = old
             elif record[0] == "insert":
                 _, eid, key, previous = record
                 del self.entries[eid], self.nodes[eid]
@@ -265,8 +307,8 @@ class Context:
                     self._by_key[key] = previous
             else:
                 _, node, node.status = record
-        (self._trail, self._counter, self._graph, self._rules_changed, self._run,
-         self._changed) = mark
+        self._trail, self._counter, self._changed = mark
+        self._graph.trail = self._trail
 
     def _log(self, entry: ContextEntry) -> None:
         if self._trail is not None:
@@ -295,6 +337,19 @@ class Context:
             nid = f"{prefix}{n}"
         return nid
 
+    def add_node(self, node_id: str, node) -> None:
+        """Add ``node`` (anything with ``status`` and ``dependencies``) to the
+        dependency graph under ``node_id``."""
+        self.nodes[node_id] = node
+        add_dependents(self._dependents, node_id, node.dependencies)
+
+    def depend(self, node_id: str, ids: Iterable[str]) -> None:
+        """Add ``ids`` to the dependencies of node ``node_id``: how the
+        acceptance beliefs and support links, which the context does not
+        own, gain them."""
+        self.nodes[node_id].dependencies.update(ids)
+        add_dependents(self._dependents, node_id, ids)
+
     def _insert(self, p: Proposition, strength: Strength, sources: tuple[str, ...],
                 dependencies: set[str]) -> ContextEntry:
         if not sources:
@@ -313,6 +368,8 @@ class Context:
             dependencies=dependencies,
             order=self._counter,
         )
+        entry.index = self._dependents
+        add_dependents(self._dependents, eid, dependencies)
         key = p.key
         if self._trail is not None:
             self._trail.append(("insert", eid, key, self._by_key.get(key)))
@@ -320,21 +377,23 @@ class Context:
         self._by_key[key] = eid
         return entry
 
-    def _touch(self, p: Proposition) -> None:
-        """Mark the literal keys whose seeds or in-edges ``p`` changes: a
-        literal's own key, or the targets of a rule's edges."""
+    def _enter(self, entry: ContextEntry) -> None:
+        """Mark what a live entry brings to saturation: a literal's seed, or
+        a rule's edges, which join the graph."""
+        p = entry.proposition
         if isinstance(p, Literal):
             self._changed.add(p.key)
-            return
-        self._rules_changed = True
-        if isinstance(p, Rule):
-            self._changed.add(p.consequent.key)
-            if len(p.antecedents) == 1:
-                self._changed.add(p.antecedents[0].negated().key)
         else:
-            for side in (p.left, p.right):
-                self._changed.add(side.key)
-                self._changed.add(side.negated().key)
+            self._changed |= self._graph.link(entry.entry_id, entry.strength, entry.order, p)
+
+    def _leave(self, entry: ContextEntry) -> None:
+        """Mark what an entry takes from saturation: a literal's seed, or a
+        rule's edges, which leave the graph."""
+        p = entry.proposition
+        if isinstance(p, Literal):
+            self._changed.add(p.key)
+        else:
+            self._changed |= self._graph.unlink(entry.entry_id, p)
 
     # -- assertion --------------------------------------------------------
 
@@ -351,12 +410,14 @@ class Context:
             self._log(existing)
             if source not in existing.sources:
                 existing.sources = existing.sources + (source,)
-            if strength > existing.strength:
-                self._touch(p)
+            raised = strength > existing.strength
             if strength >= existing.strength:
                 existing.strength = strength
                 # direct assertion supersedes any derivation as support
                 existing.dependencies = set()
+            if raised:  # its seed or its edges now carry the new strength
+                self._leave(existing)
+                self._enter(existing)
             return existing
         if isinstance(p, Literal):
             contrary = self.lookup(p.negated())
@@ -364,26 +425,30 @@ class Context:
                 if contrary.strength >= strength:
                     raise ConflictDetected([(p, contrary.proposition)])
                 self.defeat_entry(contrary.entry_id)
-        self._touch(p)
-        return self._insert(p, strength, (source,), set())
+        entry = self._insert(p, strength, (source,), set())
+        self._enter(entry)
+        return entry
 
     def defeat_entry(self, node_id: str) -> list[str]:
         """Mark a node defeated, with every live node whose dependencies
         reach it: entries, acceptance beliefs and support links alike.  This
-        is the one retraction walk.  Returns the defeated ids, sorted.  When
-        an entry goes, the graph and the run go with it, and the next
-        saturation covers every key; defeating only beliefs and links keeps
-        both."""
+        is the one retraction walk.  Returns the defeated ids, sorted.  Each
+        entry that goes leaves saturation (``_leave``): a literal's key
+        changes, and a rule's edges leave the graph, which changes their
+        targets.  Every key whose committed label rested on a defeated entry
+        is reached from those keys (see ``saturate``), so the next saturation
+        covers it; defeating only beliefs and links changes nothing there."""
         target = self.nodes.get(node_id)
         status = getattr(target, "status", LIVE)
-        defeated = retract(self.nodes, node_id)
+        defeated = retract(self.nodes, node_id, self._dependents)
         if self._trail is not None:
             # every other defeated node was live: retract walks live nodes only
             self._trail.extend(("status", self.nodes[nid], LIVE if nid != node_id else status)
                                for nid in defeated)
-        if any(nid in self.entries for nid in defeated):
-            self._graph = self._run = None
-            self._changed = set()
+        for nid in defeated:
+            entry = self.entries.get(nid)
+            if entry is not None and (nid != node_id or status == LIVE):
+                self._leave(entry)
         return defeated
 
     # -- inference --------------------------------------------------------
@@ -412,43 +477,42 @@ class Context:
 
         The saturation covers an area: the keys whose seeds or in-edges
         changed since the last commit, and every key the rule graph leads to
-        from them.  It runs the labelled search on the area only
-        (``saturation.settle``), and merges in the pops of the other keys
-        from the last committed run, in their recorded order, by heap key.
-        No edge leads out of the area, so those keys keep their labels and
-        relative order, and the result is exactly the saturation of the whole
-        context.  Seeding the changed keys with the stored labels as bounds
-        would not be: the rank tie-break is not monotone along a path.  A
-        forced label changes only through a new or raised rule whose target
-        leads to the forced literal, so the area holds it already.  A fresh
-        context, a clone, or one after an entry was defeated has no run: every
-        live literal and every forced literal counts as changed, so the area
-        is every key the search can reach.  The fixpoint holds labels, not
-        entries: ``commit`` looks up the live entry of each key itself.
+        from them.  It runs the labelled search on the area only, and merges
+        in the run's items of the keys outside the area with an edge or a
+        rule into it, where a search over every key would pop them
+        (``saturation.settle``).  No edge leads out of the area, so the other
+        keys keep their labels, and the result is exactly the saturation of
+        the whole context.  Seeding the changed keys with the stored labels as
+        bounds would not be: the rank tie-break is not monotone along a path.
+
+        A label outside the area never rests on a defeated entry.  Follow its
+        derivation from the last defeated entry in it to the key: that
+        entry's key, or the target of its edge, changed, and every later
+        step is an edge or a rule still in the graph.  So the area holds
+        every key whose label rested on a defeated entry, also one whose own
+        entry stays live because its label was a derivation of equal strength
+        and earlier rank.  A forced label changes only with an edge on a
+        chain from its negation to it, and then its key counts as changed.
+        A fresh context and a clone have no run, and every live entry counted
+        as changed when it entered, so the area is every key the search can
+        reach.  The fixpoint holds labels, not entries: ``commit`` looks up
+        the live entry of each key itself.
 
         Raises ConflictDetected if the fixpoint contains both polarities of
         an atom, listing the clashing literals by atom.
         """
-        graph = self._graph
-        if graph is None or self._rules_changed:
-            graph = self._build_graph()
-        run, changed = self._run, self._changed
-        if run is None:
-            run = {}
-            changed = [e.proposition.key for e in self.entries.values()
-                       if e.status == LIVE and isinstance(e.proposition, Literal)]
-            changed += graph.forced.keys()
-        area = forward(graph, changed)
+        graph, run = self._graph, self._run
+        area = forward(graph, self._changed)
         seeds = [_seed(e) for e in map(self.lookup_key, area) if e is not None]
         seeds += [graph.forced[key] for key in area if key in graph.forced]
-        settled = settle(graph, seeds, self._rank, run, area)
-        # the last run had no clash, so a clash has a key in the area
-        clashing = clashes(settled, area)
+        settled = settle(graph, seeds, self._rank, boundary(graph, run, area), area)
+        # the run has no clash, so a clash has a key in the area
+        clashing = clashes(settled, run, area)
         if clashing:
             raise ConflictDetected(clashing)
         fresh = [(key, (item[1], item[2])) for key, item in settled.items() if key in area]
         fresh.sort(key=lambda kv: kv[1][1].rank)
-        return Fixpoint(fresh, graph, settled)
+        return Fixpoint(fresh, {key: settled.get(key) for key in area})
 
     def commit(self, fixpoint: Fixpoint) -> list[ContextEntry]:
         """Apply a fixpoint from ``saturate``: raise the live entry of each
@@ -462,13 +526,14 @@ class Context:
         at inference; one resting on the entry's own id starts from that
         seed, which settles the key first and never raises it.
 
-        The context keeps the fixpoint's graph and run.  The raised keys
-        become the changed keys of the next saturation, since a raised
-        entry's own seed may now win its label.  An inserted entry's seed
-        ranks after every premise of its derivation, so it never pops first
-        and its key stays unchanged.  Keys outside the fixpoint's area kept
-        their labels, so committing them again would change nothing."""
-        self._graph, self._rules_changed, self._run = fixpoint.graph, False, fixpoint.run
+        The context stores the fixpoint's items of its area in the run.  The
+        raised keys become the changed keys of the next saturation, since a
+        raised entry's own seed may now win its label.  An inserted entry's
+        seed ranks after every premise of its derivation, so it never pops
+        first and its key stays unchanged.  Keys outside the fixpoint's area
+        kept their labels, so committing them again would change nothing."""
+        for key, item in fixpoint.run.items():
+            put(self._trail, self._run, key, item)
         self._changed = set()
         inserted = []
         for key, (lit, deriv) in fixpoint.settled:
@@ -485,28 +550,6 @@ class Context:
     def _rank(self, deps: Iterable[str]) -> tuple[int, ...]:
         return tuple(sorted(self.entries[d].order for d in deps))
 
-    def _build_graph(self) -> Graph:
-        edges: dict[str, list[tuple[Literal, str, Strength, int]]] = {}
-        multis: dict[str, list[tuple[tuple[Literal, ...], Literal, str, Strength]]] = {}
-        for e in self.entries.values():
-            p = e.proposition
-            if e.status != LIVE or isinstance(p, Literal):
-                continue
-            if isinstance(p, Rule):
-                if len(p.antecedents) > 1:
-                    rule = (p.antecedents, p.consequent, e.entry_id, e.strength)
-                    for a in p.antecedents:
-                        multis.setdefault(a.key, []).append(rule)
-                    continue
-                a = p.antecedents[0]
-                pairs = ((a, p.consequent), (p.consequent.negated(), a.negated()))
-            else:
-                l, r = p.left, p.right
-                pairs = ((l, r), (r, l), (r.negated(), l.negated()), (l.negated(), r.negated()))
-            for src, dst in pairs:
-                edges.setdefault(src.key, []).append((dst, e.entry_id, e.strength, e.order))
-        return Graph(edges, multis, forced_literals(edges))
-
     # -- redundancy -------------------------------------------------------
 
     def is_redundant(self, p: Proposition) -> RedundancyVerdict:
@@ -516,7 +559,8 @@ class Context:
         verdict lists every asserting utterance); ``entailed`` if it is a
         live derived entry that was never asserted (the verdict lists the
         asserted roots of its derivation); ``not_redundant`` otherwise.
-        Call closure() first so derived entries are current.
+        Derived entries are current wherever the last assertion was
+        saturated and committed, as the engine does for every event.
         """
         entry = self.lookup(p)
         if entry is None:
@@ -547,30 +591,4 @@ class Context:
 def _seed(entry: ContextEntry) -> Item:
     """The saturation's seed item for a live literal entry."""
     return ((-entry.strength, (entry.order,), entry.proposition.key), entry.proposition,
-            Derivation(entry.strength, frozenset([entry.entry_id]), (entry.order,)))
-
-
-def retract(nodes: dict, target_id: str) -> list[str]:
-    """Mark ``target_id`` defeated plus everything whose dependency closure
-    reaches it.  Returns the defeated ids, sorted.  ``nodes`` maps ids to
-    objects with ``status`` and ``dependencies`` attributes; dependency ids
-    with no node (e.g. raw event ids kept for provenance) are ignored, and
-    nodes that are not live neither join nor pass the defeat on."""
-    if target_id not in nodes:
-        raise KeyError(target_id)
-    dependents: dict[str, list[str]] = {}
-    for nid, node in nodes.items():
-        if getattr(node, "status", LIVE) == LIVE:
-            for dep in node.dependencies:
-                dependents.setdefault(dep, []).append(nid)
-    defeated = {target_id}
-    frontier = [target_id]
-    while frontier:
-        for nid in dependents.get(frontier.pop(), ()):
-            if nid not in defeated:
-                defeated.add(nid)
-                frontier.append(nid)
-    result = sorted(defeated)
-    for nid in result:
-        nodes[nid].status = DEFEATED
-    return result
+            Derivation(entry.strength, frozenset([entry.entry_id]), (entry.order,)), ())

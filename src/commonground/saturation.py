@@ -6,16 +6,17 @@ insertion orders, which break ties in favour of earlier premises.  The search
 is a Dijkstra over the implication graph of the live rules (``Graph``).  The
 graph and the search hold ``Literal`` objects, and index them by the
 ``key`` each literal carries (``p``, ``!p``); a literal's negation is its
-``negated()``.  ``settle`` can cover an area of the keys and merge in the
-recorded pops of the others.  ``propositions.Context`` keeps the state and
-decides what changed.
+``negated()``.  ``settle`` covers an area of the keys and merges in the
+recorded items of the keys outside it that lead into it.
+``propositions.Context`` keeps the state and decides what changed.
 """
 
 from __future__ import annotations
 
 import bisect
 import heapq
-from typing import Callable, Iterable, NamedTuple
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .evidence import DERIVED_CAP, Strength
 
@@ -28,27 +29,114 @@ class Derivation(NamedTuple):
     rank: tuple[int, ...]  # sorted insertion orders of deps; earlier premises win ties
 
 
-#: one labelled heap item: ((-strength, rank, literal.key), literal,
-#: derivation).  Heap order is a total order on the items that can differ.
-Item = tuple[tuple[int, tuple[int, ...], str], object, Derivation]
+#: one labelled item: ((-strength, rank, literal.key), literal, derivation,
+#: signature).  Heap order is a total order on the items that can differ.  On
+#: the heap the last field is the signature of the item that pushed it (``()``
+#: for a seed); once the item settles it is the item's own (``_signature``).
+Item = tuple[tuple[int, tuple[int, ...], str], object, Derivation, tuple]
+
+#: an edge of the graph: (target, rule id, rule strength, rule order)
+Edge = tuple[object, str, Strength, int]
+#: a multi-antecedent rule: (antecedents, consequent, rule id, rule strength)
+Multi = tuple[tuple[object, ...], object, str, Strength]
 
 
-class Graph(NamedTuple):
-    """The implication graph of a context's live rules.
+class Graph:
+    """The implication graph of a context's live rules, kept in step with them.
 
-    ``edges`` maps a literal's key to its edges as (target, rule id, rule
-    strength, rule order): single-antecedent rules and their
-    contrapositives, and biconditionals both ways with their
-    contrapositives.  ``multis`` maps each antecedent's key of a
-    multi-antecedent rule to (antecedents, consequent, rule id, rule
-    strength).  ``forced`` maps the key of each forced literal to its seed
-    item (``forced_literals``).  The graph holds values, not entries, so
-    contexts and fixpoints share it.
+    ``edges`` maps a literal's key to its edges: single-antecedent rules and
+    biconditionals both ways, each edge with its contrapositive, so !v -> !u
+    is an edge exactly when u -> v is.  ``multis`` maps each antecedent's key
+    of a multi-antecedent rule to the rule.  ``into`` maps a key to (source
+    key, rule id) for every edge into it and every antecedent of a rule that
+    concludes it.  ``forced`` maps the key of each forced literal to its seed
+    item (``forced_item``).
+
+    ``link`` adds a rule and ``unlink`` removes it; each returns the keys
+    whose in-edges or forced seed changed.  Each write replaces the value
+    under one key, and while ``trail`` is a list the old value is logged
+    there (``put``).
     """
 
-    edges: dict[str, list[tuple[object, str, Strength, int]]]
-    multis: dict[str, list[tuple[tuple[object, ...], object, str, Strength]]]
-    forced: dict[str, Item]
+    def __init__(self):
+        self.edges: dict[str, tuple[Edge, ...]] = {}
+        self.multis: dict[str, tuple[Multi, ...]] = {}
+        self.into: dict[str, tuple[tuple[str, str], ...]] = {}
+        self.forced: dict[str, Item] = {}
+        self.trail: Optional[list] = None
+
+    def link(self, rule_id: str, strength: Strength, order: int, rule) -> set[str]:
+        """Add a rule or biconditional: its ``edges``, or, for a rule with
+        none, its multi-antecedent form."""
+        edges = rule.edges
+        if not edges:
+            ants, dst = rule.antecedents, rule.consequent
+            for a in ants:
+                self._add(self.multis, a.key, (ants, dst, rule_id, strength))
+                self._add(self.into, dst.key, (a.key, rule_id))
+            return {dst.key}
+        for src, dst in edges:
+            self._add(self.edges, src.key, (dst, rule_id, strength, order))
+            self._add(self.into, dst.key, (src.key, rule_id))
+        return {dst.key for _, dst in edges} | self._reforce(self._forceable(edges))
+
+    def unlink(self, rule_id: str, rule) -> set[str]:
+        """Remove the rule that ``link`` added under ``rule_id``."""
+        edges = rule.edges
+        if not edges:
+            dst = rule.consequent
+            for a in rule.antecedents:
+                self._drop(self.multis, a.key, 2, rule_id)
+            self._drop(self.into, dst.key, 1, rule_id)
+            return {dst.key}
+        candidates = self._forceable(edges)  # on the graph that still has the edges
+        for src, dst in edges:
+            self._drop(self.edges, src.key, 1, rule_id)
+            self._drop(self.into, dst.key, 1, rule_id)
+        return {dst.key for _, dst in edges} | self._reforce(candidates)
+
+    def _add(self, table: dict, key: str, value) -> None:
+        put(self.trail, table, key, table.get(key, ()) + (value,))
+
+    def _drop(self, table: dict, key: str, field: int, rule_id: str) -> None:
+        kept = tuple(v for v in table.get(key, ()) if v[field] != rule_id)
+        put(self.trail, table, key, kept or None)
+
+    def _forceable(self, edges: tuple[tuple[object, object], ...]) -> dict[str, object]:
+        """The literals an edge u -> v or its contrapositive !v -> !u can
+        force or stop forcing: every L with !L reaching u and v reaching L.
+        The graph holds each edge's contrapositive, so !L reaches u exactly
+        when !u reaches L, and the contrapositive gives the same literals.
+        ``edges`` holds edges and then, in the same order, their
+        contrapositives, as a rule's ``edges`` do."""
+        half = len(edges) // 2
+        found: dict[str, object] = {}
+        for (_, dst), (_, negated_src) in zip(edges[:half], edges[half:]):
+            back = _reach(self.edges, negated_src)
+            found.update((key, lit) for key, lit in _reach(self.edges, dst).items()
+                         if key in back)
+        return found
+
+    def _reforce(self, candidates: dict[str, object]) -> set[str]:
+        changed = set()
+        for key, lit in candidates.items():
+            item = forced_item(self.edges, lit)
+            if item != self.forced.get(key):
+                put(self.trail, self.forced, key, item)
+                changed.add(key)
+        return changed
+
+
+def put(trail: Optional[list], table: dict, key: str, value) -> None:
+    """Set ``table[key]``, or delete it when ``value`` is None.  When
+    ``trail`` is a list, first log ``("put", table, key, old)`` there, with
+    ``old`` None for a missing key; no stored value is None."""
+    if trail is not None:
+        trail.append(("put", table, key, table.get(key)))
+    if value is None:
+        table.pop(key, None)
+    else:
+        table[key] = value
 
 
 class Fixpoint(NamedTuple):
@@ -56,52 +144,66 @@ class Fixpoint(NamedTuple):
 
     ``settled`` holds every literal the saturation settled in its area as
     (key, (literal, winning derivation)), in commit order: earliest premises
-    first.  ``commit`` looks up the live entry of each key itself.  ``graph``
-    and ``run`` are what the context keeps once it commits: the implication
-    graph, and the heap item of every settled literal, in pop order.
+    first.  ``commit`` looks up the live entry of each key itself.  ``run``
+    maps every key of the area to its settled item, or to None when it no
+    longer settles; the context stores them once it commits.
     """
 
     settled: list[tuple[str, tuple[object, Derivation]]]
-    graph: Graph
-    run: dict[str, Item]
+    run: dict[str, Optional[Item]]
 
 
 def settle(graph: Graph, seeds: Iterable[Item], rank: Callable[[set[str]], tuple[int, ...]],
-           run: dict[str, Item], area: set[str]) -> dict[str, Item]:
-    """Settle every literal the seeds reach, strongest first, then earliest
-    premises; returns the settled items by key, in pop order.  ``rank``
-    gives the sorted insertion orders of a set of entry ids.
+           recorded: list[Item], area: set[str]) -> dict[str, Item]:
+    """Settle every literal of ``area`` the seeds and ``recorded`` reach,
+    strongest first, then earliest premises; returns the settled items by
+    key, with the recorded ones.  ``rank`` gives the sorted insertion orders
+    of a set of entry ids.
 
     ``area`` is a set of keys closed under ``graph``, and the seeds are
-    those of the area.  The search covers the area, and the items of
-    ``run`` (a previous result) for the other keys are popped in their
-    recorded order whenever they precede the heap's top.  No edge leads out
-    of the area, so those keys keep their items and relative order, and the
-    result is what a search over every key gives.  With an empty ``run`` the
-    area is every key the seeds reach.
+    those of the area.  ``recorded`` holds the settled items (from an earlier
+    search) of the keys outside the area that have an edge or a rule into it,
+    sorted by signature.  No edge leads out of the area, so those keys keep
+    their items, and the search merges each one in where a search over every
+    key pops it.
+
+    That place follows from the signatures.  A search over every key pops
+    its items in the order of their signatures: the heap keys of the item's
+    chain of pushers (itself, the item whose pop pushed it, and so on back
+    to a seed) that exceed every heap key after them in the chain, compared
+    as tuples.  Every item popped between an item's push and its pop has a
+    smaller heap key, so an item pops after every item with a smaller
+    chain maximum, and after the item holding its own maximum the same holds
+    for the rest of the chain.  The heap key alone would not place it: the
+    rank tie-break is not monotone along a path, so a recorded item can pop
+    after an item with a greater heap key.
     """
     edges, multis = graph.edges, graph.multis
     push, pop = heapq.heappush, heapq.heappop
     heap: list[Item] = []
     for item in seeds:
         push(heap, item)
-    later = (item for key, item in run.items() if key not in area)
-    recorded = next(later, None)
+    merged = iter(recorded)
+    waiting = next(merged, None)
     settled: dict[str, Item] = {}
     while True:
-        if heap and (recorded is None or heap[0][0] < recorded[0]):
-            item = pop(heap)
-            key = item[0][2]
-            if key in settled:
-                continue
-            inside = True
-        elif recorded is not None:
-            item, key, inside = recorded, recorded[0][2], False
-            recorded = next(later, None)
+        while heap and heap[0][0][2] in settled:
+            pop(heap)
+        if heap:
+            top = heap[0]
+            sig = _signature(top[3], top[0])
+            if waiting is not None and waiting[3] < sig:
+                item, inside, waiting = waiting, False, next(merged, None)
+            else:
+                pop(heap)
+                item, inside = (top[0], top[1], top[2], sig), True
+        elif waiting is not None:
+            item, inside, waiting = waiting, False, next(merged, None)
         else:
             return settled
+        key = item[0][2]
         settled[key] = item
-        deriv = item[2]
+        deriv, sig = item[2], item[3]
         for dst, rule_id, rule_strength, rule_order in edges.get(key, ()):
             dst_key = dst.key
             if dst_key in settled or not (inside or dst_key in area):
@@ -111,7 +213,7 @@ def settle(graph: Graph, seeds: Iterable[Item], rank: Callable[[set[str]], tuple
                 deps, order = deriv.deps, deriv.rank
             else:
                 deps, order = deriv.deps | {rule_id}, _with_order(deriv.rank, rule_order)
-            push(heap, ((-strength, order, dst_key), dst, Derivation(strength, deps, order)))
+            push(heap, ((-strength, order, dst_key), dst, Derivation(strength, deps, order), sig))
         for ants, dst, rule_id, rule_strength in multis.get(key, ()):
             dst_key = dst.key
             if dst_key in settled or not (inside or dst_key in area):
@@ -124,17 +226,28 @@ def settle(graph: Graph, seeds: Iterable[Item], rank: Callable[[set[str]], tuple
                     deps |= p[2].deps
                 order = rank(deps)
                 push(heap, ((-strength, order, dst_key), dst,
-                            Derivation(strength, frozenset(deps), order)))
+                            Derivation(strength, frozenset(deps), order), sig))
 
 
-def clashes(settled: dict[str, Item], keys: Iterable[str]) -> list[tuple[object, object]]:
+def boundary(graph: Graph, run: dict[str, Item], area: set[str]) -> list[Item]:
+    """The items of ``run`` for the keys outside ``area`` with an edge or a
+    rule into it, sorted by signature: what ``settle`` merges in."""
+    into = graph.into
+    keys = {src for key in area for src, _ in into.get(key, ()) if src not in area}
+    return sorted((run[key] for key in keys if key in run), key=itemgetter(3))
+
+
+def clashes(settled: dict[str, Item], run: dict[str, Item],
+            area: set[str]) -> list[tuple[object, object]]:
     """The (positive, negative) literal pairs settled together, by atom, for
-    every atom of ``keys``."""
+    every atom of ``area``: ``settled`` holds the area's items and ``run``
+    those of the other keys."""
     pairs = {}
-    for key in keys:
+    for key in area:
         if key in settled:
             lit = settled[key][1]
-            other = settled.get(lit.negated().key)
+            neg = lit.negated().key
+            other = settled.get(neg) if neg in area else run.get(neg)
             if other is not None:
                 pairs[lit.atom] = (lit, other[1]) if lit.positive else (other[1], lit)
     return [pairs[atom] for atom in sorted(pairs)]
@@ -156,65 +269,64 @@ def forward(graph: Graph, keys: Iterable[str]) -> set[str]:
     return area
 
 
-def forced_literals(edges) -> dict[str, Item]:
-    """Literals L whose negation implies L along ``edges``, as seed items by
-    key.
+def forced_item(edges: dict[str, tuple[Edge, ...]], lit) -> Optional[Item]:
+    """The seed item of ``lit`` if its negation implies it along ``edges``,
+    else None.
 
     A chain !L -> ... -> L forces L regardless of any asserted facts; this
     closes the gap left by pure unit propagation (e.g. a -> b plus !a -> b
-    forces b).  The widest (strongest-weakest-rule) chain wins.  Only
-    literals that pass a plain reachability test from their negation get the
-    labelled search.
+    forces b).  The widest (strongest-weakest-rule) chain wins.
     """
-    forced: dict[str, Item] = {}
-    # only an edge's target can be reached, so only targets can be forced
-    targets = {dst[0].key: dst[0] for dsts in edges.values() for dst in dsts}
-    for key in sorted(targets):
-        start = targets[key].negated().key
-        if not _reaches(edges, start, key):
+    key, start = lit.key, lit.negated().key
+    best: dict[str, Derivation] = {}
+    heap: list[tuple[tuple[int, tuple[int, ...], str], str, Derivation]] = []
+    seed = Derivation(Strength.PHYSICAL, frozenset(), ())
+    heapq.heappush(heap, ((-seed.strength, (), start), start, seed))
+    while heap:
+        _, node, deriv = heapq.heappop(heap)
+        if node in best:
             continue
-        best: dict[str, Derivation] = {}
-        heap: list[tuple[tuple[int, tuple[int, ...], str], str, Derivation]] = []
-        seed = Derivation(Strength.PHYSICAL, frozenset(), ())
-        heapq.heappush(heap, ((-seed.strength, (), start), start, seed))
-        while heap:
-            _, node, deriv = heapq.heappop(heap)
-            if node in best:
+        best[node] = deriv
+        if node == key:
+            break
+        for dst, rule_id, rule_strength, rule_order in edges.get(node, ()):
+            dk = dst.key
+            if dk in best:
                 continue
-            best[node] = deriv
-            if node == key:
-                break
-            for dst, rule_id, rule_strength, rule_order in edges.get(node, ()):
-                dk = dst.key
-                if dk in best:
-                    continue
-                if rule_id in deriv.deps:
-                    deps, rank = deriv.deps, deriv.rank
-                else:
-                    deps, rank = deriv.deps | {rule_id}, _with_order(deriv.rank, rule_order)
-                cand = Derivation(min(deriv.strength, rule_strength), deps, rank)
-                heapq.heappush(heap, ((-cand.strength, cand.rank, dk), dk, cand))
-        if key in best and best[key].deps:
-            d = best[key]
-            strength = min(d.strength, DERIVED_CAP)
-            forced[key] = ((-strength, d.rank, key), targets[key],
-                           Derivation(strength, d.deps, d.rank))
-    return forced
+            if rule_id in deriv.deps:
+                deps, rank = deriv.deps, deriv.rank
+            else:
+                deps, rank = deriv.deps | {rule_id}, _with_order(deriv.rank, rule_order)
+            cand = Derivation(min(deriv.strength, rule_strength), deps, rank)
+            heapq.heappush(heap, ((-cand.strength, cand.rank, dk), dk, cand))
+    if key not in best or not best[key].deps:
+        return None
+    d = best[key]
+    strength = min(d.strength, DERIVED_CAP)
+    return (-strength, d.rank, key), lit, Derivation(strength, d.deps, d.rank), ()
 
 
-def _reaches(edges, start: str, goal: str) -> bool:
-    """Is ``goal`` reachable from ``start`` along ``edges``?"""
-    seen = {start}
-    stack = [start]
+def _reach(edges: dict[str, tuple[Edge, ...]], start) -> dict[str, object]:
+    """``start`` and every literal reachable from it along ``edges``, by key."""
+    seen = {start.key: start}
+    stack = [start.key]
     while stack:
-        for dst in edges.get(stack.pop(), ()):
-            key = dst[0].key
-            if key == goal:
-                return True
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-    return False
+        for edge in edges.get(stack.pop(), ()):
+            dst = edge[0]
+            if dst.key not in seen:
+                seen[dst.key] = dst
+                stack.append(dst.key)
+    return seen
+
+
+def _signature(up: tuple, head: tuple) -> tuple:
+    """The signature of an item with heap key ``head`` pushed by an item with
+    signature ``up``: the entries of ``up`` greater than ``head``, then
+    ``head``.  A signature is strictly decreasing, so those form a prefix."""
+    i = len(up)
+    while i and up[i - 1] < head:
+        i -= 1
+    return up[:i] + (head,)
 
 
 def _with_order(rank: tuple[int, ...], order: int) -> tuple[int, ...]:

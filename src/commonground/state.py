@@ -17,10 +17,11 @@ class DiscourseState:
     license and support links, acceptance beliefs, recorded conflicts, and
     the retraction reports.  The context owns the one dependency graph:
     ``nodes`` is the context's own dict of proposition entries, acceptance
-    beliefs and support links, and ``Context.defeat_entry`` is the one walk
-    that retracts along it.  ``events`` is the context's dict of utterances,
-    so no node takes an utterance's id.  Strictly sequential within a
-    dialogue; independent dialogues may run in parallel.
+    beliefs and support links, which join it through ``Context.add_node``,
+    and ``Context.defeat_entry`` is the one walk that retracts along it.
+    ``events`` is the context's dict of utterances, so no node takes an
+    utterance's id.  Strictly sequential within a dialogue; independent
+    dialogues may run in parallel.
     """
 
     def __init__(self, dialogue_id: str, participants: tuple[Participant, Participant],
@@ -38,6 +39,9 @@ class DiscourseState:
         #: order, whose any-next upgrade waits for the addressee's next turn
         self.awaiting: dict[str, list[str]] = {}
         self.license_links: dict[tuple[str, str], LicenseLink] = {}
+        #: conclusion key -> (store order, link) for the links ``add_license_link``
+        #: stored, in order
+        self._links_to: dict[str, list[tuple[int, LicenseLink]]] = {}
         self.acceptance_beliefs: dict[str, AcceptanceBelief] = {}
         #: (proposition key, agent) -> (add order, belief) for the beliefs
         #: ``add_acceptance`` added, in order
@@ -57,11 +61,23 @@ class DiscourseState:
     def participant_ids(self) -> set[str]:
         return {p.id for p in self.participants}
 
+    def add_license_link(self, link: LicenseLink) -> None:
+        """Store a license link under its key and index it by its conclusion."""
+        self._links_to.setdefault(link.conclusion.key, []).append((len(self.license_links), link))
+        self.license_links[link.key] = link
+
+    def links_concluding(self, props: Iterable[Proposition]) -> list[LicenseLink]:
+        """The stored license links that conclude one of ``props``, in the
+        order ``add_license_link`` stored them."""
+        found = {order: link for p in props for order, link in self._links_to.get(p.key, ())}
+        return [found[order] for order in sorted(found)] if found else []
+
     def add_acceptance(self, belief: AcceptanceBelief) -> None:
         """Add a belief to the acceptance beliefs, the graph and the index."""
         self._acceptances.setdefault((belief.proposition.key, belief.accepting_agent),
                                      []).append((len(self.acceptance_beliefs), belief))
-        self.acceptance_beliefs[belief.belief_id] = self.nodes[belief.belief_id] = belief
+        self.acceptance_beliefs[belief.belief_id] = belief
+        self.context.add_node(belief.belief_id, belief)
 
     def find_acceptance(self, p: Proposition, agent: str) -> AcceptanceBelief | None:
         """The first live belief of ``agent`` in ``p`` that ``add_acceptance`` added."""

@@ -421,7 +421,7 @@ def test_retract_walks_reverse_dependencies():
 
 def test_retract_unknown_target():
     with pytest.raises(KeyError):
-        retract({}, "missing")
+        retract({}, "missing", {})
 
 
 def retract_by_rescan(nodes, target_id):
@@ -457,6 +457,15 @@ def dependency_graphs(draw):
     return nodes, draw(st.sampled_from(ids))
 
 
+def dependents_of(nodes):
+    """The exact reverse-dependency index of ``nodes``."""
+    index = {}
+    for nid, node in nodes.items():
+        for dep in node.dependencies:
+            index.setdefault(dep, set()).add(nid)
+    return index
+
+
 def copy_graph(nodes):
     return {nid: SimpleNamespace(**vars(node)) for nid, node in nodes.items()}
 
@@ -466,7 +475,7 @@ def test_retract_matches_rescan_reference(graph):
     nodes, target = graph
     expected_nodes = copy_graph(nodes)
     expected = retract_by_rescan(expected_nodes, target)
-    assert retract(nodes, target) == expected
+    assert retract(nodes, target, dependents_of(nodes)) == expected
     assert {nid: vars(n) for nid, n in nodes.items()} == \
         {nid: vars(n) for nid, n in expected_nodes.items()}
 
@@ -505,6 +514,27 @@ BOUNDS_ARE_NOT_EXACT = [("assert", lit("!a"), Strength.HYPOTHESIS),
                         ("event", [lit("b"), lit("e -> !b"), lit("d <-> !e")]),
                         ("event", [lit("!e"), lit("!c -> !d")])]
 
+#: k's asserted entry keeps its strength, because the derivation a, a -> k
+#: ties it and wins k's label on rank; defeating the rule leaves that entry
+#: live, but k's label must fall back to its own seed, which m then inherits
+LABEL_RESTS_ON_A_DEFEATED_RULE = [("assert", lit("a"), Strength.LINGUISTIC),
+                                  ("assert", lit("a -> k"), Strength.LINGUISTIC),
+                                  ("assert", lit("k"), Strength.INFERENCE), ("saturate",),
+                                  ("defeat", 1),
+                                  ("assert", lit("k -> m"), Strength.LINGUISTIC), ("saturate",)]
+
+#: b pops after x although its heap key is smaller, since the rule x -> b is
+#: older than x; raising h puts h and t in the area, and t's label comes
+#: through h only if b merges in after h, where a search over every key pops
+#: it; m then inherits that label
+MERGED_IN_POP_ORDER = [("assert", lit("x -> b"), Strength.LINGUISTIC),
+                       ("assert", lit("b -> t"), Strength.LINGUISTIC),
+                       ("assert", lit("h -> t"), Strength.LINGUISTIC),
+                       ("assert", lit("h"), Strength.HYPOTHESIS),
+                       ("assert", lit("x"), Strength.INFERENCE), ("saturate",),
+                       ("assert", lit("h"), Strength.INFERENCE), ("saturate",),
+                       ("assert", lit("t -> m"), Strength.LINGUISTIC), ("saturate",)]
+
 
 def clashes_of(run):
     try:
@@ -517,6 +547,8 @@ def clashes_of(run):
 @given(st.lists(inc_steps, min_size=1, max_size=25))
 @example(RAISED_SEED_WINS)
 @example(BOUNDS_ARE_NOT_EXACT)
+@example(LABEL_RESTS_ON_A_DEFEATED_RULE)
+@example(MERGED_IN_POP_ORDER)
 def test_incremental_saturation_matches_from_scratch_reference(steps):
     """Random assert / saturate+commit / trial event / defeat sequences give
     the same entries, inserted ids and clash lists as the from-scratch

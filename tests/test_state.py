@@ -2,6 +2,7 @@
 
 import heapq
 import random
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -238,6 +239,54 @@ def test_saturation_work_per_event_stays_flat(monkeypatch):
     assert len(engine.state.context.entries) == 450  # every derivation was committed
 
 
+def test_process_work_per_event_stays_flat():
+    """All the Python each ``process`` call runs (every call, line and
+    return under ``sys.settrace``) stays flat as a rule-heavy dialogue grows:
+    fresh literals, biconditionals, two-antecedent rules, and entry defeats
+    the dialogue survives.  A restatement of a derived literal that rejects
+    the literal it rests on is contested, so the derived entry stays as it
+    was; rejecting the restatement then defeats that entry, and the next
+    saturation derives it again."""
+    work = [0]
+
+    def count(frame, event, arg):
+        work[0] += 1
+        return count
+
+    rng = random.Random(11)
+    engine = DialogueEngine(fresh_state(require_acceptance=False))
+    said, per_event = [], []
+    for i in range(300):
+        speaker, addressee = ("a", "b") if i % 2 == 0 else ("b", "a")
+        kw = {}
+        step = i % 5
+        if step == 0:
+            said.append((f"u{i}", f"x{i}" if rng.random() < 0.5 else f"!x{i}"))
+            kw["realizes"] = (P(said[-1][1]),)
+        elif step == 1:
+            kw["realizes"] = (P(f"{said[-1][1]} <-> z{i}"),)
+        elif step == 2:
+            other = rng.choice(said[:-1])[1] if len(said) > 1 else f"y{i}"
+            kw["realizes"] = (P(f"{said[-1][1]} & {other} -> w{i}"),)
+        elif step == 3:
+            kw["realizes"], kw["rejects"] = (P(f"z{i - 2}"),), said[-1][0]
+        else:
+            kw["realizes"], kw["rejects"] = (P(f"v{i}"),), f"u{i - 1}"
+        ev = event(f"u{i}", i, speaker, addressee, text=f"turn number {i}", **kw)
+        before, outer = work[0], sys.gettrace()
+        sys.settrace(count)
+        try:
+            engine.process(ev)
+        finally:
+            sys.settrace(outer)
+        per_event.append(work[0] - before)
+    retractions = [r for r in engine.state.retractions if r.target in engine.state.context.entries]
+    assert len(retractions) == 60  # every rejected restatement defeated its derived entry
+    assert all(engine.state.context.lookup(P(f"z{i}")) is not None for i in range(1, 300, 5))
+    early, late = per_event[10:60], per_event[-50:]
+    assert sum(late) / len(late) <= 2 * sum(early) / len(early)
+
+
 def context_view(context):
     return {eid: (e.strength, frozenset(e.dependencies), e.status)
             for eid, e in context.entries.items()}
@@ -265,7 +314,7 @@ def graph_state():
     seeded(state, "u1", "p")
     root = AcceptanceBelief("a0", P("p"), "b", Strength.DEFAULT, {"u1"})
     state.acceptance_beliefs["a0"] = root
-    state.nodes["a0"] = root
+    state.context.add_node("a0", root)
     deps = {
         "d1": {"a0"}, "d2": {"a0"}, "d3": {"a0"},
         "d4": {"d1"}, "d5": {"d2"},
@@ -275,7 +324,7 @@ def graph_state():
                              strength=Strength.INFERENCE, dependencies=set(dd),
                              order=100 + i)
         state.context.entries[nid] = entry
-        state.nodes[nid] = entry
+        state.context.add_node(nid, entry)
     return state, root
 
 
@@ -294,7 +343,7 @@ def test_defeat_single_node_without_dependents():
     seeded(state, "u1", "p")
     belief = AcceptanceBelief("a0", P("p"), "b", Strength.DEFAULT, {"u1"})
     state.acceptance_beliefs["a0"] = belief
-    state.nodes["a0"] = belief
+    state.context.add_node("a0", belief)
     report = defeat(state, "a0", evidence())
     assert report.defeated == ("a0",)
 
@@ -302,7 +351,7 @@ def test_defeat_single_node_without_dependents():
 def test_defeat_requires_strictly_stronger_evidence():
     state = fresh_state()
     belief = AcceptanceBelief("a0", P("p"), "b", Strength.LINGUISTIC, set())
-    state.nodes["a0"] = belief
+    state.context.add_node("a0", belief)
     with pytest.raises(DefeatRejected):
         defeat(state, "a0", evidence())  # linguistic vs linguistic
 
@@ -311,7 +360,7 @@ def test_defeat_requires_strictly_stronger_evidence():
 def test_defeat_strictness_over_all_strengths(target):
     state = fresh_state()
     belief = AcceptanceBelief("a0", P("p"), "b", target, set())
-    state.nodes["a0"] = belief
+    state.context.add_node("a0", belief)
     if Strength.LINGUISTIC > target:
         defeat(state, "a0", evidence())
         assert belief.status == DEFEATED
@@ -333,13 +382,13 @@ def test_retraction_closure_on_random_graphs(seed):
     seeded(state, "u1", "p")
     root = AcceptanceBelief("a0", P("p"), "b", Strength.DEFAULT, {"u1"})
     state.acceptance_beliefs["a0"] = root
-    state.nodes["a0"] = root
+    state.context.add_node("a0", root)
     ids = ["a0"]
     for i in range(rng.randint(0, 12)):
         nid = f"n{i}"
         dd = set(rng.sample(ids, rng.randint(0, min(3, len(ids)))))
         belief = AcceptanceBelief(nid, P(f"q{i}"), "b", Strength.INFERENCE, dd)
-        state.nodes[nid] = belief
+        state.context.add_node(nid, belief)
         ids.append(nid)
     defeat(state, "a0", evidence())
     for node in state.nodes.values():
@@ -438,7 +487,7 @@ def test_rejection_does_not_touch_linguistic_beliefs():
     seeded(state, "u1", "p")
     belief = AcceptanceBelief("a0", P("p"), "b", Strength.LINGUISTIC, set())
     state.acceptance_beliefs["a0"] = belief
-    state.nodes["a0"] = belief
+    state.context.add_node("a0", belief)
     conflict = evidence(kind=EXPLICIT_REJECTION, against=("p",))
     with pytest.raises(DefeatRejected):
         defeat(state, "a0", conflict)
@@ -577,3 +626,18 @@ def test_one_dependency_graph_after_every_event(path):
                 for dep in node.dependencies:
                     target = state.nodes.get(dep)
                     assert target is None or target.status == LIVE, (ev.utterance_id, nid, dep)
+
+
+@pytest.mark.parametrize("path", DIALOGUES + DISPUTES, ids=lambda path: path.stem)
+def test_retraction_index_names_every_dependent(path):
+    """The context's reverse-dependency index, which ``retract`` walks,
+    names every node under every id its dependencies hold, after every
+    event: entries, acceptance beliefs and support links alike."""
+    transcript = parse(path.read_text(encoding="utf-8"))
+    engine = DialogueEngine.for_transcript(transcript)
+    context = engine.state.context
+    for ev in transcript.events:
+        engine.process(ev)
+        for nid, node in context.nodes.items():
+            for dep in node.dependencies:
+                assert nid in context._dependents.get(dep, ()), (ev.utterance_id, nid, dep)
