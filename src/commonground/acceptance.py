@@ -20,7 +20,7 @@ from .errors import ConflictDetected, DefeatRejected, OrderingViolation, Unknown
 from .evidence import Strength, defeats
 from .grounding import ActType, Intonation, IRUClass, UtteranceEvent
 from .propositions import LIVE, Literal, Proposition
-from .saturation import Fixpoint
+from .saturation import Fixpoint, contrary
 
 if TYPE_CHECKING:  # pragma: no cover
     from .state import DiscourseState
@@ -113,16 +113,21 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
     Annotation first: a ``rejects`` link (to an earlier utterance, as
     admission checked) is explicit rejection regardless of content.  Then a
     direct contrary: a realized literal whose negation is live.  Otherwise
-    a trial: the event's propositions are asserted on the live context and
-    saturated (``Context.saturate``) under an undo trail (``Context.trial``),
-    and ``Context.rollback`` leaves the context as it was, whether the trial
-    returns or raises.  Any clash is contradictory assertion evidence
-    against the previously live half of the pair.  The trial defeats
-    nothing, as a live contrary returns before it.  When the trial finds no
-    clash and ``fixpoints`` is given, the trial's fixpoint is appended to
-    it: asserting the same propositions again and committing that fixpoint
-    gives the same context as saturating it again, as long as nothing
-    writes the context in between.
+    a trial: the event's propositions are asserted (linguistic) on the live
+    context and saturated (``Context.saturate``) under an undo trail
+    (``Context.trial``).  Any clash is contradictory assertion evidence
+    against the previously live half of the pair, and ``Context.rollback``
+    leaves the context as it was; so does any other exception, which is
+    raised again.  The trial defeats nothing, as a live contrary returns
+    before it.
+
+    When the trial finds no clash and ``fixpoints`` is given, the trial is
+    the event's assertion: ``Context.keep`` lets its writes stand and the
+    trial's fixpoint is appended to ``fixpoints``, for the caller to commit
+    as long as nothing writes the context in between.  The context then
+    holds entries for the keys it did not hold before (the propositions
+    whose redundancy verdict is ``not_redundant``).  Without ``fixpoints``
+    a clash-free trial is rolled back too.
     """
     if event.rejects is not None:
         props = state.events[event.rejects].realizes
@@ -133,11 +138,11 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
         return None
     for p in event.realizes:
         if isinstance(p, Literal):
-            contrary = state.context.lookup(p.negated())
-            if contrary is not None:
-                return ConflictEvidence(event.utterance_id, (p, contrary.proposition),
+            live = state.context.lookup_key(contrary(p))
+            if live is not None:
+                return ConflictEvidence(event.utterance_id, (p, live.proposition),
                                         CONTRADICTORY_ASSERTION,
-                                        frozenset([contrary.proposition.key]))
+                                        frozenset([live.proposition.key]))
     context, clash = state.context, None
     mark = context.trial()
     try:
@@ -146,23 +151,27 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
         fixpoint = context.saturate()
     except ConflictDetected as raised:
         clash = raised
-    finally:
+    except BaseException:
         context.rollback(mark)
-    if clash is not None:
-        # the contested side is whatever half of a clashing pair is live in
-        # the real (pre-event) context; the other half came with the event
-        against = set()
-        pair = clash.clashes[0]
-        for a, b in clash.clashes:
-            for live, came in ((a, b), (b, a)):
-                if context.lookup(live) is not None:
-                    against.add(live.key)
-                    pair = (came, live)
-        return ConflictEvidence(event.utterance_id, pair,
-                                CONTRADICTORY_ASSERTION, frozenset(against))
-    if fixpoints is not None:
+        raise
+    if clash is None and fixpoints is not None:
+        context.keep(mark)
         fixpoints.append(fixpoint)
-    return None
+        return None
+    context.rollback(mark)
+    if clash is None:
+        return None
+    # the contested side is whatever half of a clashing pair is live in the
+    # real (pre-event) context; the other half came with the event
+    against = set()
+    pair = clash.clashes[0]
+    for a, b in clash.clashes:
+        for live, came in ((a, b), (b, a)):
+            if context.lookup(live) is not None:
+                against.add(live.key)
+                pair = (came, live)
+    return ConflictEvidence(event.utterance_id, pair,
+                            CONTRADICTORY_ASSERTION, frozenset(against))
 
 
 def evaluate_acceptance(state: "DiscourseState", prev_event: UtteranceEvent,
@@ -246,7 +255,7 @@ def _accept(state: "DiscourseState", p: Proposition, agent: str, strength: Stren
             source_event: str, trigger: str) -> AcceptanceOutcome:
     belief = state.find_acceptance(p, agent)
     deps = {trigger}
-    entry = state.context.lookup(p)
+    entry = state.entry_before_event(p)
     if entry is not None:
         deps.add(entry.entry_id)
     if belief is None:

@@ -14,22 +14,28 @@ Per-event order of operations (it matters, and it is fixed):
    reuse them (step 4 adds no link),
 4. detect conflict evidence (annotation first, then a direct contrary, then
    a trial: the event's propositions are asserted on the live context and
-   saturated, and an undo trail rolls the context back),
+   saturated under an undo trail).  A trial that finds a clash is rolled
+   back; one that finds none stands as the event's assertion, and its
+   fixpoint waits for step 8,
 5. upgrade the antecedent records named by the classification, and lift the
    matched license links to linguistic,
-6. settle acceptance: pending questions first, then the adjacent pair,
+6. settle acceptance: pending questions first, then the adjacent pair.
+   Steps 5-6 see the context as it was before the event: their lookups pass
+   over the entries a kept trial inserted, the keys whose step-3
+   verdict is ``not_redundant`` (``DiscourseState.entry_before_event``),
 7. on conflict, defeat whatever weaker beliefs the evidence defeats;
    contested content never enters the common ground,
 8. otherwise assert the event's propositions (linguistic), chain the
    closure, and record inference licenses for newly derived content.  When
-   step 4 found no conflict, the trial's fixpoint is committed as it stands:
-   steps 5-6 write no context entry and step 7 has nothing to do, so the
-   same assertions leave the context as the trial saw it.  After conflict
-   evidence that settles without contesting the content (a ``rejects``
-   annotation, a direct contrary, or a clash whose live side was defeated)
-   the context is saturated again.  Each saturation covers what changed
-   since the last commit, a defeat included: the keys of the defeated
-   literals, the targets of the defeated rules, and what they lead to,
+   step 4 found no conflict, its trial asserted the propositions already and
+   its fixpoint is committed as it stands: steps 5-6 write no context entry
+   and step 7 has nothing to do.  After conflict evidence that settles
+   without contesting the content (a ``rejects`` annotation, a direct
+   contrary, or a clash whose live side was defeated) the propositions are
+   asserted here and the context is saturated again.  Each saturation covers
+   what changed since the last commit, a defeat included: the keys of the
+   defeated literals, the targets of the defeated rules, and what they lead
+   to,
 9. register annotated implicature and support links.
 """
 
@@ -108,6 +114,9 @@ class DialogueEngine:
         antecedents = grd.resolved_antecedents(event, state, cls, verdicts, matched)
         fixpoints: list[Fixpoint] = []
         conflict = acc.detect_conflict(state, event, fixpoints)
+        # a kept trial inserted the propositions the context did not hold
+        state.arriving = frozenset(p.key for p, verdict in zip(event.realizes, verdicts)
+                                   if not verdict.redundant) if fixpoints else frozenset()
         if conflict is not None:
             state.conflicts.append(conflict)
 
@@ -131,6 +140,7 @@ class DialogueEngine:
                 and not event.interrupted):
             outcomes += acc.evaluate_acceptance(state, prev, event,
                                                 iru_class=cls, conflict=conflict)
+        state.arriving = frozenset()
 
         retraction_lines: list[tuple[str, ...]] = []
         contested = False
@@ -142,7 +152,9 @@ class DialogueEngine:
         support_lines: list[tuple[str, str]] = []
         if not contested:
             for p, verdict in zip(event.realizes, verdicts):
-                entry = state.context.assert_prop(p, Strength.LINGUISTIC, event.utterance_id)
+                # a kept trial asserted the propositions already
+                entry = state.context.lookup(p) if fixpoints else \
+                    state.context.assert_prop(p, Strength.LINGUISTIC, event.utterance_id)
                 note = ""
                 if verdict.redundant:
                     note = f"redundant: {verdict.kind} " + ", ".join(sorted(verdict.antecedents))

@@ -291,8 +291,10 @@ def record_license_evidence(state: "DiscourseState", link: LicenseLink,
     """Store ``link`` or strengthen the stored copy to max(old, new).
 
     The owning record's license slot rises in step, and the premise must
-    already be in the context (UnknownProposition otherwise)."""
-    if state.context.lookup(link.premise) is None:
+    already be in the context (UnknownProposition otherwise); until the
+    event's assertion step that is the context before the current event
+    (``DiscourseState.entry_before_event``)."""
+    if state.entry_before_event(link.premise) is None:
         raise UnknownProposition(f"license premise {link.premise} not in context")
     stored = state.license_links.get(link.key)
     if stored is None:

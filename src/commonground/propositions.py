@@ -26,8 +26,8 @@ from .errors import BadPropositionSyntax, ConflictDetected
 from .evidence import Strength
 # the status names stay importable from here, as the package does
 from .retraction import DEFEATED, LIVE, add_dependents, retract  # noqa: F401
-from .saturation import Derivation, Fixpoint, Graph, Item, boundary, clashes, forward, put, \
-    settle
+from .saturation import Derivation, Fixpoint, Graph, Item, boundary, clashes, contrary, \
+    forward, put, settle
 
 ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
@@ -228,8 +228,8 @@ class Context:
     inserted, raised or defeated, and the literals whose forced seed changed).
 
     Single-threaded per dialogue by contract; distinct dialogues never share
-    a context.  ``trial`` and ``rollback`` undo what-if writes on the
-    context itself.
+    a context.  ``trial`` logs what-if writes on the context itself, and
+    ``rollback`` undoes them or ``keep`` makes them stand.
     """
 
     def __init__(self):
@@ -252,8 +252,8 @@ class Context:
         defeat on the clone would reach the shared acceptance beliefs and
         support links.  The clone enters its live entries as an assertion
         does and has no run, so its first saturation covers every key.  Off
-        the per-event path: the conflict trial uses ``trial`` and
-        ``rollback``."""
+        the per-event path: the conflict trial runs on the context itself
+        (``trial``)."""
         other = Context()
         other.utterances = self.utterances
         other._counter = self._counter
@@ -278,10 +278,11 @@ class Context:
     def trial(self) -> tuple:
         """Start an undo trail: from here on every write to the context is
         logged (entry fields, insertions, defeats, the graph and the run)
-        until ``rollback`` with the returned mark undoes them.  The id counter
-        and the changed keys are restored as a whole.  Trials nest.  Nodes
-        the context does not own (acceptance beliefs, support links) are
-        restored only in their status."""
+        until the returned mark ends the trial: ``rollback`` undoes the writes
+        and ``keep`` lets them stand.  The id counter and the changed keys are
+        restored as a whole.  Trials nest.  Nodes the context does not own
+        (acceptance beliefs, support links) are restored only in their
+        status."""
         mark = (self._trail, self._counter, self._changed)
         self._trail = self._graph.trail = []
         self._changed = set(self._changed)
@@ -309,6 +310,15 @@ class Context:
                 _, node, node.status = record
         self._trail, self._counter, self._changed = mark
         self._graph.trail = self._trail
+
+    def keep(self, mark: tuple) -> None:
+        """End the trial that returned ``mark`` and let its writes stand.  In
+        a nested trial its records move to the outer trail, so a rollback of
+        the outer trial still undoes them."""
+        outer = mark[0]
+        if outer is not None:
+            outer.extend(self._trail)
+        self._trail = self._graph.trail = outer
 
     def _log(self, entry: ContextEntry) -> None:
         if self._trail is not None:
@@ -420,11 +430,11 @@ class Context:
                 self._enter(existing)
             return existing
         if isinstance(p, Literal):
-            contrary = self.lookup(p.negated())
-            if contrary is not None:
-                if contrary.strength >= strength:
-                    raise ConflictDetected([(p, contrary.proposition)])
-                self.defeat_entry(contrary.entry_id)
+            other = self.lookup_key(contrary(p))
+            if other is not None:
+                if other.strength >= strength:
+                    raise ConflictDetected([(p, other.proposition)])
+                self.defeat_entry(other.entry_id)
         entry = self._insert(p, strength, (source,), set())
         self._enter(entry)
         return entry

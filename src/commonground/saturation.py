@@ -5,9 +5,10 @@ premises, derived content capped at inference), its premises, and their
 insertion orders, which break ties in favour of earlier premises.  The search
 is a Dijkstra over the implication graph of the live rules (``Graph``).  The
 graph and the search hold ``Literal`` objects, and index them by the
-``key`` each literal carries (``p``, ``!p``); a literal's negation is its
-``negated()``.  ``settle`` covers an area of the keys and merges in the
-recorded items of the keys outside it that lead into it.
+``key`` each literal carries (``p``, ``!p``); ``contrary`` gives the key of
+a literal's negation without building it.  ``settle`` covers an area of the
+keys and merges in the recorded items of the keys outside it that lead into
+it.
 ``propositions.Context`` keeps the state and decides what changed.
 """
 
@@ -246,11 +247,16 @@ def clashes(settled: dict[str, Item], run: dict[str, Item],
     for key in area:
         if key in settled:
             lit = settled[key][1]
-            neg = lit.negated().key
+            neg = contrary(lit)
             other = settled.get(neg) if neg in area else run.get(neg)
             if other is not None:
                 pairs[lit.atom] = (lit, other[1]) if lit.positive else (other[1], lit)
     return [pairs[atom] for atom in sorted(pairs)]
+
+
+def contrary(lit) -> str:
+    """The key of ``lit``'s negation, read off its atom and polarity."""
+    return "!" + lit.atom if lit.positive else lit.atom
 
 
 def forward(graph: Graph, keys: Iterable[str]) -> set[str]:
@@ -277,7 +283,7 @@ def forced_item(edges: dict[str, tuple[Edge, ...]], lit) -> Optional[Item]:
     closes the gap left by pure unit propagation (e.g. a -> b plus !a -> b
     forces b).  The widest (strongest-weakest-rule) chain wins.
     """
-    key, start = lit.key, lit.negated().key
+    key, start = lit.key, contrary(lit)
     best: dict[str, Derivation] = {}
     heap: list[tuple[tuple[int, tuple[int, ...], str], str, Derivation]] = []
     seed = Derivation(Strength.PHYSICAL, frozenset(), ())

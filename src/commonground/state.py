@@ -7,7 +7,7 @@ from typing import Iterable
 from .acceptance import AcceptanceBelief, ConflictEvidence, PendingAcceptance, \
     RetractionReport, SupportLink
 from .grounding import AssumptionRecord, LicenseLink, Participant, UtteranceEvent
-from .propositions import LIVE, Context, Proposition
+from .propositions import LIVE, Context, ContextEntry, Proposition
 
 
 class DiscourseState:
@@ -49,6 +49,10 @@ class DiscourseState:
         self.support_links: dict[str, SupportLink] = {}
         #: (belief key, goal key) -> the link ``record_support`` added
         self.support_between: dict[tuple[str, str], SupportLink] = {}
+        #: keys of the current event's propositions that the context did not
+        #: hold before the event, while its kept conflict trial holds them
+        #: ahead of its assertion step (see ``entry_before_event``)
+        self.arriving: frozenset[str] = frozenset()
         self.conflicts: list[ConflictEvidence] = []
         self.pending: list[PendingAcceptance] = []
         self.retractions: list[RetractionReport] = []
@@ -57,6 +61,11 @@ class DiscourseState:
     def nodes(self) -> dict[str, object]:
         """Every node of the dependency graph, by id (the context's dict)."""
         return self.context.nodes
+
+    def entry_before_event(self, p: Proposition) -> ContextEntry | None:
+        """The live entry of ``p`` as the context held it before the current
+        event: none for a key in ``arriving``."""
+        return None if p.key in self.arriving else self.context.lookup(p)
 
     def participant_ids(self) -> set[str]:
         return {p.id for p in self.participants}

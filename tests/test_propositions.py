@@ -570,7 +570,8 @@ def test_incremental_saturation_matches_from_scratch_reference(steps):
                 latest = max(ctx.live_entries(), key=lambda e: e.order).entry_id
                 assert ctx.defeat_entry(latest) == ref.defeat_entry(latest)
         elif step[0] == "event":
-            # the engine's flow: a trial, then assert for real and commit its fixpoint
+            # the engine's flow: a trial that is rolled back on a clash and
+            # otherwise stands as the assertion, then the commit of its fixpoint
             props = step[1]
 
             def trial_live():
@@ -578,9 +579,12 @@ def test_incremental_saturation_matches_from_scratch_reference(steps):
                 try:
                     for p in props:
                         ctx.assert_prop(p, Strength.LINGUISTIC, source)
-                    return ctx.saturate()
-                finally:
+                    fixpoint = ctx.saturate()
+                except BaseException:
                     ctx.rollback(mark)
+                    raise
+                ctx.keep(mark)
+                return fixpoint
 
             def trial_clone():
                 scratch = ref.clone()
@@ -591,11 +595,11 @@ def test_incremental_saturation_matches_from_scratch_reference(steps):
             (clash, fixpoint), (ref_clash, ref_fixpoint) = \
                 clashes_of(trial_live), clashes_of(trial_clone)
             assert clash == ref_clash
-            assert full_view(ctx) == full_view(ref)
+            assert ctx._trail is None
             if fixpoint is not None:
                 for p in props:
-                    ctx.assert_prop(p, Strength.LINGUISTIC, source)
                     ref.assert_prop(p, Strength.LINGUISTIC, source)
+                assert full_view(ctx) == full_view(ref)
                 assert [e.entry_id for e in ctx.commit(fixpoint)] == \
                     [e.entry_id for e in reference_commit(ref, ref_fixpoint)]
         else:

@@ -15,7 +15,7 @@ from commonground import (AcceptanceBelief, AcceptanceOutcome, ActType, Conflict
                           Strength, SupportLink, UnknownProposition, UtteranceEvent, defeat,
                           detect_conflict, evaluate_acceptance, parse, parse_proposition,
                           record_support, replay_transcript)
-from commonground import saturation
+from commonground import Context, Literal, propositions, saturation
 from commonground.acceptance import CONTRADICTORY_ASSERTION, EXPLICIT_REJECTION
 from commonground.propositions import DEFEATED, LIVE
 from conftest import DIALOGUES, DISPUTES, load_fixture
@@ -141,13 +141,18 @@ def test_detect_conflict_none_for_consistent_assertion():
 
 
 def test_detect_conflict_hands_over_the_trial_fixpoint():
-    state = fresh_state()
-    seeded(state, "u1", "p -> q")
+    state, direct = fresh_state(), fresh_state()
+    for s in (state, direct):
+        seeded(s, "u1", "p -> q")
     consistent = event("u2", 1, speaker="b", addressee="a", realizes=(P("p"),))
     fixpoints = []
     assert detect_conflict(state, consistent, fixpoints) is None
     assert {key for key, _ in fixpoints[0].settled} == {"p", "q"}
-    assert state.context.lookup(P("p")) is None  # the trial was rolled back
+    # the trial stands as the event's assertion
+    direct.context.assert_prop(P("p"), Strength.LINGUISTIC, "u2")
+    assert trial_view(state.context) == trial_view(direct.context)
+    assert state.context._trail is None
+    assert fixpoints[0] == direct.context.saturate()
 
 
 def test_detect_conflict_hands_over_nothing_on_a_clash():
@@ -187,14 +192,43 @@ def rollback_state():
     (("p", "q -> !p"), True),  # the same, and the new rule clashes
 ], ids=["returns", "raises"])
 def test_detect_conflict_trial_leaves_the_context_as_it_was(realizes, clash):
+    """A trial that finds a clash leaves the context as it was; one that
+    finds none leaves it as asserting the event's propositions does, with
+    the fixpoint that saturating it would give.  No trail stays open."""
     state = rollback_state()
-    before, saturated = trial_view(state.context), saturation_view(state.context)
+    props = tuple(P(t) for t in realizes)
+    expected = rollback_state().context
+    if not clash:
+        for p in props:
+            expected.assert_prop(p, Strength.LINGUISTIC, "u3")
+    before, saturated = trial_view(expected), saturation_view(expected)
     fixpoints = []
     found = detect_conflict(state, event("u3", 3, speaker="b", addressee="a",
-                                         realizes=tuple(P(t) for t in realizes)), fixpoints)
+                                         realizes=props), fixpoints)
     assert (found is not None) == clash and len(fixpoints) == (not clash)
     assert trial_view(state.context) == before
-    assert state.context.lookup(P("p")).sources == ("u0",)
+    assert state.context._trail is None
+    assert state.context.lookup(P("p")).sources == (("u0",) if clash else ("u0", "u3"))
+    assert saturation_view(state.context) == saturated
+    assert clash or fixpoints[0].settled == saturated
+
+
+def test_detect_conflict_trial_that_fails_leaves_the_context_as_it_was(monkeypatch):
+    """An exception other than a clash ends the trial in a rollback too, and
+    is raised again."""
+    state = rollback_state()
+    before, saturated = trial_view(state.context), saturation_view(state.context)
+
+    def broken(*args):
+        raise RuntimeError("broken saturation")
+
+    monkeypatch.setattr(propositions, "settle", broken)
+    with pytest.raises(RuntimeError, match="broken saturation"):
+        detect_conflict(state, event("u3", 3, speaker="b", addressee="a",
+                                     realizes=(P("p"), P("q -> s"))), [])
+    monkeypatch.undo()
+    assert trial_view(state.context) == before
+    assert state.context._trail is None
     assert saturation_view(state.context) == saturated
 
 
@@ -211,6 +245,56 @@ def test_trial_undoes_a_defeat_and_restores_the_run():
     ctx.rollback(mark)
     assert trial_view(ctx) == before
     assert saturation_view(ctx) == saturated
+
+
+def test_a_kept_inner_trial_is_undone_with_the_outer_one():
+    ctx = rollback_state().context
+    before, saturated = trial_view(ctx), saturation_view(ctx)
+    outer = ctx.trial()
+    inner = ctx.trial()
+    ctx.assert_prop(P("!p"), Strength.LINGUISTIC, "u3")  # defeats the weaker p
+    ctx.assert_prop(P("q -> s"), Strength.LINGUISTIC, "u4")
+    ctx.commit(ctx.saturate())
+    ctx.keep(inner)
+    assert ctx.lookup(P("p")) is None and ctx._trail is not None
+    ctx.rollback(outer)
+    assert trial_view(ctx) == before
+    assert ctx._trail is None
+    assert saturation_view(ctx) == saturated
+
+
+def test_a_clash_free_event_is_asserted_once(monkeypatch):
+    """The conflict trial of an event with no clash is its assertion: a
+    rule's edges join the graph in one ``Graph.link`` call, and nothing is
+    rolled back."""
+    calls = {"link": 0, "rollback": 0}
+
+    def counted(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(saturation.Graph, "link", counted("link", saturation.Graph.link))
+    monkeypatch.setattr(Context, "rollback", counted("rollback", Context.rollback))
+    engine = DialogueEngine(fresh_state())
+    dialogue = [("p",), ("p -> q",), ("q <-> r",), ("s", "!t"), ("r & s -> u",),
+                ("u -> v",), ("w <-> !v",), ("x", "x -> y"), ("y & q -> z",), ("q",)]
+    rule_events = 0
+    for i, texts in enumerate(dialogue):
+        speaker, addressee = ("a", "b") if i % 2 == 0 else ("b", "a")
+        props = tuple(P(t) for t in texts)
+        rules = sum(not isinstance(p, Literal) for p in props)
+        before = dict(calls)
+        trace = engine.process(event(f"u{i}", i, speaker, addressee, text=f"turn number {i}",
+                                     realizes=props))
+        assert trace.conflicts == () and not trace.retractions
+        assert calls["link"] - before["link"] == rules, texts
+        assert calls["rollback"] == before["rollback"], texts
+        rule_events += rules > 0
+    assert rule_events == 7
+    derived = {e.proposition.key for e in engine.state.context.live_entries() if e.derived}
+    assert derived == {"r", "u", "v", "!w", "y", "z"}
 
 
 def test_saturation_work_per_event_stays_flat(monkeypatch):
@@ -561,6 +645,28 @@ def test_utterance_after_a_belief_of_its_id_gets_an_entry_of_its_own():
     s = state.context.lookup(P("s"))
     assert s.dependencies == {"a1#2", "u2"}
     assert state.context.asserted_roots(s) == {"a1", "u2"}
+
+
+def test_acceptance_sees_the_context_as_it_was_before_the_event():
+    # u2 accepts u1's x by default while its own kept trial holds x as u2#2;
+    # the acceptance rests on the trigger alone, as x was not in the context
+    state = replay_checked("true", utterance("u0", 0, "p"),
+                           utterance("u1", 1, "x") + "\nrejects: u0",
+                           utterance("u2", 2, "z; x"))
+    belief = state.acceptance_beliefs["a1"]
+    assert (belief.proposition, belief.accepting_agent) == (P("x"), "a")
+    assert belief.dependencies == {"u2"}
+    assert state.context.lookup(P("x")).entry_id == "u2#2"
+
+
+def test_license_evidence_sees_the_context_as_it_was_before_the_event():
+    # the implicature p => q rests on p, which is gone when u1 realizes p and
+    # q; u1's kept trial holds p, but p was not in the context before u1
+    engine = DialogueEngine(fresh_state(require_acceptance=False))
+    engine.process(event("u0", 0, realizes=(P("p"),), implicates=(P("p"), P("q"))))
+    engine.state.context.defeat_entry("u0")
+    with pytest.raises(UnknownProposition, match="license premise p"):
+        engine.process(event("u1", 1, "b", "a", realizes=(P("p"), P("q"))))
 
 
 def test_derived_entry_never_takes_the_id_of_an_utterance():
