@@ -2,7 +2,8 @@
 
 Subcommands::
 
-    check <file>...          parse-only validation
+    check <file>...          parse-only validation; it does not replay, so
+                             ``trace`` may still refuse a file that passes
     trace <file>             replay one dialogue and print the belief trace
     classify <file>...       table of redundant utterances and their classes
     stats <directory>        distributional statistics over a corpus of .dlg files
@@ -114,7 +115,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Replay annotated two-party dialogues and track graded mutual beliefs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="parse-only validation")
+    p = sub.add_parser("check", help="parse-only validation; does not replay, so trace "
+                                     "may still refuse a file that passes")
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_check)
 

@@ -483,7 +483,7 @@ class Context:
         self-refutation (a literal whose own negation implies it is forced).
         A derived literal's strength is MIN over its premises, capped at
         inference.  Labels settle in a Dijkstra order: strongest first, then
-        the derivation with earliest premises.
+        the smallest rank (premise orders, latest first).
 
         The saturation covers an area: the keys whose seeds or in-edges
         changed since the last commit, and every key the rule graph leads to
@@ -493,7 +493,8 @@ class Context:
         (``saturation.settle``).  No edge leads out of the area, so the other
         keys keep their labels, and the result is exactly the saturation of
         the whole context.  Seeding the changed keys with the stored labels as
-        bounds would not be: the rank tie-break is not monotone along a path.
+        bounds would not be: a label that gains strength can, once capped at
+        inference, pass on a greater rank than the label it replaced.
 
         A label outside the area never rests on a defeated entry.  Follow its
         derivation from the last defeated entry in it to the key: that
@@ -501,7 +502,7 @@ class Context:
         step is an edge or a rule still in the graph.  So the area holds
         every key whose label rested on a defeated entry, also one whose own
         entry stays live because its label was a derivation of equal strength
-        and earlier rank.  A forced label changes only with an edge on a
+        and smaller rank.  A forced label changes only with an edge on a
         chain from its negation to it, and then its key counts as changed.
         A fresh context and a clone have no run, and every live entry counted
         as changed when it entered, so the area is every key the search can
@@ -521,7 +522,7 @@ class Context:
         if clashing:
             raise ConflictDetected(clashing)
         fresh = [(key, (item[1], item[2])) for key, item in settled.items() if key in area]
-        fresh.sort(key=lambda kv: kv[1][1].rank)
+        fresh.sort(key=lambda kv: kv[1][1].rank[::-1])
         return Fixpoint(fresh, {key: settled.get(key) for key in area})
 
     def commit(self, fixpoint: Fixpoint) -> list[ContextEntry]:
@@ -558,7 +559,7 @@ class Context:
         return inserted
 
     def _rank(self, deps: Iterable[str]) -> tuple[int, ...]:
-        return tuple(sorted(self.entries[d].order for d in deps))
+        return tuple(sorted((self.entries[d].order for d in deps), reverse=True))
 
     # -- redundancy -------------------------------------------------------
 
@@ -601,4 +602,4 @@ class Context:
 def _seed(entry: ContextEntry) -> Item:
     """The saturation's seed item for a live literal entry."""
     return ((-entry.strength, (entry.order,), entry.proposition.key), entry.proposition,
-            Derivation(entry.strength, frozenset([entry.entry_id]), (entry.order,)), ())
+            Derivation(entry.strength, frozenset([entry.entry_id]), (entry.order,)))

@@ -2,21 +2,21 @@
 
 A literal settles with a ``Derivation``: its strength (MIN over its
 premises, derived content capped at inference), its premises, and their
-insertion orders, which break ties in favour of earlier premises.  The search
-is a Dijkstra over the implication graph of the live rules (``Graph``).  The
-graph and the search hold ``Literal`` objects, and index them by the
-``key`` each literal carries (``p``, ``!p``); ``contrary`` gives the key of
-a literal's negation without building it.  ``settle`` covers an area of the
-keys and merges in the recorded items of the keys outside it that lead into
-it.
+insertion orders, latest first, which break ties in favour of the smaller
+such tuple.  Adding a premise or taking a union never makes that tuple
+smaller, so the (strength, rank) part of a heap key never falls along a
+derivation.  The search is a Dijkstra over the implication graph of the live
+rules (``Graph``).  The graph and the search hold ``Literal`` objects, and
+index them by the ``key`` each literal carries (``p``, ``!p``); ``contrary``
+gives the key of a literal's negation without building it.  ``settle``
+covers an area of the keys and merges in the recorded items of the keys
+outside it that lead into it.
 ``propositions.Context`` keeps the state and decides what changed.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
-from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional
 
 from .evidence import DERIVED_CAP, Strength
@@ -27,14 +27,12 @@ class Derivation(NamedTuple):
 
     strength: Strength
     deps: frozenset[str]
-    rank: tuple[int, ...]  # sorted insertion orders of deps; earlier premises win ties
+    rank: tuple[int, ...]  # insertion orders of deps, latest first; the smaller rank wins ties
 
 
-#: one labelled item: ((-strength, rank, literal.key), literal, derivation,
-#: signature).  Heap order is a total order on the items that can differ.  On
-#: the heap the last field is the signature of the item that pushed it (``()``
-#: for a seed); once the item settles it is the item's own (``_signature``).
-Item = tuple[tuple[int, tuple[int, ...], str], object, Derivation, tuple]
+#: one labelled item: ((-strength, rank, literal.key), literal, derivation).
+#: Heap order is a total order on the items that can differ.
+Item = tuple[tuple[int, tuple[int, ...], str], object, Derivation]
 
 #: an edge of the graph: (target, rule id, rule strength, rule order)
 Edge = tuple[object, str, Strength, int]
@@ -155,69 +153,47 @@ class Fixpoint(NamedTuple):
 
 
 def settle(graph: Graph, seeds: Iterable[Item], rank: Callable[[set[str]], tuple[int, ...]],
-           recorded: list[Item], area: set[str]) -> dict[str, Item]:
+           recorded: Iterable[Item], area: set[str]) -> dict[str, Item]:
     """Settle every literal of ``area`` the seeds and ``recorded`` reach,
-    strongest first, then earliest premises; returns the settled items by
-    key, with the recorded ones.  ``rank`` gives the sorted insertion orders
-    of a set of entry ids.
+    strongest first, then smallest rank; returns the settled items by key,
+    with the recorded ones.  ``rank`` gives the insertion orders of a set of
+    entry ids, latest first.
 
     ``area`` is a set of keys closed under ``graph``, and the seeds are
     those of the area.  ``recorded`` holds the settled items (from an earlier
-    search) of the keys outside the area that have an edge or a rule into it,
-    sorted by signature.  No edge leads out of the area, so those keys keep
-    their items, and the search merges each one in where a search over every
-    key pops it.
-
-    That place follows from the signatures.  A search over every key pops
-    its items in the order of their signatures: the heap keys of the item's
-    chain of pushers (itself, the item whose pop pushed it, and so on back
-    to a seed) that exceed every heap key after them in the chain, compared
-    as tuples.  Every item popped between an item's push and its pop has a
-    smaller heap key, so an item pops after every item with a smaller
-    chain maximum, and after the item holding its own maximum the same holds
-    for the rest of the chain.  The heap key alone would not place it: the
-    rank tie-break is not monotone along a path, so a recorded item can pop
-    after an item with a greater heap key.
+    search) of the keys outside the area that have an edge or a rule into it.
+    No edge leads out of the area, so those keys keep their items, and the
+    search pops each one from the same heap as its own items.  That is where
+    a search over every key pops it: the (strength, rank) part of a heap key
+    never falls along an edge or a rule, and stays equal only when a step
+    reuses a rule already in the derivation.
     """
     edges, multis = graph.edges, graph.multis
     push, pop = heapq.heappush, heapq.heappop
     heap: list[Item] = []
-    for item in seeds:
+    for item in (*seeds, *recorded):
         push(heap, item)
-    merged = iter(recorded)
-    waiting = next(merged, None)
     settled: dict[str, Item] = {}
-    while True:
-        while heap and heap[0][0][2] in settled:
-            pop(heap)
-        if heap:
-            top = heap[0]
-            sig = _signature(top[3], top[0])
-            if waiting is not None and waiting[3] < sig:
-                item, inside, waiting = waiting, False, next(merged, None)
-            else:
-                pop(heap)
-                item, inside = (top[0], top[1], top[2], sig), True
-        elif waiting is not None:
-            item, inside, waiting = waiting, False, next(merged, None)
-        else:
-            return settled
+    while heap:
+        item = pop(heap)
         key = item[0][2]
+        if key in settled:
+            continue
         settled[key] = item
-        deriv, sig = item[2], item[3]
+        deriv = item[2]
         for dst, rule_id, rule_strength, rule_order in edges.get(key, ()):
             dst_key = dst.key
-            if dst_key in settled or not (inside or dst_key in area):
+            if dst_key in settled or dst_key not in area:
                 continue
             strength = min(deriv.strength, rule_strength, DERIVED_CAP)
             if rule_id in deriv.deps:
                 deps, order = deriv.deps, deriv.rank
             else:
                 deps, order = deriv.deps | {rule_id}, _with_order(deriv.rank, rule_order)
-            push(heap, ((-strength, order, dst_key), dst, Derivation(strength, deps, order), sig))
+            push(heap, ((-strength, order, dst_key), dst, Derivation(strength, deps, order)))
         for ants, dst, rule_id, rule_strength in multis.get(key, ()):
             dst_key = dst.key
-            if dst_key in settled or not (inside or dst_key in area):
+            if dst_key in settled or dst_key not in area:
                 continue
             premises = [settled.get(a.key) for a in ants]
             if None not in premises:
@@ -227,15 +203,16 @@ def settle(graph: Graph, seeds: Iterable[Item], rank: Callable[[set[str]], tuple
                     deps |= p[2].deps
                 order = rank(deps)
                 push(heap, ((-strength, order, dst_key), dst,
-                            Derivation(strength, frozenset(deps), order), sig))
+                            Derivation(strength, frozenset(deps), order)))
+    return settled
 
 
 def boundary(graph: Graph, run: dict[str, Item], area: set[str]) -> list[Item]:
     """The items of ``run`` for the keys outside ``area`` with an edge or a
-    rule into it, sorted by signature: what ``settle`` merges in."""
+    rule into it: what ``settle`` merges in."""
     into = graph.into
     keys = {src for key in area for src, _ in into.get(key, ()) if src not in area}
-    return sorted((run[key] for key in keys if key in run), key=itemgetter(3))
+    return [run[key] for key in keys if key in run]
 
 
 def clashes(settled: dict[str, Item], run: dict[str, Item],
@@ -309,7 +286,7 @@ def forced_item(edges: dict[str, tuple[Edge, ...]], lit) -> Optional[Item]:
         return None
     d = best[key]
     strength = min(d.strength, DERIVED_CAP)
-    return (-strength, d.rank, key), lit, Derivation(strength, d.deps, d.rank), ()
+    return (-strength, d.rank, key), lit, Derivation(strength, d.deps, d.rank)
 
 
 def _reach(edges: dict[str, tuple[Edge, ...]], start) -> dict[str, object]:
@@ -325,17 +302,6 @@ def _reach(edges: dict[str, tuple[Edge, ...]], start) -> dict[str, object]:
     return seen
 
 
-def _signature(up: tuple, head: tuple) -> tuple:
-    """The signature of an item with heap key ``head`` pushed by an item with
-    signature ``up``: the entries of ``up`` greater than ``head``, then
-    ``head``.  A signature is strictly decreasing, so those form a prefix."""
-    i = len(up)
-    while i and up[i - 1] < head:
-        i -= 1
-    return up[:i] + (head,)
-
-
 def _with_order(rank: tuple[int, ...], order: int) -> tuple[int, ...]:
-    """``rank`` with one more premise order, kept sorted."""
-    i = bisect.bisect(rank, order)
-    return rank[:i] + (order,) + rank[i:]
+    """``rank`` with one more premise order, kept latest first."""
+    return tuple(sorted(rank + (order,), reverse=True))

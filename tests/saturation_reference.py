@@ -59,7 +59,7 @@ def reference_saturate(ctx):
                 add_edge(src, dst, e)
 
     def rank(deps):
-        return tuple(sorted(ctx.entries[d].order for d in deps))
+        return tuple(sorted((ctx.entries[d].order for d in deps), reverse=True))
 
     settled = {}
     agenda = []
@@ -102,7 +102,7 @@ def reference_saturate(ctx):
             clashes.append((lit, settled[neg][0]))
     if clashes:
         raise ConflictDetected(clashes)
-    return (sorted(settled.items(), key=lambda kv: kv[1][1].rank),
+    return (sorted(settled.items(), key=lambda kv: kv[1][1].rank[::-1]),
             {key: e.entry_id for key, e in lit_entries.items()})
 
 

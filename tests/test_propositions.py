@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from commonground import (BadPropositionSyntax, Biconditional, ConflictDetected, Context,
                           Literal, RedundancyVerdict, Rule, Strength, parse_proposition)
 from commonground.propositions import DEFEATED, LIVE, retract
+from commonground.saturation import _with_order
 from saturation_reference import reference_commit, reference_key, reference_saturate
 from truthtable import literal_consequences
 
@@ -509,7 +510,9 @@ RAISED_SEED_WINS = [("assert", lit("k"), Strength.HYPOTHESIS),
                     ("assert", lit("a -> k"), Strength.LINGUISTIC), ("saturate",),
                     ("assert", lit("k -> m"), Strength.LINGUISTIC), ("saturate",)]
 #: seeding only from the changed keys, with the stored labels as bounds,
-#: settles c on a different derivation than a full saturation does
+#: settles c on a different derivation than a full saturation does: !e's
+#: label gains strength, but d's label through it, capped at inference, has
+#: a greater rank than d's stored one, so the bound keeps the stale label
 BOUNDS_ARE_NOT_EXACT = [("assert", lit("!a"), Strength.HYPOTHESIS),
                         ("event", [lit("b"), lit("e -> !b"), lit("d <-> !e")]),
                         ("event", [lit("!e"), lit("!c -> !d")])]
@@ -523,10 +526,11 @@ LABEL_RESTS_ON_A_DEFEATED_RULE = [("assert", lit("a"), Strength.LINGUISTIC),
                                   ("defeat", 1),
                                   ("assert", lit("k -> m"), Strength.LINGUISTIC), ("saturate",)]
 
-#: b pops after x although its heap key is smaller, since the rule x -> b is
-#: older than x; raising h puts h and t in the area, and t's label comes
-#: through h only if b merges in after h, where a search over every key pops
-#: it; m then inherits that label
+#: with premise orders sorted earliest first, b's heap key would be smaller
+#: than x's although b pops after x, since the rule x -> b is older than x;
+#: raising h puts h and t in the area, and t's label comes through h only if
+#: b merges in after h, so a merge by that heap key fails here; m then
+#: inherits t's label
 MERGED_IN_POP_ORDER = [("assert", lit("x -> b"), Strength.LINGUISTIC),
                        ("assert", lit("b -> t"), Strength.LINGUISTIC),
                        ("assert", lit("h -> t"), Strength.LINGUISTIC),
@@ -534,6 +538,24 @@ MERGED_IN_POP_ORDER = [("assert", lit("x -> b"), Strength.LINGUISTIC),
                        ("assert", lit("x"), Strength.INFERENCE), ("saturate",),
                        ("assert", lit("h"), Strength.INFERENCE), ("saturate",),
                        ("assert", lit("t -> m"), Strength.LINGUISTIC), ("saturate",)]
+
+
+#: distinct insertion orders, each flagged as in a subset of them or not
+flagged_orders = st.lists(st.tuples(st.integers(0, 10**6), st.booleans()), min_size=1,
+                          unique_by=lambda t: t[0])
+
+
+@given(flagged_orders)
+def test_rank_never_falls_along_a_derivation(flagged):
+    """A rank only rises along a derivation, so ``settle`` can merge recorded
+    items by heap key: one more premise order makes a rank greater, and a
+    superset of premises never ranks below a subset of them."""
+    orders = [o for o, _ in flagged]
+    rank = tuple(sorted(orders[1:], reverse=True))
+    assert _with_order(rank, orders[0]) > rank
+    ctx = SimpleNamespace(entries={f"e{o}": SimpleNamespace(order=o) for o in orders})
+    subset = {f"e{o}" for o, kept in flagged if kept}
+    assert Context._rank(ctx, set(ctx.entries)) >= Context._rank(ctx, subset)
 
 
 def clashes_of(run):
