@@ -13,13 +13,12 @@ through everything that depended on the defeated belief.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import ConflictDetected, DefeatRejected, OrderingViolation, UnknownProposition
 from .evidence import Strength, defeats
 from .grounding import ActType, Intonation, IRUClass, UtteranceEvent
-from .propositions import LIVE, Literal, Proposition
+from .propositions import LIVE, Literal, Proposition, Slotted
 from .saturation import Fixpoint, contrary
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -29,8 +28,7 @@ EXPLICIT_REJECTION = "explicit_rejection"
 CONTRADICTORY_ASSERTION = "contradictory_assertion"
 
 
-@dataclass(frozen=True)
-class ConflictEvidence:
+class ConflictEvidence(NamedTuple):
     """Evidence that an addressee does not (or may not) accept some content.
 
     The clashing pair is inconsistent under closure, or the event is
@@ -50,32 +48,40 @@ class ConflictEvidence:
         return any(p.key in self.against for p in props)
 
 
-@dataclass
-class AcceptanceBelief:
-    belief_id: str
-    proposition: Proposition
-    accepting_agent: str
-    strength: Strength  # DEFAULT or LINGUISTIC
-    dependencies: set[str] = field(default_factory=set)
-    status: str = LIVE
-    source_event: str = ""  # utterance whose content is accepted
-    trigger_event: str = ""  # next-turn event that licensed the acceptance
+class AcceptanceBelief(Slotted):
+    _fields = __slots__ = ("belief_id", "proposition", "accepting_agent", "strength",
+                           "dependencies", "status", "source_event", "trigger_event")
+
+    def __init__(self, belief_id: str, proposition: Proposition, accepting_agent: str,
+                 strength: Strength, dependencies: Optional[set[str]] = None,
+                 status: str = LIVE, source_event: str = "", trigger_event: str = ""):
+        self.belief_id = belief_id
+        self.proposition = proposition
+        self.accepting_agent = accepting_agent
+        self.strength = strength  # DEFAULT or LINGUISTIC
+        self.dependencies = set() if dependencies is None else dependencies
+        self.status = status
+        self.source_event = source_event  # utterance whose content is accepted
+        self.trigger_event = trigger_event  # next-turn event that licensed the acceptance
 
 
-@dataclass
-class SupportLink:
+class SupportLink(Slotted):
     """A belief put forward as a reason to adopt a goal or intention."""
 
-    link_id: str
-    belief: Proposition
-    goal: Proposition
-    dependencies: set[str] = field(default_factory=set)
-    status: str = LIVE
-    strength: Strength = Strength.LINGUISTIC
+    _fields = __slots__ = ("link_id", "belief", "goal", "dependencies", "status", "strength")
+
+    def __init__(self, link_id: str, belief: Proposition, goal: Proposition,
+                 dependencies: Optional[set[str]] = None, status: str = LIVE,
+                 strength: Strength = Strength.LINGUISTIC):
+        self.link_id = link_id
+        self.belief = belief
+        self.goal = goal
+        self.dependencies = set() if dependencies is None else dependencies
+        self.status = status
+        self.strength = strength
 
 
-@dataclass(frozen=True)
-class PendingAcceptance:
+class PendingAcceptance(NamedTuple):
     """An acceptance question left open (e.g. blocked by a rising check);
     re-evaluated at each subsequent turn by the would-be accepter."""
 
@@ -84,8 +90,7 @@ class PendingAcceptance:
     agent: str
 
 
-@dataclass(frozen=True)
-class AcceptanceOutcome:
+class AcceptanceOutcome(NamedTuple):
     kind: str  # "accepted" | "blocked" | "rejected"
     proposition: Proposition
     agent: str
@@ -99,8 +104,7 @@ class AcceptanceOutcome:
     REJECTED = "rejected"
 
 
-@dataclass(frozen=True)
-class RetractionReport:
+class RetractionReport(NamedTuple):
     target: str
     evidence_kind: str
     defeated: tuple[str, ...]

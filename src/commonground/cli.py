@@ -108,6 +108,13 @@ def cmd_stats(args) -> int:
     return EXIT_OK
 
 
+def turns(text: str) -> int:
+    """A number of turns: a whole number, 0 or more."""
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative: {text}")
+    return int(text)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -132,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stats", help="corpus statistics over a directory of .dlg files")
     p.add_argument("directory")
     p.add_argument("--format", choices=("text", "tabular"), default="text")
-    p.add_argument("--remote-gap", type=int, default=1,
+    p.add_argument("--remote-gap", type=turns, default=1,
                    help="turns within which an antecedent counts as adjacent (default 1)")
     p.set_defaults(func=cmd_stats)
     return parser

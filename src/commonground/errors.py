@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class CommonGroundError(Exception):
@@ -49,8 +49,7 @@ class BadPropositionSyntax(CommonGroundError):
     pass
 
 
-@dataclass(frozen=True)
-class ParseIssue:
+class ParseIssue(NamedTuple):
     """One parse problem, pinned to a 1-based line number."""
 
     line: int

@@ -14,13 +14,12 @@ strength is the weakest link across the record.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import TYPE_CHECKING, Collection, Container, Optional, Sequence
+from typing import TYPE_CHECKING, Collection, Container, NamedTuple, Optional, Sequence
 
 from .errors import UnknownProposition
 from .evidence import Strength, min_strength
-from .propositions import Literal, Proposition, RedundancyVerdict
+from .propositions import Frozen, Literal, Proposition, RedundancyVerdict, Slotted
 
 if TYPE_CHECKING:  # pragma: no cover
     from .state import DiscourseState
@@ -68,34 +67,41 @@ UPGRADE_TABLE: dict[IRUClass, tuple[str, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class Participant:
+class Participant(NamedTuple):
     id: str
 
 
-@dataclass(frozen=True)
-class UtteranceEvent:
+class UtteranceEvent(Frozen):
     """One ``say(speaker, addressee, utterance, propositions)`` act."""
 
-    utterance_id: str
-    turn_index: int
-    speaker: str
-    addressee: str
-    text: str
-    act: ActType = ActType.ASSERT
-    intonation: Intonation = Intonation.UNMARKED
-    realizes: tuple[Proposition, ...] = ()
-    antecedent_ids: tuple[str, ...] = ()
-    implicates: Optional[tuple[Proposition, Proposition]] = None
-    supports: Optional[tuple[Proposition, Proposition]] = None
-    interrupted: bool = False
-    rejects: Optional[str] = None
+    _fields = __slots__ = ("utterance_id", "turn_index", "speaker", "addressee", "text", "act",
+                           "intonation", "realizes", "antecedent_ids", "implicates", "supports",
+                           "interrupted", "rejects")
 
-    def __post_init__(self):
-        if self.speaker == self.addressee:
-            raise ValueError(f"{self.utterance_id}: speaker and addressee coincide")
-        if self.act is ActType.PROMPT and self.realizes:
-            raise ValueError(f"{self.utterance_id}: a prompt realizes no propositions")
+    def __init__(self, utterance_id: str, turn_index: int, speaker: str, addressee: str,
+                 text: str, act: ActType = ActType.ASSERT,
+                 intonation: Intonation = Intonation.UNMARKED,
+                 realizes: tuple[Proposition, ...] = (), antecedent_ids: tuple[str, ...] = (),
+                 implicates: Optional[tuple[Proposition, Proposition]] = None,
+                 supports: Optional[tuple[Proposition, Proposition]] = None,
+                 interrupted: bool = False, rejects: Optional[str] = None):
+        if speaker == addressee:
+            raise ValueError(f"{utterance_id}: speaker and addressee coincide")
+        if act is ActType.PROMPT and realizes:
+            raise ValueError(f"{utterance_id}: a prompt realizes no propositions")
+        object.__setattr__(self, "utterance_id", utterance_id)
+        object.__setattr__(self, "turn_index", turn_index)
+        object.__setattr__(self, "speaker", speaker)
+        object.__setattr__(self, "addressee", addressee)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "act", act)
+        object.__setattr__(self, "intonation", intonation)
+        object.__setattr__(self, "realizes", realizes)
+        object.__setattr__(self, "antecedent_ids", antecedent_ids)
+        object.__setattr__(self, "implicates", implicates)
+        object.__setattr__(self, "supports", supports)
+        object.__setattr__(self, "interrupted", interrupted)
+        object.__setattr__(self, "rejects", rejects)
 
     @property
     def tokens(self) -> tuple[str, ...]:
@@ -157,8 +163,7 @@ def tokens_match_repeat(a: tuple[str, ...], b: tuple[str, ...]) -> bool:
     return _contiguous(a, b) or _contiguous(b, a)
 
 
-@dataclass
-class LicenseLink:
+class LicenseLink(Slotted):
     """Assumption that one proposition sanctions inferring another.
 
     ``origin`` records where the link came from: "inference" when forward
@@ -167,33 +172,42 @@ class LicenseLink:
     implicature-reinforcement classification.
     """
 
-    premise: Proposition
-    conclusion: Proposition
-    strength: Strength
-    origin: str  # "inference" | "implicature"
-    owner: str  # utterance whose understanding carries this assumption
+    _fields = __slots__ = ("premise", "conclusion", "strength", "origin", "owner")
 
     ORIGIN_INFERENCE = "inference"
     ORIGIN_IMPLICATURE = "implicature"
+
+    def __init__(self, premise: Proposition, conclusion: Proposition, strength: Strength,
+                 origin: str, owner: str):
+        self.premise = premise
+        self.conclusion = conclusion
+        self.strength = strength
+        self.origin = origin  # "inference" | "implicature"
+        self.owner = owner  # utterance whose understanding carries this assumption
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.premise.key, self.conclusion.key)
 
 
-@dataclass
-class AssumptionRecord:
+class AssumptionRecord(Slotted):
     """Evidence strengths for the assumptions behind one utterance's uptake.
 
     Strengths only ever rise.  The license slot appears when the utterance
     carries an intended inference (annotation or derivation)."""
 
-    utterance_id: str
-    speaker: str
-    addressee: str
-    strengths: dict[str, Strength]
-    interrupted: bool = False
-    license_keys: set[tuple[str, str]] = field(default_factory=set)
+    _fields = __slots__ = ("utterance_id", "speaker", "addressee", "strengths", "interrupted",
+                           "license_keys")
+
+    def __init__(self, utterance_id: str, speaker: str, addressee: str,
+                 strengths: dict[str, Strength], interrupted: bool = False,
+                 license_keys: Optional[set[tuple[str, str]]] = None):
+        self.utterance_id = utterance_id
+        self.speaker = speaker
+        self.addressee = addressee
+        self.strengths = strengths
+        self.interrupted = interrupted
+        self.license_keys = set() if license_keys is None else license_keys
 
     @classmethod
     def fresh(cls, event: UtteranceEvent) -> "AssumptionRecord":

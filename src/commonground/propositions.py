@@ -13,14 +13,17 @@ Surface syntax (whitespace-insensitive)::
     a <-> !b        biconditional between two literals
 
 Identifiers match ``[A-Za-z][A-Za-z0-9_]*`` and are case-sensitive.
+
+The package's value types are ``NamedTuple`` records or slotted classes
+(``Slotted``, ``Frozen``), not the standard library's data classes: that
+decorator generates and compiles each class's methods on every import, and
+its module imports ``inspect``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import BadPropositionSyntax, ConflictDetected
 from .evidence import Strength
@@ -31,78 +34,112 @@ from .saturation import Derivation, Fixpoint, Graph, Item, boundary, clashes, co
 
 ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
 
-_set = object.__setattr__  # fills the derived fields of the frozen propositions
+
+class Slotted:
+    """Equality and repr over the fields named in ``_fields``: an instance
+    equals only an instance of the same class, and shows as
+    ``Name(field=value, ...)``.  Defining ``__eq__`` leaves a subclass
+    unhashable unless it defines ``__hash__``, as ``Frozen`` does."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]  # set by each subclass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
 
 
-@dataclass(frozen=True)
-class Literal:
+class Frozen(Slotted):
+    """A ``Slotted`` class whose attributes are set once, by ``__init__``
+    through ``object.__setattr__``: rebinding or deleting one raises
+    AttributeError.  It hashes its ``_fields``, which are the parameters of
+    its ``__init__`` in order."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):  # copies and pickles rebuild through __init__
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Literal(Frozen):
     """An atom or its negation.  ``key`` is the canonical text (``p``,
     ``!p``); it takes no part in equality, hashing or repr."""
 
-    atom: str
-    positive: bool = True
-    key: str = field(init=False, repr=False, compare=False)
+    __slots__ = ("atom", "positive", "key")
+    _fields = ("atom", "positive")
 
-    def __post_init__(self):
-        if not ATOM_RE.match(self.atom):
-            raise BadPropositionSyntax(f"bad atom name {self.atom!r}")
-        _set(self, "key", self.atom if self.positive else "!" + self.atom)
+    def __init__(self, atom: str, positive: bool = True):
+        if not ATOM_RE.match(atom):
+            raise BadPropositionSyntax(f"bad atom name {atom!r}")
+        object.__setattr__(self, "atom", atom)
+        object.__setattr__(self, "positive", positive)
+        object.__setattr__(self, "key", atom if positive else "!" + atom)
 
     def negated(self) -> "Literal":
-        # the atom was validated when self was made, so skip __post_init__
-        other = object.__new__(Literal)
-        _set(other, "atom", self.atom)
-        _set(other, "positive", not self.positive)
-        _set(other, "key", other.atom if other.positive else "!" + other.atom)
-        return other
+        return Literal(self.atom, not self.positive)
 
     def __str__(self) -> str:
         return self.key
 
 
-@dataclass(frozen=True)
-class Rule:
+class Rule(Frozen):
     """``key`` sorts the antecedents, so notational variants share it.
     ``edges`` holds the implication edges of a single-antecedent rule: the
     rule and then its contrapositive; a rule with several antecedents has
-    none."""
+    none.  Neither takes part in equality, hashing or repr."""
 
-    antecedents: tuple[Literal, ...]
-    consequent: Literal
-    key: str = field(init=False, repr=False, compare=False)
-    edges: tuple[tuple[Literal, Literal], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("antecedents", "consequent", "key", "edges")
+    _fields = ("antecedents", "consequent")
 
-    def __post_init__(self):
-        if not self.antecedents:
+    def __init__(self, antecedents: tuple[Literal, ...], consequent: Literal):
+        if not antecedents:
             raise BadPropositionSyntax("rule with no antecedents")
-        if len(set(self.antecedents)) != len(self.antecedents):
+        if len(set(antecedents)) != len(antecedents):
             raise BadPropositionSyntax("duplicate rule antecedents")
-        _set(self, "key", " & ".join(sorted(a.key for a in self.antecedents))
-             + " -> " + self.consequent.key)
-        a, c = self.antecedents[0], self.consequent
-        _set(self, "edges", ((a, c), (c.negated(), a.negated())) if len(self.antecedents) == 1
-             else ())
+        object.__setattr__(self, "antecedents", antecedents)
+        object.__setattr__(self, "consequent", consequent)
+        object.__setattr__(self, "key", " & ".join(sorted(a.key for a in antecedents))
+                           + " -> " + consequent.key)
+        a, c = antecedents[0], consequent
+        object.__setattr__(self, "edges", ((a, c), (c.negated(), a.negated()))
+                           if len(antecedents) == 1 else ())
 
     def __str__(self) -> str:
         return " & ".join(a.key for a in self.antecedents) + " -> " + self.consequent.key
 
 
-@dataclass(frozen=True)
-class Biconditional:
+class Biconditional(Frozen):
     """``key`` sorts the sides, so notational variants share it.  ``edges``
     holds its implication edges: both ways, and then their contrapositives
-    in the same order."""
+    in the same order.  Neither takes part in equality, hashing or repr."""
 
-    left: Literal
-    right: Literal
-    key: str = field(init=False, repr=False, compare=False)
-    edges: tuple[tuple[Literal, Literal], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("left", "right", "key", "edges")
+    _fields = ("left", "right")
 
-    def __post_init__(self):
-        l, r = self.left, self.right
-        _set(self, "key", " <-> ".join(sorted((l.key, r.key))))
-        _set(self, "edges", ((l, r), (r, l),
-                             (r.negated(), l.negated()), (l.negated(), r.negated())))
+    def __init__(self, left: Literal, right: Literal):
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "key", " <-> ".join(sorted((left.key, right.key))))
+        not_l, not_r = left.negated(), right.negated()
+        object.__setattr__(self, "edges", ((left, right), (right, left), (not_r, not_l),
+                                           (not_l, not_r)))
 
     def __str__(self) -> str:
         return f"{self.left.key} <-> {self.right.key}"
@@ -144,8 +181,7 @@ def parse_proposition(text: str) -> Proposition:
     return lit(s)
 
 
-@dataclass(frozen=True)
-class RedundancyVerdict:
+class RedundancyVerdict(NamedTuple):
     """Outcome of a redundancy check.
 
     ``antecedents`` carries the ids of the utterances that already put the
@@ -165,8 +201,7 @@ class RedundancyVerdict:
         return self.kind != self.NOT_REDUNDANT
 
 
-@dataclass
-class ContextEntry:
+class ContextEntry(Slotted):
     """One proposition in the common ground with its evidential bookkeeping.
 
     ``sources`` lists the utterances that explicitly asserted the
@@ -174,32 +209,40 @@ class ContextEntry:
     ``dependencies`` holds the entry ids a derivation rests on; a derived
     entry's strength is the MIN over those premises, capped at inference.
     An entry a context inserted carries that context's reverse-dependency
-    index (``index``), and setting its ``dependencies`` records them there,
-    whoever sets them.
+    index (``index``, not a field), and setting its ``dependencies`` records
+    them there, whoever sets them.
     """
 
-    entry_id: str
-    proposition: Proposition
-    strength: Strength
-    sources: tuple[str, ...] = ()
-    dependencies: set[str] = field(default_factory=set)
-    status: str = LIVE
-    order: int = 0
+    __slots__ = ("entry_id", "proposition", "strength", "sources", "_dependencies", "status",
+                 "order", "index")
+    _fields = ("entry_id", "proposition", "strength", "sources", "dependencies", "status",
+               "order")
 
-    index = None  # not a field: the reverse-dependency index of the holding context
+    def __init__(self, entry_id: str, proposition: Proposition, strength: Strength,
+                 sources: tuple[str, ...] = (), dependencies: Optional[set[str]] = None,
+                 status: str = LIVE, order: int = 0, index: Optional[dict] = None):
+        self.entry_id = entry_id
+        self.proposition = proposition
+        self.strength = strength
+        self.sources = sources
+        self.status = status
+        self.order = order
+        self.index = index
+        self.dependencies = set() if dependencies is None else dependencies
+
+    @property
+    def dependencies(self) -> set[str]:
+        return self._dependencies
+
+    @dependencies.setter
+    def dependencies(self, ids: set[str]) -> None:
+        self._dependencies = ids
+        if self.index is not None:
+            add_dependents(self.index, self.entry_id, ids)
 
     @property
     def derived(self) -> bool:
         return not self.sources
-
-
-def _set_dependencies(entry: ContextEntry, ids: set[str]) -> None:
-    entry._dependencies = ids
-    if entry.index is not None:
-        add_dependents(entry.index, entry.entry_id, ids)
-
-
-ContextEntry.dependencies = property(attrgetter("_dependencies"), _set_dependencies)
 
 
 class Context:
@@ -269,8 +312,8 @@ class Context:
                 dependencies=set(e.dependencies),
                 status=e.status,
                 order=e.order,
+                index=other._dependents,
             )
-            entry.index = other._dependents
             if entry.status == LIVE:
                 other._enter(entry)
         return other
@@ -377,9 +420,8 @@ class Context:
             sources=sources,
             dependencies=dependencies,
             order=self._counter,
+            index=self._dependents,
         )
-        entry.index = self._dependents
-        add_dependents(self._dependents, eid, dependencies)
         key = p.key
         if self._trail is not None:
             self._trail.append(("insert", eid, key, self._by_key.get(key)))

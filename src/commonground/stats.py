@@ -9,8 +9,7 @@ resolved; "remote" means no antecedent within ``remote_gap`` turns back,
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .grounding import ActType
 from .trace import TraceRecord
@@ -32,8 +31,7 @@ REFERENCE_CORPUS = {
 }
 
 
-@dataclass(frozen=True)
-class IRUObservation:
+class IRUObservation(NamedTuple):
     dialogue_id: str
     event_id: str
     iru_class: str
@@ -44,8 +42,7 @@ class IRUObservation:
     affirmation_followed: bool
 
 
-@dataclass(frozen=True)
-class CorpusStats:
+class CorpusStats(NamedTuple):
     total_irus: int
     total_dialogues: int
     total_turns: int

@@ -7,23 +7,21 @@ bit-exact: the same dialogue always renders to the same bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .evidence import Strength
 from .grounding import ASSUMPTION_ORDER
 from .propositions import Proposition
 
 
-@dataclass(frozen=True)
-class RecordSnapshot:
+class RecordSnapshot(NamedTuple):
     utterance_id: str
     turn_index: int
     strengths: tuple[tuple[str, Strength], ...]  # in ASSUMPTION_ORDER
     understanding: Strength
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """After-event snapshot of everything the event touched."""
 
     event_id: str

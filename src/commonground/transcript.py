@@ -28,7 +28,7 @@ requires a speaker other than the addressee and a prompt to realize nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BadPropositionSyntax, ParseIssue, TranscriptError
 from .grounding import (ActType, Intonation, Participant, UtteranceEvent, admission_issues,
@@ -44,8 +44,7 @@ ACTS = {act.value: act for act in ActType}
 INTONATIONS = {intonation.value: intonation for intonation in Intonation}
 
 
-@dataclass(frozen=True)
-class Transcript:
+class Transcript(NamedTuple):
     dialogue_id: str
     participants: tuple[Participant, Participant]
     require_acceptance: bool

@@ -112,6 +112,15 @@ def test_stats_remote_gap(gap, remote, fixtures_dir, capsys):
     assert rows["remote"] == remote
 
 
+@pytest.mark.parametrize("gap", ["-1", "-5"])
+def test_stats_refuses_a_negative_remote_gap(gap, fixtures_dir, capsys):
+    status, out, err = outcome(capsys, ["stats", "--remote-gap", gap,
+                                        str(fixtures_dir / "corpus")])
+    assert (status, out) == ("SystemExit 2", "")
+    assert err.startswith("usage: commonground stats ")
+    assert err.endswith(f"argument --remote-gap: must not be negative: {gap}\n")
+
+
 def outcome(capsys, argv):
     """Exit status, stdout and stderr of one call, usage errors included."""
     try:

@@ -102,6 +102,23 @@ def test_carried_key_is_the_canonical_key(p, rng):
         assert l.negated().key == reference_key(L(l.atom, not l.positive))
         assert repr(l) == f"Literal(atom={l.atom!r}, positive={l.positive})"
         assert hash(l) == hash((l.atom, l.positive))
+    # equality and hashing are over the fields alone: never a plain tuple of
+    # them, never a proposition of another type, and never key or edges
+    names = ("atom", "positive") if isinstance(p, L) else \
+        ("antecedents", "consequent") if isinstance(p, Rule) else ("left", "right")
+    fields = tuple(getattr(p, name) for name in names)
+    assert p != fields and fields != p
+    l = literals[0]
+    for q in (l, Rule((l,), l), Biconditional(l, l)):
+        assert type(q) is type(p) or (q != p and p != q)
+    assert type(p)(*fields) == p and hash(type(p)(*fields)) == hash(p) == hash(fields)
+    if isinstance(p, Rule):
+        assert (Rule(tuple(ants), p.consequent) == p) == (tuple(ants) == p.antecedents)
+    elif isinstance(p, Biconditional):
+        assert (Biconditional(p.right, p.left) == p) == (p.left == p.right)
+    for name in (*names, "key", *(() if isinstance(p, L) else ("edges",))):
+        with pytest.raises(AttributeError):
+            setattr(p, name, getattr(p, name))
 
 
 # -- assertion --------------------------------------------------------------
@@ -496,13 +513,37 @@ inc_props = st.one_of(
         lambda ants: st.builds(lambda c: Rule(tuple(ants), c), inc_literals)),
     st.builds(Biconditional, inc_literals, inc_literals),
 )
-inc_assert = st.tuples(st.just("assert"), inc_props, st.sampled_from(list(Strength)[:4]))
+inc_strengths = st.sampled_from(list(Strength)[:4])
+inc_assert = st.tuples(st.just("assert"), inc_props, inc_strengths)
 inc_saturate = st.tuples(st.just("saturate"))
 inc_event = st.tuples(st.just("event"), st.lists(inc_props, min_size=1, max_size=3))
-#: weighted by repetition: assert 4, saturate 3, event 2, defeat 1
-inc_steps = st.one_of(inc_assert, inc_assert, inc_assert, inc_assert,
-                      inc_saturate, inc_saturate, inc_saturate, inc_event, inc_event,
-                      st.tuples(st.just("defeat"), st.integers(0, 50)))
+
+
+def rule_before_antecedent(literals, strengths, raised):
+    """Steps that assert a rule ``x -> b`` before ``x``, and ``h`` in between
+    (at hypothesis first, and raised after a saturation, when ``raised``),
+    then join ``b`` and ``h`` into ``t`` by two rules.  The two derivations
+    of ``t`` tie whenever their weakest links do, and then the rank decides
+    ``t``'s label; ``b``'s rule is older than its premise ``x``."""
+    (x, b, h, t), s = literals, strengths
+    steps = [("assert", Rule((x,), b), s[0]),
+             ("assert", h, Strength.HYPOTHESIS if raised else s[1]),
+             ("assert", x, s[2]), ("saturate",)]
+    if raised:
+        steps += [("assert", h, s[1]), ("saturate",)]
+    return steps + [("assert", Rule((b,), t), s[3]), ("assert", Rule((h,), t), s[4]),
+                    ("saturate",)]
+
+
+inc_step = st.one_of(inc_assert, inc_assert, inc_assert, inc_assert,
+                     inc_saturate, inc_saturate, inc_saturate, inc_event, inc_event,
+                     st.tuples(st.just("defeat"), st.integers(0, 50))).map(lambda step: [step])
+inc_join = st.builds(rule_before_antecedent,
+                     st.lists(inc_literals, min_size=4, max_size=4, unique_by=lambda l: l.atom),
+                     st.lists(inc_strengths, min_size=5, max_size=5), st.booleans())
+#: groups of steps, weighted by repetition: one step (assert 4, saturate 3,
+#: event 2, defeat 1) 5, and the steps of ``rule_before_antecedent`` 1
+inc_steps = st.one_of(inc_step, inc_step, inc_step, inc_step, inc_step, inc_join)
 
 #: a commit raises k; k's own seed then wins its label, which m inherits
 RAISED_SEED_WINS = [("assert", lit("k"), Strength.HYPOTHESIS),
@@ -566,7 +607,7 @@ def clashes_of(run):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(inc_steps, min_size=1, max_size=25))
+@given(st.lists(inc_steps, min_size=1, max_size=20).map(lambda groups: sum(groups, [])))
 @example(RAISED_SEED_WINS)
 @example(BOUNDS_ARE_NOT_EXACT)
 @example(LABEL_RESTS_ON_A_DEFEATED_RULE)
