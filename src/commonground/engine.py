@@ -52,7 +52,7 @@ from .grounding import AssumptionRecord, IRUClass, LicenseLink, UtteranceEvent
 from .propositions import LIVE, Literal
 from .saturation import Fixpoint
 from .state import DiscourseState
-from .trace import TraceRecord, prop_text, snapshot_record
+from .trace import TraceRecord, snapshot_record
 
 #: the error ``process`` raises for each admission issue code
 ADMISSION_ERRORS = {"duplicate-utterance": DuplicateUtterance, "turn-order": OrderingViolation,
@@ -128,7 +128,7 @@ class DialogueEngine:
             if cls in (IRUClass.EXPLICIT_INFERENCE, IRUClass.IMPLICATURE_REINFORCEMENT):
                 for link in matched:
                     grd.record_license_evidence(state, link, Strength.LINGUISTIC)
-                    license_lines.append((prop_text(link.premise), prop_text(link.conclusion),
+                    license_lines.append((str(link.premise), str(link.conclusion),
                                           link.strength, link.origin))
                     owner = state.records.get(link.owner)
                     if owner is not None:
@@ -158,18 +158,18 @@ class DialogueEngine:
                 note = ""
                 if verdict.redundant:
                     note = f"redundant: {verdict.kind} " + ", ".join(sorted(verdict.antecedents))
-                asserted_lines.append((prop_text(p), entry.strength, note))
+                asserted_lines.append((str(p), entry.strength, note))
             derived = []
             if event.realizes:
                 fixpoint = fixpoints[0] if fixpoints else state.context.saturate()
                 derived = state.context.commit(fixpoint)
             for entry in derived:
                 roots = sorted(state.context.asserted_roots(entry))
-                derived_lines.append((prop_text(entry.proposition), entry.strength,
+                derived_lines.append((str(entry.proposition), entry.strength,
                                       tuple(roots)))
                 link = self._license_for_derivation(event, entry, roots)
                 if link is not None:
-                    license_lines.append((prop_text(link.premise), prop_text(link.conclusion),
+                    license_lines.append((str(link.premise), str(link.conclusion),
                                           link.strength, link.origin))
                     touched[event.utterance_id] = record
             if event.implicates is not None:
@@ -179,12 +179,12 @@ class DialogueEngine:
                     LicenseLink(premise, conclusion, Strength.HYPOTHESIS,
                                 LicenseLink.ORIGIN_IMPLICATURE, event.utterance_id),
                     Strength.HYPOTHESIS)
-                license_lines.append((prop_text(link.premise), prop_text(link.conclusion),
+                license_lines.append((str(link.premise), str(link.conclusion),
                                       link.strength, link.origin))
             if event.supports is not None:
                 belief, goal = event.supports
                 acc.record_support(state, belief, goal)
-                support_lines.append((prop_text(belief), prop_text(goal)))
+                support_lines.append((str(belief), str(goal)))
 
         trace = TraceRecord(
             event_id=event.utterance_id,
@@ -200,10 +200,10 @@ class DialogueEngine:
                 for uid, r in sorted(touched.items(),
                                      key=lambda kv: state.events[kv[0]].turn_index)),
             licenses=tuple(license_lines),
-            conflicts=((conflict.kind, prop_text(conflict.pair[0]), prop_text(conflict.pair[1])),)
+            conflicts=((conflict.kind, str(conflict.pair[0]), str(conflict.pair[1])),)
             if conflict is not None else (),
             acceptances=tuple(
-                (o.kind, prop_text(o.proposition), o.agent,
+                (o.kind, str(o.proposition), o.agent,
                  str(o.strength) if o.strength is not None else o.detail,
                  o.trigger_event)
                 for o in outcomes),

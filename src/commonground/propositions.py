@@ -208,37 +208,23 @@ class ContextEntry(Slotted):
     proposition, in order; it is empty for purely derived entries.
     ``dependencies`` holds the entry ids a derivation rests on; a derived
     entry's strength is the MIN over those premises, capped at inference.
-    An entry a context inserted carries that context's reverse-dependency
-    index (``index``, not a field), and setting its ``dependencies`` records
-    them there, whoever sets them.
+    An entry joins a context's dependency graph through ``Context.add_node``,
+    as every node does; the context indexes the dependencies it writes.
     """
 
-    __slots__ = ("entry_id", "proposition", "strength", "sources", "_dependencies", "status",
-                 "order", "index")
-    _fields = ("entry_id", "proposition", "strength", "sources", "dependencies", "status",
-               "order")
+    _fields = __slots__ = ("entry_id", "proposition", "strength", "sources", "dependencies",
+                           "status", "order")
 
     def __init__(self, entry_id: str, proposition: Proposition, strength: Strength,
                  sources: tuple[str, ...] = (), dependencies: Optional[set[str]] = None,
-                 status: str = LIVE, order: int = 0, index: Optional[dict] = None):
+                 status: str = LIVE, order: int = 0):
         self.entry_id = entry_id
         self.proposition = proposition
         self.strength = strength
         self.sources = sources
+        self.dependencies = set() if dependencies is None else dependencies
         self.status = status
         self.order = order
-        self.index = index
-        self.dependencies = set() if dependencies is None else dependencies
-
-    @property
-    def dependencies(self) -> set[str]:
-        return self._dependencies
-
-    @dependencies.setter
-    def dependencies(self, ids: set[str]) -> None:
-        self._dependencies = ids
-        if self.index is not None:
-            add_dependents(self.index, self.entry_id, ids)
 
     @property
     def derived(self) -> bool:
@@ -255,10 +241,10 @@ class Context:
     dialogue's utterances by id.  Ids are allocated against every node and
     utterance, so no node overwrites or aliases another or an utterance.
     Every index names a proposition by its ``key``, which it carries from
-    construction.  Nodes join through ``add_node``, beliefs and links gain
-    dependencies through ``depend``, and entries record theirs whenever they
-    are set (``ContextEntry``): so the context keeps the index ``retract``
-    walks, for each id the nodes whose dependencies may hold it.
+    construction.  Every node joins through ``add_node``, beliefs and links
+    gain dependencies through ``depend``, and ``commit`` indexes those it
+    gives an entry: so the context keeps the index ``retract`` walks, for
+    each id the nodes whose dependencies may hold it.
 
     For saturation the context also keeps three things, each written only
     where an assertion, a defeat or a commit changes it: the implication
@@ -271,8 +257,10 @@ class Context:
     inserted, raised or defeated, and the literals whose forced seed changed).
 
     Single-threaded per dialogue by contract; distinct dialogues never share
-    a context.  ``trial`` logs what-if writes on the context itself, and
-    ``rollback`` undoes them or ``keep`` makes them stand.
+    a context.  Every write logs one undo record ``(holder, slot, old)``, a
+    dict slot (``saturation.put``) or an attribute (an entry's field, a
+    node's status), on the trail the graph shares; ``trial`` marks a
+    position on it for ``rollback`` to undo back to, or ``keep`` to close.
     """
 
     def __init__(self):
@@ -282,10 +270,11 @@ class Context:
         self._by_key: dict[str, str] = {}  # proposition key -> latest entry id
         self._dependents: dict[str, set[str]] = {}  # id -> nodes that may depend on it
         self._counter = 0
-        self._graph = Graph()
+        self._trail: list[tuple] = []  # undo records: (dict, key, old) or (object, name, old)
+        self._trials = 0  # open trials
+        self._graph = Graph(self._trail)
         self._run: dict[str, Item] = {}  # key -> settled item, as last committed
         self._changed: set[str] = set()  # literal keys with new seeds or in-edges since
-        self._trail: Optional[list[tuple]] = None  # undo records of a trial
 
     # -- plumbing ---------------------------------------------------------
 
@@ -312,61 +301,52 @@ class Context:
                 dependencies=set(e.dependencies),
                 status=e.status,
                 order=e.order,
-                index=other._dependents,
             )
             if entry.status == LIVE:
                 other._enter(entry)
         return other
 
-    def trial(self) -> tuple:
-        """Start an undo trail: from here on every write to the context is
-        logged (entry fields, insertions, defeats, the graph and the run)
-        until the returned mark ends the trial: ``rollback`` undoes the writes
-        and ``keep`` lets them stand.  The id counter and the changed keys are
-        restored as a whole.  Trials nest.  Nodes the context does not own
-        (acceptance beliefs, support links) are restored only in their
-        status."""
-        mark = (self._trail, self._counter, self._changed)
-        self._trail = self._graph.trail = []
+    def trial(self) -> int:
+        """Open a trial and return its mark, the trail's length: ``rollback``
+        undoes every write after it and ``keep`` lets them stand.  Each trial
+        logs the id counter and the changed keys, restored as a whole; an
+        outermost one first empties the trail, as nothing can undo the writes
+        before it.  Trials nest.  Of the nodes the context does not own
+        (acceptance beliefs, support links), a rollback restores only their
+        status and their slot in ``nodes``."""
+        if not self._trials:
+            self._trail.clear()
+        self._trials += 1
+        mark = len(self._trail)
+        self._trail.extend(((self, "_counter", self._counter), (self, "_changed", self._changed)))
         self._changed = set(self._changed)
         return mark
 
-    def rollback(self, mark: tuple) -> None:
-        """Undo every write since ``trial`` returned ``mark``."""
-        for record in reversed(self._trail):
-            if record[0] == "entry":
-                _, entry, entry.sources, entry.strength, entry.dependencies = record
-            elif record[0] == "put":
-                _, table, key, old = record
-                if old is None:
-                    table.pop(key, None)
-                else:
-                    table[key] = old
-            elif record[0] == "insert":
-                _, eid, key, previous = record
-                del self.entries[eid], self.nodes[eid]
-                if previous is None:
-                    del self._by_key[key]
-                else:
-                    self._by_key[key] = previous
+    def rollback(self, mark: int) -> None:
+        """Undo every write after ``mark``, latest first, and close its trial."""
+        trail = self._trail
+        while len(trail) > mark:
+            holder, slot, old = trail.pop()
+            if holder.__class__ is not dict:
+                setattr(holder, slot, old)
+            elif old is None:
+                holder.pop(slot, None)
             else:
-                _, node, node.status = record
-        self._trail, self._counter, self._changed = mark
-        self._graph.trail = self._trail
+                holder[slot] = old
+        self._trials -= 1
 
-    def keep(self, mark: tuple) -> None:
-        """End the trial that returned ``mark`` and let its writes stand.  In
-        a nested trial its records move to the outer trail, so a rollback of
-        the outer trial still undoes them."""
-        outer = mark[0]
-        if outer is not None:
-            outer.extend(self._trail)
-        self._trail = self._graph.trail = outer
+    def keep(self, mark: int) -> None:
+        """Close the trial that returned ``mark`` and let its writes stand.
+        The outermost one empties the trail: nothing can undo its writes, and
+        its records of the context would hold it in a reference cycle."""
+        self._trials -= 1
+        if not self._trials:
+            self._trail.clear()
 
-    def _log(self, entry: ContextEntry) -> None:
-        if self._trail is not None:
-            self._trail.append(("entry", entry, entry.sources, entry.strength,
-                                entry.dependencies))
+    def _set(self, node, name: str, value) -> None:
+        """Set attribute ``name`` of ``node``, logging its old value."""
+        self._trail.append((node, name, getattr(node, name)))
+        setattr(node, name, value)
 
     def live_entries(self) -> list[ContextEntry]:
         return [e for e in self.entries.values() if e.status == LIVE]
@@ -392,8 +372,8 @@ class Context:
 
     def add_node(self, node_id: str, node) -> None:
         """Add ``node`` (anything with ``status`` and ``dependencies``) to the
-        dependency graph under ``node_id``."""
-        self.nodes[node_id] = node
+        dependency graph under ``node_id``, and index its dependencies."""
+        put(self._trail, self.nodes, node_id, node)
         add_dependents(self._dependents, node_id, node.dependencies)
 
     def depend(self, node_id: str, ids: Iterable[str]) -> None:
@@ -420,13 +400,10 @@ class Context:
             sources=sources,
             dependencies=dependencies,
             order=self._counter,
-            index=self._dependents,
         )
-        key = p.key
-        if self._trail is not None:
-            self._trail.append(("insert", eid, key, self._by_key.get(key)))
-        self.entries[eid] = self.nodes[eid] = entry
-        self._by_key[key] = eid
+        put(self._trail, self.entries, eid, entry)
+        self.add_node(eid, entry)
+        put(self._trail, self._by_key, p.key, eid)
         return entry
 
     def _enter(self, entry: ContextEntry) -> None:
@@ -459,14 +436,13 @@ class Context:
         """
         existing = self.lookup_key(p.key)
         if existing is not None:
-            self._log(existing)
             if source not in existing.sources:
-                existing.sources = existing.sources + (source,)
+                self._set(existing, "sources", existing.sources + (source,))
             raised = strength > existing.strength
             if strength >= existing.strength:
-                existing.strength = strength
+                self._set(existing, "strength", strength)
                 # direct assertion supersedes any derivation as support
-                existing.dependencies = set()
+                self._set(existing, "dependencies", set())
             if raised:  # its seed or its edges now carry the new strength
                 self._leave(existing)
                 self._enter(existing)
@@ -493,10 +469,9 @@ class Context:
         target = self.nodes.get(node_id)
         status = getattr(target, "status", LIVE)
         defeated = retract(self.nodes, node_id, self._dependents)
-        if self._trail is not None:
-            # every other defeated node was live: retract walks live nodes only
-            self._trail.extend(("status", self.nodes[nid], LIVE if nid != node_id else status)
-                               for nid in defeated)
+        # every other defeated node was live: retract walks live nodes only
+        self._trail.extend((self.nodes[nid], "status", LIVE if nid != node_id else status)
+                           for nid in defeated)
         for nid in defeated:
             entry = self.entries.get(nid)
             if entry is not None and (nid != node_id or status == LIVE):
@@ -594,9 +569,9 @@ class Context:
             if existing is None:
                 inserted.append(self._insert(lit, deriv.strength, (), set(deriv.deps)))
             elif deriv.strength > existing.strength:
-                self._log(existing)
-                existing.strength = deriv.strength
-                existing.dependencies = set(deriv.deps)
+                self._set(existing, "strength", deriv.strength)
+                self._set(existing, "dependencies", set(deriv.deps))
+                add_dependents(self._dependents, existing.entry_id, deriv.deps)
                 self._changed.add(key)
         return inserted
 

@@ -53,16 +53,16 @@ class Graph:
 
     ``link`` adds a rule and ``unlink`` removes it; each returns the keys
     whose in-edges or forced seed changed.  Each write replaces the value
-    under one key, and while ``trail`` is a list the old value is logged
-    there (``put``).
+    under one key and logs the old value (``put``) on ``trail``, the undo
+    trail of the context that owns the graph.
     """
 
-    def __init__(self):
+    def __init__(self, trail: list):
         self.edges: dict[str, tuple[Edge, ...]] = {}
         self.multis: dict[str, tuple[Multi, ...]] = {}
         self.into: dict[str, tuple[tuple[str, str], ...]] = {}
         self.forced: dict[str, Item] = {}
-        self.trail: Optional[list] = None
+        self.trail = trail
 
     def link(self, rule_id: str, strength: Strength, order: int, rule) -> set[str]:
         """Add a rule or biconditional: its ``edges``, or, for a rule with
@@ -126,12 +126,11 @@ class Graph:
         return changed
 
 
-def put(trail: Optional[list], table: dict, key: str, value) -> None:
-    """Set ``table[key]``, or delete it when ``value`` is None.  When
-    ``trail`` is a list, first log ``("put", table, key, old)`` there, with
-    ``old`` None for a missing key; no stored value is None."""
-    if trail is not None:
-        trail.append(("put", table, key, table.get(key)))
+def put(trail: list, table: dict, key: str, value) -> None:
+    """Set ``table[key]``, or delete it when ``value`` is None, and log the
+    undo record ``(table, key, old)`` on ``trail``, with ``old`` None for a
+    missing key; no stored value is None."""
+    trail.append((table, key, table.get(key)))
     if value is None:
         table.pop(key, None)
     else:

@@ -93,4 +93,5 @@ def snapshot_record(record, turn_index: int, understanding: Strength) -> RecordS
 
 
 def prop_text(p: Proposition) -> str:
+    """``str(p)``, kept only as a span target of ``bench/run.py``."""
     return str(p)

@@ -13,6 +13,7 @@ import heapq
 
 from commonground import Biconditional, ConflictDetected, Literal, Rule, Strength
 from commonground.evidence import DERIVED_CAP
+from commonground.retraction import add_dependents
 from commonground.saturation import Derivation
 
 L = Literal
@@ -139,7 +140,8 @@ def reference_forced_literals(edges, rank):
 
 
 def reference_commit(ctx, fixpoint):
-    """Reference for ``Context.commit`` of a from-scratch fixpoint."""
+    """Reference for ``Context.commit`` of a from-scratch fixpoint.  It
+    indexes the dependencies it gives an entry, as ``commit`` does."""
     settled, entries = fixpoint
     inserted = []
     for key, (lit, deriv) in settled:
@@ -150,12 +152,14 @@ def reference_commit(ctx, fixpoint):
             if derived_strength > entry.strength:
                 entry.strength = derived_strength
                 entry.dependencies = set(deriv.deps - {eid})
+                add_dependents(ctx._dependents, eid, entry.dependencies)
             continue
         existing = ctx.lookup(lit)
         if existing is not None:
             if deriv.strength > existing.strength:
                 existing.strength = deriv.strength
                 existing.dependencies = set(deriv.deps)
+                add_dependents(ctx._dependents, existing.entry_id, existing.dependencies)
             continue
         inserted.append(ctx._insert(lit, deriv.strength, (), set(deriv.deps)))
     return inserted

@@ -6,7 +6,7 @@ import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commonground import (AcceptanceBelief, AcceptanceOutcome, ActType, ConflictDetected,
@@ -15,7 +15,7 @@ from commonground import (AcceptanceBelief, AcceptanceOutcome, ActType, Conflict
                           Strength, SupportLink, UnknownProposition, UtteranceEvent, defeat,
                           detect_conflict, evaluate_acceptance, parse, parse_proposition,
                           record_support, replay_transcript)
-from commonground import Context, Literal, propositions, saturation
+from commonground import Biconditional, Context, Literal, Rule, propositions, saturation
 from commonground.acceptance import CONTRADICTORY_ASSERTION, EXPLICIT_REJECTION
 from commonground.propositions import DEFEATED, LIVE
 from conftest import DIALOGUES, DISPUTES, load_fixture
@@ -151,7 +151,7 @@ def test_detect_conflict_hands_over_the_trial_fixpoint():
     # the trial stands as the event's assertion
     direct.context.assert_prop(P("p"), Strength.LINGUISTIC, "u2")
     assert trial_view(state.context) == trial_view(direct.context)
-    assert state.context._trail is None
+    assert state.context._trials == 0
     assert fixpoints[0] == direct.context.saturate()
 
 
@@ -207,7 +207,7 @@ def test_detect_conflict_trial_leaves_the_context_as_it_was(realizes, clash):
                                          realizes=props), fixpoints)
     assert (found is not None) == clash and len(fixpoints) == (not clash)
     assert trial_view(state.context) == before
-    assert state.context._trail is None
+    assert state.context._trials == 0
     assert state.context.lookup(P("p")).sources == (("u0",) if clash else ("u0", "u3"))
     assert saturation_view(state.context) == saturated
     assert clash or fixpoints[0].settled == saturated
@@ -228,7 +228,7 @@ def test_detect_conflict_trial_that_fails_leaves_the_context_as_it_was(monkeypat
                                      realizes=(P("p"), P("q -> s"))), [])
     monkeypatch.undo()
     assert trial_view(state.context) == before
-    assert state.context._trail is None
+    assert state.context._trials == 0
     assert saturation_view(state.context) == saturated
 
 
@@ -256,11 +256,89 @@ def test_a_kept_inner_trial_is_undone_with_the_outer_one():
     ctx.assert_prop(P("q -> s"), Strength.LINGUISTIC, "u4")
     ctx.commit(ctx.saturate())
     ctx.keep(inner)
-    assert ctx.lookup(P("p")) is None and ctx._trail is not None
+    assert ctx.lookup(P("p")) is None and ctx._trials == 1
     ctx.rollback(outer)
     assert trial_view(ctx) == before
-    assert ctx._trail is None
+    assert ctx._trials == 0
     assert saturation_view(ctx) == saturated
+
+
+trail_literals = st.builds(Literal, st.sampled_from("pqrs"), st.booleans())
+trail_props = st.one_of(
+    trail_literals,
+    st.builds(lambda a, c: Rule((a,), c), trail_literals, trail_literals),
+    st.builds(lambda ants, c: Rule(tuple(ants), c),
+              st.lists(trail_literals, min_size=2, max_size=2, unique=True), trail_literals),
+    st.builds(Biconditional, trail_literals, trail_literals),
+)
+#: a write to the context, or a nested trial of writes that is kept or rolled back
+trail_steps = st.recursive(
+    st.one_of(st.tuples(st.just("assert"), trail_props, st.sampled_from(list(Strength)[:4])),
+              st.tuples(st.just("saturate")),
+              st.tuples(st.just("defeat"), st.integers(0, 50))),
+    lambda steps: st.tuples(st.just("trial"), st.booleans(), st.lists(steps, max_size=5)),
+    max_leaves=8)
+
+
+def apply_trail_step(ctx, step, sources):
+    """Apply one drawn step; a clashing assertion leaves the context as it
+    was, and a clashing saturation is settled by defeating the latest live
+    entry."""
+    if step[0] == "assert":
+        try:
+            ctx.assert_prop(step[1], step[2], next(sources))
+        except ConflictDetected:
+            pass
+    elif step[0] == "saturate":
+        try:
+            fixpoint = ctx.saturate()
+        except ConflictDetected:
+            ctx.defeat_entry(max(ctx.live_entries(), key=lambda e: e.order).entry_id)
+        else:
+            ctx.commit(fixpoint)
+    elif step[0] == "defeat":
+        ids = sorted(ctx.entries)  # defeated entries too
+        if ids:
+            ctx.defeat_entry(ids[step[1] % len(ids)])
+    else:
+        mark = ctx.trial()
+        for inner in step[2]:
+            apply_trail_step(ctx, inner, sources)
+        (ctx.keep if step[1] else ctx.rollback)(mark)
+
+
+def saturation_outcome(context):
+    try:
+        return context.saturate()
+    except ConflictDetected as clash:
+        return clash.clashes
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(trail_steps, max_size=6), st.lists(trail_steps, min_size=1, max_size=6))
+def test_rollback_undoes_every_write_of_a_trial(before_steps, steps):
+    """Writes before a trial, and then inside it assertions, saturations with
+    their commits, defeats and nested trials, kept or rolled back: rolling
+    the trial back restores the context, its graph and its run, and closes
+    every trial.  The reverse-dependency index only grows, so it still names
+    every dependency of every node."""
+    ctx, sources = Context(), (f"u{n}" for n in range(10**6))
+    for step in before_steps:
+        apply_trail_step(ctx, step, sources)
+    graph = ctx._graph
+    tables = (graph.edges, graph.multis, graph.into, graph.forced, ctx._run)
+    before, saturated = trial_view(ctx), saturation_outcome(ctx)
+    copies, changed = [dict(t) for t in tables], set(ctx._changed)
+    outer = ctx.trial()
+    for step in steps:
+        apply_trail_step(ctx, step, sources)
+    ctx.rollback(outer)
+    assert ctx._trials == 0
+    assert trial_view(ctx) == before
+    assert saturation_outcome(ctx) == saturated
+    assert list(tables) == copies and ctx._changed == changed
+    for nid, node in ctx.nodes.items():
+        assert all(nid in ctx._dependents.get(dep, ()) for dep in node.dependencies)
 
 
 def test_a_clash_free_event_is_asserted_once(monkeypatch):
