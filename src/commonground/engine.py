@@ -1,42 +1,20 @@
 """Replays a dialogue event by event, updating the discourse state.
 
-Per-event order of operations (it matters, and it is fixed):
+``DialogueEngine.process`` runs nine phases per event, in the paper's
+per-utterance order; each phase's method or comment says what it does.
+The order is fixed, and it matters:
 
-1. admit the event (``grounding.admission_issues``: raise the first issue
-   before any state changes), open its own assumption record (hypothesis),
-2. apply the any-next-utterance upgrade to every earlier record addressed
-   to the current speaker (copresence to linguistic, the rest to at least
-   default) -- before the event's own classification; ``state.awaiting``
-   holds the records still waiting, per addressee,
-3. classify the event against the pre-event context.  The redundancy
-   verdicts of its propositions and the stored license links it concludes
-   (looked up by conclusion key) are worked out once here, and steps 5 and 8
-   reuse them (step 4 adds no link),
-4. detect conflict evidence (annotation first, then a direct contrary, then
-   a trial: the event's propositions are asserted on the live context and
-   saturated under an undo trail).  A trial that finds a clash is rolled
-   back; one that finds none stands as the event's assertion, and its
-   fixpoint waits for step 8,
-5. upgrade the antecedent records named by the classification, and lift the
-   matched license links to linguistic,
-6. settle acceptance: pending questions first, then the adjacent pair.
-   Steps 5-6 see the context as it was before the event: their lookups pass
-   over the entries a kept trial inserted, the keys whose step-3
-   verdict is ``not_redundant`` (``DiscourseState.entry_before_event``),
-7. on conflict, defeat whatever weaker beliefs the evidence defeats;
-   contested content never enters the common ground,
-8. otherwise assert the event's propositions (linguistic), chain the
-   closure, and record inference licenses for newly derived content.  When
-   step 4 found no conflict, its trial asserted the propositions already and
-   its fixpoint is committed as it stands: steps 5-6 write no context entry
-   and step 7 has nothing to do.  After conflict evidence that settles
-   without contesting the content (a ``rejects`` annotation, a direct
-   contrary, or a clash whose live side was defeated) the propositions are
-   asserted here and the context is saturated again.  Each saturation covers
-   what changed since the last commit, a defeat included: the keys of the
-   defeated literals, the targets of the defeated rules, and what they lead
-   to,
-9. register annotated implicature and support links.
+- admission (1) raises before any state changes;
+- the any-next upgrade (2) comes before the event's own classification (3);
+- classification (3) works out the redundancy verdicts and matched license
+  links once, on the context before the event; steps 4, 5 and 8 reuse them;
+- steps 5-6 see the context as it was before the event: their lookups pass
+  over the entries a kept conflict trial (4) inserted;
+- defeats (7) follow acceptance (6) and precede the assertion (8), so
+  contested content never enters the common ground;
+- a clash-free trial (4) is the event's assertion and step 8 commits its
+  fixpoint as it stands, so steps 5-6 write no context entry and step 7
+  has nothing to do.
 """
 
 from __future__ import annotations
@@ -81,110 +59,29 @@ class DialogueEngine:
             self.process(event)
         return self.traces
 
-    # ------------------------------------------------------------------
-
     def process(self, event: UtteranceEvent) -> TraceRecord:
+        """Run ``event`` through the nine phases, in order; returns its trace."""
         state = self.state
-        issues = grd.admission_issues(event, state.participant_ids(), state.events,
-                                      len(state.order))
-        if issues:
-            _, code, message = issues[0]
-            raise ADMISSION_ERRORS[code](f"{event.utterance_id}: {message}")
-        record = grd.open_record(state, event)
-        state.events[event.utterance_id] = event
-        state.order.append(event.utterance_id)
-
-        touched: dict[str, AssumptionRecord] = {}
-
-        # any-next-utterance upgrade, before this event's own classification
-        if not event.interrupted:
-            for uid in state.awaiting.pop(event.speaker, ()):
-                prior = state.records[uid]
-                grd.apply_any_next_upgrade(prior)
-                for key in prior.license_keys:
-                    link = state.license_links[key]
-                    link.strength = max(link.strength, Strength.DEFAULT)
-                touched[uid] = prior
-            # an interrupted utterance's record never gets the upgrade
-            state.awaiting.setdefault(event.addressee, []).append(event.utterance_id)
-
+        prev = self._admit(event)
+        touched = self._any_next_upgrade(event)
+        # 3. classify the event against the context before it
         matched = state.links_concluding(event.realizes)
         verdicts = [state.context.is_redundant(p) for p in event.realizes]
         cls = grd.classify_iru(event, state, verdicts, matched)
         antecedents = grd.resolved_antecedents(event, state, cls, verdicts, matched)
-        fixpoints: list[Fixpoint] = []
-        conflict = acc.detect_conflict(state, event, fixpoints)
-        # a kept trial inserted the propositions the context did not hold
-        state.arriving = frozenset(p.key for p, verdict in zip(event.realizes, verdicts)
-                                   if not verdict.redundant) if fixpoints else frozenset()
-        if conflict is not None:
-            state.conflicts.append(conflict)
-
-        license_lines: list[tuple[str, str, Strength, str]] = []
-        if cls is not IRUClass.NONE:
-            for target in self._upgrade_targets(event, cls, antecedents):
-                grd.apply_iru_upgrade(target, cls)
-                touched[target.utterance_id] = target
-            if cls in (IRUClass.EXPLICIT_INFERENCE, IRUClass.IMPLICATURE_REINFORCEMENT):
-                for link in matched:
-                    grd.record_license_evidence(state, link, Strength.LINGUISTIC)
-                    license_lines.append((str(link.premise), str(link.conclusion),
-                                          link.strength, link.origin))
-                    owner = state.records.get(link.owner)
-                    if owner is not None:
-                        touched[link.owner] = owner
-
+        conflict, fixpoint = self._detect_conflict(event, verdicts)
+        licenses = self._iru_upgrade(event, cls, antecedents, matched, touched)
+        # 6. settle acceptance: pending questions first, then the adjacent pair
         outcomes = acc.reevaluate_pending(state, event, conflict=conflict)
-        prev = state.events[state.order[-2]] if len(state.order) > 1 else None
-        if (prev is not None and prev.addressee == event.speaker
-                and not event.interrupted):
+        if prev is not None and prev.addressee == event.speaker and not event.interrupted:
             outcomes += acc.evaluate_acceptance(state, prev, event,
                                                 iru_class=cls, conflict=conflict)
         state.arriving = frozenset()
-
-        retraction_lines: list[tuple[str, ...]] = []
-        contested = False
-        if conflict is not None:
-            contested = self._handle_defeats(conflict, retraction_lines)
-
-        asserted_lines: list[tuple[str, Strength, str]] = []
-        derived_lines: list[tuple[str, Strength, tuple[str, ...]]] = []
-        support_lines: list[tuple[str, str]] = []
+        retractions, contested = self._defeat(conflict)
+        asserted = derived = supports = ()
         if not contested:
-            for p, verdict in zip(event.realizes, verdicts):
-                # a kept trial asserted the propositions already
-                entry = state.context.lookup(p) if fixpoints else \
-                    state.context.assert_prop(p, Strength.LINGUISTIC, event.utterance_id)
-                note = ""
-                if verdict.redundant:
-                    note = f"redundant: {verdict.kind} " + ", ".join(sorted(verdict.antecedents))
-                asserted_lines.append((str(p), entry.strength, note))
-            derived = []
-            if event.realizes:
-                fixpoint = fixpoints[0] if fixpoints else state.context.saturate()
-                derived = state.context.commit(fixpoint)
-            for entry in derived:
-                roots = sorted(state.context.asserted_roots(entry))
-                derived_lines.append((str(entry.proposition), entry.strength,
-                                      tuple(roots)))
-                link = self._license_for_derivation(event, entry, roots)
-                if link is not None:
-                    license_lines.append((str(link.premise), str(link.conclusion),
-                                          link.strength, link.origin))
-                    touched[event.utterance_id] = record
-            if event.implicates is not None:
-                premise, conclusion = event.implicates
-                link = grd.record_license_evidence(
-                    state,
-                    LicenseLink(premise, conclusion, Strength.HYPOTHESIS,
-                                LicenseLink.ORIGIN_IMPLICATURE, event.utterance_id),
-                    Strength.HYPOTHESIS)
-                license_lines.append((str(link.premise), str(link.conclusion),
-                                      link.strength, link.origin))
-            if event.supports is not None:
-                belief, goal = event.supports
-                acc.record_support(state, belief, goal)
-                support_lines.append((str(belief), str(goal)))
+            asserted, derived = self._assert(event, verdicts, fixpoint, touched, licenses)
+            supports = self._register_links(event, licenses)
 
         trace = TraceRecord(
             event_id=event.utterance_id,
@@ -199,7 +96,7 @@ class DialogueEngine:
                 snapshot_record(r, state.events[uid].turn_index, grd.understanding_strength(r))
                 for uid, r in sorted(touched.items(),
                                      key=lambda kv: state.events[kv[0]].turn_index)),
-            licenses=tuple(license_lines),
+            licenses=tuple(licenses),
             conflicts=((conflict.kind, str(conflict.pair[0]), str(conflict.pair[1])),)
             if conflict is not None else (),
             acceptances=tuple(
@@ -207,59 +104,164 @@ class DialogueEngine:
                  str(o.strength) if o.strength is not None else o.detail,
                  o.trigger_event)
                 for o in outcomes),
-            asserted=tuple(asserted_lines),
-            derived=tuple(derived_lines),
-            supports=tuple(support_lines),
-            retractions=tuple(retraction_lines),
+            asserted=tuple(asserted),
+            derived=tuple(derived),
+            supports=tuple(supports),
+            retractions=tuple(retractions),
         )
         self.traces.append(trace)
         return trace
 
-    # ------------------------------------------------------------------
+    # -- the phases, in order ---------------------------------------------
 
-    def _upgrade_targets(self, event: UtteranceEvent, cls: IRUClass,
-                         antecedents: tuple[str, ...]) -> list[AssumptionRecord]:
+    def _admit(self, event: UtteranceEvent) -> Optional[UtteranceEvent]:
+        """1. Raise the first ``grounding.admission_issues`` issue, then open
+        the event's assumption record and enter it; returns the event before."""
         state = self.state
-        ids = list(antecedents)
+        issues = grd.admission_issues(event, state.participant_ids(), state.events,
+                                      len(state.events))
+        if issues:
+            _, code, message = issues[0]
+            raise ADMISSION_ERRORS[code](f"{event.utterance_id}: {message}")
+        prev = next(reversed(state.events.values()), None)
+        grd.open_record(state, event)
+        state.events[event.utterance_id] = event
+        return prev
+
+    def _any_next_upgrade(self, event: UtteranceEvent) -> dict[str, AssumptionRecord]:
+        """2. Give the any-next-utterance upgrade to the records awaiting the
+        speaker (copresence to linguistic, the rest and their license links to
+        at least default), and queue the event's own for its addressee.  An
+        interrupted utterance neither gives nor gets it.  Returns the upgraded
+        records by id."""
+        state = self.state
+        touched: dict[str, AssumptionRecord] = {}
+        if event.interrupted:
+            return touched
+        for uid in state.awaiting.pop(event.speaker, ()):
+            prior = state.records[uid]
+            grd.apply_any_next_upgrade(prior)
+            for key in prior.license_keys:
+                link = state.license_links[key]
+                link.strength = max(link.strength, Strength.DEFAULT)
+            touched[uid] = prior
+        state.awaiting.setdefault(event.addressee, []).append(event.utterance_id)
+        return touched
+
+    def _detect_conflict(self, event: UtteranceEvent, verdicts) \
+            -> tuple[Optional[acc.ConflictEvidence], Optional[Fixpoint]]:
+        """4. Detect conflict evidence (``acceptance.detect_conflict``).  A
+        clash-free trial stands as the event's assertion: its fixpoint is
+        returned for step 8, and ``state.arriving`` holds the keys it inserted
+        (verdict ``not_redundant``) until step 6 is done."""
+        fixpoints: list[Fixpoint] = []
+        conflict = acc.detect_conflict(self.state, event, fixpoints)
+        fixpoint = fixpoints[0] if fixpoints else None
+        self.state.arriving = frozenset(
+            p.key for p, verdict in zip(event.realizes, verdicts)
+            if not verdict.redundant) if fixpoint is not None else frozenset()
+        return conflict, fixpoint
+
+    def _iru_upgrade(self, event: UtteranceEvent, cls: IRUClass, antecedents: tuple[str, ...],
+                     matched: list[LicenseLink], touched: dict) -> list:
+        """5. Upgrade the antecedent records addressed to the speaker (for a
+        prompt with none, the latest such record, never the event's own); an
+        explicit inference or implicature reinforcement lifts the matched
+        license links to linguistic.  Returns the lifted links' lines."""
+        state, lines = self.state, []
+        if cls is IRUClass.NONE:
+            return lines
+        ids = antecedents
         if cls is IRUClass.PROMPT and not ids:
-            for uid in reversed(self.state.order[:-1]):
-                if state.records[uid].addressee == event.speaker:
-                    ids = [uid]
-                    break
-        return [state.records[uid] for uid in ids
-                if state.records[uid].addressee == event.speaker]
+            ids = next(((uid,) for uid, r in reversed(state.records.items())
+                        if r.addressee == event.speaker), ())
+        for uid in ids:
+            target = state.records[uid]
+            if target.addressee == event.speaker:
+                grd.apply_iru_upgrade(target, cls)
+                touched[uid] = target
+        if cls in (IRUClass.EXPLICIT_INFERENCE, IRUClass.IMPLICATURE_REINFORCEMENT):
+            for link in matched:
+                lines.append(_license_line(
+                    grd.record_license_evidence(state, link, Strength.LINGUISTIC)))
+                owner = state.records.get(link.owner)
+                if owner is not None:
+                    touched[link.owner] = owner
+        return lines
 
-    def _handle_defeats(self, conflict: acc.ConflictEvidence,
-                        retraction_lines: list) -> bool:
-        """Defeat what the evidence can; report whether content stays contested."""
-        state = self.state
+    def _defeat(self, conflict: Optional[acc.ConflictEvidence]) -> tuple[list, bool]:
+        """7. Defeat the live acceptances of the contested propositions that
+        are weaker than the conflict evidence, then their entries if every one
+        is weaker.  Returns the retraction lines and whether the content stays
+        contested."""
+        state, lines = self.state, []
+        if conflict is None:
+            return lines, False
         for belief in state.live_acceptances_of(conflict.against):
             if belief.strength < conflict.strength:
-                report = acc.defeat(state, belief.belief_id, conflict)
-                retraction_lines.append(report.defeated)
-        entries = [state.context.lookup_key(key) for key in sorted(conflict.against)]
-        entries = [e for e in entries if e is not None]
-        if not entries:
-            return False
-        if all(e.strength < conflict.strength for e in entries):
-            for e in entries:
-                if e.status != LIVE:
-                    continue  # already swept up by an earlier cascade
-                report = acc.defeat(state, e.entry_id, conflict)
-                retraction_lines.append(report.defeated)
-            return False
-        return True
+                lines.append(acc.defeat(state, belief.belief_id, conflict).defeated)
+        entries = [e for e in map(state.context.lookup_key, sorted(conflict.against))
+                   if e is not None]
+        if any(e.strength >= conflict.strength for e in entries):
+            return lines, True
+        for e in entries:
+            if e.status == LIVE:  # else already swept up by an earlier cascade
+                lines.append(acc.defeat(state, e.entry_id, conflict).defeated)
+        return lines, False
 
-    def _license_for_derivation(self, event: UtteranceEvent, entry, roots) -> Optional[LicenseLink]:
-        """Derived content licenses an inference from this event's contribution:
-        its first literal, or else its first proposition.  Only an event that
-        realizes something derives anything."""
-        if event.utterance_id not in roots:
-            return None
+    def _assert(self, event: UtteranceEvent, verdicts, fixpoint: Optional[Fixpoint],
+                touched: dict, licenses: list) -> tuple[list, list]:
+        """8. Assert the event's propositions (linguistic), commit the closure
+        and license an inference for each derivation resting on the event.
+        A kept trial's propositions stand asserted and its fixpoint is
+        committed; after conflict evidence that left the content uncontested
+        they are asserted and saturated here, along with what a defeat
+        changed.  Returns the asserted and derived lines; license lines go
+        onto ``licenses``."""
+        state, uid = self.state, event.utterance_id
+        asserted, derived = [], []
+        for p, verdict in zip(event.realizes, verdicts):
+            entry = state.context.lookup(p) if fixpoint is not None else \
+                state.context.assert_prop(p, Strength.LINGUISTIC, uid)
+            note = f"redundant: {verdict.kind} " + ", ".join(sorted(verdict.antecedents)) \
+                if verdict.redundant else ""
+            asserted.append((str(p), entry.strength, note))
+        if not event.realizes:
+            return asserted, derived
         premise = next((p for p in event.realizes if isinstance(p, Literal)), event.realizes[0])
-        link = LicenseLink(premise, entry.proposition, Strength.INFERENCE,
-                           LicenseLink.ORIGIN_INFERENCE, event.utterance_id)
-        return grd.record_license_evidence(self.state, link, Strength.INFERENCE)
+        for entry in state.context.commit(
+                fixpoint if fixpoint is not None else state.context.saturate()):
+            roots = sorted(state.context.asserted_roots(entry))
+            derived.append((str(entry.proposition), entry.strength, tuple(roots)))
+            if uid in roots:
+                # from the event's first literal, or else its first proposition
+                link = LicenseLink(premise, entry.proposition, Strength.INFERENCE,
+                                   LicenseLink.ORIGIN_INFERENCE, uid)
+                licenses.append(_license_line(
+                    grd.record_license_evidence(state, link, Strength.INFERENCE)))
+                touched[uid] = state.records[uid]
+        return asserted, derived
+
+    def _register_links(self, event: UtteranceEvent, licenses: list) -> list:
+        """9. Register the annotated implicature (a license link at hypothesis,
+        its line onto ``licenses``) and support link; returns support lines."""
+        state, supports = self.state, []
+        if event.implicates is not None:
+            premise, conclusion = event.implicates
+            link = LicenseLink(premise, conclusion, Strength.HYPOTHESIS,
+                               LicenseLink.ORIGIN_IMPLICATURE, event.utterance_id)
+            licenses.append(_license_line(
+                grd.record_license_evidence(state, link, Strength.HYPOTHESIS)))
+        if event.supports is not None:
+            belief, goal = event.supports
+            acc.record_support(state, belief, goal)
+            supports.append((str(belief), str(goal)))
+        return supports
+
+
+def _license_line(link: LicenseLink) -> tuple[str, str, Strength, str]:
+    """A license link's trace line: premise, conclusion, strength, origin."""
+    return (str(link.premise), str(link.conclusion), link.strength, link.origin)
 
 
 def replay_transcript(transcript):

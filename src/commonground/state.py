@@ -4,8 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .acceptance import AcceptanceBelief, ConflictEvidence, PendingAcceptance, \
-    RetractionReport, SupportLink
+from .acceptance import AcceptanceBelief, PendingAcceptance, RetractionReport, SupportLink
 from .grounding import AssumptionRecord, LicenseLink, Participant, UtteranceEvent
 from .propositions import LIVE, Context, ContextEntry, Proposition
 
@@ -14,14 +13,14 @@ class DiscourseState:
     """Common-ground store for one two-party dialogue.
 
     Holds the propositional context, per-utterance assumption records,
-    license and support links, acceptance beliefs, recorded conflicts, and
-    the retraction reports.  The context owns the one dependency graph:
-    ``nodes`` is the context's own dict of proposition entries, acceptance
-    beliefs and support links, which join it through ``Context.add_node``,
-    and ``Context.defeat_entry`` is the one walk that retracts along it.
-    ``events`` is the context's dict of utterances, so no node takes an
-    utterance's id.  Strictly sequential within a dialogue; independent
-    dialogues may run in parallel.
+    license and support links, acceptance beliefs, and the retraction
+    reports.  The context owns the one dependency graph: ``nodes`` is the
+    context's own dict of proposition entries, acceptance beliefs and
+    support links, which join it through ``Context.add_node``, and
+    ``Context.defeat_entry`` is the one walk that retracts along it.
+    ``events`` is the context's dict of utterances, in dialogue order, so no
+    node takes an utterance's id.  Strictly sequential within a dialogue;
+    independent dialogues may run in parallel.
     """
 
     def __init__(self, dialogue_id: str, participants: tuple[Participant, Participant],
@@ -33,7 +32,6 @@ class DiscourseState:
         self.require_acceptance = require_acceptance
         self.context = Context()
         self.events: dict[str, UtteranceEvent] = self.context.utterances
-        self.order: list[str] = []
         self.records: dict[str, AssumptionRecord] = {}
         #: addressee -> ids of the uninterrupted utterances, in dialogue
         #: order, whose any-next upgrade waits for the addressee's next turn
@@ -53,7 +51,6 @@ class DiscourseState:
         #: hold before the event, while its kept conflict trial holds them
         #: ahead of its assertion step (see ``entry_before_event``)
         self.arriving: frozenset[str] = frozenset()
-        self.conflicts: list[ConflictEvidence] = []
         self.pending: list[PendingAcceptance] = []
         self.retractions: list[RetractionReport] = []
 

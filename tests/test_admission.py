@@ -49,7 +49,7 @@ def event(uid, turn, speaker="a", addressee="b", **kw):
 
 
 def snapshot(state):
-    return copy.deepcopy((state.events, state.order, state.records, state.nodes))
+    return copy.deepcopy((state.events, state.records, state.nodes))
 
 
 # -- the rules ------------------------------------------------------------------

@@ -172,6 +172,48 @@ def test_any_next_leaves_interrupted_record_alone():
     assert set(record.strengths.values()) == {Strength.HYPOTHESIS}
 
 
+# -- upgrades through the engine ------------------------------------------------
+
+def dialogue(require, *turns):
+    """A two-party dialogue of ``(speaker, extra field lines)`` turns, ids u0, u1, ..."""
+    blocks = [f"id: u{i}\nturn: {i}\nspeaker: {speaker}\n"
+              f"addressee: {'b' if speaker == 'a' else 'a'}\ntext: turn {i}"
+              + "".join(f"\n{line}" for line in extra)
+              for i, (speaker, *extra) in enumerate(turns)]
+    return (f"dialogue: d\nparticipants: a, b\nrequire-acceptance: {require}\n\n"
+            + "\n\n".join(blocks) + "\n")
+
+
+def records_of(trace):
+    return {snap.utterance_id: dict(snap.strengths) for snap in trace.records}
+
+
+@pytest.mark.parametrize("before", [2, 4])
+def test_prompt_without_antecedents_upgrades_the_latest_record_addressed_to_the_prompter(before):
+    turns = [("a" if i % 2 == 0 else "b", f"realizes: p{i}") for i in range(before)]
+    engine, traces = replay_transcript(parse(dialogue("false", *turns, ("a", "act: prompt"))))
+    prompt, latest = traces[-1], f"u{before - 1}"
+    assert prompt.iru_class == "prompt" and not prompt.antecedents
+    assert records_of(prompt) == {latest: {
+        COPRESENT: Strength.LINGUISTIC, ATTEND: Strength.LINGUISTIC,
+        HEAR: Strength.DEFAULT, REALIZE: Strength.DEFAULT}}
+    assert [uid for uid, r in engine.state.records.items()
+            if r.strengths[ATTEND] is Strength.LINGUISTIC] == [latest]
+
+
+def test_interrupted_utterance_neither_upgrades_nor_is_upgraded():
+    engine, traces = replay_transcript(parse(dialogue(
+        "true", ("a", "realizes: p"), ("b", "interrupted: true"), ("b",), ("a",), ("b",))))
+    interrupted = traces[1]
+    assert not interrupted.records and not interrupted.acceptances
+    # b's next uninterrupted turn gives u0 its any-next upgrade
+    assert set(records_of(traces[2])) == {"u0"}
+    # a's turn upgrades u2's record, never the interrupted u1's
+    assert set(records_of(traces[3])) == {"u2"}
+    assert set(engine.state.records["u1"].strengths.values()) == {Strength.HYPOTHESIS}
+    assert engine.state.records["u2"].strengths[COPRESENT] is Strength.LINGUISTIC
+
+
 # -- understanding strength ---------------------------------------------------
 
 def test_understanding_examples():

@@ -627,6 +627,24 @@ def test_blocked_acceptance_converts_to_default_later():
     assert state.pending == []
 
 
+def test_rising_reply_that_is_not_redundant_defers_default_acceptance():
+    text = mini(
+        "true",
+        "id: u0\nturn: 0\nspeaker: a\naddressee: b\ntext: the rate is fixed\nact: assert\nrealizes: p",
+        "id: u1\nturn: 1\nspeaker: b\naddressee: a\ntext: is it now?\nintonation: rising\nrealizes: q",
+        "id: u2\nturn: 2\nspeaker: a\naddressee: b\ntext: and it will stay so\nact: assert\nrealizes: r",
+        "id: u3\nturn: 3\nspeaker: b\naddressee: a\ntext: right\nact: other",
+    )
+    engine, traces = replay_transcript(parse(text))
+    assert traces[1].iru_class == "none"
+    assert traces[1].acceptances == ()
+    assert [line for line in traces[3].render().splitlines() if line.startswith("acceptance")] == [
+        "acceptance: p by b [default] (trigger u3)",
+        "acceptance: r by b [default] (trigger u3)",
+    ]
+    assert engine.state.pending == []
+
+
 def test_later_contradiction_defeats_default_acceptance():
     text = mini(
         "true",
