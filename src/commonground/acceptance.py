@@ -204,13 +204,13 @@ def evaluate_acceptance(state: "DiscourseState", prev_event: UtteranceEvent,
                         prev_event.utterance_id, trigger) for p in props]
     if conflict is not None and conflict.applies_to(props):
         return [AcceptanceOutcome(AcceptanceOutcome.REJECTED, p, next_event.speaker,
-                                  prev_event.utterance_id, trigger, detail=conflict.kind)
+                                  prev_event.utterance_id, trigger, None, conflict.kind)
                 for p in props]
     if iru_class is not IRUClass.NONE and next_event.intonation is Intonation.RISING:
         state.pending.append(PendingAcceptance(prev_event.utterance_id, props,
                                                next_event.speaker))
         return [AcceptanceOutcome(AcceptanceOutcome.BLOCKED, p, next_event.speaker,
-                                  prev_event.utterance_id, trigger, detail="rising")
+                                  prev_event.utterance_id, trigger, None, "rising")
                 for p in props]
     if next_event.intonation is Intonation.RISING:
         if state.require_acceptance and prev_event.act is ActType.ASSERT:
@@ -237,8 +237,8 @@ def reevaluate_pending(state: "DiscourseState", event: UtteranceEvent, *,
         if conflict is not None and conflict.applies_to(item.propositions):
             outcomes.extend(
                 AcceptanceOutcome(AcceptanceOutcome.REJECTED, p, item.agent,
-                                  item.source_event, event.utterance_id,
-                                  detail=conflict.kind)
+                                  item.source_event, event.utterance_id, None,
+                                  conflict.kind)
                 for p in item.propositions)
             continue
         if event.intonation is Intonation.RISING:
@@ -264,20 +264,14 @@ def _accept(state: "DiscourseState", p: Proposition, agent: str, strength: Stren
         deps.add(entry.entry_id)
     if belief is None:
         belief = AcceptanceBelief(
-            belief_id=state.context.fresh_id("a", len(state.acceptance_beliefs) + 1),
-            proposition=p,
-            accepting_agent=agent,
-            strength=strength,
-            dependencies=deps,
-            source_event=source_event,
-            trigger_event=trigger,
-        )
+            state.context.fresh_id("a", len(state.acceptance_beliefs) + 1), p, agent,
+            strength, deps, LIVE, source_event, trigger)
         state.add_acceptance(belief)
     else:
         belief.strength = max(belief.strength, strength)
         state.context.depend(belief.belief_id, deps)
     return AcceptanceOutcome(AcceptanceOutcome.ACCEPTED, p, agent, source_event,
-                             trigger, strength=belief.strength)
+                             trigger, belief.strength, "")
 
 
 def defeat(state: "DiscourseState", target_id: str, by: ConflictEvidence) -> RetractionReport:

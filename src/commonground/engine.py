@@ -15,6 +15,10 @@ The order is fixed, and it matters:
 - a clash-free trial (4) is the event's assertion and step 8 commits its
   fixpoint as it stands, so steps 5-6 write no context entry and step 7
   has nothing to do.
+
+The functions the benchmark's tracer wraps (``bench/run.py``'s span targets)
+are called through their modules' attributes, looked up at each call, never
+inlined here: a traced run must see every call.
 """
 
 from __future__ import annotations
@@ -83,32 +87,22 @@ class DialogueEngine:
             asserted, derived = self._assert(event, verdicts, fixpoint, touched, licenses)
             supports = self._register_links(event, licenses)
 
+        events = state.events
+        items = sorted(touched.items(), key=lambda kv: events[kv[0]].turn_index) \
+            if len(touched) > 1 else touched.items()
+        # an enum member's _value_ is a plain attribute; .value is a property
         trace = TraceRecord(
-            event_id=event.utterance_id,
-            turn_index=event.turn_index,
-            speaker=event.speaker,
-            addressee=event.addressee,
-            act=event.act.value,
-            intonation=event.intonation.value,
-            iru_class=cls.value,
-            antecedents=antecedents,
-            records=tuple(
-                snapshot_record(r, state.events[uid].turn_index, grd.understanding_strength(r))
-                for uid, r in sorted(touched.items(),
-                                     key=lambda kv: state.events[kv[0]].turn_index)),
-            licenses=tuple(licenses),
-            conflicts=((conflict.kind, str(conflict.pair[0]), str(conflict.pair[1])),)
+            event.utterance_id, event.turn_index, event.speaker, event.addressee,
+            event.act._value_, event.intonation._value_, cls._value_, antecedents,
+            tuple([snapshot_record(r, events[uid].turn_index, grd.understanding_strength(r))
+                   for uid, r in items]),
+            tuple(licenses),
+            ((conflict.kind, str(conflict.pair[0]), str(conflict.pair[1])),)
             if conflict is not None else (),
-            acceptances=tuple(
-                (o.kind, str(o.proposition), o.agent,
-                 str(o.strength) if o.strength is not None else o.detail,
-                 o.trigger_event)
-                for o in outcomes),
-            asserted=tuple(asserted),
-            derived=tuple(derived),
-            supports=tuple(supports),
-            retractions=tuple(retractions),
-        )
+            tuple([(o.kind, str(o.proposition), o.agent,
+                    o.strength.label if o.strength is not None else o.detail,
+                    o.trigger_event) for o in outcomes]),
+            tuple(asserted), tuple(derived), tuple(supports), tuple(retractions))
         self.traces.append(trace)
         return trace
 
@@ -118,7 +112,7 @@ class DialogueEngine:
         """1. Raise the first ``grounding.admission_issues`` issue, then open
         the event's assumption record and enter it; returns the event before."""
         state = self.state
-        issues = grd.admission_issues(event, state.participant_ids(), state.events,
+        issues = grd.admission_issues(event, state.participant_ids, state.events,
                                       len(state.events))
         if issues:
             _, code, message = issues[0]

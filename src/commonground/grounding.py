@@ -18,7 +18,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Collection, Container, NamedTuple, Optional, Sequence
 
 from .errors import UnknownProposition
-from .evidence import Strength, min_strength
+from .evidence import Strength
 from .propositions import Frozen, Literal, Proposition, RedundancyVerdict, Slotted
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -211,16 +211,14 @@ class AssumptionRecord(Slotted):
 
     @classmethod
     def fresh(cls, event: UtteranceEvent) -> "AssumptionRecord":
-        strengths = {name: Strength.HYPOTHESIS for name in BASE_ASSUMPTIONS}
+        """The record of a new utterance: the base assumptions, and the
+        license when it is annotated with an implicature, all at hypothesis."""
+        h = Strength.HYPOTHESIS
+        strengths = {COPRESENT: h, ATTEND: h, HEAR: h, REALIZE: h}  # BASE_ASSUMPTIONS
         if event.implicates is not None:
-            strengths[LICENSE] = Strength.HYPOTHESIS
-        return cls(
-            utterance_id=event.utterance_id,
-            speaker=event.speaker,
-            addressee=event.addressee,
-            strengths=strengths,
-            interrupted=event.interrupted,
-        )
+            strengths[LICENSE] = h
+        return cls(event.utterance_id, event.speaker, event.addressee, strengths,
+                   event.interrupted, set())
 
     def raise_to(self, name: str, strength: Strength) -> None:
         current = self.strengths.get(name)
@@ -236,8 +234,9 @@ def open_record(state: "DiscourseState", event: UtteranceEvent) -> AssumptionRec
 
 
 def understanding_strength(record: AssumptionRecord) -> Strength:
-    """Weakest link over every assumption currently in the record."""
-    return min_strength(record.strengths.values())
+    """Weakest link over every assumption currently in the record; like
+    ``min_strength``, ValueError for a record with none."""
+    return min(record.strengths.values())
 
 
 def apply_iru_upgrade(record: AssumptionRecord, cls: IRUClass) -> AssumptionRecord:
@@ -259,10 +258,11 @@ def apply_any_next_upgrade(record: AssumptionRecord) -> AssumptionRecord:
     utterance was marked interrupted is left untouched."""
     if record.interrupted:
         return record
-    record.raise_to(COPRESENT, Strength.LINGUISTIC)
-    for name in list(record.strengths):
-        if name != COPRESENT:
-            record.raise_to(name, Strength.DEFAULT)
+    strengths = record.strengths  # holds copresence, as every record does
+    for name, current in strengths.items():
+        floor = Strength.LINGUISTIC if name == COPRESENT else Strength.DEFAULT
+        if current < floor:
+            strengths[name] = floor  # an existing key: the dict keeps its size
     return record
 
 
@@ -292,9 +292,10 @@ def classify_iru(event: UtteranceEvent, state: "DiscourseState",
         candidates = set(event.antecedent_ids)
         for v in said:
             candidates |= v.antecedents
+        tokens = event.tokens
         for ant in sorted(candidates):
             prior = state.events.get(ant)
-            if prior is not None and tokens_match_repeat(event.tokens, prior.tokens):
+            if prior is not None and tokens_match_repeat(tokens, prior.tokens):
                 return IRUClass.REPEAT
         return IRUClass.PARAPHRASE
     return IRUClass.NONE

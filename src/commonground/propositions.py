@@ -39,7 +39,14 @@ class Slotted:
     """Equality and repr over the fields named in ``_fields``: an instance
     equals only an instance of the same class, and shows as
     ``Name(field=value, ...)``.  Defining ``__eq__`` leaves a subclass
-    unhashable unless it defines ``__hash__``, as ``Frozen`` does."""
+    unhashable unless it defines ``__hash__``, as ``Frozen`` does.
+
+    The constructors that run once or more per event (``ContextEntry``,
+    ``AcceptanceBelief``, ``AssumptionRecord``, ``UtteranceEvent``, and the
+    ``NamedTuple`` records ``TraceRecord`` and ``AcceptanceOutcome``) are
+    called positionally: the interpreter matches each keyword argument to a
+    parameter by name on every call, which costs a per-event path more than
+    the binding itself."""
 
     __slots__ = ()
     _fields: tuple[str, ...]  # set by each subclass
@@ -201,6 +208,10 @@ class RedundancyVerdict(NamedTuple):
         return self.kind != self.NOT_REDUNDANT
 
 
+#: the one verdict ``Context.is_redundant`` gives every proposition it does not hold
+_NOT_REDUNDANT = RedundancyVerdict(RedundancyVerdict.NOT_REDUNDANT)
+
+
 class ContextEntry(Slotted):
     """One proposition in the common ground with its evidential bookkeeping.
 
@@ -294,14 +305,8 @@ class Context:
         other._dependents = {nid: set(ids) for nid, ids in self._dependents.items()}
         for eid, e in self.entries.items():
             entry = other.entries[eid] = other.nodes[eid] = ContextEntry(
-                entry_id=e.entry_id,
-                proposition=e.proposition,
-                strength=e.strength,
-                sources=e.sources,
-                dependencies=set(e.dependencies),
-                status=e.status,
-                order=e.order,
-            )
+                e.entry_id, e.proposition, e.strength, e.sources, set(e.dependencies),
+                e.status, e.order)
             if entry.status == LIVE:
                 other._enter(entry)
         return other
@@ -393,14 +398,7 @@ class Context:
         else:
             eid = sources[0]
         self._counter += 1
-        entry = ContextEntry(
-            entry_id=eid,
-            proposition=p,
-            strength=strength,
-            sources=sources,
-            dependencies=dependencies,
-            order=self._counter,
-        )
+        entry = ContextEntry(eid, p, strength, sources, dependencies, LIVE, self._counter)
         put(self._trail, self.entries, eid, entry)
         self.add_node(eid, entry)
         put(self._trail, self._by_key, p.key, eid)
@@ -592,7 +590,7 @@ class Context:
         """
         entry = self.lookup(p)
         if entry is None:
-            return RedundancyVerdict(RedundancyVerdict.NOT_REDUNDANT)
+            return _NOT_REDUNDANT
         if entry.sources:
             return RedundancyVerdict(RedundancyVerdict.SAID, frozenset(entry.sources))
         return RedundancyVerdict(RedundancyVerdict.ENTAILED,

@@ -25,7 +25,9 @@ class DiscourseState:
 
     def __init__(self, dialogue_id: str, participants: tuple[Participant, Participant],
                  require_acceptance: bool = False):
-        if len({p.id for p in participants}) != 2:
+        #: the participants' ids, for admission to check each event against
+        self.participant_ids = frozenset([p.id for p in participants])
+        if len(self.participant_ids) != 2:
             raise ValueError("a dialogue has exactly two distinct participants")
         self.dialogue_id = dialogue_id
         self.participants = participants
@@ -63,9 +65,6 @@ class DiscourseState:
         """The live entry of ``p`` as the context held it before the current
         event: none for a key in ``arriving``."""
         return None if p.key in self.arriving else self.context.lookup(p)
-
-    def participant_ids(self) -> set[str]:
-        return {p.id for p in self.participants}
 
     def add_license_link(self, link: LicenseLink) -> None:
         """Store a license link under its key and index it by its conclusion."""

@@ -1,8 +1,9 @@
 """Belief-state trace records and their canonical text rendering.
 
 One block per processed event, blank-line separated, fixed key order,
-strengths rendered with their lowercase lattice names.  The format is
-bit-exact: the same dialogue always renders to the same bytes.
+strengths rendered with their lowercase lattice names (``Strength.label``,
+which is also their ``str``).  The format is bit-exact: the same dialogue
+always renders to the same bytes.
 """
 
 from __future__ import annotations
@@ -53,10 +54,10 @@ class TraceRecord(NamedTuple):
         for snap in self.records:
             lines.append(f"record: {snap.utterance_id}")
             for name, strength in snap.strengths:
-                lines.append(f"  {name}: {strength}")
-            lines.append(f"  understand: {snap.understanding}")
+                lines.append(f"  {name}: {strength.label}")
+            lines.append(f"  understand: {snap.understanding.label}")
         for premise, conclusion, strength, origin in self.licenses:
-            lines.append(f"license: {premise} => {conclusion} [{strength}] ({origin})")
+            lines.append(f"license: {premise} => {conclusion} [{strength.label}] ({origin})")
         for kind, new, old in self.conflicts:
             lines.append(f"conflict: {kind} ({new} vs {old})")
         for kind, prop, agent, info, trigger in self.acceptances:
@@ -68,10 +69,10 @@ class TraceRecord(NamedTuple):
                 lines.append(f"acceptance: rejected {prop} by {agent} ({info})")
         for prop, strength, note in self.asserted:
             suffix = f" ({note})" if note else ""
-            lines.append(f"asserted: {prop} [{strength}]{suffix}")
+            lines.append(f"asserted: {prop} [{strength.label}]{suffix}")
         for prop, strength, roots in self.derived:
             src = ", ".join(roots)
-            lines.append(f"derived: {prop} [{strength}] from({src})")
+            lines.append(f"derived: {prop} [{strength.label}] from({src})")
         for belief, goal in self.supports:
             lines.append(f"support: {belief} => {goal}")
         for defeated in self.retractions:
@@ -87,8 +88,9 @@ def write_trace(records: list[TraceRecord]) -> str:
 
 
 def snapshot_record(record, turn_index: int, understanding: Strength) -> RecordSnapshot:
-    ordered = tuple((name, record.strengths[name]) for name in ASSUMPTION_ORDER
-                    if name in record.strengths)
+    """The record's strengths in ``ASSUMPTION_ORDER``, whatever order its dict holds."""
+    strengths = record.strengths
+    ordered = tuple([(name, strengths[name]) for name in ASSUMPTION_ORDER if name in strengths])
     return RecordSnapshot(record.utterance_id, turn_index, ordered, understanding)
 
 

@@ -84,26 +84,29 @@ def _fields(record, allowed, issues):
     return fields
 
 
-def _parse_prop_list(value, lineno, issues):
+def _parse_prop_list(value, lineno, issues, propositions):
     props = []
     for chunk in value.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         try:
-            props.append(parse_proposition(chunk))
+            props.append(propositions.get(chunk)
+                         or propositions.setdefault(chunk, parse_proposition(chunk)))
         except BadPropositionSyntax as exc:
             issues.append(ParseIssue(lineno, "bad-proposition", str(exc)))
     return tuple(props)
 
 
-def _parse_pair(value, lineno, issues, what):
+def _parse_pair(value, lineno, issues, what, propositions):
     left, sep, right = value.partition("=>")
     if not sep:
         issues.append(ParseIssue(lineno, "bad-value", f"{what} must look like 'p => q'"))
         return None
     try:
-        return (parse_proposition(left), parse_proposition(right))
+        return tuple([propositions.get(text)
+                      or propositions.setdefault(text, parse_proposition(text))
+                      for text in (left, right)])
     except BadPropositionSyntax as exc:
         issues.append(ParseIssue(lineno, "bad-proposition", str(exc)))
         return None
@@ -143,6 +146,10 @@ def parse(text: str) -> Transcript:
 
     events: list[UtteranceEvent] = []
     earlier: set[str] = set()
+    #: text -> its proposition, for this document only.  Propositions are
+    #: immutable, so events may share one; text that does not parse is
+    #: never stored, so each line it is on reports it.
+    propositions: dict[str, Proposition] = {}
     participant_ids = {p.id for p in participants}
     for position, record in enumerate(records[1:]):
         fields = _fields(record, EVENT_KEYS, issues)
@@ -164,7 +171,8 @@ def parse(text: str) -> Transcript:
             issues.append(ParseIssue(text_line, "bad-value", "text must be nonempty"))
         realizes: tuple[Proposition, ...] = ()
         if "realizes" in fields:
-            realizes = _parse_prop_list(fields["realizes"][1], fields["realizes"][0], issues)
+            realizes = _parse_prop_list(fields["realizes"][1], fields["realizes"][0], issues,
+                                        propositions)
         if "act" in fields:
             act_line, act_text = fields["act"]
             act = ACTS.get(act_text)
@@ -190,11 +198,11 @@ def parse(text: str) -> Transcript:
         implicates = None
         if "implicates" in fields:
             implicates = _parse_pair(fields["implicates"][1], fields["implicates"][0],
-                                     issues, "implicates")
+                                     issues, "implicates", propositions)
         supports = None
         if "supports" in fields:
             supports = _parse_pair(fields["supports"][1], fields["supports"][0],
-                                   issues, "supports")
+                                   issues, "supports", propositions)
         interrupted = False
         if "interrupted" in fields:
             il, iv = fields["interrupted"]
@@ -203,11 +211,9 @@ def parse(text: str) -> Transcript:
             interrupted = iv == "true"
         try:
             event = UtteranceEvent(
-                utterance_id=uid, turn_index=turn, speaker=fields["speaker"][1],
-                addressee=fields["addressee"][1], text=utt_text, act=act,
-                intonation=intonation, realizes=realizes, antecedent_ids=antecedents,
-                implicates=implicates, supports=supports, interrupted=interrupted,
-                rejects=fields["rejects"][1] if "rejects" in fields else None)
+                uid, turn, fields["speaker"][1], fields["addressee"][1], utt_text, act,
+                intonation, realizes, antecedents, implicates, supports, interrupted,
+                fields["rejects"][1] if "rejects" in fields else None)
         except ValueError as exc:
             issues.append(ParseIssue(start_line, "bad-value", str(exc)))
         else:

@@ -11,10 +11,12 @@ from commonground import (ActType, DialogueEngine, DiscourseState, DuplicateUtte
                           parse_proposition, record_license_evidence,
                           replay_transcript, understanding_strength)
 from commonground.errors import DanglingAntecedent
-from commonground.grounding import (ATTEND, BASE_ASSUMPTIONS, COPRESENT, HEAR, LICENSE,
-                                    REALIZE, UPGRADE_TABLE, AssumptionRecord,
+from commonground import grounding
+from commonground.grounding import (ASSUMPTION_ORDER, ATTEND, BASE_ASSUMPTIONS, COPRESENT, HEAR,
+                                    LICENSE, REALIZE, UPGRADE_TABLE, AssumptionRecord, Intonation,
                                     normalize_tokens, tokens_match_repeat)
 from commonground.propositions import Context
+from commonground.trace import RecordSnapshot, TraceRecord, snapshot_record
 from conftest import DIALOGUES, DISPUTES, load_fixture
 
 PRODUCIBLE = [Strength.HYPOTHESIS, Strength.DEFAULT, Strength.INFERENCE,
@@ -245,6 +247,53 @@ def test_paraphrase_dominates_repeat_dominates_prompt():
             results[cls] = understanding_strength(record)
         assert results[IRUClass.PARAPHRASE] >= results[IRUClass.REPEAT]
         assert results[IRUClass.REPEAT] >= results[IRUClass.PROMPT]
+
+
+def test_understanding_of_a_record_with_no_assumptions_raises():
+    with pytest.raises(ValueError):
+        understanding_strength(AssumptionRecord("uX", "a", "b", {}))
+
+
+# -- trace text -----------------------------------------------------------------
+
+def test_snapshot_lists_strengths_in_assumption_order_whatever_the_dict_order():
+    filled = [LICENSE, REALIZE, COPRESENT, HEAR, ATTEND]
+    strengths = {name: PRODUCIBLE[i % len(PRODUCIBLE)] for i, name in enumerate(filled)}
+    snap = snapshot_record(AssumptionRecord("uX", "a", "b", strengths), 3, Strength.HYPOTHESIS)
+    assert snap.strengths == tuple((name, strengths[name]) for name in ASSUMPTION_ORDER)
+    partial = snapshot_record(AssumptionRecord("uX", "a", "b", {HEAR: Strength.DEFAULT,
+                                                                 COPRESENT: Strength.LINGUISTIC}),
+                              3, Strength.DEFAULT)
+    assert partial.strengths == ((COPRESENT, Strength.LINGUISTIC), (HEAR, Strength.DEFAULT))
+
+
+@pytest.mark.parametrize("strength", list(Strength))
+def test_every_strength_renders_in_a_trace_line_as_its_str(strength):
+    s = str(strength)
+    snap = RecordSnapshot("u0", 0, ((COPRESENT, strength),), strength)
+    trace = TraceRecord("u1", 1, "b", "a", "assert", "unmarked", "none", (), (snap,),
+                        (("p", "q", strength, "inference"),), (), (),
+                        (("p", strength, ""),), (("q", strength, ("u0",)),))
+    assert trace.render().splitlines()[4:] == [
+        "record: u0", f"  copresent: {s}", f"  understand: {s}",
+        f"license: p => q [{s}] (inference)", f"asserted: p [{s}]", f"derived: q [{s}] from(u0)"]
+
+
+@pytest.mark.parametrize("act", list(ActType))
+@pytest.mark.parametrize("intonation", list(Intonation))
+def test_trace_text_of_every_act_and_intonation_is_its_value(act, intonation):
+    engine = DialogueEngine(fresh_state())
+    engine.process(event("u0", 0, realizes=(parse_proposition("p"),)))
+    trace = engine.process(event("u1", 1, "b", "a", act=act, intonation=intonation))
+    assert (trace.act, trace.intonation) == (act.value, intonation.value)
+
+
+@pytest.mark.parametrize("cls", list(IRUClass))
+def test_trace_text_of_every_iru_class_is_its_value(cls, monkeypatch):
+    engine = DialogueEngine(fresh_state())
+    engine.process(event("u0", 0, realizes=(parse_proposition("p"),)))
+    monkeypatch.setattr(grounding, "classify_iru", lambda *args: cls)
+    assert engine.process(event("u1", 1, "b", "a", act=ActType.OTHER)).iru_class == cls.value
 
 
 # -- monotonicity -------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commonground import (ActType, Intonation, Literal, ParseIssue, TranscriptError, parse,
-                          serialize, write_trace)
+                          parse_proposition, serialize, write_trace)
 from commonground.transcript import _records
 from conftest import FIXTURES, load_fixture
 from transcript_reference import reference_records
@@ -86,6 +86,25 @@ def test_bad_proposition_syntax_with_line():
     issues = issues_of(text)
     assert issues[0].code == "bad-proposition"
     assert issues[0].line == 9
+
+
+def test_same_proposition_text_on_two_lines_parses_equal():
+    text = (MINIMAL + "realizes: p -> q; r\n\nid: u1\nturn: 1\nspeaker: b\naddressee: a\n"
+            "text: again\nrealizes: p -> q\nimplicates: r => p -> q\n")
+    first, second = parse(text).events
+    assert first.realizes[0] == second.realizes[0] == parse_proposition("p -> q")
+    assert second.implicates == (Literal("r"), parse_proposition("p -> q"))
+
+
+def test_bad_proposition_repeated_on_two_lines_is_reported_on_both():
+    """The within-parse memo keeps only propositions that parsed."""
+    bad = "realizes: a -> -> b"
+    text = (MINIMAL + bad + "\n\nid: u1\nturn: 1\nspeaker: b\naddressee: a\n"
+            "text: again\n" + bad + "\n")
+    issues = issues_of(text)
+    assert [(i.line, i.code) for i in issues] == [(9, "bad-proposition"),
+                                                 (16, "bad-proposition")]
+    assert issues[0].message == issues[1].message
 
 
 def test_bad_line_message_keeps_the_text_without_trailing_space():
