@@ -33,13 +33,6 @@ class Strength(IntEnum):
     def __str__(self) -> str:  # traces render the lowercase lattice names
         return self.label
 
-    @classmethod
-    def from_label(cls, label: str) -> "Strength":
-        try:
-            return cls[label.strip().upper()]
-        except KeyError:
-            raise ValueError(f"unknown evidence strength {label!r}") from None
-
 
 for _member in Strength:
     _member.label = _member.name.lower()

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Collection, Container, NamedTuple, Optional, S
 
 from .errors import UnknownProposition
 from .evidence import Strength
-from .propositions import Frozen, Literal, Proposition, RedundancyVerdict, Slotted
+from .propositions import Literal, Proposition, RedundancyVerdict, Slotted
 
 if TYPE_CHECKING:  # pragma: no cover
     from .state import DiscourseState
@@ -71,37 +71,51 @@ class Participant(NamedTuple):
     id: str
 
 
-class UtteranceEvent(Frozen):
-    """One ``say(speaker, addressee, utterance, propositions)`` act."""
+class _UtteranceFields(NamedTuple):
+    utterance_id: str
+    turn_index: int
+    speaker: str
+    addressee: str
+    text: str
+    act: ActType
+    intonation: Intonation
+    realizes: tuple[Proposition, ...]
+    antecedent_ids: tuple[str, ...]
+    implicates: Optional[tuple[Proposition, Proposition]]
+    supports: Optional[tuple[Proposition, Proposition]]
+    interrupted: bool
+    rejects: Optional[str]
 
-    _fields = __slots__ = ("utterance_id", "turn_index", "speaker", "addressee", "text", "act",
-                           "intonation", "realizes", "antecedent_ids", "implicates", "supports",
-                           "interrupted", "rejects")
 
-    def __init__(self, utterance_id: str, turn_index: int, speaker: str, addressee: str,
-                 text: str, act: ActType = ActType.ASSERT,
-                 intonation: Intonation = Intonation.UNMARKED,
-                 realizes: tuple[Proposition, ...] = (), antecedent_ids: tuple[str, ...] = (),
-                 implicates: Optional[tuple[Proposition, Proposition]] = None,
-                 supports: Optional[tuple[Proposition, Proposition]] = None,
-                 interrupted: bool = False, rejects: Optional[str] = None):
+class UtteranceEvent(_UtteranceFields):
+    """One ``say(speaker, addressee, utterance, propositions)`` act.
+
+    A ``NamedTuple`` record: immutable, hashed and compared as the tuple of
+    its fields, so it equals a plain tuple of the same values.  Copies,
+    pickles, ``_make`` and ``_replace`` rebuild it through ``__new__``, which
+    refuses a speaker who is also the addressee and a prompt that realizes
+    content."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):  # NamedTuple's would skip the checks
+        return cls(*iterable)
+
+    def __new__(cls, utterance_id: str, turn_index: int, speaker: str, addressee: str,
+                text: str, act: ActType = ActType.ASSERT,
+                intonation: Intonation = Intonation.UNMARKED,
+                realizes: tuple[Proposition, ...] = (), antecedent_ids: tuple[str, ...] = (),
+                implicates: Optional[tuple[Proposition, Proposition]] = None,
+                supports: Optional[tuple[Proposition, Proposition]] = None,
+                interrupted: bool = False, rejects: Optional[str] = None):
         if speaker == addressee:
             raise ValueError(f"{utterance_id}: speaker and addressee coincide")
         if act is ActType.PROMPT and realizes:
             raise ValueError(f"{utterance_id}: a prompt realizes no propositions")
-        object.__setattr__(self, "utterance_id", utterance_id)
-        object.__setattr__(self, "turn_index", turn_index)
-        object.__setattr__(self, "speaker", speaker)
-        object.__setattr__(self, "addressee", addressee)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "act", act)
-        object.__setattr__(self, "intonation", intonation)
-        object.__setattr__(self, "realizes", realizes)
-        object.__setattr__(self, "antecedent_ids", antecedent_ids)
-        object.__setattr__(self, "implicates", implicates)
-        object.__setattr__(self, "supports", supports)
-        object.__setattr__(self, "interrupted", interrupted)
-        object.__setattr__(self, "rejects", rejects)
+        return tuple.__new__(cls, (utterance_id, turn_index, speaker, addressee, text, act,
+                                   intonation, realizes, antecedent_ids, implicates, supports,
+                                   interrupted, rejects))
 
     @property
     def tokens(self) -> tuple[str, ...]:

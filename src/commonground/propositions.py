@@ -23,6 +23,7 @@ its module imports ``inspect``.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import BadPropositionSyntax, ConflictDetected
@@ -42,9 +43,9 @@ class Slotted:
     unhashable unless it defines ``__hash__``, as ``Frozen`` does.
 
     The constructors that run once or more per event (``ContextEntry``,
-    ``AcceptanceBelief``, ``AssumptionRecord``, ``UtteranceEvent``, and the
-    ``NamedTuple`` records ``TraceRecord`` and ``AcceptanceOutcome``) are
-    called positionally: the interpreter matches each keyword argument to a
+    ``AcceptanceBelief``, ``AssumptionRecord``, and the ``NamedTuple``
+    records ``TraceRecord`` and ``AcceptanceOutcome``) are called
+    positionally: the interpreter matches each keyword argument to a
     parameter by name on every call, which costs a per-event path more than
     the binding itself."""
 
@@ -68,7 +69,8 @@ class Frozen(Slotted):
     """A ``Slotted`` class whose attributes are set once, by ``__init__``
     through ``object.__setattr__``: rebinding or deleting one raises
     AttributeError.  It hashes its ``_fields``, which are the parameters of
-    its ``__init__`` in order."""
+    its ``__init__`` in order.  It serves only ``Literal``, ``Rule`` and
+    ``Biconditional``."""
 
     __slots__ = ()
 
@@ -155,8 +157,14 @@ class Biconditional(Frozen):
 Proposition = Union[Literal, Rule, Biconditional]
 
 
+@lru_cache(maxsize=4096)
 def parse_proposition(text: str) -> Proposition:
-    """Parse one proposition in the surface syntax.  Raises BadPropositionSyntax."""
+    """Parse one proposition in the surface syntax.  Raises BadPropositionSyntax.
+
+    Results are memoized on the exact text, across documents: propositions
+    are immutable, so every caller may share one.  A text that does not parse
+    is never stored, so each line it is on reports it.  The bound limits the
+    memory a long-running caller spends on texts it will not see again."""
 
     def lit(chunk: str) -> Literal:
         chunk = chunk.strip()

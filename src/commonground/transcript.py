@@ -1,10 +1,13 @@
 """The ``.dlg`` annotated-transcript format: parsing and canonical output.
 
-A document is read line by line (``str.splitlines``).  A line with a ``:`` is a
-field: its key is the text before the first colon, its value the rest, both
-stripped.  A whitespace-only line ends the record; any other line is a
-``bad-line``.  The first record is the header (``dialogue``, ``participants``,
-optional ``require-acceptance``); every following record is one utterance.
+A document is read in one pass, line by line (``str.splitlines``).  A line
+with a ``:`` is a field: its key is the text before the first colon, its value
+the rest, both stripped.  A whitespace-only line ends the record; any other
+line is a ``bad-line``.  The first record is the header (``dialogue``,
+``participants``, optional ``require-acceptance``); every following record is
+one utterance.  Each field goes straight into its record's ``key -> (line,
+value)`` dict as it is read, unless its key is not one of the record's keys
+(``unknown-field``) or is already there (``duplicate-field``).
 
 Event keys -- required: ``id``, ``turn``, ``speaker``, ``addressee``,
 ``text``; optional: ``act`` (assert|question|prompt|affirmation|other),
@@ -35,11 +38,12 @@ from .grounding import (ActType, Intonation, Participant, UtteranceEvent, admiss
                         is_affirmation_text)
 from .propositions import Proposition, parse_proposition
 
-HEADER_KEYS = ("dialogue", "participants", "require-acceptance")
-EVENT_KEYS = ("id", "turn", "speaker", "addressee", "text", "act", "intonation",
-              "realizes", "antecedents", "implicates", "supports", "interrupted",
-              "rejects")
-REQUIRED_EVENT_KEYS = ("id", "turn", "speaker", "addressee", "text")
+HEADER_KEYS = frozenset(("dialogue", "participants", "require-acceptance"))
+EVENT_KEYS = frozenset(("id", "turn", "speaker", "addressee", "text", "act", "intonation",
+                        "realizes", "antecedents", "implicates", "supports", "interrupted",
+                        "rejects"))
+REQUIRED_EVENT_KEYS = ("id", "turn", "speaker", "addressee", "text")  # in reporting order
+_REQUIRED = frozenset(REQUIRED_EVENT_KEYS)
 ACTS = {act.value: act for act in ActType}
 INTONATIONS = {intonation.value: intonation for intonation in Intonation}
 
@@ -51,62 +55,52 @@ class Transcript(NamedTuple):
     events: tuple[UtteranceEvent, ...]
 
 
-def _records(text: str):
-    """Split into records of (line_number, key, value) triples."""
-    record: list[tuple[int, str, str]] = []
+def _read(text: str):
+    """The document's records, each as (its first line, its fields), and the
+    issues found reading them, in line order."""
+    records: list[tuple[int, dict[str, tuple[int, str]]]] = []
     issues: list[ParseIssue] = []
-    records: list[list[tuple[int, str, str]]] = []
+    fields = None  # the open record's
+    allowed = HEADER_KEYS
     for lineno, raw in enumerate(text.splitlines(), start=1):
         key, sep, value = raw.partition(":")
         if sep:
-            record.append((lineno, key.strip(), value.strip()))
+            if fields is None:
+                fields = {}
+                records.append((lineno, fields))
+            key = key.strip()
+            if key not in allowed:
+                issues.append(ParseIssue(lineno, "unknown-field", f"unknown key {key!r}"))
+            elif key in fields:
+                issues.append(ParseIssue(lineno, "duplicate-field", f"repeated key {key!r}"))
+            else:
+                fields[key] = (lineno, value.strip())
         elif raw.strip():
             issues.append(ParseIssue(lineno, "bad-line",
                                      f"expected 'key: value', got {raw.rstrip()!r}"))
-        elif record:
-            records.append(record)
-            record = []
-    if record:
-        records.append(record)
+        elif fields is not None:
+            fields = None
+            allowed = EVENT_KEYS
     return records, issues
 
 
-def _fields(record, allowed, issues):
-    fields: dict[str, tuple[int, str]] = {}
-    for lineno, key, value in record:
-        if key not in allowed:
-            issues.append(ParseIssue(lineno, "unknown-field", f"unknown key {key!r}"))
-            continue
-        if key in fields:
-            issues.append(ParseIssue(lineno, "duplicate-field", f"repeated key {key!r}"))
-            continue
-        fields[key] = (lineno, value)
-    return fields
-
-
-def _parse_prop_list(value, lineno, issues, propositions):
+def _parse_prop_list(lineno, value, issues):
     props = []
-    for chunk in value.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    for chunk in filter(None, map(str.strip, value.split(";"))):
         try:
-            props.append(propositions.get(chunk)
-                         or propositions.setdefault(chunk, parse_proposition(chunk)))
+            props.append(parse_proposition(chunk))
         except BadPropositionSyntax as exc:
             issues.append(ParseIssue(lineno, "bad-proposition", str(exc)))
     return tuple(props)
 
 
-def _parse_pair(value, lineno, issues, what, propositions):
+def _parse_pair(lineno, value, issues, what):
     left, sep, right = value.partition("=>")
     if not sep:
         issues.append(ParseIssue(lineno, "bad-value", f"{what} must look like 'p => q'"))
         return None
     try:
-        return tuple([propositions.get(text)
-                      or propositions.setdefault(text, parse_proposition(text))
-                      for text in (left, right)])
+        return parse_proposition(left), parse_proposition(right)
     except BadPropositionSyntax as exc:
         issues.append(ParseIssue(lineno, "bad-proposition", str(exc)))
         return None
@@ -115,15 +109,12 @@ def _parse_pair(value, lineno, issues, what, propositions):
 def parse(text: str) -> Transcript:
     """Parse a ``.dlg`` document or raise TranscriptError listing every
     problem found, each with its 1-based line number."""
-    issues: list[ParseIssue] = []
-    records, line_issues = _records(text)
-    issues.extend(line_issues)
+    records, issues = _read(text)
     if not records:
         raise TranscriptError(issues or
                               [ParseIssue(1, "empty-transcript", "document has no records")])
 
-    header = _fields(records[0], HEADER_KEYS, issues)
-    header_line = records[0][0][0]
+    header_line, header = records[0]
     dialogue_id = header.get("dialogue", (header_line, ""))[1]
     if "dialogue" not in header:
         issues.append(ParseIssue(header_line, "missing-field", "header lacks 'dialogue'"))
@@ -146,16 +137,10 @@ def parse(text: str) -> Transcript:
 
     events: list[UtteranceEvent] = []
     earlier: set[str] = set()
-    #: text -> its proposition, for this document only.  Propositions are
-    #: immutable, so events may share one; text that does not parse is
-    #: never stored, so each line it is on reports it.
-    propositions: dict[str, Proposition] = {}
     participant_ids = {p.id for p in participants}
-    for position, record in enumerate(records[1:]):
-        fields = _fields(record, EVENT_KEYS, issues)
-        start_line = record[0][0]
-        missing = [k for k in REQUIRED_EVENT_KEYS if k not in fields]
-        if missing:
+    for position, (start_line, fields) in enumerate(records[1:]):
+        if not fields.keys() >= _REQUIRED:
+            missing = [k for k in REQUIRED_EVENT_KEYS if k not in fields]
             issues.append(ParseIssue(start_line, "missing-field",
                                      f"event lacks {', '.join(missing)}"))
             continue
@@ -171,8 +156,7 @@ def parse(text: str) -> Transcript:
             issues.append(ParseIssue(text_line, "bad-value", "text must be nonempty"))
         realizes: tuple[Proposition, ...] = ()
         if "realizes" in fields:
-            realizes = _parse_prop_list(fields["realizes"][1], fields["realizes"][0], issues,
-                                        propositions)
+            realizes = _parse_prop_list(*fields["realizes"], issues)
         if "act" in fields:
             act_line, act_text = fields["act"]
             act = ACTS.get(act_text)
@@ -193,16 +177,14 @@ def parse(text: str) -> Transcript:
                 issues.append(ParseIssue(int_line, "bad-value", f"unknown intonation {int_text!r}"))
         antecedents: tuple[str, ...] = ()
         if "antecedents" in fields:
-            antecedents = tuple(a.strip() for a in fields["antecedents"][1].split(",")
-                                if a.strip())
+            antecedents = tuple(filter(None, map(str.strip,
+                                                 fields["antecedents"][1].split(","))))
         implicates = None
         if "implicates" in fields:
-            implicates = _parse_pair(fields["implicates"][1], fields["implicates"][0],
-                                     issues, "implicates", propositions)
+            implicates = _parse_pair(*fields["implicates"], issues, "implicates")
         supports = None
         if "supports" in fields:
-            supports = _parse_pair(fields["supports"][1], fields["supports"][0],
-                                   issues, "supports", propositions)
+            supports = _parse_pair(*fields["supports"], issues, "supports")
         interrupted = False
         if "interrupted" in fields:
             il, iv = fields["interrupted"]
@@ -224,7 +206,8 @@ def parse(text: str) -> Transcript:
         earlier.add(uid)  # refused or not, it is reported; later records may name it
 
     if not events and not issues:
-        issues.append(ParseIssue(records[0][-1][0], "empty-transcript",
+        # with no issue, every header line is a field: the last one is the latest
+        issues.append(ParseIssue(max(line for line, _ in header.values()), "empty-transcript",
                                  "no utterance records"))
     if issues:
         raise TranscriptError(sorted(issues, key=lambda i: i.line))

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from commonground import (ActType, Intonation, Literal, ParseIssue, TranscriptError, parse,
                           parse_proposition, serialize, write_trace)
-from commonground.transcript import _records
+from commonground.transcript import _read
 from conftest import FIXTURES, load_fixture
-from transcript_reference import reference_records
+from transcript_reference import reference_read
 
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.dlg"))
 CORPUS_FIXTURES = sorted("corpus/" + p.name for p in (FIXTURES / "corpus").glob("*.dlg"))
@@ -97,7 +97,7 @@ def test_same_proposition_text_on_two_lines_parses_equal():
 
 
 def test_bad_proposition_repeated_on_two_lines_is_reported_on_both():
-    """The within-parse memo keeps only propositions that parsed."""
+    """The proposition memo keeps only propositions that parsed."""
     bad = "realizes: a -> -> b"
     text = (MINIMAL + bad + "\n\nid: u1\nturn: 1\nspeaker: b\naddressee: a\n"
             "text: again\n" + bad + "\n")
@@ -105,6 +105,23 @@ def test_bad_proposition_repeated_on_two_lines_is_reported_on_both():
     assert [(i.line, i.code) for i in issues] == [(9, "bad-proposition"),
                                                  (16, "bad-proposition")]
     assert issues[0].message == issues[1].message
+
+
+def test_bad_proposition_is_reported_in_each_of_two_documents():
+    """The memo that every parse shares never stores a text that failed, so a
+    second document is told about it as the first was."""
+    text = MINIMAL.replace("text: hello there", "text: hello there\nrealizes: q; q & -> r")
+    expected = (ParseIssue(9, "bad-proposition", "bad literal '' in 'q & -> r'"),)
+    assert issues_of(text) == expected
+    assert issues_of(text) == expected
+
+
+def test_texts_that_differ_only_in_whitespace_parse_equal():
+    assert parse_proposition("p&q->!r") == parse_proposition(" p & q\t->  ! r ") \
+        == parse_proposition("p & q -> !r")
+    spaced = MINIMAL + "realizes: a<->b;  p->q\nsupports: p=>q\n"
+    plain = MINIMAL + "realizes: a <-> b; p -> q\nsupports: p => q\n"
+    assert parse(spaced) == parse(plain)
 
 
 def test_bad_line_message_keeps_the_text_without_trailing_space():
@@ -207,16 +224,21 @@ def test_write_trace_empty_is_empty_document():
 
 
 #: Line pieces: padding, blank lines made of the whitespace ``splitlines``
-#: and ``strip`` treat specially, and words with and without colons.
+#: and ``strip`` treat specially, words with and without colons, header and
+#: event keys (each unknown in the other record kind), a header record and
+#: repeated fields.
 PAD = st.sampled_from(["", " ", "\t", " \t ", "\x0c", "\x1f"])
-WORD = st.sampled_from(["id", "text", "a b", "u0", "p -> q"])
+WORD = st.sampled_from(["id", "text", "a b", "u0", "p -> q", "dialogue", "participants"])
 BLANK_LINES = st.sampled_from(["", " ", "\t", " \t ", "\r", "\r\n", "\x0c", "\x85", "\x1f",
                                " \x0c\t"])
 NO_COLON = st.builds("".join, st.tuples(PAD, WORD, PAD))
 LEADING_COLON = st.builds("".join, st.tuples(PAD, st.just(":"), PAD, WORD, PAD))
 DOUBLE_COLON = st.builds("".join, st.tuples(PAD, WORD, st.just("::"), WORD, PAD))
 FIELD = st.builds("".join, st.tuples(PAD, WORD, PAD, st.just(":"), PAD, WORD, PAD))
-LINES = st.one_of(BLANK_LINES, NO_COLON, LEADING_COLON, DOUBLE_COLON, FIELD)
+REPEATED = st.builds(lambda key, first, again: f"{key}: {first}\n {key}\t:{again}",
+                     WORD, WORD, WORD)
+HEADER = st.just("dialogue: d\nparticipants: a, b\nrequire-acceptance: true")
+LINES = st.one_of(BLANK_LINES, NO_COLON, LEADING_COLON, DOUBLE_COLON, FIELD, REPEATED, HEADER)
 DOCUMENTS = st.builds(lambda lines, end: "\n".join(lines) + end,
                       st.lists(LINES, max_size=12), st.sampled_from(["", "\n", "\r\n"]))
 
@@ -225,5 +247,11 @@ DOCUMENTS = st.builds(lambda lines, end: "\n".join(lines) + end,
 @given(DOCUMENTS)
 def test_line_reader_matches_the_reference(text):
     """A line with a colon is a field, a whitespace-only line ends the record,
-    and any other line is a bad line reported without its trailing space."""
-    assert _records(text) == reference_records(text)
+    and any other line is a bad line reported without its trailing space.
+    The first record takes the header's keys and the rest the event keys; a
+    key outside them, or one already in the record, is reported on its line.
+    The one-pass reader lists its issues in line order, which is the order of
+    the reference's once ``parse`` sorts them by line: a line gives at most
+    one."""
+    records, issues = reference_read(text)
+    assert _read(text) == (records, sorted(issues, key=lambda issue: issue.line))

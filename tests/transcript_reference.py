@@ -1,12 +1,17 @@
-"""The line reader that ``transcript._records`` replaced, kept as a reference
-for tests.
+"""The two passes that ``transcript._read`` replaced, kept as a reference for
+tests.
 
-It right-strips every line, strips it again to test for a blank, and only
-then splits off the key.  ``_records`` reads each line with one partition and
-must give the same records and the same issues, in the same order.
+``reference_records`` splits a document into records of (line, key, value)
+triples: it right-strips every line, strips it again to test for a blank, and
+only then splits off the key.  ``reference_fields`` then builds each record's
+``key -> (line, value)`` dict.  ``reference_read`` composes them, with the
+header's keys for the first record and the event keys after it.  ``_read``
+does both in one pass and must give the same records and, once sorted by line
+as ``parse`` reports them, the same issues.
 """
 
 from commonground.errors import ParseIssue
+from commonground.transcript import EVENT_KEYS, HEADER_KEYS
 
 
 def reference_records(text: str):
@@ -29,3 +34,25 @@ def reference_records(text: str):
     if record:
         records.append(record)
     return records, issues
+
+
+def reference_fields(record, allowed, issues):
+    fields: dict[str, tuple[int, str]] = {}
+    for lineno, key, value in record:
+        if key not in allowed:
+            issues.append(ParseIssue(lineno, "unknown-field", f"unknown key {key!r}"))
+            continue
+        if key in fields:
+            issues.append(ParseIssue(lineno, "duplicate-field", f"repeated key {key!r}"))
+            continue
+        fields[key] = (lineno, value)
+    return fields
+
+
+def reference_read(text: str):
+    """Records as (first line, fields), and the issues: every bad line, then
+    each record's field issues."""
+    records, issues = reference_records(text)
+    read = [(record[0][0], reference_fields(record, EVENT_KEYS if i else HEADER_KEYS, issues))
+            for i, record in enumerate(records)]
+    return read, issues
