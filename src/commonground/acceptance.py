@@ -310,12 +310,11 @@ def record_support(state: "DiscourseState", belief: Proposition,
     if link is not None:
         return link
     link = SupportLink(
-        link_id=state.context.fresh_id("s", len(state.support_links) + 1),
+        link_id=state.context.fresh_id("s", len(state.support_between) + 1),
         belief=belief,
         goal=goal,
         dependencies={belief_entry.entry_id, goal_entry.entry_id},
     )
-    state.support_links[link.link_id] = link
     state.context.add_node(link.link_id, link)
     state.support_between[(belief.key, goal.key)] = link
     for acc in state.live_acceptances_of({goal.key}):

@@ -8,13 +8,16 @@ The order is fixed, and it matters:
 - the any-next upgrade (2) comes before the event's own classification (3);
 - classification (3) works out the redundancy verdicts and matched license
   links once, on the context before the event; steps 4, 5 and 8 reuse them;
-- steps 5-6 see the context as it was before the event: their lookups pass
-  over the entries a kept conflict trial (4) inserted;
+- the IRU upgrade (4) precedes the conflict trial (5), so it sees the
+  context before the event, and a license premise it refuses leaves no
+  trial entry behind;
+- acceptance (6) sees the context as it was before the event: its lookups
+  pass over the entries a kept conflict trial (5) inserted;
 - defeats (7) follow acceptance (6) and precede the assertion (8), so
   contested content never enters the common ground;
-- a clash-free trial (4) is the event's assertion and step 8 commits its
-  fixpoint as it stands, so steps 5-6 write no context entry and step 7
-  has nothing to do.
+- a clash-free trial (5) is the event's assertion and step 8 commits its
+  fixpoint as it stands, so step 6 writes no context entry and step 7 has
+  nothing to do.
 
 The functions the benchmark's tracer wraps (``bench/run.py``'s span targets)
 are called through their modules' attributes, looked up at each call, never
@@ -73,8 +76,8 @@ class DialogueEngine:
         verdicts = [state.context.is_redundant(p) for p in event.realizes]
         cls = grd.classify_iru(event, state, verdicts, matched)
         antecedents = grd.resolved_antecedents(event, state, cls, verdicts, matched)
-        conflict, fixpoint = self._detect_conflict(event, verdicts)
         licenses = self._iru_upgrade(event, cls, antecedents, matched, touched)
+        conflict, fixpoint = self._detect_conflict(event, verdicts)
         # 6. settle acceptance: pending questions first, then the adjacent pair
         outcomes = acc.reevaluate_pending(state, event, conflict=conflict)
         if prev is not None and prev.addressee == event.speaker and not event.interrupted:
@@ -142,23 +145,9 @@ class DialogueEngine:
         state.awaiting.setdefault(event.addressee, []).append(event.utterance_id)
         return touched
 
-    def _detect_conflict(self, event: UtteranceEvent, verdicts) \
-            -> tuple[Optional[acc.ConflictEvidence], Optional[Fixpoint]]:
-        """4. Detect conflict evidence (``acceptance.detect_conflict``).  A
-        clash-free trial stands as the event's assertion: its fixpoint is
-        returned for step 8, and ``state.arriving`` holds the keys it inserted
-        (verdict ``not_redundant``) until step 6 is done."""
-        fixpoints: list[Fixpoint] = []
-        conflict = acc.detect_conflict(self.state, event, fixpoints)
-        fixpoint = fixpoints[0] if fixpoints else None
-        self.state.arriving = frozenset(
-            p.key for p, verdict in zip(event.realizes, verdicts)
-            if not verdict.redundant) if fixpoint is not None else frozenset()
-        return conflict, fixpoint
-
     def _iru_upgrade(self, event: UtteranceEvent, cls: IRUClass, antecedents: tuple[str, ...],
                      matched: list[LicenseLink], touched: dict) -> list:
-        """5. Upgrade the antecedent records addressed to the speaker (for a
+        """4. Upgrade the antecedent records addressed to the speaker (for a
         prompt with none, the latest such record, never the event's own); an
         explicit inference or implicature reinforcement lifts the matched
         license links to linguistic.  Returns the lifted links' lines."""
@@ -182,6 +171,20 @@ class DialogueEngine:
                 if owner is not None:
                     touched[link.owner] = owner
         return lines
+
+    def _detect_conflict(self, event: UtteranceEvent, verdicts) \
+            -> tuple[Optional[acc.ConflictEvidence], Optional[Fixpoint]]:
+        """5. Detect conflict evidence (``acceptance.detect_conflict``).  A
+        clash-free trial stands as the event's assertion: its fixpoint is
+        returned for step 8, and ``state.arriving`` holds the keys it inserted
+        (verdict ``not_redundant``) until step 6 is done."""
+        fixpoints: list[Fixpoint] = []
+        conflict = acc.detect_conflict(self.state, event, fixpoints)
+        fixpoint = fixpoints[0] if fixpoints else None
+        self.state.arriving = frozenset(
+            p.key for p, verdict in zip(event.realizes, verdicts)
+            if not verdict.redundant) if fixpoint is not None else frozenset()
+        return conflict, fixpoint
 
     def _defeat(self, conflict: Optional[acc.ConflictEvidence]) -> tuple[list, bool]:
         """7. Defeat the live acceptances of the contested propositions that

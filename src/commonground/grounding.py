@@ -71,68 +71,51 @@ class Participant(NamedTuple):
     id: str
 
 
-class _UtteranceFields(NamedTuple):
+class UtteranceEvent(NamedTuple):
+    """One ``say(speaker, addressee, utterance, propositions)`` act.
+
+    An immutable record, hashed and compared as the tuple of its fields, so
+    it equals a plain tuple of the same values.  The rules an event keeps to
+    enter a dialogue live in ``admission_issues``."""
+
     utterance_id: str
     turn_index: int
     speaker: str
     addressee: str
     text: str
-    act: ActType
-    intonation: Intonation
-    realizes: tuple[Proposition, ...]
-    antecedent_ids: tuple[str, ...]
-    implicates: Optional[tuple[Proposition, Proposition]]
-    supports: Optional[tuple[Proposition, Proposition]]
-    interrupted: bool
-    rejects: Optional[str]
-
-
-class UtteranceEvent(_UtteranceFields):
-    """One ``say(speaker, addressee, utterance, propositions)`` act.
-
-    A ``NamedTuple`` record: immutable, hashed and compared as the tuple of
-    its fields, so it equals a plain tuple of the same values.  Copies,
-    pickles, ``_make`` and ``_replace`` rebuild it through ``__new__``, which
-    refuses a speaker who is also the addressee and a prompt that realizes
-    content."""
-
-    __slots__ = ()
-
-    @classmethod
-    def _make(cls, iterable):  # NamedTuple's would skip the checks
-        return cls(*iterable)
-
-    def __new__(cls, utterance_id: str, turn_index: int, speaker: str, addressee: str,
-                text: str, act: ActType = ActType.ASSERT,
-                intonation: Intonation = Intonation.UNMARKED,
-                realizes: tuple[Proposition, ...] = (), antecedent_ids: tuple[str, ...] = (),
-                implicates: Optional[tuple[Proposition, Proposition]] = None,
-                supports: Optional[tuple[Proposition, Proposition]] = None,
-                interrupted: bool = False, rejects: Optional[str] = None):
-        if speaker == addressee:
-            raise ValueError(f"{utterance_id}: speaker and addressee coincide")
-        if act is ActType.PROMPT and realizes:
-            raise ValueError(f"{utterance_id}: a prompt realizes no propositions")
-        return tuple.__new__(cls, (utterance_id, turn_index, speaker, addressee, text, act,
-                                   intonation, realizes, antecedent_ids, implicates, supports,
-                                   interrupted, rejects))
+    act: ActType = ActType.ASSERT
+    intonation: Intonation = Intonation.UNMARKED
+    realizes: tuple[Proposition, ...] = ()
+    antecedent_ids: tuple[str, ...] = ()
+    implicates: Optional[tuple[Proposition, Proposition]] = None
+    supports: Optional[tuple[Proposition, Proposition]] = None
+    interrupted: bool = False
+    rejects: Optional[str] = None
 
     @property
     def tokens(self) -> tuple[str, ...]:
         return normalize_tokens(self.text)
 
 
-def admission_issues(event: UtteranceEvent, participants: Collection[str],
-                     earlier: Container[str], position: int) -> list[tuple[str, str, str]]:
+def admission_issues(event: UtteranceEvent, participants: Collection[str], earlier: Container[str],
+                     position: int) -> list[tuple[Optional[str], str, str]]:
     """Every admission rule (see ``transcript``) that ``event`` breaks by
     following a dialogue prefix, as (field, code, message) triples.
 
     ``participants`` are the participant ids (none: not known), ``earlier``
-    the ids before the event and ``position`` its place, from 0.  A reused id
-    is reported alone: the event is not the one its references were written
-    for.  ``transcript.parse`` reports each triple on the field's line, and
-    ``DialogueEngine.process`` raises the first before it changes any state.
+    the ids before the event and ``position`` its place, from 0.  A record
+    that cannot be the addressee's evidence (a speaker who is also the
+    addressee, a prompt that realizes content) is a record-level issue, with
+    field ``None``, and is reported alone; so is a reused id, as the event is
+    not the one its references were written for.  ``transcript.parse``
+    reports each triple on the field's line, a record-level one on the
+    record's first line, and ``DialogueEngine.process`` raises the first
+    before it changes any state.
     """
+    if event.speaker == event.addressee:
+        return [(None, "bad-value", "speaker and addressee coincide")]
+    if event.act is ActType.PROMPT and event.realizes:
+        return [(None, "bad-value", "a prompt realizes no propositions")]
     uid = event.utterance_id
     if uid in earlier:
         return [("id", "duplicate-utterance", f"utterance {uid!r} already defined")]
@@ -320,10 +303,8 @@ def record_license_evidence(state: "DiscourseState", link: LicenseLink,
     """Store ``link`` or strengthen the stored copy to max(old, new).
 
     The owning record's license slot rises in step, and the premise must
-    already be in the context (UnknownProposition otherwise); until the
-    event's assertion step that is the context before the current event
-    (``DiscourseState.entry_before_event``)."""
-    if state.entry_before_event(link.premise) is None:
+    already be in the context (UnknownProposition otherwise)."""
+    if state.context.lookup(link.premise) is None:
         raise UnknownProposition(f"license premise {link.premise} not in context")
     stored = state.license_links.get(link.key)
     if stored is None:

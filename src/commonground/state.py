@@ -46,7 +46,6 @@ class DiscourseState:
         #: (proposition key, agent) -> (add order, belief) for the beliefs
         #: ``add_acceptance`` added, in order
         self._acceptances: dict[tuple[str, str], list[tuple[int, AcceptanceBelief]]] = {}
-        self.support_links: dict[str, SupportLink] = {}
         #: (belief key, goal key) -> the link ``record_support`` added
         self.support_between: dict[tuple[str, str], SupportLink] = {}
         #: keys of the current event's propositions that the context did not
@@ -63,7 +62,8 @@ class DiscourseState:
 
     def entry_before_event(self, p: Proposition) -> ContextEntry | None:
         """The live entry of ``p`` as the context held it before the current
-        event: none for a key in ``arriving``."""
+        event: none for a key in ``arriving``.  Its one reader is acceptance,
+        which runs while a kept conflict trial holds the event's content."""
         return None if p.key in self.arriving else self.context.lookup(p)
 
     def add_license_link(self, link: LicenseLink) -> None:

@@ -22,11 +22,18 @@ the affirmation lexicon is an affirmation, anything that realizes content is
 an assertion, the rest are ``other``.
 
 Admission rules, checked by ``grounding.admission_issues`` for the parser and
-the engine alike: an utterance's id is new; its turn is its place among the
-utterance records, from 0; speaker and addressee are participants; every
-antecedent and the ``rejects`` target is an earlier utterance; it does not
-realize a literal together with its negation.  ``UtteranceEvent`` itself
-requires a speaker other than the addressee and a prompt to realize nothing.
+the engine alike:
+
+- the speaker is not the addressee;
+- a prompt realizes no propositions;
+- the utterance's id is new;
+- speaker and addressee are participants;
+- its turn is its place among the utterance records, from 0;
+- every antecedent is an earlier utterance;
+- the ``rejects`` target is an earlier utterance;
+- it does not realize a literal together with its negation.
+
+The first two concern the whole record and are reported on its first line.
 """
 
 from __future__ import annotations
@@ -191,18 +198,14 @@ def parse(text: str) -> Transcript:
             if iv not in ("true", "false"):
                 issues.append(ParseIssue(il, "bad-value", "interrupted: true|false"))
             interrupted = iv == "true"
-        try:
-            event = UtteranceEvent(
-                uid, turn, fields["speaker"][1], fields["addressee"][1], utt_text, act,
-                intonation, realizes, antecedents, implicates, supports, interrupted,
-                fields["rejects"][1] if "rejects" in fields else None)
-        except ValueError as exc:
-            issues.append(ParseIssue(start_line, "bad-value", str(exc)))
-        else:
-            for field, code, message in admission_issues(event, participant_ids, earlier,
-                                                         position):
-                issues.append(ParseIssue(fields[field][0], code, message))
-            events.append(event)
+        event = UtteranceEvent(
+            uid, turn, fields["speaker"][1], fields["addressee"][1], utt_text, act,
+            intonation, realizes, antecedents, implicates, supports, interrupted,
+            fields["rejects"][1] if "rejects" in fields else None)
+        for field, code, message in admission_issues(event, participant_ids, earlier, position):
+            issues.append(ParseIssue(fields[field][0], code, message) if field is not None
+                          else ParseIssue(start_line, code, f"{uid}: {message}"))
+        events.append(event)
         earlier.add(uid)  # refused or not, it is reported; later records may name it
 
     if not events and not issues:

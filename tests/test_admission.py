@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from commonground import (DanglingAntecedent, DialogueEngine, DiscourseState,
+from commonground import (ActType, DanglingAntecedent, DialogueEngine, DiscourseState,
                           DuplicateUtterance, Literal, OrderingViolation, Participant,
                           SelfContradiction, Transcript, TranscriptError, UtteranceEvent,
                           admission_issues, parse, serialize)
@@ -67,6 +67,45 @@ def test_every_broken_rule_is_one_triple_on_its_field():
     assert admission_issues(event("u0", 1), {"a", "b"}, {"u0"}, 1) == [
         ("id", "duplicate-utterance", "utterance 'u0' already defined")]
     assert admission_issues(event("u1", 1), {"a", "b"}, {"u0"}, 1) == []
+
+
+@pytest.mark.parametrize("uid", ["u1", "u0"], ids=["new-id", "reused-id"])
+def test_a_record_level_refusal_is_reported_alone(uid):
+    # the event cannot be its addressee's evidence, whatever else it breaks
+    self_addressed = event(uid, 3, "a", "a", act=ActType.PROMPT, realizes=(Literal("p"),),
+                           antecedent_ids=("u9",))
+    prompt = event(uid, 3, "z", "b", act=ActType.PROMPT, realizes=(Literal("p"),),
+                   rejects="u7")
+    assert admission_issues(self_addressed, {"a", "b"}, {"u0"}, 1) == [
+        (None, "bad-value", "speaker and addressee coincide")]
+    assert admission_issues(prompt, {"a", "b"}, {"u0"}, 1) == [
+        (None, "bad-value", "a prompt realizes no propositions")]
+
+
+def test_a_record_level_refusal_is_reported_on_the_record_s_first_line():
+    # the id line is not the record's first, and the second u0 reuses an id
+    self_addressed = "turn: 1\nspeaker: b\naddressee: b\nid: u0\ntext: again"
+    prompt = "act: prompt\nrealizes: p\n" + record("u2", 2, speaker="b", addressee="a")
+    with pytest.raises(TranscriptError) as exc:
+        parse(document(record("u0", 0), self_addressed, prompt))
+    assert [(i.line, i.code, i.message) for i in exc.value.issues] == [
+        (10, "bad-value", "u0: speaker and addressee coincide"),
+        (16, "bad-value", "u2: a prompt realizes no propositions")]
+
+
+@pytest.mark.parametrize("uid, kw, message", [
+    ("u1", dict(speaker="b", addressee="b"), "speaker and addressee coincide"),
+    ("u0", dict(speaker="b", addressee="b"), "speaker and addressee coincide"),
+    ("u1", dict(speaker="b", addressee="a", act=ActType.PROMPT, realizes=(Literal("p"),)),
+     "a prompt realizes no propositions"),
+], ids=["self-addressed", "self-addressed-reused-id", "prompt-with-content"])
+def test_process_refuses_a_record_level_fault_before_any_state_changes(uid, kw, message):
+    e = engine()
+    e.process(event("u0", 0, realizes=(Literal("q"),)))
+    before = snapshot(e.state)
+    with pytest.raises(OrderingViolation, match=f"^{uid}: {message}$"):
+        e.process(event(uid, 1, **kw))
+    assert snapshot(e.state) == before
 
 
 def test_a_reused_id_is_reported_alone():
@@ -133,8 +172,8 @@ def test_a_dropped_record_keeps_its_place():
 
 
 def test_a_refused_record_still_counts_as_earlier():
-    # speaker and addressee coincide: UtteranceEvent refuses it, and the id
-    # still counts as earlier for the records after it
+    # speaker and addressee coincide: admission refuses the whole record, and
+    # its id still counts as earlier for the records after it
     text = document(record("u0", 0), record("u1", 1, speaker="b", addressee="b"),
                     record("u2", 2, antecedents="u1"))
     assert issues_of(text) == [(10, "bad-value")]
@@ -144,13 +183,15 @@ def test_a_refused_record_still_counts_as_earlier():
 
 #: an event's seeded fault, if any; most events have none
 FAULTS = ("none",) * 14 + ("gap", "dangling_antecedent", "dangling_rejects", "duplicate",
-                           "unknown_speaker", "self_contradiction")
+                           "unknown_speaker", "self_contradiction", "self_addressed",
+                           "prompt_with_content")
 
 
 @st.composite
 def faulty_transcripts(draw):
-    """Dialogues of fresh literals, some events with one seeded fault."""
-    events = []
+    """Dialogues of fresh literals, some events with one seeded fault, and
+    the index of the first faulty event (none: every event is sound)."""
+    events, first_fault = [], None
     for i in range(draw(st.integers(1, 6))):
         fault = draw(st.sampled_from(FAULTS))
         earlier = [e.utterance_id for e in events]
@@ -161,6 +202,8 @@ def faulty_transcripts(draw):
         speaker, addressee = ("a", "b") if i % 2 == 0 else ("b", "a")
         if fault == "unknown_speaker":
             speaker = "z"
+        if fault == "self_addressed":
+            addressee = speaker
         antecedents = tuple(draw(st.lists(st.sampled_from(earlier), max_size=2, unique=True))
                             if earlier else [])
         if fault == "dangling_antecedent":
@@ -171,28 +214,37 @@ def faulty_transcripts(draw):
         realizes = (Literal(f"p{i}"),) if draw(st.booleans()) else ()
         if fault == "self_contradiction":
             realizes = (Literal(f"p{i}"), Literal(f"p{i}", False))
-        events.append(event(uid, turn, speaker, addressee, realizes=realizes,
+        act = ActType.ASSERT
+        if fault == "prompt_with_content":
+            act, realizes = ActType.PROMPT, (Literal(f"p{i}"),)
+        if first_fault is None and fault != "none" and (fault != "duplicate" or earlier):
+            first_fault = i
+        events.append(event(uid, turn, speaker, addressee, act=act, realizes=realizes,
                             antecedent_ids=antecedents, rejects=rejects))
     return Transcript("d", (Participant("a"), Participant("b")), draw(st.booleans()),
-                      tuple(events))
+                      tuple(events)), first_fault
 
 
 @settings(max_examples=300, deadline=None)
 @given(faulty_transcripts())
-def test_parse_raises_exactly_when_process_refuses_an_event(t):
+def test_parse_raises_exactly_when_process_refuses_an_event(case):
+    """Both refuse exactly the dialogues with a seeded fault, and ``process``
+    refuses the first faulty event, leaving the state as it was."""
+    t, first_fault = case
     try:
         parse(serialize(t))
         parsed = True
     except TranscriptError:
         parsed = False
     e = DialogueEngine.for_transcript(t)
-    refused = False
-    for ev in t.events:
+    refused_at = None
+    for i, ev in enumerate(t.events):
         before = snapshot(e.state)
         try:
             e.process(ev)
         except ADMISSION_ERRORS:
-            refused = True
+            refused_at = i
             assert snapshot(e.state) == before, ev.utterance_id
             break
-    assert parsed != refused
+    assert refused_at == first_fault
+    assert parsed == (first_fault is None)

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from commonground import (ActType, DialogueEngine, DiscourseState, DuplicateUtterance,
-                          IRUClass, LicenseLink, Literal, Participant, Strength,
+                          IRUClass, LicenseLink, Participant, Strength,
                           UnknownProposition, UtteranceEvent, apply_any_next_upgrade,
                           apply_iru_upgrade, classify_iru, min_strength, open_record, parse,
                           parse_proposition, record_license_evidence,
@@ -79,32 +79,6 @@ def test_utterance_event_round_trips_through_copies_and_pickles():
         assert copied == e and hash(copied) == hash(e)
 
 
-def test_a_copy_or_pickle_rebuilds_through_the_checks():
-    """A round trip calls ``__new__``, so an event forged around it is refused."""
-    forged = tuple.__new__(UtteranceEvent, ("u0", 0, "a", "a") + FULL_EVENT_FIELDS[4:])
-    for round_trip in (copy.copy, copy.deepcopy, lambda e: pickle.loads(pickle.dumps(e))):
-        with pytest.raises(ValueError, match="speaker and addressee coincide"):
-            round_trip(forged)
-
-
-def test_make_and_replace_keep_the_checks():
-    e = UtteranceEvent(*FULL_EVENT_FIELDS)
-    assert UtteranceEvent._make(FULL_EVENT_FIELDS) == e
-    assert e._replace(turn_index=2) == FULL_EVENT_FIELDS[:1] + (2,) + FULL_EVENT_FIELDS[2:]
-    with pytest.raises(ValueError, match="speaker and addressee coincide"):
-        e._replace(addressee="b")
-    with pytest.raises(ValueError, match="a prompt realizes no propositions"):
-        UtteranceEvent._make(FULL_EVENT_FIELDS[:5] + (ActType.PROMPT,) + FULL_EVENT_FIELDS[6:])
-
-
-def test_utterance_event_refusals():
-    with pytest.raises(ValueError, match="u0: speaker and addressee coincide"):
-        event("u0", 0, addressee="a")
-    with pytest.raises(ValueError, match="u0: a prompt realizes no propositions"):
-        event("u0", 0, act=ActType.PROMPT, realizes=(Literal("p"),))
-    assert event("u0", 0, act=ActType.PROMPT).realizes == ()
-
-
 def test_utterance_event_tokens():
     assert UtteranceEvent(*FULL_EVENT_FIELDS).tokens == ("so", "p", "then")
 
@@ -115,6 +89,8 @@ def test_utterance_event_equals_the_plain_tuple_of_its_fields():
     fields in ``_fields`` order, and defaults fill the optional ones."""
     e = UtteranceEvent(*FULL_EVENT_FIELDS)
     assert e == FULL_EVENT_FIELDS and hash(e) == hash(FULL_EVENT_FIELDS)
+    assert UtteranceEvent._make(FULL_EVENT_FIELDS) == e
+    assert e._replace(turn_index=2) == FULL_EVENT_FIELDS[:1] + (2,) + FULL_EVENT_FIELDS[2:]
     assert e != FULL_EVENT_FIELDS[:-1] + (None,)
     assert event("u0", 0) == ("u0", 0, "a", "b", "hello there", ActType.ASSERT,
                               Intonation.UNMARKED, (), (), None, None, False, None)

@@ -590,7 +590,7 @@ def test_record_support_is_idempotent():
     first = record_support(state, P("belief_prop"), P("goal_prop"))
     second = record_support(state, P("belief_prop"), P("goal_prop"))
     assert first is second
-    assert len(state.support_links) == 1
+    assert list(state.support_between.values()) == [first]
 
 
 def test_record_support_unknown_endpoint():
@@ -757,12 +757,16 @@ def test_acceptance_sees_the_context_as_it_was_before_the_event():
 
 def test_license_evidence_sees_the_context_as_it_was_before_the_event():
     # the implicature p => q rests on p, which is gone when u1 realizes p and
-    # q; u1's kept trial holds p, but p was not in the context before u1
+    # q; p was not in the context before u1, and the refused upgrade runs
+    # before u1's conflict trial, so none of u1's content is left behind
     engine = DialogueEngine(fresh_state(require_acceptance=False))
     engine.process(event("u0", 0, realizes=(P("p"),), implicates=(P("p"), P("q"))))
     engine.state.context.defeat_entry("u0")
     with pytest.raises(UnknownProposition, match="license premise p"):
         engine.process(event("u1", 1, "b", "a", realizes=(P("p"), P("q"))))
+    context = engine.state.context
+    assert context.lookup(P("p")) is None and context.lookup(P("q")) is None
+    assert context._trials == 0
 
 
 def test_derived_entry_never_takes_the_id_of_an_utterance():
@@ -818,7 +822,8 @@ def test_one_dependency_graph_after_every_event(path):
     state = engine.state
     for ev in transcript.events:
         engine.process(ev)
-        kinds = (state.context.entries, state.acceptance_beliefs, state.support_links)
+        links = {link.link_id: link for link in state.support_between.values()}
+        kinds = (state.context.entries, state.acceptance_beliefs, links)
         for nodes in kinds:
             for nid, node in nodes.items():
                 assert state.nodes[nid] is node, (ev.utterance_id, nid)
