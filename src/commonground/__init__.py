@@ -16,9 +16,9 @@ from .errors import (BadPropositionSyntax, CommonGroundError, ConflictDetected,
                      UnknownProposition)
 from .evidence import Strength, defeats, min_strength
 from .grounding import (ActType, AssumptionRecord, IRUClass, Intonation, LicenseLink,
-                        Participant, UtteranceEvent, admission_issues,
-                        apply_any_next_upgrade, apply_iru_upgrade, classify_iru,
-                        open_record, record_license_evidence, understanding_strength)
+                        UtteranceEvent, admission_issues, apply_any_next_upgrade,
+                        apply_iru_upgrade, classify_iru, open_record, record_license_evidence,
+                        understanding_strength)
 from .propositions import (Biconditional, Context, ContextEntry, Literal, Proposition,
                            RedundancyVerdict, Rule, parse_proposition)
 from .state import DiscourseState
@@ -34,7 +34,7 @@ __all__ = [
     "ConflictEvidence", "Context", "ContextEntry", "CorpusStats", "DanglingAntecedent",
     "DefeatRejected", "DialogueEngine", "DiscourseState", "DuplicateUtterance",
     "IRUClass", "Intonation", "LicenseLink", "Literal",
-    "OrderingViolation", "ParseIssue", "Participant", "Proposition",
+    "OrderingViolation", "ParseIssue", "Proposition",
     "RedundancyVerdict", "RetractionReport", "Rule", "SelfContradiction",
     "Strength", "SupportLink", "TraceRecord", "Transcript", "TranscriptError",
     "UnknownProposition", "UtteranceEvent",

@@ -35,7 +35,6 @@ class ConflictEvidence(NamedTuple):
     annotated as a rejection.
     """
 
-    event_id: str
     pair: tuple[Proposition, Proposition]
     kind: str  # EXPLICIT_REJECTION | CONTRADICTORY_ASSERTION
     against: frozenset[str] = frozenset()  # keys of the contested propositions
@@ -136,16 +135,14 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
     if event.rejects is not None:
         props = state.events[event.rejects].realizes
         pair = (props[0], props[0]) if props else (Literal("nothing"), Literal("nothing"))
-        return ConflictEvidence(event.utterance_id, pair, EXPLICIT_REJECTION,
-                                frozenset(p.key for p in props))
+        return ConflictEvidence(pair, EXPLICIT_REJECTION, frozenset(p.key for p in props))
     if not event.realizes:
         return None
     for p in event.realizes:
         if isinstance(p, Literal):
             live = state.context.lookup_key(contrary(p))
             if live is not None:
-                return ConflictEvidence(event.utterance_id, (p, live.proposition),
-                                        CONTRADICTORY_ASSERTION,
+                return ConflictEvidence((p, live.proposition), CONTRADICTORY_ASSERTION,
                                         frozenset([live.proposition.key]))
     context, clash = state.context, None
     mark = context.trial()
@@ -174,8 +171,7 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
             if context.lookup(live) is not None:
                 against.add(live.key)
                 pair = (came, live)
-    return ConflictEvidence(event.utterance_id, pair,
-                            CONTRADICTORY_ASSERTION, frozenset(against))
+    return ConflictEvidence(pair, CONTRADICTORY_ASSERTION, frozenset(against))
 
 
 def evaluate_acceptance(state: "DiscourseState", prev_event: UtteranceEvent,

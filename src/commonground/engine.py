@@ -147,20 +147,21 @@ class DialogueEngine:
 
     def _iru_upgrade(self, event: UtteranceEvent, cls: IRUClass, antecedents: tuple[str, ...],
                      matched: list[LicenseLink], touched: dict) -> list:
-        """4. Upgrade the antecedent records addressed to the speaker (for a
-        prompt with none, the latest such record, never the event's own); an
-        explicit inference or implicature reinforcement lifts the matched
-        license links to linguistic.  Returns the lifted links' lines."""
+        """4. Upgrade the records of the antecedents addressed to the speaker
+        (for a prompt with none, of the latest utterance addressed to the
+        speaker, never the event itself); an explicit inference or
+        implicature reinforcement lifts the matched license links to
+        linguistic.  Returns the lifted links' lines."""
         state, lines = self.state, []
         if cls is IRUClass.NONE:
             return lines
-        ids = antecedents
+        events, ids = state.events, antecedents
         if cls is IRUClass.PROMPT and not ids:
-            ids = next(((uid,) for uid, r in reversed(state.records.items())
-                        if r.addressee == event.speaker), ())
+            ids = next(((e.utterance_id,) for e in reversed(events.values())
+                        if e.addressee == event.speaker), ())
         for uid in ids:
-            target = state.records[uid]
-            if target.addressee == event.speaker:
+            if events[uid].addressee == event.speaker:
+                target = state.records[uid]
                 grd.apply_iru_upgrade(target, cls)
                 touched[uid] = target
         if cls in (IRUClass.EXPLICIT_INFERENCE, IRUClass.IMPLICATURE_REINFORCEMENT):

@@ -67,10 +67,6 @@ UPGRADE_TABLE: dict[IRUClass, tuple[str, ...]] = {
 }
 
 
-class Participant(NamedTuple):
-    id: str
-
-
 class UtteranceEvent(NamedTuple):
     """One ``say(speaker, addressee, utterance, propositions)`` act.
 
@@ -119,7 +115,7 @@ def admission_issues(event: UtteranceEvent, participants: Collection[str], earli
     uid = event.utterance_id
     if uid in earlier:
         return [("id", "duplicate-utterance", f"utterance {uid!r} already defined")]
-    issues = []
+    issues = [] if uid else [("id", "bad-value", "utterance id must be nonempty")]
     if participants and event.speaker not in participants:
         issues.append(("speaker", "bad-value", f"speaker {event.speaker!r} not a participant"))
     if participants and event.addressee not in participants:
@@ -191,19 +187,17 @@ class AssumptionRecord(Slotted):
     """Evidence strengths for the assumptions behind one utterance's uptake.
 
     Strengths only ever rise.  The license slot appears when the utterance
-    carries an intended inference (annotation or derivation)."""
+    carries an intended inference (annotation or derivation), and
+    ``license_keys`` are the keys of the license links it owns.  Who spoke,
+    to whom, and whether the turn was interrupted are facts of the
+    utterance: read them off ``DiscourseState.events``."""
 
-    _fields = __slots__ = ("utterance_id", "speaker", "addressee", "strengths", "interrupted",
-                           "license_keys")
+    _fields = __slots__ = ("utterance_id", "strengths", "license_keys")
 
-    def __init__(self, utterance_id: str, speaker: str, addressee: str,
-                 strengths: dict[str, Strength], interrupted: bool = False,
+    def __init__(self, utterance_id: str, strengths: dict[str, Strength],
                  license_keys: Optional[set[tuple[str, str]]] = None):
         self.utterance_id = utterance_id
-        self.speaker = speaker
-        self.addressee = addressee
         self.strengths = strengths
-        self.interrupted = interrupted
         self.license_keys = set() if license_keys is None else license_keys
 
     @classmethod
@@ -214,8 +208,7 @@ class AssumptionRecord(Slotted):
         strengths = {COPRESENT: h, ATTEND: h, HEAR: h, REALIZE: h}  # BASE_ASSUMPTIONS
         if event.implicates is not None:
             strengths[LICENSE] = h
-        return cls(event.utterance_id, event.speaker, event.addressee, strengths,
-                   event.interrupted, set())
+        return cls(event.utterance_id, strengths)
 
     def raise_to(self, name: str, strength: Strength) -> None:
         current = self.strengths.get(name)
@@ -251,10 +244,9 @@ def apply_iru_upgrade(record: AssumptionRecord, cls: IRUClass) -> AssumptionReco
 
 def apply_any_next_upgrade(record: AssumptionRecord) -> AssumptionRecord:
     """The addressee spoke again in uninterrupted flow: copresence becomes
-    linguistic and every other assumption at least default.  A record whose
-    utterance was marked interrupted is left untouched."""
-    if record.interrupted:
-        return record
+    linguistic and every other assumption at least default.  The caller
+    gives it only to a record whose utterance was not interrupted
+    (``DialogueEngine.process`` never queues an interrupted one)."""
     strengths = record.strengths  # holds copresence, as every record does
     for name, current in strengths.items():
         floor = Strength.LINGUISTIC if name == COPRESENT else Strength.DEFAULT

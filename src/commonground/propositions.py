@@ -33,7 +33,7 @@ from .retraction import DEFEATED, LIVE, add_dependents, retract  # noqa: F401
 from .saturation import Derivation, Fixpoint, Graph, Item, boundary, clashes, contrary, \
     forward, put, settle
 
-ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*$")
+ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 class Slotted:
@@ -95,7 +95,7 @@ class Literal(Frozen):
     _fields = ("atom", "positive")
 
     def __init__(self, atom: str, positive: bool = True):
-        if not ATOM_RE.match(atom):
+        if not ATOM_RE.fullmatch(atom):
             raise BadPropositionSyntax(f"bad atom name {atom!r}")
         object.__setattr__(self, "atom", atom)
         object.__setattr__(self, "positive", positive)

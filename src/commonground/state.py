@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .acceptance import AcceptanceBelief, PendingAcceptance, RetractionReport, SupportLink
-from .grounding import AssumptionRecord, LicenseLink, Participant, UtteranceEvent
+from .grounding import AssumptionRecord, LicenseLink, UtteranceEvent
 from .propositions import LIVE, Context, ContextEntry, Proposition
 
 
@@ -19,18 +19,21 @@ class DiscourseState:
     support links, which join it through ``Context.add_node``, and
     ``Context.defeat_entry`` is the one walk that retracts along it.
     ``events`` is the context's dict of utterances, in dialogue order, so no
-    node takes an utterance's id.  Strictly sequential within a dialogue;
-    independent dialogues may run in parallel.
+    node takes an utterance's id.  An utterance's own facts (who spoke, to
+    whom, whether it was interrupted) live only there; ``records`` holds its
+    assumption strengths under the same id, in the same order.  A
+    proposition and agent have at most one live acceptance belief: the one
+    added last.  Strictly sequential within a dialogue; independent
+    dialogues may run in parallel.
     """
 
-    def __init__(self, dialogue_id: str, participants: tuple[Participant, Participant],
+    def __init__(self, dialogue_id: str, participants: tuple[str, str],
                  require_acceptance: bool = False):
         #: the participants' ids, for admission to check each event against
-        self.participant_ids = frozenset([p.id for p in participants])
+        self.participant_ids = frozenset(participants)
         if len(self.participant_ids) != 2:
             raise ValueError("a dialogue has exactly two distinct participants")
         self.dialogue_id = dialogue_id
-        self.participants = participants
         self.require_acceptance = require_acceptance
         self.context = Context()
         self.events: dict[str, UtteranceEvent] = self.context.utterances
@@ -43,9 +46,9 @@ class DiscourseState:
         #: stored, in order
         self._links_to: dict[str, list[tuple[int, LicenseLink]]] = {}
         self.acceptance_beliefs: dict[str, AcceptanceBelief] = {}
-        #: (proposition key, agent) -> (add order, belief) for the beliefs
-        #: ``add_acceptance`` added, in order
-        self._acceptances: dict[tuple[str, str], list[tuple[int, AcceptanceBelief]]] = {}
+        #: (proposition key, agent) -> (add order, belief) for the belief
+        #: ``add_acceptance`` added last, the only one that can be live
+        self._acceptances: dict[tuple[str, str], tuple[int, AcceptanceBelief]] = {}
         #: (belief key, goal key) -> the link ``record_support`` added
         self.support_between: dict[tuple[str, str], SupportLink] = {}
         #: keys of the current event's propositions that the context did not
@@ -78,23 +81,23 @@ class DiscourseState:
         return [found[order] for order in sorted(found)] if found else []
 
     def add_acceptance(self, belief: AcceptanceBelief) -> None:
-        """Add a belief to the acceptance beliefs, the graph and the index."""
-        self._acceptances.setdefault((belief.proposition.key, belief.accepting_agent),
-                                     []).append((len(self.acceptance_beliefs), belief))
+        """Add a belief to the acceptance beliefs, the graph and the index.
+        The caller adds one only when ``find_acceptance`` finds none live."""
+        self._acceptances[belief.proposition.key, belief.accepting_agent] = \
+            (len(self.acceptance_beliefs), belief)
         self.acceptance_beliefs[belief.belief_id] = belief
         self.context.add_node(belief.belief_id, belief)
 
     def find_acceptance(self, p: Proposition, agent: str) -> AcceptanceBelief | None:
-        """The first live belief of ``agent`` in ``p`` that ``add_acceptance`` added."""
-        for _, belief in self._acceptances.get((p.key, agent), ()):
-            if belief.status == LIVE:
-                return belief
-        return None
+        """The live belief of ``agent`` in ``p``, if any: the one
+        ``add_acceptance`` added last, as every earlier one is defeated."""
+        found = self._acceptances.get((p.key, agent))
+        return found[1] if found is not None and found[1].status == LIVE else None
 
     def live_acceptances_of(self, keys: Iterable[str]) -> list[AcceptanceBelief]:
         """The live beliefs of either participant in the propositions with
         ``keys``, in the order ``add_acceptance`` added them."""
-        found = [(order, belief) for key in keys for agent in self.participants
-                 for order, belief in self._acceptances.get((key, agent.id), ())
-                 if belief.status == LIVE]
+        found = [pair for key in keys for agent in self.participant_ids
+                 if (pair := self._acceptances.get((key, agent))) is not None
+                 and pair[1].status == LIVE]
         return [belief for _, belief in sorted(found, key=lambda f: f[0])]

@@ -26,7 +26,7 @@ the engine alike:
 
 - the speaker is not the addressee;
 - a prompt realizes no propositions;
-- the utterance's id is new;
+- the utterance's id is nonempty and new;
 - speaker and addressee are participants;
 - its turn is its place among the utterance records, from 0;
 - every antecedent is an earlier utterance;
@@ -41,8 +41,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import BadPropositionSyntax, ParseIssue, TranscriptError
-from .grounding import (ActType, Intonation, Participant, UtteranceEvent, admission_issues,
-                        is_affirmation_text)
+from .grounding import ActType, Intonation, UtteranceEvent, admission_issues, is_affirmation_text
 from .propositions import Proposition, parse_proposition
 
 HEADER_KEYS = frozenset(("dialogue", "participants", "require-acceptance"))
@@ -57,7 +56,7 @@ INTONATIONS = {intonation.value: intonation for intonation in Intonation}
 
 class Transcript(NamedTuple):
     dialogue_id: str
-    participants: tuple[Participant, Participant]
+    participants: tuple[str, str]
     require_acceptance: bool
     events: tuple[UtteranceEvent, ...]
 
@@ -125,7 +124,7 @@ def parse(text: str) -> Transcript:
     dialogue_id = header.get("dialogue", (header_line, ""))[1]
     if "dialogue" not in header:
         issues.append(ParseIssue(header_line, "missing-field", "header lacks 'dialogue'"))
-    participants: tuple[Participant, ...] = ()
+    participants: tuple[str, ...] = ()
     if "participants" not in header:
         issues.append(ParseIssue(header_line, "missing-field", "header lacks 'participants'"))
     else:
@@ -134,7 +133,7 @@ def parse(text: str) -> Transcript:
         if len(names) != 2 or len(set(names)) != 2:
             issues.append(ParseIssue(lineno, "bad-value",
                                      "exactly two distinct participants required"))
-        participants = tuple(Participant(n) for n in names)
+        participants = tuple(names)
     require_acceptance = False
     if "require-acceptance" in header:
         lineno, value = header["require-acceptance"]
@@ -144,7 +143,6 @@ def parse(text: str) -> Transcript:
 
     events: list[UtteranceEvent] = []
     earlier: set[str] = set()
-    participant_ids = {p.id for p in participants}
     for position, (start_line, fields) in enumerate(records[1:]):
         if not fields.keys() >= _REQUIRED:
             missing = [k for k in REQUIRED_EVENT_KEYS if k not in fields]
@@ -202,7 +200,7 @@ def parse(text: str) -> Transcript:
             uid, turn, fields["speaker"][1], fields["addressee"][1], utt_text, act,
             intonation, realizes, antecedents, implicates, supports, interrupted,
             fields["rejects"][1] if "rejects" in fields else None)
-        for field, code, message in admission_issues(event, participant_ids, earlier, position):
+        for field, code, message in admission_issues(event, participants, earlier, position):
             issues.append(ParseIssue(fields[field][0], code, message) if field is not None
                           else ParseIssue(start_line, code, f"{uid}: {message}"))
         events.append(event)
@@ -221,7 +219,7 @@ def serialize(t: Transcript) -> str:
     """Canonical text form; serialize(parse(serialize(t))) == serialize(t)."""
     out = [
         f"dialogue: {t.dialogue_id}",
-        "participants: " + ", ".join(p.id for p in t.participants),
+        "participants: " + ", ".join(t.participants),
         f"require-acceptance: {'true' if t.require_acceptance else 'false'}",
     ]
     for e in t.events:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commonground import (ActType, DanglingAntecedent, DialogueEngine, DiscourseState,
-                          DuplicateUtterance, Literal, OrderingViolation, Participant,
+                          DuplicateUtterance, Literal, OrderingViolation,
                           SelfContradiction, Transcript, TranscriptError, UtteranceEvent,
                           admission_issues, parse, serialize)
 
@@ -41,7 +41,7 @@ def issues_of(text):
 
 
 def engine():
-    return DialogueEngine(DiscourseState("d", (Participant("a"), Participant("b"))))
+    return DialogueEngine(DiscourseState("d", ("a", "b")))
 
 
 def event(uid, turn, speaker="a", addressee="b", **kw):
@@ -184,7 +184,7 @@ def test_a_refused_record_still_counts_as_earlier():
 #: an event's seeded fault, if any; most events have none
 FAULTS = ("none",) * 14 + ("gap", "dangling_antecedent", "dangling_rejects", "duplicate",
                            "unknown_speaker", "self_contradiction", "self_addressed",
-                           "prompt_with_content")
+                           "prompt_with_content", "empty_id")
 
 
 @st.composite
@@ -198,6 +198,8 @@ def faulty_transcripts(draw):
         uid = f"u{i}"
         if fault == "duplicate" and earlier:
             uid = draw(st.sampled_from(earlier))
+        if fault == "empty_id":
+            uid = ""
         turn = i + draw(st.integers(1, 3)) if fault == "gap" else i
         speaker, addressee = ("a", "b") if i % 2 == 0 else ("b", "a")
         if fault == "unknown_speaker":
@@ -221,8 +223,7 @@ def faulty_transcripts(draw):
             first_fault = i
         events.append(event(uid, turn, speaker, addressee, act=act, realizes=realizes,
                             antecedent_ids=antecedents, rejects=rejects))
-    return Transcript("d", (Participant("a"), Participant("b")), draw(st.booleans()),
-                      tuple(events)), first_fault
+    return Transcript("d", ("a", "b"), draw(st.booleans()), tuple(events)), first_fault
 
 
 @settings(max_examples=300, deadline=None)

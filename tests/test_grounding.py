@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from commonground import (ActType, DialogueEngine, DiscourseState, DuplicateUtterance,
-                          IRUClass, LicenseLink, Participant, Strength,
+                          IRUClass, LicenseLink, Strength,
                           UnknownProposition, UtteranceEvent, apply_any_next_upgrade,
                           apply_iru_upgrade, classify_iru, min_strength, open_record, parse,
                           parse_proposition, record_license_evidence,
@@ -28,8 +28,7 @@ LIVE_CLASSES = [c for c in IRUClass if c is not IRUClass.NONE]
 
 
 def fresh_state(require_acceptance=False):
-    return DiscourseState("test", (Participant("a"), Participant("b")),
-                          require_acceptance)
+    return DiscourseState("test", ("a", "b"), require_acceptance)
 
 
 def event(uid, turn, speaker="a", addressee="b", text="hello there", **kw):
@@ -43,8 +42,7 @@ def random_record(rng, with_license=None) -> AssumptionRecord:
     if with_license:
         names.append(LICENSE)
     return AssumptionRecord(
-        utterance_id="uX", speaker="a", addressee="b",
-        strengths={n: rng.choice(PRODUCIBLE) for n in names})
+        utterance_id="uX", strengths={n: rng.choice(PRODUCIBLE) for n in names})
 
 
 # -- UtteranceEvent as a record ---------------------------------------------
@@ -221,13 +219,6 @@ def test_any_next_after_repeat_keeps_linguistic_and_fills_default():
     assert record.strengths[COPRESENT] is Strength.LINGUISTIC
 
 
-def test_any_next_leaves_interrupted_record_alone():
-    state = fresh_state()
-    record = open_record(state, event("u7", 0, interrupted=True))
-    apply_any_next_upgrade(record)
-    assert set(record.strengths.values()) == {Strength.HYPOTHESIS}
-
-
 # -- upgrades through the engine ------------------------------------------------
 
 def dialogue(require, *turns):
@@ -296,7 +287,7 @@ def test_paraphrase_dominates_repeat_dominates_prompt():
         base = random_record(rng)
         results = {}
         for cls in (IRUClass.PROMPT, IRUClass.REPEAT, IRUClass.PARAPHRASE):
-            record = AssumptionRecord("uX", "a", "b", dict(base.strengths))
+            record = AssumptionRecord("uX", dict(base.strengths))
             apply_iru_upgrade(record, cls)
             results[cls] = understanding_strength(record)
         assert results[IRUClass.PARAPHRASE] >= results[IRUClass.REPEAT]
@@ -305,7 +296,7 @@ def test_paraphrase_dominates_repeat_dominates_prompt():
 
 def test_understanding_of_a_record_with_no_assumptions_raises():
     with pytest.raises(ValueError):
-        understanding_strength(AssumptionRecord("uX", "a", "b", {}))
+        understanding_strength(AssumptionRecord("uX", {}))
 
 
 # -- trace text -----------------------------------------------------------------
@@ -313,10 +304,10 @@ def test_understanding_of_a_record_with_no_assumptions_raises():
 def test_snapshot_lists_strengths_in_assumption_order_whatever_the_dict_order():
     filled = [LICENSE, REALIZE, COPRESENT, HEAR, ATTEND]
     strengths = {name: PRODUCIBLE[i % len(PRODUCIBLE)] for i, name in enumerate(filled)}
-    snap = snapshot_record(AssumptionRecord("uX", "a", "b", strengths), 3, Strength.HYPOTHESIS)
+    snap = snapshot_record(AssumptionRecord("uX", strengths), 3, Strength.HYPOTHESIS)
     assert snap.strengths == tuple((name, strengths[name]) for name in ASSUMPTION_ORDER)
-    partial = snapshot_record(AssumptionRecord("uX", "a", "b", {HEAR: Strength.DEFAULT,
-                                                                 COPRESENT: Strength.LINGUISTIC}),
+    partial = snapshot_record(AssumptionRecord("uX", {HEAR: Strength.DEFAULT,
+                                                     COPRESENT: Strength.LINGUISTIC}),
                               3, Strength.DEFAULT)
     assert partial.strengths == ((COPRESENT, Strength.LINGUISTIC), (HEAR, Strength.DEFAULT))
 

@@ -42,9 +42,11 @@ def test_parse_invalid(text):
         parse_proposition(text)
 
 
-def test_literal_rejects_bad_atom():
+@pytest.mark.parametrize("atom", ["1x", "p\n"])
+def test_literal_rejects_bad_atom(atom):
+    # "p\n" needs a full match: a "$" anchor also matches before a final newline
     with pytest.raises(BadPropositionSyntax):
-        L("1x")
+        L(atom)
 
 
 @pytest.mark.parametrize("atom", ["a", "x_1", "Rate9"])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from commonground import (AcceptanceBelief, AcceptanceOutcome, ActType, ConflictDetected,
                           ConflictEvidence, ContextEntry, DefeatRejected, DialogueEngine,
-                          DiscourseState, IRUClass, Intonation, OrderingViolation, Participant,
+                          DiscourseState, IRUClass, Intonation, OrderingViolation,
                           Strength, SupportLink, UnknownProposition, UtteranceEvent, defeat,
                           detect_conflict, evaluate_acceptance, parse, parse_proposition,
                           record_support, replay_transcript)
@@ -24,8 +24,7 @@ P = parse_proposition
 
 
 def fresh_state(require_acceptance=True):
-    return DiscourseState("test", (Participant("a"), Participant("b")),
-                          require_acceptance)
+    return DiscourseState("test", ("a", "b"), require_acceptance)
 
 
 def event(uid, turn, speaker="a", addressee="b", text="something new here", **kw):
@@ -40,7 +39,7 @@ def seeded(state, uid, prop, speaker="a", addressee="b", turn=0):
 
 
 def evidence(kind=CONTRADICTORY_ASSERTION, against=("p",)):
-    return ConflictEvidence("uX", (P("q"), P(against[0])), kind,
+    return ConflictEvidence((P("q"), P(against[0])), kind,
                             frozenset(str(P(a)) for a in against))
 
 
@@ -812,12 +811,23 @@ def test_assert_prop_defeat_of_a_weaker_contrary_cascades_through_the_graph():
     assert state.context.lookup(P("p")).status == LIVE
 
 
-@pytest.mark.parametrize("path", DIALOGUES + DISPUTES, ids=lambda path: path.stem)
-def test_one_dependency_graph_after_every_event(path):
+#: b's default acceptance of rates_rose falls to a rejection; b then affirms
+#: rates_rose twice, the second time while the new belief is live
+REACCEPTED = mini("true", utterance("u0", 0, "rates_rose"), utterance("u1", 1, "balance_fine"),
+                  utterance("u2", 2, act="other"), utterance("u3", 3, act="other") + "\nrejects: u0",
+                  utterance("u4", 4, "rates_rose"), utterance("u5", 5, act="affirmation"),
+                  utterance("u6", 6, "rates_rose"), utterance("u7", 7, act="affirmation"))
+
+
+@pytest.mark.parametrize("text", [pytest.param(path.read_text(encoding="utf-8"), id=path.stem)
+                                  for path in DIALOGUES + DISPUTES]
+                         + [pytest.param(REACCEPTED, id="reaccepted")])
+def test_one_dependency_graph_after_every_event(text):
     """Entries, acceptance beliefs and support links are the nodes of one
     graph, each under its own id, and retraction left no live node resting
-    on a defeated one."""
-    transcript = parse(path.read_text(encoding="utf-8"))
+    on a defeated one.  Each proposition and agent have at most one live
+    acceptance belief, and ``find_acceptance`` returns it."""
+    transcript = parse(text)
     engine = DialogueEngine.for_transcript(transcript)
     state = engine.state
     for ev in transcript.events:
@@ -833,6 +843,16 @@ def test_one_dependency_graph_after_every_event(path):
                 for dep in node.dependencies:
                     target = state.nodes.get(dep)
                     assert target is None or target.status == LIVE, (ev.utterance_id, nid, dep)
+        live = {}
+        for belief in state.acceptance_beliefs.values():
+            if belief.status == LIVE:
+                key = (belief.proposition.key, belief.accepting_agent)
+                assert key not in live, (ev.utterance_id, key)
+                live[key] = belief
+        for belief in state.acceptance_beliefs.values():
+            key = (belief.proposition.key, belief.accepting_agent)
+            assert state.find_acceptance(belief.proposition, belief.accepting_agent) \
+                is live.get(key), (ev.utterance_id, key)
 
 
 @pytest.mark.parametrize("path", DIALOGUES + DISPUTES, ids=lambda path: path.stem)

@@ -33,7 +33,7 @@ def issues_of(text):
 def test_parse_example1(fixtures_dir):
     t = parse(load_fixture("example1.dlg"))
     assert t.dialogue_id == "example1"
-    assert [p.id for p in t.participants] == ["h", "r"]
+    assert t.participants == ("h", "r")
     assert t.require_acceptance is True
     assert len(t.events) == 4
     u8 = t.events[2]
