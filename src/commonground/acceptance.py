@@ -194,61 +194,54 @@ def evaluate_acceptance(state: "DiscourseState", prev_event: UtteranceEvent,
     props = prev_event.realizes
     if not props:
         return []
-    trigger = next_event.utterance_id
+    source, agent, trigger = prev_event.utterance_id, next_event.speaker, next_event.utterance_id
     if next_event.act is ActType.AFFIRMATION:
-        return [_accept(state, p, next_event.speaker, Strength.LINGUISTIC,
-                        prev_event.utterance_id, trigger) for p in props]
+        return [_accept(state, p, agent, Strength.LINGUISTIC, source, trigger) for p in props]
     if conflict is not None and conflict.applies_to(props):
-        return [AcceptanceOutcome(AcceptanceOutcome.REJECTED, p, next_event.speaker,
-                                  prev_event.utterance_id, trigger, None, conflict.kind)
-                for p in props]
-    if iru_class is not IRUClass.NONE and next_event.intonation is Intonation.RISING:
-        state.pending.append(PendingAcceptance(prev_event.utterance_id, props,
-                                               next_event.speaker))
-        return [AcceptanceOutcome(AcceptanceOutcome.BLOCKED, p, next_event.speaker,
-                                  prev_event.utterance_id, trigger, None, "rising")
-                for p in props]
+        return _refused(AcceptanceOutcome.REJECTED, props, agent, source, trigger, conflict.kind)
+    by_default = state.require_acceptance and prev_event.act is ActType.ASSERT
     if next_event.intonation is Intonation.RISING:
-        if state.require_acceptance and prev_event.act is ActType.ASSERT:
-            state.pending.append(PendingAcceptance(prev_event.utterance_id, props,
-                                                   next_event.speaker))
-        return []
-    if state.require_acceptance and prev_event.act is ActType.ASSERT:
-        return [_accept(state, p, next_event.speaker, Strength.DEFAULT,
-                        prev_event.utterance_id, trigger) for p in props]
+        blocked = iru_class is not IRUClass.NONE
+        if blocked or by_default:
+            state.pending.append(PendingAcceptance(source, props, agent))
+        return _refused(AcceptanceOutcome.BLOCKED, props, agent, source, trigger,
+                        "rising") if blocked else []
+    if by_default:
+        return [_accept(state, p, agent, Strength.DEFAULT, source, trigger) for p in props]
     return []
 
 
 def reevaluate_pending(state: "DiscourseState", event: UtteranceEvent, *,
                        conflict: Optional[ConflictEvidence] = None) -> list[AcceptanceOutcome]:
-    """Retry acceptance questions the current speaker left open earlier."""
+    """Retry acceptance questions the current speaker left open earlier: a
+    conflict rejects, a rising turn leaves the question open, and otherwise
+    it is settled, by default acceptance where the dialogue's goals call for
+    it, or dropped."""
     if event.interrupted:
         return []
     outcomes: list[AcceptanceOutcome] = []
     remaining: list[PendingAcceptance] = []
+    trigger = event.utterance_id
     for item in state.pending:
-        if item.agent != event.speaker:
+        source, props, agent = item
+        if agent != event.speaker:
             remaining.append(item)
-            continue
-        if conflict is not None and conflict.applies_to(item.propositions):
-            outcomes.extend(
-                AcceptanceOutcome(AcceptanceOutcome.REJECTED, p, item.agent,
-                                  item.source_event, event.utterance_id, None,
-                                  conflict.kind)
-                for p in item.propositions)
-            continue
-        if event.intonation is Intonation.RISING:
+        elif conflict is not None and conflict.applies_to(props):
+            outcomes += _refused(AcceptanceOutcome.REJECTED, props, agent, source, trigger,
+                                 conflict.kind)
+        elif event.intonation is Intonation.RISING:
             remaining.append(item)
-            continue
-        source = state.events[item.source_event]
-        if state.require_acceptance and source.act is ActType.ASSERT:
-            outcomes.extend(
-                _accept(state, p, item.agent, Strength.DEFAULT,
-                        item.source_event, event.utterance_id)
-                for p in item.propositions)
-        # either way the question is settled or dropped
+        elif state.require_acceptance and state.events[source].act is ActType.ASSERT:
+            outcomes += [_accept(state, p, agent, Strength.DEFAULT, source, trigger)
+                         for p in props]
     state.pending = remaining
     return outcomes
+
+
+def _refused(kind: str, props, agent: str, source: str, trigger: str,
+             detail: str) -> list[AcceptanceOutcome]:
+    """A rejected or blocked outcome for each of ``props``."""
+    return [AcceptanceOutcome(kind, p, agent, source, trigger, None, detail) for p in props]
 
 
 def _accept(state: "DiscourseState", p: Proposition, agent: str, strength: Strength,
@@ -277,7 +270,8 @@ def defeat(state: "DiscourseState", target_id: str, by: ConflictEvidence) -> Ret
     The target may be a proposition entry, an acceptance belief or a support
     link; ``Context.defeat_entry`` flips it and every live node whose
     dependencies reach it to defeated.  Strengths are untouched; only status
-    changes.
+    changes.  The report is returned, not kept: the event's trace carries
+    the defeated ids.
     """
     node = state.nodes.get(target_id)
     if node is None:
@@ -285,9 +279,7 @@ def defeat(state: "DiscourseState", target_id: str, by: ConflictEvidence) -> Ret
     if not defeats(by.strength, node.strength):
         raise DefeatRejected(
             f"{by.strength} evidence cannot defeat a {node.strength} belief")
-    report = RetractionReport(target_id, by.kind, tuple(state.context.defeat_entry(target_id)))
-    state.retractions.append(report)
-    return report
+    return RetractionReport(target_id, by.kind, tuple(state.context.defeat_entry(target_id)))
 
 
 def record_support(state: "DiscourseState", belief: Proposition,

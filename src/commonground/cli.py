@@ -36,7 +36,7 @@ EXIT_SEMANTIC = 3
 def _load(path: Path):
     try:
         text = path.read_text(encoding="utf-8-sig")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"{path}: {exc}", file=sys.stderr)
         return None
     try:

@@ -116,6 +116,8 @@ def admission_issues(event: UtteranceEvent, participants: Collection[str], earli
     if uid in earlier:
         return [("id", "duplicate-utterance", f"utterance {uid!r} already defined")]
     issues = [] if uid else [("id", "bad-value", "utterance id must be nonempty")]
+    if "," in uid:  # an ``antecedents`` field could not name it
+        issues.append(("id", "bad-value", "utterance id must not contain ','"))
     if participants and event.speaker not in participants:
         issues.append(("speaker", "bad-value", f"speaker {event.speaker!r} not a participant"))
     if participants and event.addressee not in participants:

@@ -465,23 +465,20 @@ class Context:
 
     def defeat_entry(self, node_id: str) -> list[str]:
         """Mark a node defeated, with every live node whose dependencies
-        reach it: entries, acceptance beliefs and support links alike.  This
-        is the one retraction walk.  Returns the defeated ids, sorted.  Each
+        reach it (``retract``): entries, acceptance beliefs and support links
+        alike.  Returns the defeated ids, sorted.  This is the one place a
+        node's status changes, each write logged (``_set``).  Each live
         entry that goes leaves saturation (``_leave``): a literal's key
         changes, and a rule's edges leave the graph, which changes their
         targets.  Every key whose committed label rested on a defeated entry
         is reached from those keys (see ``saturate``), so the next saturation
         covers it; defeating only beliefs and links changes nothing there."""
-        target = self.nodes.get(node_id)
-        status = getattr(target, "status", LIVE)
         defeated = retract(self.nodes, node_id, self._dependents)
-        # every other defeated node was live: retract walks live nodes only
-        self._trail.extend((self.nodes[nid], "status", LIVE if nid != node_id else status)
-                           for nid in defeated)
         for nid in defeated:
-            entry = self.entries.get(nid)
-            if entry is not None and (nid != node_id or status == LIVE):
-                self._leave(entry)
+            node = self.nodes[nid]
+            if node.status == LIVE and nid in self.entries:
+                self._leave(node)
+            self._set(node, "status", DEFEATED)
         return defeated
 
     # -- inference --------------------------------------------------------

@@ -3,8 +3,8 @@ index it walks.
 
 A node is anything with a ``status`` and a set of ``dependencies``, the
 ids it rests on: a proposition entry, an acceptance belief or a support link.
-``propositions.Context`` holds the nodes and keeps the index with
-``add_dependents``.
+``propositions.Context`` holds the nodes, keeps the index with
+``add_dependents``, and writes the status of the nodes ``retract`` finds.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ def add_dependents(index: dict[str, set[str]], node_id: str, ids: Iterable[str])
 
 
 def retract(nodes: dict, target_id: str, dependents: dict[str, Iterable[str]]) -> list[str]:
-    """Mark ``target_id`` defeated plus everything whose dependency closure
-    reaches it.  Returns the defeated ids, sorted.  ``nodes`` maps ids to
+    """The ids of ``target_id`` and of every live node whose dependency
+    closure reaches it, sorted; it writes nothing.  ``nodes`` maps ids to
     objects with ``status`` and ``dependencies`` attributes; dependency ids
     with no node (e.g. raw event ids kept for provenance) are ignored, and
     nodes that are not live neither join nor pass the defeat on.
@@ -45,7 +45,4 @@ def retract(nodes: dict, target_id: str, dependents: dict[str, Iterable[str]]) -
                     and dep in node.dependencies):
                 defeated.add(nid)
                 frontier.append(nid)
-    result = sorted(defeated)
-    for nid in result:
-        nodes[nid].status = DEFEATED
-    return result
+    return sorted(defeated)

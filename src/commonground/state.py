@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .acceptance import AcceptanceBelief, PendingAcceptance, RetractionReport, SupportLink
+from .acceptance import AcceptanceBelief, PendingAcceptance, SupportLink
 from .grounding import AssumptionRecord, LicenseLink, UtteranceEvent
 from .propositions import LIVE, Context, ContextEntry, Proposition
 
@@ -13,11 +13,12 @@ class DiscourseState:
     """Common-ground store for one two-party dialogue.
 
     Holds the propositional context, per-utterance assumption records,
-    license and support links, acceptance beliefs, and the retraction
-    reports.  The context owns the one dependency graph: ``nodes`` is the
+    license and support links, acceptance beliefs and the pending acceptance
+    questions.  The context owns the one dependency graph: ``nodes`` is the
     context's own dict of proposition entries, acceptance beliefs and
     support links, which join it through ``Context.add_node``, and
-    ``Context.defeat_entry`` is the one walk that retracts along it.
+    ``Context.defeat_entry`` retracts along it, the one place a node's status
+    changes.
     ``events`` is the context's dict of utterances, in dialogue order, so no
     node takes an utterance's id.  An utterance's own facts (who spoke, to
     whom, whether it was interrupted) live only there; ``records`` holds its
@@ -56,7 +57,6 @@ class DiscourseState:
         #: ahead of its assertion step (see ``entry_before_event``)
         self.arriving: frozenset[str] = frozenset()
         self.pending: list[PendingAcceptance] = []
-        self.retractions: list[RetractionReport] = []
 
     @property
     def nodes(self) -> dict[str, object]:

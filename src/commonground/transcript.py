@@ -26,7 +26,7 @@ the engine alike:
 
 - the speaker is not the addressee;
 - a prompt realizes no propositions;
-- the utterance's id is nonempty and new;
+- the utterance's id is nonempty, holds no comma and is new;
 - speaker and addressee are participants;
 - its turn is its place among the utterance records, from 0;
 - every antecedent is an earlier utterance;
@@ -52,6 +52,7 @@ REQUIRED_EVENT_KEYS = ("id", "turn", "speaker", "addressee", "text")  # in repor
 _REQUIRED = frozenset(REQUIRED_EVENT_KEYS)
 ACTS = {act.value: act for act in ActType}
 INTONATIONS = {intonation.value: intonation for intonation in Intonation}
+FLAGS = {"true": True, "false": False}
 
 
 class Transcript(NamedTuple):
@@ -88,6 +89,19 @@ def _read(text: str):
             fields = None
             allowed = EVENT_KEYS
     return records, issues
+
+
+def _choice(fields, key, values, default, issues, message):
+    """What ``values`` maps the value of field ``key`` to, or ``default``
+    when the field is absent or its value is not a key of ``values``; the
+    latter is a ``bad-value`` issue, ``message`` formatted with the value."""
+    if key not in fields:
+        return default
+    lineno, value = fields[key]
+    if value not in values:
+        issues.append(ParseIssue(lineno, "bad-value", message.format(value)))
+        return default
+    return values[value]
 
 
 def _parse_prop_list(lineno, value, issues):
@@ -134,12 +148,8 @@ def parse(text: str) -> Transcript:
             issues.append(ParseIssue(lineno, "bad-value",
                                      "exactly two distinct participants required"))
         participants = tuple(names)
-    require_acceptance = False
-    if "require-acceptance" in header:
-        lineno, value = header["require-acceptance"]
-        if value not in ("true", "false"):
-            issues.append(ParseIssue(lineno, "bad-value", "require-acceptance: true|false"))
-        require_acceptance = value == "true"
+    require_acceptance = _choice(header, "require-acceptance", FLAGS, False, issues,
+                                 "require-acceptance: true|false")
 
     events: list[UtteranceEvent] = []
     earlier: set[str] = set()
@@ -162,24 +172,13 @@ def parse(text: str) -> Transcript:
         realizes: tuple[Proposition, ...] = ()
         if "realizes" in fields:
             realizes = _parse_prop_list(*fields["realizes"], issues)
-        if "act" in fields:
-            act_line, act_text = fields["act"]
-            act = ACTS.get(act_text)
-            if act is None:
-                issues.append(ParseIssue(act_line, "bad-value", f"unknown act {act_text!r}"))
-                act = ActType.OTHER
-        elif is_affirmation_text(utt_text):
+        act = _choice(fields, "act", ACTS, None, issues, "unknown act {!r}")
+        if act is None and is_affirmation_text(utt_text):
             act = ActType.AFFIRMATION
-        elif realizes:
-            act = ActType.ASSERT
-        else:
-            act = ActType.OTHER
-        intonation = Intonation.UNMARKED
-        if "intonation" in fields:
-            int_line, int_text = fields["intonation"]
-            intonation = INTONATIONS.get(int_text, intonation)
-            if int_text not in INTONATIONS:
-                issues.append(ParseIssue(int_line, "bad-value", f"unknown intonation {int_text!r}"))
+        elif act is None:
+            act = ActType.ASSERT if realizes else ActType.OTHER
+        intonation = _choice(fields, "intonation", INTONATIONS, Intonation.UNMARKED, issues,
+                             "unknown intonation {!r}")
         antecedents: tuple[str, ...] = ()
         if "antecedents" in fields:
             antecedents = tuple(filter(None, map(str.strip,
@@ -190,12 +189,8 @@ def parse(text: str) -> Transcript:
         supports = None
         if "supports" in fields:
             supports = _parse_pair(*fields["supports"], issues, "supports")
-        interrupted = False
-        if "interrupted" in fields:
-            il, iv = fields["interrupted"]
-            if iv not in ("true", "false"):
-                issues.append(ParseIssue(il, "bad-value", "interrupted: true|false"))
-            interrupted = iv == "true"
+        interrupted = _choice(fields, "interrupted", FLAGS, False, issues,
+                              "interrupted: true|false")
         event = UtteranceEvent(
             uid, turn, fields["speaker"][1], fields["addressee"][1], utt_text, act,
             intonation, realizes, antecedents, implicates, supports, interrupted,

@@ -66,6 +66,9 @@ def test_every_broken_rule_is_one_triple_on_its_field():
     ]
     assert admission_issues(event("u0", 1), {"a", "b"}, {"u0"}, 1) == [
         ("id", "duplicate-utterance", "utterance 'u0' already defined")]
+    # no ``antecedents`` field could name it, as that field splits on commas
+    assert admission_issues(event("x,y", 1), {"a", "b"}, {"u0"}, 1) == [
+        ("id", "bad-value", "utterance id must not contain ','")]
     assert admission_issues(event("u1", 1), {"a", "b"}, {"u0"}, 1) == []
 
 
@@ -184,7 +187,7 @@ def test_a_refused_record_still_counts_as_earlier():
 #: an event's seeded fault, if any; most events have none
 FAULTS = ("none",) * 14 + ("gap", "dangling_antecedent", "dangling_rejects", "duplicate",
                            "unknown_speaker", "self_contradiction", "self_addressed",
-                           "prompt_with_content", "empty_id")
+                           "prompt_with_content", "empty_id", "comma_id")
 
 
 @st.composite
@@ -200,6 +203,8 @@ def faulty_transcripts(draw):
             uid = draw(st.sampled_from(earlier))
         if fault == "empty_id":
             uid = ""
+        if fault == "comma_id":
+            uid = f"u{i},v{i}"
         turn = i + draw(st.integers(1, 3)) if fault == "gap" else i
         speaker, addressee = ("a", "b") if i % 2 == 0 else ("b", "a")
         if fault == "unknown_speaker":

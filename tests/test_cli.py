@@ -61,6 +61,16 @@ def test_unreadable_file(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", LOADING)
+def test_file_that_is_not_utf8(command, tmp_path, capsys):
+    path = tmp_path / "latin.dlg"
+    path.write_bytes(b"\xff" + MALFORMED.encode())
+    status, out, err = run(capsys, command, target(command, tmp_path, "latin.dlg"))
+    assert (status, out) == (cli.EXIT_INPUT, "")
+    assert err == (f"{path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+                   "invalid start byte\n")
+
+
+@pytest.mark.parametrize("command", LOADING)
 def test_malformed_transcript(command, tmp_path, capsys):
     path = tmp_path / "broken.dlg"
     path.write_text(MALFORMED, encoding="utf-8")

@@ -130,16 +130,19 @@ def test_bad_line_message_keeps_the_text_without_trailing_space():
         (9, "bad-line", "expected 'key: value', got '  just words'")]
 
 
-def test_unknown_act_message():
-    text = MINIMAL.replace("text: hello there", "text: hello there\nact: x")
+@pytest.mark.parametrize("field, line, message", [
+    ("act: x", 9, "unknown act 'x'"),
+    ("intonation: x", 9, "unknown intonation 'x'"),
+    ("interrupted: maybe", 9, "interrupted: true|false"),
+    ("require-acceptance: maybe", 3, "require-acceptance: true|false"),
+], ids=["act", "intonation", "interrupted", "require-acceptance"])
+def test_bad_value_of_a_fixed_value_field(field, line, message):
+    if field.startswith("require-acceptance"):
+        text = MINIMAL.replace("participants: a, b", "participants: a, b\n" + field)
+    else:
+        text = MINIMAL.replace("text: hello there", "text: hello there\n" + field)
     assert [(i.line, i.code, i.message) for i in issues_of(text)] == [
-        (9, "bad-value", "unknown act 'x'")]
-
-
-def test_unknown_intonation_message():
-    text = MINIMAL.replace("text: hello there", "text: hello there\nintonation: x")
-    assert [(i.line, i.code, i.message) for i in issues_of(text)] == [
-        (9, "bad-value", "unknown intonation 'x'")]
+        (line, "bad-value", message)]
 
 
 def test_missing_required_key():
