@@ -14,7 +14,7 @@ from .errors import (BadPropositionSyntax, CommonGroundError, ConflictDetected,
                      DanglingAntecedent, DefeatRejected, DuplicateUtterance,
                      OrderingViolation, ParseIssue, SelfContradiction, TranscriptError,
                      UnknownProposition)
-from .evidence import Strength, defeats, min_strength
+from .evidence import Strength, defeats
 from .grounding import (ActType, AssumptionRecord, IRUClass, Intonation, LicenseLink,
                         UtteranceEvent, admission_issues, apply_any_next_upgrade,
                         apply_iru_upgrade, classify_iru, open_record, record_license_evidence,
@@ -40,7 +40,7 @@ __all__ = [
     "UnknownProposition", "UtteranceEvent",
     "admission_issues", "aggregate", "apply_any_next_upgrade", "apply_iru_upgrade",
     "classify_iru", "collect_observations", "defeat", "defeats", "detect_conflict",
-    "evaluate_acceptance", "min_strength", "open_record", "parse", "parse_proposition",
+    "evaluate_acceptance", "open_record", "parse", "parse_proposition",
     "record_license_evidence", "record_support", "render_stats", "replay_transcript",
     "serialize", "understanding_strength", "write_trace",
 ]

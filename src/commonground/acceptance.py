@@ -39,29 +39,29 @@ class ConflictEvidence(NamedTuple):
     kind: str  # EXPLICIT_REJECTION | CONTRADICTORY_ASSERTION
     against: frozenset[str] = frozenset()  # keys of the contested propositions
 
-    @property
-    def strength(self) -> Strength:
-        return Strength.LINGUISTIC
+    strength = Strength.LINGUISTIC  # of every kind of conflict evidence
 
     def applies_to(self, props) -> bool:
         return any(p.key in self.against for p in props)
 
 
 class AcceptanceBelief(Slotted):
+    """An agent's acceptance of a proposition.  Its dependencies are the
+    next turn that licensed it and, if live before that turn, the accepted
+    entry."""
+
     _fields = __slots__ = ("belief_id", "proposition", "accepting_agent", "strength",
-                           "dependencies", "status", "source_event", "trigger_event")
+                           "dependencies", "status")
 
     def __init__(self, belief_id: str, proposition: Proposition, accepting_agent: str,
                  strength: Strength, dependencies: Optional[set[str]] = None,
-                 status: str = LIVE, source_event: str = "", trigger_event: str = ""):
+                 status: str = LIVE):
         self.belief_id = belief_id
         self.proposition = proposition
         self.accepting_agent = accepting_agent
         self.strength = strength  # DEFAULT or LINGUISTIC
         self.dependencies = set() if dependencies is None else dependencies
         self.status = status
-        self.source_event = source_event  # utterance whose content is accepted
-        self.trigger_event = trigger_event  # next-turn event that licensed the acceptance
 
 
 class SupportLink(Slotted):
@@ -84,7 +84,7 @@ class PendingAcceptance(NamedTuple):
     """An acceptance question left open (e.g. blocked by a rising check);
     re-evaluated at each subsequent turn by the would-be accepter."""
 
-    source_event: str
+    source: str  # the utterance whose content awaits acceptance
     propositions: tuple[Proposition, ...]
     agent: str
 
@@ -93,8 +93,7 @@ class AcceptanceOutcome(NamedTuple):
     kind: str  # "accepted" | "blocked" | "rejected"
     proposition: Proposition
     agent: str
-    source_event: str
-    trigger_event: str
+    trigger: str  # the turn that decided it
     strength: Optional[Strength] = None
     detail: str = ""
 
@@ -104,9 +103,7 @@ class AcceptanceOutcome(NamedTuple):
 
 
 class RetractionReport(NamedTuple):
-    target: str
-    evidence_kind: str
-    defeated: tuple[str, ...]
+    defeated: tuple[str, ...]  # sorted: the target and every node that went with it
 
 
 def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
@@ -194,20 +191,20 @@ def evaluate_acceptance(state: "DiscourseState", prev_event: UtteranceEvent,
     props = prev_event.realizes
     if not props:
         return []
-    source, agent, trigger = prev_event.utterance_id, next_event.speaker, next_event.utterance_id
+    agent, trigger = next_event.speaker, next_event.utterance_id
     if next_event.act is ActType.AFFIRMATION:
-        return [_accept(state, p, agent, Strength.LINGUISTIC, source, trigger) for p in props]
+        return [_accept(state, p, agent, Strength.LINGUISTIC, trigger) for p in props]
     if conflict is not None and conflict.applies_to(props):
-        return _refused(AcceptanceOutcome.REJECTED, props, agent, source, trigger, conflict.kind)
+        return _refused(AcceptanceOutcome.REJECTED, props, agent, trigger, conflict.kind)
     by_default = state.require_acceptance and prev_event.act is ActType.ASSERT
     if next_event.intonation is Intonation.RISING:
         blocked = iru_class is not IRUClass.NONE
         if blocked or by_default:
-            state.pending.append(PendingAcceptance(source, props, agent))
-        return _refused(AcceptanceOutcome.BLOCKED, props, agent, source, trigger,
+            state.pending.append(PendingAcceptance(prev_event.utterance_id, props, agent))
+        return _refused(AcceptanceOutcome.BLOCKED, props, agent, trigger,
                         "rising") if blocked else []
     if by_default:
-        return [_accept(state, p, agent, Strength.DEFAULT, source, trigger) for p in props]
+        return [_accept(state, p, agent, Strength.DEFAULT, trigger) for p in props]
     return []
 
 
@@ -227,40 +224,35 @@ def reevaluate_pending(state: "DiscourseState", event: UtteranceEvent, *,
         if agent != event.speaker:
             remaining.append(item)
         elif conflict is not None and conflict.applies_to(props):
-            outcomes += _refused(AcceptanceOutcome.REJECTED, props, agent, source, trigger,
-                                 conflict.kind)
+            outcomes += _refused(AcceptanceOutcome.REJECTED, props, agent, trigger, conflict.kind)
         elif event.intonation is Intonation.RISING:
             remaining.append(item)
         elif state.require_acceptance and state.events[source].act is ActType.ASSERT:
-            outcomes += [_accept(state, p, agent, Strength.DEFAULT, source, trigger)
-                         for p in props]
+            outcomes += [_accept(state, p, agent, Strength.DEFAULT, trigger) for p in props]
     state.pending = remaining
     return outcomes
 
 
-def _refused(kind: str, props, agent: str, source: str, trigger: str,
-             detail: str) -> list[AcceptanceOutcome]:
+def _refused(kind: str, props, agent: str, trigger: str, detail: str) -> list[AcceptanceOutcome]:
     """A rejected or blocked outcome for each of ``props``."""
-    return [AcceptanceOutcome(kind, p, agent, source, trigger, None, detail) for p in props]
+    return [AcceptanceOutcome(kind, p, agent, trigger, None, detail) for p in props]
 
 
 def _accept(state: "DiscourseState", p: Proposition, agent: str, strength: Strength,
-            source_event: str, trigger: str) -> AcceptanceOutcome:
+            trigger: str) -> AcceptanceOutcome:
     belief = state.find_acceptance(p, agent)
     deps = {trigger}
     entry = state.entry_before_event(p)
     if entry is not None:
         deps.add(entry.entry_id)
     if belief is None:
-        belief = AcceptanceBelief(
-            state.context.fresh_id("a", len(state.acceptance_beliefs) + 1), p, agent,
-            strength, deps, LIVE, source_event, trigger)
+        belief = AcceptanceBelief(state.context.fresh_id("a", len(state.acceptance_beliefs) + 1),
+                                  p, agent, strength, deps)
         state.add_acceptance(belief)
     else:
         belief.strength = max(belief.strength, strength)
         state.context.depend(belief.belief_id, deps)
-    return AcceptanceOutcome(AcceptanceOutcome.ACCEPTED, p, agent, source_event,
-                             trigger, belief.strength, "")
+    return AcceptanceOutcome(AcceptanceOutcome.ACCEPTED, p, agent, trigger, belief.strength)
 
 
 def defeat(state: "DiscourseState", target_id: str, by: ConflictEvidence) -> RetractionReport:
@@ -279,7 +271,7 @@ def defeat(state: "DiscourseState", target_id: str, by: ConflictEvidence) -> Ret
     if not defeats(by.strength, node.strength):
         raise DefeatRejected(
             f"{by.strength} evidence cannot defeat a {node.strength} belief")
-    return RetractionReport(target_id, by.kind, tuple(state.context.defeat_entry(target_id)))
+    return RetractionReport(tuple(state.context.defeat_entry(target_id)))
 
 
 def record_support(state: "DiscourseState", belief: Proposition,

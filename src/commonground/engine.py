@@ -80,7 +80,7 @@ class DialogueEngine:
         conflict, fixpoint = self._detect_conflict(event, verdicts)
         # 6. settle acceptance: pending questions first, then the adjacent pair
         outcomes = acc.reevaluate_pending(state, event, conflict=conflict)
-        if prev is not None and prev.addressee == event.speaker and not event.interrupted:
+        if prev is not None and prev.addressee == event.speaker:
             outcomes += acc.evaluate_acceptance(state, prev, event,
                                                 iru_class=cls, conflict=conflict)
         state.arriving = frozenset()
@@ -104,7 +104,7 @@ class DialogueEngine:
             if conflict is not None else (),
             tuple([(o.kind, str(o.proposition), o.agent,
                     o.strength.label if o.strength is not None else o.detail,
-                    o.trigger_event) for o in outcomes]),
+                    o.trigger) for o in outcomes]),
             tuple(asserted), tuple(derived), tuple(supports), tuple(retractions))
         self.traces.append(trace)
         return trace

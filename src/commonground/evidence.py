@@ -13,7 +13,6 @@ by stronger evidence for the same assumption.
 from __future__ import annotations
 
 from enum import IntEnum
-from typing import Iterable
 
 
 class Strength(IntEnum):
@@ -39,18 +38,6 @@ for _member in Strength:
 
 #: Derived (never-uttered) content is capped at inference grade.
 DERIVED_CAP = Strength.INFERENCE
-
-
-def min_strength(strengths: Iterable[Strength]) -> Strength:
-    """Weakest link: the strength of a belief over its supporting assumptions.
-
-    Raises ValueError on an empty collection; a belief with no supporting
-    assumptions is meaningless in this model.
-    """
-    items = list(strengths)
-    if not items:
-        raise ValueError("min_strength over no assumptions")
-    return min(items)
 
 
 def defeats(a: Strength, b: Strength) -> bool:

@@ -202,16 +202,6 @@ class AssumptionRecord(Slotted):
         self.strengths = strengths
         self.license_keys = set() if license_keys is None else license_keys
 
-    @classmethod
-    def fresh(cls, event: UtteranceEvent) -> "AssumptionRecord":
-        """The record of a new utterance: the base assumptions, and the
-        license when it is annotated with an implicature, all at hypothesis."""
-        h = Strength.HYPOTHESIS
-        strengths = {COPRESENT: h, ATTEND: h, HEAR: h, REALIZE: h}  # BASE_ASSUMPTIONS
-        if event.implicates is not None:
-            strengths[LICENSE] = h
-        return cls(event.utterance_id, strengths)
-
     def raise_to(self, name: str, strength: Strength) -> None:
         current = self.strengths.get(name)
         if current is None or strength > current:
@@ -219,15 +209,21 @@ class AssumptionRecord(Slotted):
 
 
 def open_record(state: "DiscourseState", event: UtteranceEvent) -> AssumptionRecord:
-    """Create the assumption record for a new utterance, all at hypothesis."""
-    record = AssumptionRecord.fresh(event)
+    """Create the assumption record for a new utterance: the base
+    assumptions, and the license when it is annotated with an implicature,
+    all at hypothesis."""
+    h = Strength.HYPOTHESIS
+    strengths = {COPRESENT: h, ATTEND: h, HEAR: h, REALIZE: h}  # BASE_ASSUMPTIONS
+    if event.implicates is not None:
+        strengths[LICENSE] = h
+    record = AssumptionRecord(event.utterance_id, strengths)
     state.records[event.utterance_id] = record
     return record
 
 
 def understanding_strength(record: AssumptionRecord) -> Strength:
-    """Weakest link over every assumption currently in the record; like
-    ``min_strength``, ValueError for a record with none."""
+    """Weakest link over every assumption currently in the record;
+    ValueError for a record with none."""
     return min(record.strengths.values())
 
 

@@ -57,8 +57,8 @@ class CorpusStats(NamedTuple):
 def collect_observations(transcript: Transcript,
                          traces: list[TraceRecord]) -> list[IRUObservation]:
     """Extract one observation per classified redundant utterance."""
-    events = {e.utterance_id: e for e in transcript.events}
-    order = [e.utterance_id for e in transcript.events]
+    utterances = transcript.events
+    events = {e.utterance_id: e for e in utterances}
     observations = []
     for i, trace in enumerate(traces):
         if trace.iru_class == "none":
@@ -68,8 +68,7 @@ def collect_observations(transcript: Transcript,
         gaps = [event.turn_index - events[a].turn_index for a in ants]
         min_gap = min(gaps) if gaps else None
         all_self = all(events[a].speaker == event.speaker for a in ants) if ants else None
-        next_id = order[i + 1] if i + 1 < len(order) else None
-        followed = next_id is not None and events[next_id].act is ActType.AFFIRMATION
+        followed = i + 1 < len(utterances) and utterances[i + 1].act is ActType.AFFIRMATION
         observations.append(IRUObservation(
             dialogue_id=transcript.dialogue_id,
             event_id=trace.event_id,
@@ -119,24 +118,20 @@ def render_stats(stats: CorpusStats, fmt: str = "text") -> str:
         ("rising intonation", str(stats.rising_count)),
         ("followed by affirmation", str(stats.affirmation_followed_count)),
     ]
+    table = _table(rows, fmt)
     if fmt == "tabular":
-        return "\n".join(f"{k}\t{v}" for k, v in rows) + "\n"
-    width = max(len(k) for k, _ in rows)
-    lines = [f"{k.ljust(width)}  {v}" for k, v in rows]
+        return table
     r = REFERENCE_CORPUS
-    lines.append("")
-    lines.append(f"note: reference corpus ({r['irus']} redundant utterances, "
-                 f"{r['dialogues']} dialogues, {r['turns']} turns) reports "
-                 f"remote {r['remote_pct']}%, multiple antecedents "
-                 f"{r['multi_antecedent_pct']}%, self {r['self_pct']}% / other "
-                 f"{r['other_pct']}%, rising {r['rising']}, affirmation-followed "
-                 f"{r['affirmation_followed']}; documentation only, never recomputed.")
-    return "\n".join(lines) + "\n"
+    return (table + f"\nnote: reference corpus ({r['irus']} redundant utterances, "
+            f"{r['dialogues']} dialogues, {r['turns']} turns) reports "
+            f"remote {r['remote_pct']}%, multiple antecedents "
+            f"{r['multi_antecedent_pct']}%, self {r['self_pct']}% / other "
+            f"{r['other_pct']}%, rising {r['rising']}, affirmation-followed "
+            f"{r['affirmation_followed']}; documentation only, never recomputed.\n")
 
 
 def render_classification(observations: list[IRUObservation], fmt: str = "text") -> str:
-    header = ("dialogue", "event", "class", "antecedents", "gap", "source", "intonation")
-    rows = []
+    rows = [("dialogue", "event", "class", "antecedents", "gap", "source", "intonation")]
     for o in observations:
         rows.append((
             o.dialogue_id,
@@ -147,9 +142,14 @@ def render_classification(observations: list[IRUObservation], fmt: str = "text")
             ("self" if o.all_self else "other") if o.all_self is not None else "-",
             "rising" if o.rising else "level",
         ))
+    return _table(rows, fmt)
+
+
+def _table(rows: list[tuple[str, ...]], fmt: str) -> str:
+    """``rows`` as tab-separated lines (``tabular``), or else as columns
+    padded to their widest cell, two spaces apart."""
     if fmt == "tabular":
-        return "\n".join("\t".join(r) for r in (header, *rows)) + "\n"
-    widths = [max(len(r[i]) for r in (header, *rows)) for i in range(len(header))]
-    out = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
-           for r in (header, *rows)]
-    return "\n".join(out) + "\n"
+        return "\n".join("\t".join(r) for r in rows) + "\n"
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
+                     for r in rows) + "\n"

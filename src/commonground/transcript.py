@@ -3,11 +3,12 @@
 A document is read in one pass, line by line (``str.splitlines``).  A line
 with a ``:`` is a field: its key is the text before the first colon, its value
 the rest, both stripped.  A whitespace-only line ends the record; any other
-line is a ``bad-line``.  The first record is the header (``dialogue``,
-``participants``, optional ``require-acceptance``); every following record is
-one utterance.  Each field goes straight into its record's ``key -> (line,
-value)`` dict as it is read, unless its key is not one of the record's keys
-(``unknown-field``) or is already there (``duplicate-field``).
+line is a ``bad-line``.  The first record is the header (``dialogue``, a
+nonempty id; ``participants``; optional ``require-acceptance``); every
+following record is one utterance.  Each field goes straight into its
+record's ``key -> (line, value)`` dict as it is read, unless its key is not
+one of the record's keys (``unknown-field``) or is already there
+(``duplicate-field``).
 
 Event keys -- required: ``id``, ``turn``, ``speaker``, ``addressee``,
 ``text``; optional: ``act`` (assert|question|prompt|affirmation|other),
@@ -135,9 +136,11 @@ def parse(text: str) -> Transcript:
                               [ParseIssue(1, "empty-transcript", "document has no records")])
 
     header_line, header = records[0]
-    dialogue_id = header.get("dialogue", (header_line, ""))[1]
+    dialogue_line, dialogue_id = header.get("dialogue", (header_line, ""))
     if "dialogue" not in header:
         issues.append(ParseIssue(header_line, "missing-field", "header lacks 'dialogue'"))
+    elif not dialogue_id:
+        issues.append(ParseIssue(dialogue_line, "bad-value", "dialogue id must be nonempty"))
     participants: tuple[str, ...] = ()
     if "participants" not in header:
         issues.append(ParseIssue(header_line, "missing-field", "header lacks 'participants'"))
@@ -158,6 +161,8 @@ def parse(text: str) -> Transcript:
             missing = [k for k in REQUIRED_EVENT_KEYS if k not in fields]
             issues.append(ParseIssue(start_line, "missing-field",
                                      f"event lacks {', '.join(missing)}"))
+            if "id" in fields:  # refused, but later records may still name it
+                earlier.add(fields["id"][1])
             continue
         uid = fields["id"][1]
         turn_line, turn_text = fields["turn"]
@@ -165,6 +170,7 @@ def parse(text: str) -> Transcript:
             turn = int(turn_text)
         except ValueError:
             issues.append(ParseIssue(turn_line, "bad-value", "turn must be an integer"))
+            earlier.add(uid)
             continue
         text_line, utt_text = fields["text"]
         if not utt_text:

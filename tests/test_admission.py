@@ -174,12 +174,21 @@ def test_a_dropped_record_keeps_its_place():
     assert issues_of(text) == [(10, "missing-field"), (16, "bad-value")]
 
 
-def test_a_refused_record_still_counts_as_earlier():
-    # speaker and addressee coincide: admission refuses the whole record, and
-    # its id still counts as earlier for the records after it
-    text = document(record("u0", 0), record("u1", 1, speaker="b", addressee="b"),
-                    record("u2", 2, antecedents="u1"))
-    assert issues_of(text) == [(10, "bad-value")]
+@pytest.mark.parametrize("records, issues", [
+    # speaker and addressee coincide: admission refuses the whole record
+    ((record("u0", 0), record("u1", 1, speaker="b", addressee="b"),
+      record("u2", 2, antecedents="u1")), [(10, "bad-value")]),
+    # the record lacks its turn, so no event is built from it
+    (("id: u0\nspeaker: a\naddressee: b\ntext: turn 0",
+      record("u1", 1, speaker="b", addressee="a", antecedents="u0")), [(4, "missing-field")]),
+    # its turn is not an integer, so no event is built from it
+    ((record("u0", "zero"), record("u1", 1, speaker="b", addressee="a", rejects="u0")),
+     [(5, "bad-value")]),
+], ids=["self_addressed", "missing_turn", "non_integer_turn"])
+def test_a_refused_record_still_counts_as_earlier(records, issues):
+    """A refused record's id still counts as earlier for the records after
+    it, which report no dangling reference to it."""
+    assert issues_of(document(*records)) == issues
 
 
 # -- property: the parser and the engine agree ---------------------------------------

@@ -1,16 +1,8 @@
-from itertools import permutations
-
-import pytest
-from hypothesis import given
-from hypothesis import strategies as st
-
-from commonground import Strength, defeats, min_strength
+from commonground import Strength, defeats
 
 ALL = list(Strength)
 CHAIN = [Strength.HYPOTHESIS, Strength.DEFAULT, Strength.INFERENCE,
          Strength.LINGUISTIC, Strength.PHYSICAL]
-
-strengths = st.sampled_from(ALL)
 
 
 def test_exactly_five_values_in_chain_order():
@@ -35,33 +27,6 @@ def test_labels_render_lowercase():
         "hypothesis", "default", "inference", "linguistic", "physical"]
     for s in ALL:  # traces render strengths with str() and f-strings
         assert str(s) == f"{s}" == s.label == s.name.lower()
-
-
-def test_min_strength_examples():
-    assert min_strength([Strength.LINGUISTIC, Strength.LINGUISTIC,
-                         Strength.LINGUISTIC, Strength.DEFAULT]) is Strength.DEFAULT
-    assert min_strength([Strength.HYPOTHESIS]) is Strength.HYPOTHESIS
-    assert min_strength([Strength.PHYSICAL, Strength.HYPOTHESIS,
-                         Strength.LINGUISTIC]) is Strength.HYPOTHESIS
-
-
-def test_min_strength_rejects_empty():
-    with pytest.raises(ValueError):
-        min_strength([])
-
-
-@given(st.lists(strengths, min_size=1, max_size=6))
-def test_min_strength_is_a_lower_bound_and_member(values):
-    m = min_strength(values)
-    assert m in values
-    assert all(m <= v for v in values)
-
-
-@given(st.lists(strengths, min_size=1, max_size=4))
-def test_min_strength_permutation_invariant(values):
-    results = {min_strength(list(p)) for p in permutations(values)}
-    assert len(results) == 1
-    assert min_strength(values + values) is min_strength(values)
 
 
 def test_defeats_examples():

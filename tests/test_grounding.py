@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from commonground import (ActType, DialogueEngine, DiscourseState, DuplicateUtterance,
                           IRUClass, LicenseLink, Strength,
                           UnknownProposition, UtteranceEvent, apply_any_next_upgrade,
-                          apply_iru_upgrade, classify_iru, min_strength, open_record, parse,
+                          apply_iru_upgrade, classify_iru, open_record, parse,
                           parse_proposition, record_license_evidence,
                           replay_transcript, understanding_strength)
 from commonground.errors import DanglingAntecedent
@@ -278,7 +278,7 @@ def test_understanding_examples():
 @given(st.integers(0, 2**32 - 1))
 def test_understanding_is_weakest_link(seed):
     record = random_record(random.Random(seed))
-    assert understanding_strength(record) == min_strength(record.strengths.values())
+    assert understanding_strength(record) == min(record.strengths.values())
 
 
 def test_paraphrase_dominates_repeat_dominates_prompt():

@@ -476,8 +476,7 @@ def graph_state():
     state = fresh_state()
     seeded(state, "u1", "p")
     root = AcceptanceBelief("a0", P("p"), "b", Strength.DEFAULT, {"u1"})
-    state.acceptance_beliefs["a0"] = root
-    state.context.add_node("a0", root)
+    state.add_acceptance(root)
     deps = {
         "d1": {"a0"}, "d2": {"a0"}, "d3": {"a0"},
         "d4": {"d1"}, "d5": {"d2"},
@@ -505,8 +504,7 @@ def test_defeat_single_node_without_dependents():
     state = fresh_state()
     seeded(state, "u1", "p")
     belief = AcceptanceBelief("a0", P("p"), "b", Strength.DEFAULT, {"u1"})
-    state.acceptance_beliefs["a0"] = belief
-    state.context.add_node("a0", belief)
+    state.add_acceptance(belief)
     report = defeat(state, "a0", evidence())
     assert report.defeated == ("a0",)
 
@@ -514,7 +512,7 @@ def test_defeat_single_node_without_dependents():
 def test_defeat_requires_strictly_stronger_evidence():
     state = fresh_state()
     belief = AcceptanceBelief("a0", P("p"), "b", Strength.LINGUISTIC, set())
-    state.context.add_node("a0", belief)
+    state.add_acceptance(belief)
     with pytest.raises(DefeatRejected):
         defeat(state, "a0", evidence())  # linguistic vs linguistic
 
@@ -523,7 +521,7 @@ def test_defeat_requires_strictly_stronger_evidence():
 def test_defeat_strictness_over_all_strengths(target):
     state = fresh_state()
     belief = AcceptanceBelief("a0", P("p"), "b", target, set())
-    state.context.add_node("a0", belief)
+    state.add_acceptance(belief)
     if Strength.LINGUISTIC > target:
         defeat(state, "a0", evidence())
         assert belief.status == DEFEATED
@@ -544,14 +542,13 @@ def test_retraction_closure_on_random_graphs(seed):
     state = fresh_state()
     seeded(state, "u1", "p")
     root = AcceptanceBelief("a0", P("p"), "b", Strength.DEFAULT, {"u1"})
-    state.acceptance_beliefs["a0"] = root
-    state.context.add_node("a0", root)
+    state.add_acceptance(root)
     ids = ["a0"]
     for i in range(rng.randint(0, 12)):
         nid = f"n{i}"
         dd = set(rng.sample(ids, rng.randint(0, min(3, len(ids)))))
         belief = AcceptanceBelief(nid, P(f"q{i}"), "b", Strength.INFERENCE, dd)
-        state.context.add_node(nid, belief)
+        state.add_acceptance(belief)
         ids.append(nid)
     defeat(state, "a0", evidence())
     for node in state.nodes.values():
@@ -624,7 +621,7 @@ def test_blocked_acceptance_converts_to_default_later():
     assert blocked and blocked[0][1] == "rate_five"
     belief = state.find_acceptance(P("rate_five"), "b")
     assert belief is not None and belief.strength is Strength.DEFAULT
-    assert belief.trigger_event == "u3" or "u3" in belief.dependencies
+    assert "u3" in belief.dependencies  # the trigger
     assert state.pending == []
 
 
@@ -667,8 +664,7 @@ def test_rejection_does_not_touch_linguistic_beliefs():
     state = fresh_state()
     seeded(state, "u1", "p")
     belief = AcceptanceBelief("a0", P("p"), "b", Strength.LINGUISTIC, set())
-    state.acceptance_beliefs["a0"] = belief
-    state.context.add_node("a0", belief)
+    state.add_acceptance(belief)
     conflict = evidence(kind=EXPLICIT_REJECTION, against=("p",))
     with pytest.raises(DefeatRejected):
         defeat(state, "a0", conflict)

@@ -145,6 +145,12 @@ def test_bad_value_of_a_fixed_value_field(field, line, message):
         (line, "bad-value", message)]
 
 
+def test_empty_dialogue_id():
+    text = MINIMAL.replace("dialogue: tiny", "dialogue:")
+    assert [(i.line, i.code, i.message) for i in issues_of(text)] == [
+        (1, "bad-value", "dialogue id must be nonempty")]
+
+
 def test_missing_required_key():
     issues = issues_of("dialogue: d\nparticipants: a, b\n\nid: u0\nturn: 0\nspeaker: a\ntext: hi\n")
     assert any(i.code == "missing-field" for i in issues)
