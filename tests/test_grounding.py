@@ -281,6 +281,30 @@ def test_understanding_is_weakest_link(seed):
     assert understanding_strength(record) == min(record.strengths.values())
 
 
+@given(st.dictionaries(st.sampled_from(ASSUMPTION_ORDER), st.sampled_from(list(Strength)),
+                       min_size=1), st.randoms())
+def test_understanding_is_a_member_and_lower_bound_in_any_slot_order(strengths, rnd):
+    items = list(strengths.items())
+    rnd.shuffle(items)
+    weakest = understanding_strength(AssumptionRecord("uX", dict(items)))
+    assert weakest is understanding_strength(AssumptionRecord("uX", strengths))
+    assert weakest in strengths.values()
+    assert all(weakest <= s for s in strengths.values())
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(list(BASE_ASSUMPTIONS)),
+       st.sampled_from(list(Strength)))
+def test_raising_a_held_slot_never_lowers_understanding(seed, name, strength):
+    record = random_record(random.Random(seed))
+    before = understanding_strength(record)
+    old = record.strengths[name]
+    others = [s for n, s in record.strengths.items() if n != name]
+    record.raise_to(name, strength)
+    after = understanding_strength(record)
+    assert after >= before
+    assert after == min(others + [max(old, strength)])
+
+
 def test_paraphrase_dominates_repeat_dominates_prompt():
     rng = random.Random(31337)
     for _ in range(200):
