@@ -259,11 +259,11 @@ def defeat(state: "DiscourseState", target_id: str, by: ConflictEvidence) -> Ret
     """Defeat a node of the dependency graph with strictly stronger contrary
     evidence, and report what went with it.
 
-    The target may be a proposition entry, an acceptance belief or a support
+    The target may be a literal entry, an acceptance belief or a support
     link; ``Context.defeat_entry`` flips it and every live node whose
-    dependencies reach it to defeated.  Strengths are untouched; only status
-    changes.  The report is returned, not kept: the event's trace carries
-    the defeated ids.
+    dependencies reach it to defeated, and refuses a rule entry.  Strengths
+    are untouched; only status changes.  The report is returned, not kept:
+    the event's trace carries the defeated ids.
     """
     node = state.nodes.get(target_id)
     if node is None:

@@ -38,7 +38,8 @@ class SelfContradiction(CommonGroundError):
 
 
 class DefeatRejected(CommonGroundError):
-    """Defeat requires strictly stronger evidence than the target holds."""
+    """Defeat requires strictly stronger evidence than the target holds, and
+    never reaches a rule, which stays in the implication graph once entered."""
 
 
 class UnknownProposition(CommonGroundError):

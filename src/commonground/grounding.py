@@ -113,7 +113,7 @@ def admission_issues(event: UtteranceEvent, participants: Collection[str], earli
     if event.act is ActType.PROMPT and event.realizes:
         return [(None, "bad-value", "a prompt realizes no propositions")]
     uid = event.utterance_id
-    if uid in earlier:
+    if uid and uid in earlier:
         return [("id", "duplicate-utterance", f"utterance {uid!r} already defined")]
     issues = [] if uid else [("id", "bad-value", "utterance id must be nonempty")]
     if "," in uid:  # an ``antecedents`` field could not name it

@@ -26,7 +26,7 @@ import re
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .errors import BadPropositionSyntax, ConflictDetected
+from .errors import BadPropositionSyntax, ConflictDetected, DefeatRejected
 from .evidence import Strength
 # the status names stay importable from here, as the package does
 from .retraction import DEFEATED, LIVE, add_dependents, retract  # noqa: F401
@@ -267,13 +267,14 @@ class Context:
 
     For saturation the context also keeps three things, each written only
     where an assertion, a defeat or a commit changes it: the implication
-    graph of its live rules (``saturation.Graph``: a rule's edges join when
-    it is inserted, are replaced when it is raised and go when it is
-    defeated); the run, every literal's item as its committed saturations
+    graph of its rules (``saturation.Graph``), which only grows, as a rule
+    once entered is never defeated (``defeat_entry``): a rule's edges join
+    when it is inserted and join again at the new strength when it is
+    raised; the run, every literal's item as its committed saturations
     settled it; and the literal keys whose seeds or in-edges changed since
     the last commit (literals inserted or raised by an assertion or raised by
     ``commit``, the keys of defeated literals, the targets of the rules
-    inserted, raised or defeated, and the literals whose forced seed changed).
+    inserted or raised, and the literals whose forced seed changed).
 
     Single-threaded per dialogue by contract; distinct dialogues never share
     a context.  Every write logs one undo record ``(holder, slot, old)``, a
@@ -413,22 +414,13 @@ class Context:
         return entry
 
     def _enter(self, entry: ContextEntry) -> None:
-        """Mark what a live entry brings to saturation: a literal's seed, or
-        a rule's edges, which join the graph."""
+        """Mark what a live entry brings to saturation at its strength: a
+        literal's seed, or a rule's edges, which join the graph."""
         p = entry.proposition
         if isinstance(p, Literal):
             self._changed.add(p.key)
         else:
             self._changed |= self._graph.link(entry.entry_id, entry.strength, entry.order, p)
-
-    def _leave(self, entry: ContextEntry) -> None:
-        """Mark what an entry takes from saturation: a literal's seed, or a
-        rule's edges, which leave the graph."""
-        p = entry.proposition
-        if isinstance(p, Literal):
-            self._changed.add(p.key)
-        else:
-            self._changed |= self._graph.unlink(entry.entry_id, p)
 
     # -- assertion --------------------------------------------------------
 
@@ -449,8 +441,7 @@ class Context:
                 self._set(existing, "strength", strength)
                 # direct assertion supersedes any derivation as support
                 self._set(existing, "dependencies", set())
-            if raised:  # its seed or its edges now carry the new strength
-                self._leave(existing)
+            if raised:  # its seed, or its edges once more, at the new strength
                 self._enter(existing)
             return existing
         if isinstance(p, Literal):
@@ -467,17 +458,24 @@ class Context:
         """Mark a node defeated, with every live node whose dependencies
         reach it (``retract``): entries, acceptance beliefs and support links
         alike.  Returns the defeated ids, sorted.  This is the one place a
-        node's status changes, each write logged (``_set``).  Each live
-        entry that goes leaves saturation (``_leave``): a literal's key
-        changes, and a rule's edges leave the graph, which changes their
-        targets.  Every key whose committed label rested on a defeated entry
-        is reached from those keys (see ``saturate``), so the next saturation
-        covers it; defeating only beliefs and links changes nothing there."""
+        node's status changes, each write logged (``_set``).
+
+        A rule, once entered, stays in the implication graph: a defeat whose
+        ids hold a rule entry raises DefeatRejected, naming them, before any
+        write.  Each live literal entry that goes marks its key changed.
+        Every key whose committed label rested on a defeated entry is reached
+        from those keys (see ``saturate``), so the next saturation covers it;
+        defeating only beliefs and links changes nothing there."""
         defeated = retract(self.nodes, node_id, self._dependents)
+        entries = self.entries
+        rules = [nid for nid in defeated
+                 if nid in entries and not isinstance(entries[nid].proposition, Literal)]
+        if rules:
+            raise DefeatRejected(f"a rule stays in the implication graph: {', '.join(rules)}")
         for nid in defeated:
             node = self.nodes[nid]
-            if node.status == LIVE and nid in self.entries:
-                self._leave(node)
+            if node.status == LIVE and nid in entries:
+                self._changed.add(node.proposition.key)
             self._set(node, "status", DEFEATED)
         return defeated
 
@@ -516,18 +514,18 @@ class Context:
         bounds would not be: a label that gains strength can, once capped at
         inference, pass on a greater rank than the label it replaced.
 
-        A label outside the area never rests on a defeated entry.  Follow its
+        A label outside the area never rests on a defeated entry.  Only
+        literals are defeated, and the graph only grows.  Follow a label's
         derivation from the last defeated entry in it to the key: that
-        entry's key, or the target of its edge, changed, and every later
-        step is an edge or a rule still in the graph.  So the area holds
-        every key whose label rested on a defeated entry, also one whose own
-        entry stays live because its label was a derivation of equal strength
-        and smaller rank.  A forced label changes only with an edge on a
-        chain from its negation to it, and then its key counts as changed.
-        A fresh context and a clone have no run, and every live entry counted
-        as changed when it entered, so the area is every key the search can
-        reach.  The fixpoint holds labels, not entries: ``commit`` looks up
-        the live entry of each key itself.
+        entry's key changed, and every later step is an edge or a rule in the
+        graph.  So the area holds every key whose label rested on a defeated
+        entry, also one whose own entry stays live because its label was a
+        derivation of equal strength and smaller rank.  A forced label
+        changes only with an edge on a chain from its negation to it, and
+        then its key counts as changed.  A fresh context and a clone have no
+        run, and every live entry counted as changed when it entered, so the
+        area is every key the search can reach.  The fixpoint holds labels,
+        not entries: ``commit`` looks up the live entry of each key itself.
 
         Raises ConflictDetected if the fixpoint contains both polarities of
         an atom, listing the clashing literals by atom.

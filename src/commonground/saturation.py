@@ -41,7 +41,7 @@ Multi = tuple[tuple[object, ...], object, str, Strength]
 
 
 class Graph:
-    """The implication graph of a context's live rules, kept in step with them.
+    """The implication graph of a context's rules, which only grows.
 
     ``edges`` maps a literal's key to its edges: single-antecedent rules and
     biconditionals both ways, each edge with its contrapositive, so !v -> !u
@@ -51,10 +51,13 @@ class Graph:
     concludes it.  ``forced`` maps the key of each forced literal to its seed
     item (``forced_item``).
 
-    ``link`` adds a rule and ``unlink`` removes it; each returns the keys
-    whose in-edges or forced seed changed.  Each write replaces the value
-    under one key and logs the old value (``put``) on ``trail``, the undo
-    trail of the context that owns the graph.
+    ``link`` adds a rule and returns the keys whose in-edges or forced seed
+    changed.  Nothing removes one: a rule, once entered, is never defeated,
+    and a raised rule is linked again at its new strength beside its weaker
+    copies, which have the same id and order and so never give a stronger
+    label.  Each write replaces the value under one key and logs the old
+    value (``put``) on ``trail``, the undo trail of the context that owns
+    the graph.
     """
 
     def __init__(self, trail: list):
@@ -79,35 +82,16 @@ class Graph:
             self._add(self.into, dst.key, (src.key, rule_id))
         return {dst.key for _, dst in edges} | self._reforce(self._forceable(edges))
 
-    def unlink(self, rule_id: str, rule) -> set[str]:
-        """Remove the rule that ``link`` added under ``rule_id``."""
-        edges = rule.edges
-        if not edges:
-            dst = rule.consequent
-            for a in rule.antecedents:
-                self._drop(self.multis, a.key, 2, rule_id)
-            self._drop(self.into, dst.key, 1, rule_id)
-            return {dst.key}
-        candidates = self._forceable(edges)  # on the graph that still has the edges
-        for src, dst in edges:
-            self._drop(self.edges, src.key, 1, rule_id)
-            self._drop(self.into, dst.key, 1, rule_id)
-        return {dst.key for _, dst in edges} | self._reforce(candidates)
-
     def _add(self, table: dict, key: str, value) -> None:
         put(self.trail, table, key, table.get(key, ()) + (value,))
 
-    def _drop(self, table: dict, key: str, field: int, rule_id: str) -> None:
-        kept = tuple(v for v in table.get(key, ()) if v[field] != rule_id)
-        put(self.trail, table, key, kept or None)
-
     def _forceable(self, edges: tuple[tuple[object, object], ...]) -> dict[str, object]:
         """The literals an edge u -> v or its contrapositive !v -> !u can
-        force or stop forcing: every L with !L reaching u and v reaching L.
-        The graph holds each edge's contrapositive, so !L reaches u exactly
-        when !u reaches L, and the contrapositive gives the same literals.
-        ``edges`` holds edges and then, in the same order, their
-        contrapositives, as a rule's ``edges`` do."""
+        force: every L with !L reaching u and v reaching L.  The graph holds
+        each edge's contrapositive, so !L reaches u exactly when !u reaches
+        L, and the contrapositive gives the same literals.  ``edges`` holds
+        edges and then, in the same order, their contrapositives, as a
+        rule's ``edges`` do."""
         half = len(edges) // 2
         found: dict[str, object] = {}
         for (_, dst), (_, negated_src) in zip(edges[:half], edges[half:]):

@@ -3,6 +3,8 @@ from pathlib import Path
 
 import pytest
 
+from commonground import Literal
+
 sys.path.insert(0, str(Path(__file__).parent))  # make the oracle module importable
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -19,3 +21,10 @@ def fixtures_dir() -> Path:
 
 def load_fixture(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
+
+
+def latest_live_literal(context):
+    """The id of ``context``'s live literal entry inserted last, or None if
+    none is live: what the property tests defeat to settle a clash."""
+    literals = [e for e in context.live_entries() if isinstance(e.proposition, Literal)]
+    return max(literals, key=lambda e: e.order).entry_id if literals else None

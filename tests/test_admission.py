@@ -119,6 +119,15 @@ def test_a_reused_id_is_reported_alone():
     assert issues_of(text) == [(10, "duplicate-utterance")]
 
 
+def test_a_second_empty_id_is_reported_as_empty_not_as_reused():
+    text = document(record("", 0), record("", 1, speaker="b", addressee="a"))
+    with pytest.raises(TranscriptError) as exc:
+        parse(text)
+    assert [(i.line, i.code, i.message) for i in exc.value.issues] == [
+        (4, "bad-value", "utterance id must be nonempty"),
+        (10, "bad-value", "utterance id must be nonempty")]
+
+
 # -- parser and engine on the same inputs ------------------------------------------
 
 def test_engine_turns_are_dense_from_zero():

@@ -1,8 +1,15 @@
 """Exit codes and stderr text of the CLI's error paths, and its options."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from commonground import cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 MALFORMED = "dialogue: broken\nparticipants: a, b\n\nid: u0\nturn: zero\n"
 
@@ -120,6 +127,30 @@ def test_stats_remote_gap(gap, remote, fixtures_dir, capsys):
     rows = dict(line.split("\t") for line in out.splitlines())
     assert rows["with antecedents"] == "22"
     assert rows["remote"] == remote
+
+
+def test_stats_without_antecedents_prints_not_applicable(tmp_path, capsys):
+    """A corpus with no redundant utterance has no antecedents to share out."""
+    (tmp_path / "one.dlg").write_text(
+        "dialogue: d\nparticipants: a, b\n\nid: u0\nturn: 0\nspeaker: a\n"
+        "addressee: b\ntext: we close at nine\nrealizes: p\n", encoding="utf-8")
+    status, out, err = run(capsys, "stats", "--format", "tabular", str(tmp_path))
+    assert (status, err) == (cli.EXIT_OK, "")
+    rows = dict(line.split("\t") for line in out.splitlines())
+    assert (rows["redundant utterances"], rows["with antecedents"]) == ("0", "0")
+    assert [rows[name] for name in ("remote", "multiple antecedents", "self antecedent",
+                                    "other antecedent")] == ["n/a"] * 4
+
+
+def test_module_entry_point(fixtures_dir):
+    """``python -m commonground`` runs the CLI and exits with its status."""
+    path = fixtures_dir / "example1.dlg"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "commonground", "check", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stderr) == (cli.EXIT_OK, "")
+    assert done.stdout == f"ok: {path} (4 events)\n"
 
 
 @pytest.mark.parametrize("gap", ["-1", "-5"])

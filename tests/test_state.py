@@ -18,7 +18,7 @@ from commonground import (AcceptanceBelief, AcceptanceOutcome, ActType, Conflict
 from commonground import Biconditional, Context, Literal, Rule, propositions, saturation
 from commonground.acceptance import CONTRADICTORY_ASSERTION, EXPLICIT_REJECTION
 from commonground.propositions import DEFEATED, LIVE
-from conftest import DIALOGUES, DISPUTES, load_fixture
+from conftest import DIALOGUES, DISPUTES, latest_live_literal, load_fixture
 
 P = parse_proposition
 
@@ -262,6 +262,19 @@ def test_a_kept_inner_trial_is_undone_with_the_outer_one():
     assert saturation_view(ctx) == saturated
 
 
+@pytest.mark.parametrize("rule", ["r -> s", "p & r -> s", "q <-> s"])
+def test_a_rule_entry_is_never_defeated(rule):
+    """A rule, once entered, stays in the implication graph: ``defeat_entry``
+    refuses it, naming it, before it writes anything."""
+    ctx = rollback_state().context
+    ctx.assert_prop(P(rule), Strength.DEFAULT, "u3")
+    before, changed, logged = trial_view(ctx), set(ctx._changed), len(ctx._trail)
+    with pytest.raises(DefeatRejected, match="implication graph: u3$"):
+        ctx.defeat_entry("u3")
+    assert trial_view(ctx) == before
+    assert ctx._changed == changed and len(ctx._trail) == logged
+
+
 trail_literals = st.builds(Literal, st.sampled_from("pqrs"), st.booleans())
 trail_props = st.one_of(
     trail_literals,
@@ -281,8 +294,8 @@ trail_steps = st.recursive(
 
 def apply_trail_step(ctx, step, sources):
     """Apply one drawn step; a clashing assertion leaves the context as it
-    was, and a clashing saturation is settled by defeating the latest live
-    entry."""
+    was, a clashing saturation is settled by defeating the latest live
+    literal, if any, and the defeat of a rule is refused."""
     if step[0] == "assert":
         try:
             ctx.assert_prop(step[1], step[2], next(sources))
@@ -292,13 +305,20 @@ def apply_trail_step(ctx, step, sources):
         try:
             fixpoint = ctx.saturate()
         except ConflictDetected:
-            ctx.defeat_entry(max(ctx.live_entries(), key=lambda e: e.order).entry_id)
+            latest = latest_live_literal(ctx)
+            if latest is not None:  # else rules alone force the clashing literals
+                ctx.defeat_entry(latest)
         else:
             ctx.commit(fixpoint)
     elif step[0] == "defeat":
         ids = sorted(ctx.entries)  # defeated entries too
         if ids:
-            ctx.defeat_entry(ids[step[1] % len(ids)])
+            target = ids[step[1] % len(ids)]
+            if isinstance(ctx.entries[target].proposition, Literal):
+                ctx.defeat_entry(target)
+            else:
+                with pytest.raises(DefeatRejected):
+                    ctx.defeat_entry(target)
     else:
         mark = ctx.trial()
         for inner in step[2]:

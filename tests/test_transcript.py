@@ -151,6 +151,27 @@ def test_empty_dialogue_id():
         (1, "bad-value", "dialogue id must be nonempty")]
 
 
+@pytest.mark.parametrize("old, new, line, code, message", [
+    ("dialogue: tiny\n", "", 1, "missing-field", "header lacks 'dialogue'"),
+    ("participants: a, b\n", "", 1, "missing-field", "header lacks 'participants'"),
+    ("participants: a, b", "participants: a, b, c", 2, "bad-value",
+     "exactly two distinct participants required"),
+    ("text: hello there", "text:", 8, "bad-value", "text must be nonempty"),
+    ("text: hello there", "text: hello there\nimplicates: p -> q", 9, "bad-value",
+     "implicates must look like 'p => q'"),
+    ("text: hello there", "text: hello there\nsupports: p", 9, "bad-value",
+     "supports must look like 'p => q'"),
+    ("text: hello there", "text: hello there\nsupports: p => q r", 9, "bad-proposition",
+     "bad literal 'q r' in ' q r'"),
+    ("addressee: b", "addressee: z", 7, "bad-value", "addressee 'z' not a participant"),
+], ids=["no-dialogue", "no-participants", "three-participants", "empty-text",
+        "implicates-without-arrow", "supports-without-arrow", "bad-proposition-in-pair",
+        "addressee-not-a-participant"])
+def test_parse_issue_on_its_line(old, new, line, code, message):
+    text = MINIMAL.replace(old, new)
+    assert [(i.line, i.code, i.message) for i in issues_of(text)] == [(line, code, message)]
+
+
 def test_missing_required_key():
     issues = issues_of("dialogue: d\nparticipants: a, b\n\nid: u0\nturn: 0\nspeaker: a\ntext: hi\n")
     assert any(i.code == "missing-field" for i in issues)
@@ -213,6 +234,14 @@ def test_round_trip_identity_on_fixtures(name):
     reparsed = parse(canonical)
     assert reparsed == original
     assert serialize(reparsed) == canonical  # idempotent after one pass
+
+
+def test_round_trip_of_an_interrupted_event():
+    original = parse(MINIMAL.replace("text: hello there", "text: hello there\ninterrupted: true"))
+    assert original.events[0].interrupted
+    canonical = serialize(original)
+    assert canonical.endswith("intonation: unmarked\ninterrupted: true\n")
+    assert parse(canonical) == original
 
 
 def test_unordered_keys_canonicalize():
