@@ -67,17 +67,17 @@ class AcceptanceBelief(Slotted):
 class SupportLink(Slotted):
     """A belief put forward as a reason to adopt a goal or intention."""
 
-    _fields = __slots__ = ("link_id", "belief", "goal", "dependencies", "status", "strength")
+    _fields = __slots__ = ("link_id", "belief", "goal", "dependencies", "status")
+
+    strength = Strength.LINGUISTIC  # of every support link
 
     def __init__(self, link_id: str, belief: Proposition, goal: Proposition,
-                 dependencies: Optional[set[str]] = None, status: str = LIVE,
-                 strength: Strength = Strength.LINGUISTIC):
+                 dependencies: Optional[set[str]] = None, status: str = LIVE):
         self.link_id = link_id
         self.belief = belief
         self.goal = goal
         self.dependencies = set() if dependencies is None else dependencies
         self.status = status
-        self.strength = strength
 
 
 class PendingAcceptance(NamedTuple):
@@ -107,7 +107,7 @@ class RetractionReport(NamedTuple):
 
 
 def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
-                    fixpoints: Optional[list[Fixpoint]] = None) -> Optional[ConflictEvidence]:
+                    fixpoints: list[Fixpoint]) -> Optional[ConflictEvidence]:
     """Does this event evidence non-acceptance of live content?
 
     Annotation first: a ``rejects`` link (to an earlier utterance, as
@@ -121,13 +121,12 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
     raised again.  The trial defeats nothing, as a live contrary returns
     before it.
 
-    When the trial finds no clash and ``fixpoints`` is given, the trial is
-    the event's assertion: ``Context.keep`` lets its writes stand and the
-    trial's fixpoint is appended to ``fixpoints``, for the caller to commit
-    as long as nothing writes the context in between.  The context then
-    holds entries for the keys it did not hold before (the propositions
-    whose redundancy verdict is ``not_redundant``).  Without ``fixpoints``
-    a clash-free trial is rolled back too.
+    When the trial finds no clash, the trial is the event's assertion:
+    ``Context.keep`` lets its writes stand and the trial's fixpoint is
+    appended to ``fixpoints``, for the caller to commit as long as nothing
+    writes the context in between.  The context then holds entries for the
+    keys it did not hold before (the propositions whose redundancy verdict
+    is ``not_redundant``).
     """
     if event.rejects is not None:
         props = state.events[event.rejects].realizes
@@ -152,13 +151,11 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
     except BaseException:
         context.rollback(mark)
         raise
-    if clash is None and fixpoints is not None:
+    if clash is None:
         context.keep(mark)
         fixpoints.append(fixpoint)
         return None
     context.rollback(mark)
-    if clash is None:
-        return None
     # the contested side is whatever half of a clashing pair is live in the
     # real (pre-event) context; the other half came with the event
     against = set()
@@ -261,9 +258,10 @@ def defeat(state: "DiscourseState", target_id: str, by: ConflictEvidence) -> Ret
 
     The target may be a literal entry, an acceptance belief or a support
     link; ``Context.defeat_entry`` flips it and every live node whose
-    dependencies reach it to defeated, and refuses a rule entry.  Strengths
-    are untouched; only status changes.  The report is returned, not kept:
-    the event's trace carries the defeated ids.
+    dependencies reach it to defeated, and refuses a target that is not
+    live and a rule entry.  Strengths are untouched; only status changes.
+    The report is returned, not kept: the event's trace carries the
+    defeated ids.
     """
     node = state.nodes.get(target_id)
     if node is None:

@@ -2,8 +2,7 @@
 
 Subcommands::
 
-    check <file>...          parse-only validation; it does not replay, so
-                             ``trace`` may still refuse a file that passes
+    check <file>...          replay each file as ``trace`` does; ok, or its error
     trace <file>             replay one dialogue and print the belief trace
     classify <file>...       table of redundant utterances and their classes
     stats <directory>        distributional statistics over a corpus of .dlg files
@@ -47,17 +46,6 @@ def _load(path: Path):
         return None
 
 
-def cmd_check(args) -> int:
-    status = EXIT_OK
-    for name in args.files:
-        transcript = _load(Path(name))
-        if transcript is None:
-            status = EXIT_INPUT
-        else:
-            print(f"ok: {name} ({len(transcript.events)} events)")
-    return status
-
-
 class _Failed(Exception):
     """A transcript failed to load or replay and was reported; carries the
     exit code."""
@@ -75,6 +63,18 @@ def _replay(name):
         print(f"{name}: {exc}", file=sys.stderr)
         raise _Failed(EXIT_SEMANTIC)
     return transcript, traces
+
+
+def cmd_check(args) -> int:
+    status = EXIT_OK
+    for name in args.files:
+        try:
+            transcript, _ = _replay(name)
+        except _Failed as failed:
+            status = max(status, failed.args[0])
+        else:
+            print(f"ok: {name} ({len(transcript.events)} events)")
+    return status
 
 
 def cmd_trace(args) -> int:
@@ -122,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Replay annotated two-party dialogues and track graded mutual beliefs.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("check", help="parse-only validation; does not replay, so trace "
-                                     "may still refuse a file that passes")
+    p = sub.add_parser("check", help="replay each file as trace does and report ok or "
+                                     "its error")
     p.add_argument("files", nargs="+")
     p.set_defaults(func=cmd_check)
 

@@ -19,6 +19,9 @@ The order is fixed, and it matters:
   fixpoint as it stands, so step 6 writes no context entry and step 7 has
   nothing to do.
 
+The phases compute values; ``process`` gathers them, with the event, into a
+``trace.TraceRecord``, and ``trace`` alone renders a record as text.
+
 The functions the benchmark's tracer wraps (``bench/run.py``'s span targets)
 are called through their modules' attributes, looked up at each call, never
 inlined here: a traced run must see every call.
@@ -34,7 +37,7 @@ from .errors import DanglingAntecedent, DuplicateUtterance, OrderingViolation, \
     SelfContradiction
 from .evidence import Strength
 from .grounding import AssumptionRecord, IRUClass, LicenseLink, UtteranceEvent
-from .propositions import LIVE, Literal
+from .propositions import LIVE, Literal, Proposition
 from .saturation import Fixpoint
 from .state import DiscourseState
 from .trace import TraceRecord, snapshot_record
@@ -91,21 +94,13 @@ class DialogueEngine:
             supports = self._register_links(event, licenses)
 
         events = state.events
-        items = sorted(touched.items(), key=lambda kv: events[kv[0]].turn_index) \
-            if len(touched) > 1 else touched.items()
-        # an enum member's _value_ is a plain attribute; .value is a property
+        records = sorted(touched.values(), key=lambda r: events[r.utterance_id].turn_index) \
+            if len(touched) > 1 else touched.values()
         trace = TraceRecord(
-            event.utterance_id, event.turn_index, event.speaker, event.addressee,
-            event.act._value_, event.intonation._value_, cls._value_, antecedents,
-            tuple([snapshot_record(r, events[uid].turn_index, grd.understanding_strength(r))
-                   for uid, r in items]),
-            tuple(licenses),
-            ((conflict.kind, str(conflict.pair[0]), str(conflict.pair[1])),)
-            if conflict is not None else (),
-            tuple([(o.kind, str(o.proposition), o.agent,
-                    o.strength.label if o.strength is not None else o.detail,
-                    o.trigger) for o in outcomes]),
-            tuple(asserted), tuple(derived), tuple(supports), tuple(retractions))
+            event, cls, antecedents,
+            tuple([snapshot_record(r, grd.understanding_strength(r)) for r in records]),
+            tuple(licenses), conflict, tuple(outcomes), tuple(asserted), tuple(derived),
+            tuple(supports), tuple(retractions))
         self.traces.append(trace)
         return trace
 
@@ -151,10 +146,10 @@ class DialogueEngine:
         (for a prompt with none, of the latest utterance addressed to the
         speaker, never the event itself); an explicit inference or
         implicature reinforcement lifts the matched license links to
-        linguistic.  Returns the lifted links' lines."""
-        state, lines = self.state, []
+        linguistic.  Returns the lifted links' values."""
+        state, lifted = self.state, []
         if cls is IRUClass.NONE:
-            return lines
+            return lifted
         events, ids = state.events, antecedents
         if cls is IRUClass.PROMPT and not ids:
             ids = next(((e.utterance_id,) for e in reversed(events.values())
@@ -166,12 +161,12 @@ class DialogueEngine:
                 touched[uid] = target
         if cls in (IRUClass.EXPLICIT_INFERENCE, IRUClass.IMPLICATURE_REINFORCEMENT):
             for link in matched:
-                lines.append(_license_line(
+                lifted.append(_license_values(
                     grd.record_license_evidence(state, link, Strength.LINGUISTIC)))
                 owner = state.records.get(link.owner)
                 if owner is not None:
                     touched[link.owner] = owner
-        return lines
+        return lifted
 
     def _detect_conflict(self, event: UtteranceEvent, verdicts) \
             -> tuple[Optional[acc.ConflictEvidence], Optional[Fixpoint]]:
@@ -190,22 +185,22 @@ class DialogueEngine:
     def _defeat(self, conflict: Optional[acc.ConflictEvidence]) -> tuple[list, bool]:
         """7. Defeat the live acceptances of the contested propositions that
         are weaker than the conflict evidence, then their entries if every one
-        is weaker.  Returns the retraction lines and whether the content stays
-        contested."""
-        state, lines = self.state, []
+        is weaker.  Returns the ids each defeat retracted and whether the
+        content stays contested."""
+        state, retracted = self.state, []
         if conflict is None:
-            return lines, False
+            return retracted, False
         for belief in state.live_acceptances_of(conflict.against):
             if belief.strength < conflict.strength:
-                lines.append(acc.defeat(state, belief.belief_id, conflict).defeated)
+                retracted.append(acc.defeat(state, belief.belief_id, conflict).defeated)
         entries = [e for e in map(state.context.lookup_key, sorted(conflict.against))
                    if e is not None]
         if any(e.strength >= conflict.strength for e in entries):
-            return lines, True
+            return retracted, True
         for e in entries:
             if e.status == LIVE:  # else already swept up by an earlier cascade
-                lines.append(acc.defeat(state, e.entry_id, conflict).defeated)
-        return lines, False
+                retracted.append(acc.defeat(state, e.entry_id, conflict).defeated)
+        return retracted, False
 
     def _assert(self, event: UtteranceEvent, verdicts, fixpoint: Optional[Fixpoint],
                 touched: dict, licenses: list) -> tuple[list, list]:
@@ -214,52 +209,52 @@ class DialogueEngine:
         A kept trial's propositions stand asserted and its fixpoint is
         committed; after conflict evidence that left the content uncontested
         they are asserted and saturated here, along with what a defeat
-        changed.  Returns the asserted and derived lines; license lines go
+        changed.  Returns the asserted and derived values; license values go
         onto ``licenses``."""
         state, uid = self.state, event.utterance_id
         asserted, derived = [], []
         for p, verdict in zip(event.realizes, verdicts):
             entry = state.context.lookup(p) if fixpoint is not None else \
                 state.context.assert_prop(p, Strength.LINGUISTIC, uid)
-            note = f"redundant: {verdict.kind} " + ", ".join(sorted(verdict.antecedents)) \
-                if verdict.redundant else ""
-            asserted.append((str(p), entry.strength, note))
+            asserted.append((p, entry.strength, verdict))
         if not event.realizes:
             return asserted, derived
         premise = next((p for p in event.realizes if isinstance(p, Literal)), event.realizes[0])
         for entry in state.context.commit(
                 fixpoint if fixpoint is not None else state.context.saturate()):
             roots = sorted(state.context.asserted_roots(entry))
-            derived.append((str(entry.proposition), entry.strength, tuple(roots)))
+            derived.append((entry.proposition, entry.strength, tuple(roots)))
             if uid in roots:
                 # from the event's first literal, or else its first proposition
                 link = LicenseLink(premise, entry.proposition, Strength.INFERENCE,
                                    LicenseLink.ORIGIN_INFERENCE, uid)
-                licenses.append(_license_line(
+                licenses.append(_license_values(
                     grd.record_license_evidence(state, link, Strength.INFERENCE)))
                 touched[uid] = state.records[uid]
         return asserted, derived
 
     def _register_links(self, event: UtteranceEvent, licenses: list) -> list:
         """9. Register the annotated implicature (a license link at hypothesis,
-        its line onto ``licenses``) and support link; returns support lines."""
+        its values onto ``licenses``) and support link; returns the supports'
+        (belief, goal) pairs."""
         state, supports = self.state, []
         if event.implicates is not None:
             premise, conclusion = event.implicates
             link = LicenseLink(premise, conclusion, Strength.HYPOTHESIS,
                                LicenseLink.ORIGIN_IMPLICATURE, event.utterance_id)
-            licenses.append(_license_line(
+            licenses.append(_license_values(
                 grd.record_license_evidence(state, link, Strength.HYPOTHESIS)))
         if event.supports is not None:
             belief, goal = event.supports
             acc.record_support(state, belief, goal)
-            supports.append((str(belief), str(goal)))
+            supports.append((belief, goal))
         return supports
 
 
-def _license_line(link: LicenseLink) -> tuple[str, str, Strength, str]:
-    """A license link's trace line: premise, conclusion, strength, origin."""
-    return (str(link.premise), str(link.conclusion), link.strength, link.origin)
+def _license_values(link: LicenseLink) -> tuple[Proposition, Proposition, Strength, str]:
+    """A license link's values for the trace, as they stand now (the stored
+    link's strength may rise later): premise, conclusion, strength, origin."""
+    return (link.premise, link.conclusion, link.strength, link.origin)
 
 
 def replay_transcript(transcript):

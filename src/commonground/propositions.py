@@ -460,21 +460,25 @@ class Context:
         alike.  Returns the defeated ids, sorted.  This is the one place a
         node's status changes, each write logged (``_set``).
 
-        A rule, once entered, stays in the implication graph: a defeat whose
-        ids hold a rule entry raises DefeatRejected, naming them, before any
-        write.  Each live literal entry that goes marks its key changed.
-        Every key whose committed label rested on a defeated entry is reached
-        from those keys (see ``saturate``), so the next saturation covers it;
-        defeating only beliefs and links changes nothing there."""
+        A node is defeated once: a target that is not live raises
+        DefeatRejected, naming it, before any write.  A rule, once entered,
+        stays in the implication graph: a defeat whose ids hold a rule entry
+        raises DefeatRejected, naming them, before any write.  Each literal
+        entry that goes marks its key changed.  Every key whose committed
+        label rested on a defeated entry is reached from those keys (see
+        ``saturate``), so the next saturation covers it; defeating only
+        beliefs and links changes nothing there."""
         defeated = retract(self.nodes, node_id, self._dependents)
+        if self.nodes[node_id].status != LIVE:
+            raise DefeatRejected(f"already defeated: {node_id}")
         entries = self.entries
         rules = [nid for nid in defeated
                  if nid in entries and not isinstance(entries[nid].proposition, Literal)]
         if rules:
             raise DefeatRejected(f"a rule stays in the implication graph: {', '.join(rules)}")
-        for nid in defeated:
+        for nid in defeated:  # each one live: the target, and what retract found
             node = self.nodes[nid]
-            if node.status == LIVE and nid in entries:
+            if nid in entries:
                 self._changed.add(node.proposition.key)
             self._set(node, "status", DEFEATED)
         return defeated

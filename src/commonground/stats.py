@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .grounding import ActType
+from .grounding import ActType, Intonation, IRUClass
 from .trace import TraceRecord
 from .transcript import Transcript
 
@@ -34,7 +34,7 @@ REFERENCE_CORPUS = {
 class IRUObservation(NamedTuple):
     dialogue_id: str
     event_id: str
-    iru_class: str
+    iru_class: IRUClass
     antecedents: tuple[str, ...]
     min_gap: Optional[int]  # turns back to the nearest antecedent
     all_self: Optional[bool]
@@ -61,9 +61,9 @@ def collect_observations(transcript: Transcript,
     events = {e.utterance_id: e for e in utterances}
     observations = []
     for i, trace in enumerate(traces):
-        if trace.iru_class == "none":
+        if trace.iru_class is IRUClass.NONE:
             continue
-        event = events[trace.event_id]
+        event = trace.event
         ants = trace.antecedents
         gaps = [event.turn_index - events[a].turn_index for a in ants]
         min_gap = min(gaps) if gaps else None
@@ -71,12 +71,12 @@ def collect_observations(transcript: Transcript,
         followed = i + 1 < len(utterances) and utterances[i + 1].act is ActType.AFFIRMATION
         observations.append(IRUObservation(
             dialogue_id=transcript.dialogue_id,
-            event_id=trace.event_id,
+            event_id=event.utterance_id,
             iru_class=trace.iru_class,
             antecedents=ants,
             min_gap=min_gap,
             all_self=all_self,
-            rising=trace.intonation == "rising",
+            rising=event.intonation is Intonation.RISING,
             affirmation_followed=followed,
         ))
     return observations
@@ -136,7 +136,7 @@ def render_classification(observations: list[IRUObservation], fmt: str = "text")
         rows.append((
             o.dialogue_id,
             o.event_id,
-            o.iru_class,
+            o.iru_class.value,
             ",".join(o.antecedents) if o.antecedents else "-",
             str(o.min_gap) if o.min_gap is not None else "-",
             ("self" if o.all_self else "other") if o.all_self is not None else "-",

@@ -53,6 +53,20 @@ MUTANTS = (
            "    if uid in earlier:\n",
            ("tests/test_admission.py::"
             "test_a_second_empty_id_is_reported_as_empty_not_as_reused",)),
+    Mutant("strengths-in-dict-order", "commonground/trace.py",
+           "            for name in ASSUMPTION_ORDER:\n",
+           "            for name in strengths:\n",
+           ("tests/test_grounding.py::"
+            "test_snapshot_lists_strengths_in_assumption_order_whatever_the_dict_order",)),
+    Mutant("redundancy-note-dropped", "commonground/trace.py",
+           "                if verdict.redundant else \"\"\n",
+           "                if False else \"\"\n",
+           ("tests/test_golden.py::test_cli_output_matches_golden",)),
+    Mutant("second-defeat-allowed", "commonground/propositions.py",
+           "        if self.nodes[node_id].status != LIVE:\n"
+           "            raise DefeatRejected(f\"already defeated: {node_id}\")\n",
+           "",
+           ("tests/test_state.py::test_a_node_is_defeated_once",)),
 )
 
 

@@ -42,6 +42,31 @@ text: p and not p
 realizes: p; !p
 """
 
+#: a license premise that is not in the context: refused partway through u0
+DANGLING_LICENSE = """dialogue: license
+participants: a, b
+
+id: u0
+turn: 0
+speaker: a
+addressee: b
+text: z, which implicates y if x
+realizes: z
+implicates: x => y
+"""
+
+#: one event that contradicts itself only under closure
+CLOSURE_CONTRADICTION = """dialogue: closure
+participants: a, b
+
+id: u0
+turn: 0
+speaker: a
+addressee: b
+text: p, if p then q, and not q
+realizes: p; p -> q; !q
+"""
+
 SUBCOMMANDS = ("trace", "classify", "stats")
 #: every subcommand that loads transcripts: the replaying ones and ``check``
 LOADING = ("check",) + SUBCOMMANDS
@@ -105,7 +130,7 @@ def test_empty_corpus_directory(command, tmp_path, capsys):
         assert err == f"{tmp_path}: [Errno 21] Is a directory: '{tmp_path}'\n"
 
 
-@pytest.mark.parametrize("command", SUBCOMMANDS)
+@pytest.mark.parametrize("command", LOADING)
 def test_uncaught_conflict_exits_semantic(command, tmp_path, capsys):
     path = tmp_path / "crash.dlg"
     path.write_text(CRASH, encoding="utf-8")
@@ -115,6 +140,33 @@ def test_uncaught_conflict_exits_semantic(command, tmp_path, capsys):
                    "((Literal(atom='p', positive=True), Literal(atom='p', positive=False)), "
                    "(Literal(atom='q', positive=True), Literal(atom='q', positive=False)))\n")
 
+
+
+@pytest.mark.parametrize("text", [DANGLING_LICENSE, CLOSURE_CONTRADICTION],
+                         ids=["dangling-license", "closure-contradiction"])
+def test_check_exits_semantic_where_trace_does(text, tmp_path, capsys):
+    """``check`` replays each file: it prints what ``trace`` prints on stderr
+    and exits with the same code."""
+    path = tmp_path / "refused.dlg"
+    path.write_text(text, encoding="utf-8")
+    status, out, err = run(capsys, "check", str(path))
+    assert (status, out) == (cli.EXIT_SEMANTIC, "")
+    assert err.startswith(f"{path}: ")
+    assert run(capsys, "trace", str(path)) == (status, out, err)
+
+
+def test_check_goes_on_past_a_file_that_fails(fixtures_dir, tmp_path, capsys):
+    """A file that fails is reported and the next is still checked; the exit
+    code is the highest met."""
+    crash, good = tmp_path / "crash.dlg", fixtures_dir / "example1.dlg"
+    crash.write_text(CRASH, encoding="utf-8")
+    status, out, err = run(capsys, "check", str(crash), str(good))
+    assert status == cli.EXIT_SEMANTIC
+    assert out == f"ok: {good} (4 events)\n"
+    assert err == run(capsys, "trace", str(crash))[2]
+    malformed = tmp_path / "broken.dlg"
+    malformed.write_text(MALFORMED, encoding="utf-8")
+    assert run(capsys, "check", str(malformed), str(crash))[0] == cli.EXIT_SEMANTIC
 
 @pytest.mark.parametrize("gap,remote", [("0", "22/22 (100.0%)"), ("1", "4/22 (18.2%)"),
                                         ("1000000", "0/22 (0.0%)")])

@@ -17,7 +17,7 @@ from commonground import grounding
 from commonground.grounding import (ASSUMPTION_ORDER, ATTEND, BASE_ASSUMPTIONS, COPRESENT, HEAR,
                                     LICENSE, REALIZE, UPGRADE_TABLE, AssumptionRecord, Intonation,
                                     normalize_tokens, tokens_match_repeat)
-from commonground.propositions import Context
+from commonground.propositions import Context, RedundancyVerdict
 from commonground.trace import RecordSnapshot, TraceRecord, snapshot_record
 from conftest import DIALOGUES, DISPUTES, load_fixture
 
@@ -240,7 +240,7 @@ def test_prompt_without_antecedents_upgrades_the_latest_record_addressed_to_the_
     turns = [("a" if i % 2 == 0 else "b", f"realizes: p{i}") for i in range(before)]
     engine, traces = replay_transcript(parse(dialogue("false", *turns, ("a", "act: prompt"))))
     prompt, latest = traces[-1], f"u{before - 1}"
-    assert prompt.iru_class == "prompt" and not prompt.antecedents
+    assert prompt.iru_class is IRUClass.PROMPT and not prompt.antecedents
     assert records_of(prompt) == {latest: {
         COPRESENT: Strength.LINGUISTIC, ATTEND: Strength.LINGUISTIC,
         HEAR: Strength.DEFAULT, REALIZE: Strength.DEFAULT}}
@@ -325,24 +325,40 @@ def test_understanding_of_a_record_with_no_assumptions_raises():
 
 # -- trace text -----------------------------------------------------------------
 
+def trace_of(*records, **fields):
+    """A trace record of event u1 (b to a) with ``records`` and ``fields``,
+    every other field empty."""
+    values = dict(event=event("u1", 1, "b", "a"), iru_class=IRUClass.NONE, antecedents=(),
+                  records=records, licenses=(), conflict=None, acceptances=(), asserted=(),
+                  derived=(), supports=(), retractions=())
+    values.update(fields)
+    return TraceRecord(**values)
+
+
+def record_lines(strengths, understanding):
+    """The rendered lines of a snapshot of record uX holding ``strengths``."""
+    snap = snapshot_record(AssumptionRecord("uX", strengths), understanding)
+    return trace_of(snap).render().splitlines()[4:]
+
+
 def test_snapshot_lists_strengths_in_assumption_order_whatever_the_dict_order():
     filled = [LICENSE, REALIZE, COPRESENT, HEAR, ATTEND]
     strengths = {name: PRODUCIBLE[i % len(PRODUCIBLE)] for i, name in enumerate(filled)}
-    snap = snapshot_record(AssumptionRecord("uX", strengths), 3, Strength.HYPOTHESIS)
-    assert snap.strengths == tuple((name, strengths[name]) for name in ASSUMPTION_ORDER)
-    partial = snapshot_record(AssumptionRecord("uX", {HEAR: Strength.DEFAULT,
-                                                     COPRESENT: Strength.LINGUISTIC}),
-                              3, Strength.DEFAULT)
-    assert partial.strengths == ((COPRESENT, Strength.LINGUISTIC), (HEAR, Strength.DEFAULT))
+    assert record_lines(strengths, Strength.HYPOTHESIS) == [
+        "record: uX", *(f"  {name}: {strengths[name]}" for name in ASSUMPTION_ORDER),
+        "  understand: hypothesis"]
+    assert record_lines({HEAR: Strength.DEFAULT, COPRESENT: Strength.LINGUISTIC},
+                        Strength.DEFAULT) == [
+        "record: uX", "  copresent: linguistic", "  hear: default", "  understand: default"]
 
 
 @pytest.mark.parametrize("strength", list(Strength))
 def test_every_strength_renders_in_a_trace_line_as_its_str(strength):
-    s = str(strength)
-    snap = RecordSnapshot("u0", 0, ((COPRESENT, strength),), strength)
-    trace = TraceRecord("u1", 1, "b", "a", "assert", "unmarked", "none", (), (snap,),
-                        (("p", "q", strength, "inference"),), (), (),
-                        (("p", strength, ""),), (("q", strength, ("u0",)),))
+    s, p, q = str(strength), parse_proposition("p"), parse_proposition("q")
+    snap = RecordSnapshot("u0", {COPRESENT: strength}, strength)
+    trace = trace_of(snap, licenses=((p, q, strength, "inference"),),
+                     asserted=((p, strength, RedundancyVerdict(RedundancyVerdict.NOT_REDUNDANT)),),
+                     derived=((q, strength, ("u0",)),))
     assert trace.render().splitlines()[4:] == [
         "record: u0", f"  copresent: {s}", f"  understand: {s}",
         f"license: p => q [{s}] (inference)", f"asserted: p [{s}]", f"derived: q [{s}] from(u0)"]
@@ -354,7 +370,8 @@ def test_trace_text_of_every_act_and_intonation_is_its_value(act, intonation):
     engine = DialogueEngine(fresh_state())
     engine.process(event("u0", 0, realizes=(parse_proposition("p"),)))
     trace = engine.process(event("u1", 1, "b", "a", act=act, intonation=intonation))
-    assert (trace.act, trace.intonation) == (act.value, intonation.value)
+    assert trace.render().splitlines()[1:3] == [f"act: {act.value}",
+                                                f"intonation: {intonation.value}"]
 
 
 @pytest.mark.parametrize("cls", list(IRUClass))
@@ -362,7 +379,8 @@ def test_trace_text_of_every_iru_class_is_its_value(cls, monkeypatch):
     engine = DialogueEngine(fresh_state())
     engine.process(event("u0", 0, realizes=(parse_proposition("p"),)))
     monkeypatch.setattr(grounding, "classify_iru", lambda *args: cls)
-    assert engine.process(event("u1", 1, "b", "a", act=ActType.OTHER)).iru_class == cls.value
+    trace = engine.process(event("u1", 1, "b", "a", act=ActType.OTHER))
+    assert trace.render().splitlines()[3] == f"iru: {cls.value}"
 
 
 # -- monotonicity -------------------------------------------------------------
@@ -399,9 +417,9 @@ def test_classification_matches_printed_examples(fixtures_dir):
     for name, expected in cases.items():
         transcript = parse(load_fixture(name))
         _, traces = replay_transcript(transcript)
-        got = {t.event_id: t.iru_class for t in traces}
+        got = {t.event.utterance_id: t.iru_class for t in traces}
         for uid, cls in expected.items():
-            assert got[uid] == cls, (name, uid)
+            assert got[uid] is IRUClass(cls), (name, uid)
 
 
 def test_prompt_classification():

@@ -116,7 +116,7 @@ def test_detect_conflict_from_rejection_annotation():
     seeded(state, "u38", "cert_15k")
     rejecting = event("u41", 1, speaker="b", addressee="a", text="GEE. NOT AT MY AGE",
                       act=ActType.OTHER, rejects="u38")
-    conflict = detect_conflict(state, rejecting)
+    conflict = detect_conflict(state, rejecting, [])
     assert conflict.kind == EXPLICIT_REJECTION
     assert conflict.applies_to((P("cert_15k"),))
 
@@ -127,7 +127,7 @@ def test_detect_conflict_through_closure():
     clashing = event("u14", 1, speaker="b", addressee="a",
                      realizes=(P("started_this_year"),
                                P("started_this_year -> !ira_last_year")))
-    conflict = detect_conflict(state, clashing)
+    conflict = detect_conflict(state, clashing, [])
     assert conflict.kind == CONTRADICTORY_ASSERTION
     assert conflict.applies_to((P("ira_last_year"),))
 
@@ -136,7 +136,7 @@ def test_detect_conflict_none_for_consistent_assertion():
     state = fresh_state()
     seeded(state, "u1", "p")
     assert detect_conflict(state, event("u2", 1, speaker="b", addressee="a",
-                                        realizes=(P("q"),))) is None
+                                        realizes=(P("q"),)), []) is None
 
 
 def test_detect_conflict_hands_over_the_trial_fixpoint():
@@ -275,6 +275,23 @@ def test_a_rule_entry_is_never_defeated(rule):
     assert ctx._changed == changed and len(ctx._trail) == logged
 
 
+def test_a_node_is_defeated_once():
+    """A second defeat of an entry, or of an acceptance belief, is refused,
+    naming the node, before any write."""
+    state = rollback_state()
+    state.add_acceptance(AcceptanceBelief("a9", P("r"), "b", Strength.DEFAULT, {"u2"}))
+    ctx = state.context
+    assert "u0" in ctx.defeat_entry("u0")
+    assert defeat(state, "a9", evidence(against=("r",))).defeated == ("a9",)
+    before, changed, logged = trial_view(ctx), set(ctx._changed), len(ctx._trail)
+    with pytest.raises(DefeatRejected, match="already defeated: u0$"):
+        ctx.defeat_entry("u0")
+    with pytest.raises(DefeatRejected, match="already defeated: a9$"):
+        defeat(state, "a9", evidence(against=("r",)))
+    assert trial_view(ctx) == before
+    assert ctx._changed == changed and len(ctx._trail) == logged
+
+
 trail_literals = st.builds(Literal, st.sampled_from("pqrs"), st.booleans())
 trail_props = st.one_of(
     trail_literals,
@@ -295,7 +312,8 @@ trail_steps = st.recursive(
 def apply_trail_step(ctx, step, sources):
     """Apply one drawn step; a clashing assertion leaves the context as it
     was, a clashing saturation is settled by defeating the latest live
-    literal, if any, and the defeat of a rule is refused."""
+    literal, if any, and the defeat of a rule or of a defeated entry is
+    refused."""
     if step[0] == "assert":
         try:
             ctx.assert_prop(step[1], step[2], next(sources))
@@ -314,7 +332,8 @@ def apply_trail_step(ctx, step, sources):
         ids = sorted(ctx.entries)  # defeated entries too
         if ids:
             target = ids[step[1] % len(ids)]
-            if isinstance(ctx.entries[target].proposition, Literal):
+            entry = ctx.entries[target]
+            if isinstance(entry.proposition, Literal) and entry.status == LIVE:
                 ctx.defeat_entry(target)
             else:
                 with pytest.raises(DefeatRejected):
@@ -385,7 +404,7 @@ def test_a_clash_free_event_is_asserted_once(monkeypatch):
         before = dict(calls)
         trace = engine.process(event(f"u{i}", i, speaker, addressee, text=f"turn number {i}",
                                      realizes=props))
-        assert trace.conflicts == () and not trace.retractions
+        assert trace.conflict is None and not trace.retractions
         assert calls["link"] - before["link"] == rules, texts
         assert calls["rollback"] == before["rollback"], texts
         rule_events += rules > 0
@@ -637,8 +656,8 @@ def test_blocked_acceptance_converts_to_default_later():
     )
     engine, traces = replay_transcript(parse(text))
     state = engine.state
-    blocked = [a for t in traces for a in t.acceptances if a[0] == "blocked"]
-    assert blocked and blocked[0][1] == "rate_five"
+    blocked = [a for t in traces for a in t.acceptances if a.kind == AcceptanceOutcome.BLOCKED]
+    assert blocked and blocked[0].proposition == P("rate_five")
     belief = state.find_acceptance(P("rate_five"), "b")
     assert belief is not None and belief.strength is Strength.DEFAULT
     assert "u3" in belief.dependencies  # the trigger
@@ -654,7 +673,7 @@ def test_rising_reply_that_is_not_redundant_defers_default_acceptance():
         "id: u3\nturn: 3\nspeaker: b\naddressee: a\ntext: right\nact: other",
     )
     engine, traces = replay_transcript(parse(text))
-    assert traces[1].iru_class == "none"
+    assert traces[1].iru_class is IRUClass.NONE
     assert traces[1].acceptances == ()
     assert [line for line in traces[3].render().splitlines() if line.startswith("acceptance")] == [
         "acceptance: p by b [default] (trigger u3)",
@@ -677,7 +696,7 @@ def test_later_contradiction_defeats_default_acceptance():
                   if str(b.proposition) == "rates_rose" and b.accepting_agent == "b")
     assert belief.status == DEFEATED  # default acceptance fell with the conflict
     assert state.context.lookup(P("rates_rose")) is not None  # linguistic entry stands
-    assert any(t.conflicts for t in traces)
+    assert any(t.conflict is not None for t in traces)
 
 
 def test_rejection_does_not_touch_linguistic_beliefs():
