@@ -19,7 +19,7 @@ from .errors import ConflictDetected, DefeatRejected, OrderingViolation, Unknown
 from .evidence import Strength, defeats
 from .grounding import ActType, Intonation, IRUClass, UtteranceEvent
 from .propositions import LIVE, Literal, Proposition, Slotted
-from .saturation import Fixpoint, contrary
+from .saturation import Fixpoint
 
 if TYPE_CHECKING:  # pragma: no cover
     from .state import DiscourseState
@@ -111,15 +111,19 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
     """Does this event evidence non-acceptance of live content?
 
     Annotation first: a ``rejects`` link (to an earlier utterance, as
-    admission checked) is explicit rejection regardless of content.  Then a
-    direct contrary: a realized literal whose negation is live.  Otherwise
-    a trial: the event's propositions are asserted (linguistic) on the live
-    context and saturated (``Context.saturate``) under an undo trail
-    (``Context.trial``).  Any clash is contradictory assertion evidence
-    against the previously live half of the pair, and ``Context.rollback``
-    leaves the context as it was; so does any other exception, which is
-    raised again.  The trial defeats nothing, as a live contrary returns
-    before it.
+    admission checked) is explicit rejection regardless of content.
+    Otherwise a trial: the event's propositions are asserted (linguistic)
+    on the live context and saturated (``Context.saturate``) under an undo
+    trail (``Context.trial``).  Any clash is contradictory assertion
+    evidence against the previously live half of the pair, and
+    ``Context.rollback`` leaves the context as it was; so does any other
+    exception, which is raised again.
+
+    A realized literal whose contrary is live raises in its own assertion
+    (``Context.assert_prop``): the evidence is that pair, against the live
+    contrary.  The propositions are asserted in order, and none makes a
+    later literal's contrary live or not live (admission refuses ``p`` with
+    ``!p``, and an assertion defeats nothing), so the first such one raises.
 
     When the trial finds no clash, the trial is the event's assertion:
     ``Context.keep`` lets its writes stand and the trial's fixpoint is
@@ -134,24 +138,19 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
         return ConflictEvidence(pair, EXPLICIT_REJECTION, frozenset(p.key for p in props))
     if not event.realizes:
         return None
-    for p in event.realizes:
-        if isinstance(p, Literal):
-            live = state.context.lookup_key(contrary(p))
-            if live is not None:
-                return ConflictEvidence((p, live.proposition), CONTRADICTORY_ASSERTION,
-                                        frozenset([live.proposition.key]))
-    context, clash = state.context, None
+    context, clashes = state.context, None
     mark = context.trial()
     try:
         for p in event.realizes:
             context.assert_prop(p, Strength.LINGUISTIC, event.utterance_id)
         fixpoint = context.saturate()
     except ConflictDetected as raised:
-        clash = raised
+        # the clashes only: the exception's traceback holds this frame
+        clashes = raised.clashes
     except BaseException:
         context.rollback(mark)
         raise
-    if clash is None:
+    if clashes is None:
         context.keep(mark)
         fixpoints.append(fixpoint)
         return None
@@ -159,8 +158,8 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
     # the contested side is whatever half of a clashing pair is live in the
     # real (pre-event) context; the other half came with the event
     against = set()
-    pair = clash.clashes[0]
-    for a, b in clash.clashes:
+    pair = clashes[0]
+    for a, b in clashes:
         for live, came in ((a, b), (b, a)):
             if context.lookup(live) is not None:
                 against.add(live.key)
@@ -274,7 +273,8 @@ def defeat(state: "DiscourseState", target_id: str, by: ConflictEvidence) -> Ret
 
 def record_support(state: "DiscourseState", belief: Proposition,
                    goal: Proposition) -> SupportLink:
-    """Link a belief to the goal it supports; idempotent per endpoint pair.
+    """Link a belief to the goal it supports; idempotent per endpoint pair
+    while its link is live: a defeated link is replaced, never handed back.
 
     Both endpoints must already be in the discourse state; every live
     acceptance belief for the goal gains the link as a dependency."""
@@ -285,7 +285,7 @@ def record_support(state: "DiscourseState", belief: Proposition,
     if goal_entry is None:
         raise UnknownProposition(f"support target {goal} not in state")
     link = state.support_between.get((belief.key, goal.key))
-    if link is not None:
+    if link is not None and link.status == LIVE:
         return link
     link = SupportLink(
         link_id=state.context.fresh_id("s", len(state.support_between) + 1),

@@ -10,15 +10,20 @@ class CommonGroundError(Exception):
 
 
 class ConflictDetected(CommonGroundError):
-    """A proposition clashes with live content of equal or greater strength.
+    """A proposition clashes with live content.
 
     Carried as a signal, not a crash: the acceptance machinery consumes it
-    and records conflict evidence instead of asserting the content.
+    and records conflict evidence instead of asserting the content.  Its one
+    argument holds the pairs of clashing Literal objects, so it pickles; the
+    text is built only when shown, as most are caught and never shown.
     """
 
-    def __init__(self, clashes):
-        self.clashes = tuple(clashes)  # pairs of clashing Literal objects
-        super().__init__(f"contradictory literals: {self.clashes!r}")
+    @property
+    def clashes(self) -> tuple:
+        return tuple(self.args[0])
+
+    def __str__(self) -> str:
+        return f"contradictory literals: {self.clashes!r}"
 
 
 class DuplicateUtterance(CommonGroundError):

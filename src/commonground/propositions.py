@@ -428,9 +428,10 @@ class Context:
         """Add ``p`` at ``strength`` on behalf of utterance ``source``.
 
         Re-asserting an existing proposition raises its strength to the new
-        value (never lowers it).  A direct contradiction with a live literal
-        of equal or greater strength raises ConflictDetected; a strictly
-        weaker contrary literal is defeated in place and cascaded.
+        value (never lowers it).  A literal whose contrary is live, at any
+        strength, raises ConflictDetected before any write: the store
+        reports a clash and never settles it, as defeats belong to the
+        caller (``acceptance.defeat``).
         """
         existing = self.lookup_key(p.key)
         if existing is not None:
@@ -447,9 +448,7 @@ class Context:
         if isinstance(p, Literal):
             other = self.lookup_key(contrary(p))
             if other is not None:
-                if other.strength >= strength:
-                    raise ConflictDetected([(p, other.proposition)])
-                self.defeat_entry(other.entry_id)
+                raise ConflictDetected([(p, other.proposition)])
         entry = self._insert(p, strength, (source,), set())
         self._enter(entry)
         return entry

@@ -46,10 +46,10 @@ class Graph:
     ``edges`` maps a literal's key to its edges: single-antecedent rules and
     biconditionals both ways, each edge with its contrapositive, so !v -> !u
     is an edge exactly when u -> v is.  ``multis`` maps each antecedent's key
-    of a multi-antecedent rule to the rule.  ``into`` maps a key to (source
-    key, rule id) for every edge into it and every antecedent of a rule that
-    concludes it.  ``forced`` maps the key of each forced literal to its seed
-    item (``forced_item``).
+    of a multi-antecedent rule to the rule.  ``into`` maps a key to the source
+    key of every edge into it and every antecedent of a rule that concludes
+    it, for ``boundary``.  ``forced`` maps the key of each forced literal to
+    its seed item (``forced_item``).
 
     ``link`` adds a rule and returns the keys whose in-edges or forced seed
     changed.  Nothing removes one: a rule, once entered, is never defeated,
@@ -63,7 +63,7 @@ class Graph:
     def __init__(self, trail: list):
         self.edges: dict[str, tuple[Edge, ...]] = {}
         self.multis: dict[str, tuple[Multi, ...]] = {}
-        self.into: dict[str, tuple[tuple[str, str], ...]] = {}
+        self.into: dict[str, tuple[str, ...]] = {}
         self.forced: dict[str, Item] = {}
         self.trail = trail
 
@@ -75,11 +75,11 @@ class Graph:
             ants, dst = rule.antecedents, rule.consequent
             for a in ants:
                 self._add(self.multis, a.key, (ants, dst, rule_id, strength))
-                self._add(self.into, dst.key, (a.key, rule_id))
+                self._add(self.into, dst.key, a.key)
             return {dst.key}
         for src, dst in edges:
             self._add(self.edges, src.key, (dst, rule_id, strength, order))
-            self._add(self.into, dst.key, (src.key, rule_id))
+            self._add(self.into, dst.key, src.key)
         return {dst.key for _, dst in edges} | self._reforce(self._forceable(edges))
 
     def _add(self, table: dict, key: str, value) -> None:
@@ -194,7 +194,7 @@ def boundary(graph: Graph, run: dict[str, Item], area: set[str]) -> list[Item]:
     """The items of ``run`` for the keys outside ``area`` with an edge or a
     rule into it: what ``settle`` merges in."""
     into = graph.into
-    keys = {src for key in area for src, _ in into.get(key, ()) if src not in area}
+    keys = {src for key in area for src in into.get(key, ()) if src not in area}
     return [run[key] for key in keys if key in run]
 
 

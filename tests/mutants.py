@@ -4,11 +4,13 @@ that must catch it; print whether each mutant was killed or survived.
 A mutant is killed when every test it names fails (or errors) with the
 mutant applied; a parametrized test fails when any of its cases does, and
 every test of a file fails when the file cannot be collected.  The
-tests run in a subprocess from the repository root, with ``PYTHONPATH`` at
-the copy and pytest's own ``pythonpath`` setting emptied, so they import
-the mutated package.  The script exits nonzero if a mutant survives, or if
-a mutant's old text is not in its file exactly once: then the code it was
-written against has changed, and the mutant must be written again.
+tests run in a subprocess, with ``PYTHONPATH`` at the copy and pytest's own
+``pythonpath`` setting emptied, so they import the mutated package.  Its
+working directory is the copy's temporary directory, where hypothesis keeps
+its example database, so no mutant replays another's failing examples.
+The script exits nonzero if a mutant survives, or if a mutant's old text is
+not in its file exactly once: then the code it was written against has
+changed, and the mutant must be written again.
 pytest does not collect this file (its name does not start with ``test``).
 
     python3 tests/mutants.py [mutant-name ...]
@@ -67,13 +69,110 @@ MUTANTS = (
            "            raise DefeatRejected(f\"already defeated: {node_id}\")\n",
            "",
            ("tests/test_state.py::test_a_node_is_defeated_once",)),
+    Mutant("in-place-defeat-restored", "commonground/propositions.py",
+           "            if other is not None:\n"
+           "                raise ConflictDetected([(p, other.proposition)])\n",
+           "            if other is not None:\n"
+           "                if other.strength >= strength:\n"
+           "                    raise ConflictDetected([(p, other.proposition)])\n"
+           "                self.defeat_entry(other.entry_id)\n",
+           ("tests/test_propositions.py::"
+            "test_weaker_contrary_entry_raises_until_the_caller_defeats_it",
+            "tests/test_state.py::test_defeat_of_a_weaker_contrary_cascades_through_the_graph")),
+    Mutant("conflict-exception-held", "commonground/acceptance.py",
+           "        clashes = raised.clashes\n",
+           "        clash = raised\n"
+           "        clashes = clash.clashes\n",
+           ("tests/test_state.py::test_a_caught_clash_leaves_no_garbage",)),
+    Mutant("defeated-support-link-reused", "commonground/acceptance.py",
+           "    if link is not None and link.status == LIVE:\n",
+           "    if link is not None:\n",
+           ("tests/test_state.py::test_record_support_replaces_a_defeated_link",
+            "tests/test_state.py::"
+            "test_a_support_said_again_after_its_link_was_defeated_is_live")),
+    Mutant("defeat-status-unlogged", "commonground/propositions.py",
+           "            self._set(node, \"status\", DEFEATED)\n",
+           "            setattr(node, \"status\", DEFEATED)\n",
+           ("tests/test_state.py::test_trial_undoes_a_defeat_and_restores_the_run",)),
+    Mutant("understanding-takes-max", "commonground/grounding.py",
+           "    return min(record.strengths.values())\n",
+           "    return max(record.strengths.values())\n",
+           ("tests/test_grounding.py::test_understanding_is_weakest_link",
+            "tests/test_grounding.py::"
+            "test_understanding_is_a_member_and_lower_bound_in_any_slot_order",
+            "tests/test_grounding.py::test_raising_a_held_slot_never_lowers_understanding")),
+    Mutant("accept-always-adds-a-belief", "commonground/acceptance.py",
+           "    if belief is None:\n"
+           "        belief = AcceptanceBelief(",
+           "    if True:\n"
+           "        belief = AcceptanceBelief(",
+           ("tests/test_state.py::test_one_dependency_graph_after_every_event[reaccepted]",)),
+    Mutant("trial-before-iru-upgrade", "commonground/engine.py",
+           "        licenses = self._iru_upgrade(event, cls, antecedents, matched, touched)\n"
+           "        conflict, fixpoint = self._detect_conflict(event, verdicts)\n",
+           "        conflict, fixpoint = self._detect_conflict(event, verdicts)\n"
+           "        licenses = self._iru_upgrade(event, cls, antecedents, matched, touched)\n",
+           ("tests/test_state.py::"
+            "test_license_evidence_sees_the_context_as_it_was_before_the_event",)),
+    Mutant("self-addressed-admitted", "commonground/grounding.py",
+           "    if event.speaker == event.addressee:\n"
+           "        return [(None, \"bad-value\", \"speaker and addressee coincide\")]\n",
+           "",
+           ("tests/test_admission.py::test_a_record_level_refusal_is_reported_alone",
+            "tests/test_admission.py::test_parse_raises_exactly_when_process_refuses_an_event")),
+    Mutant("prompt-with-content-admitted", "commonground/grounding.py",
+           "    if event.act is ActType.PROMPT and event.realizes:\n"
+           "        return [(None, \"bad-value\", \"a prompt realizes no propositions\")]\n",
+           "",
+           ("tests/test_admission.py::test_a_record_level_refusal_is_reported_alone",
+            "tests/test_admission.py::test_parse_raises_exactly_when_process_refuses_an_event")),
+    Mutant("empty-id-admitted", "commonground/grounding.py",
+           "    issues = [] if uid else [(\"id\", \"bad-value\", "
+           "\"utterance id must be nonempty\")]\n",
+           "    issues = []\n",
+           ("tests/test_admission.py::"
+            "test_a_second_empty_id_is_reported_as_empty_not_as_reused",
+            "tests/test_admission.py::test_parse_raises_exactly_when_process_refuses_an_event")),
+    Mutant("comma-id-admitted", "commonground/grounding.py",
+           "    if \",\" in uid:  # an ``antecedents`` field could not name it\n"
+           "        issues.append((\"id\", \"bad-value\", "
+           "\"utterance id must not contain ','\"))\n",
+           "",
+           ("tests/test_admission.py::test_every_broken_rule_is_one_triple_on_its_field",
+            "tests/test_admission.py::test_parse_raises_exactly_when_process_refuses_an_event")),
+    Mutant("record-without-a-field-not-earlier", "commonground/transcript.py",
+           "            if \"id\" in fields:  # refused, but later records may still name it\n"
+           "                earlier.add(fields[\"id\"][1])\n",
+           "",
+           ("tests/test_admission.py::test_a_refused_record_still_counts_as_earlier",)),
+    Mutant("record-with-a-bad-turn-not-earlier", "commonground/transcript.py",
+           "            issues.append(ParseIssue(turn_line, \"bad-value\", "
+           "\"turn must be an integer\"))\n"
+           "            earlier.add(uid)\n",
+           "            issues.append(ParseIssue(turn_line, \"bad-value\", "
+           "\"turn must be an integer\"))\n",
+           ("tests/test_admission.py::test_a_refused_record_still_counts_as_earlier",)),
+    Mutant("empty-dialogue-id-admitted", "commonground/transcript.py",
+           "    elif not dialogue_id:\n"
+           "        issues.append(ParseIssue(dialogue_line, \"bad-value\", "
+           "\"dialogue id must be nonempty\"))\n",
+           "",
+           ("tests/test_transcript.py::test_empty_dialogue_id",)),
 )
 
 
-def failed_ids(report: str) -> list[str]:
-    """The test ids on the FAILED and ERROR lines of a ``-rfE`` summary."""
-    return [line.split()[1] for line in report.splitlines()
-            if line.startswith(("FAILED ", "ERROR ")) and len(line.split()) > 1]
+def failed_ids(report: str, cwd: str) -> list[str]:
+    """The test ids on the FAILED and ERROR lines of a ``-rfE`` summary, with
+    each path, which pytest gives relative to ``cwd``, made relative to the
+    repository root."""
+    found = []
+    for line in report.splitlines():
+        words = line.split()
+        if line.startswith(("FAILED ", "ERROR ")) and len(words) > 1:
+            path, sep, rest = words[1].partition("::")
+            path = os.path.join(os.path.realpath(cwd), path)
+            found.append(os.path.relpath(path, ROOT) + sep + rest)
+    return found
 
 
 def run(mutant: Mutant) -> str:
@@ -90,9 +189,10 @@ def run(mutant: Mutant) -> str:
         env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
-             "-o", "pythonpath=", *mutant.tests],
-            cwd=ROOT, env=env, capture_output=True, text=True)
-    failed = failed_ids(done.stdout)
+             "-o", "pythonpath=", "--rootdir", str(ROOT),
+             *(str(ROOT / t) for t in mutant.tests)],
+            cwd=tmp, env=env, capture_output=True, text=True)
+    failed = failed_ids(done.stdout, tmp)
     # a case of a parametrized test, or the whole file when it fails to import
     caught = all(any(f == t or f.startswith(t + "[") or t.startswith(f + "::") for f in failed)
                  for t in mutant.tests)

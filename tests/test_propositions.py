@@ -1,3 +1,4 @@
+import pickle
 import random
 from types import SimpleNamespace
 
@@ -165,12 +166,38 @@ def test_direct_contradiction_at_equal_or_greater_strength():
         ctx.assert_prop(lit("!p"), Strength.DEFAULT, "u2")
 
 
-def test_weaker_contrary_entry_is_defeated_in_place():
+def test_conflict_detected_pickles_with_its_clashes_and_its_text():
+    """The clashes are the exception's one argument, so a pickle rebuilds
+    it; its text is built when shown."""
+    ctx = Context()
+    ctx.assert_prop(lit("p"), Strength.LINGUISTIC, "u1")
+    with pytest.raises(ConflictDetected) as raised:
+        ctx.assert_prop(lit("!p"), Strength.LINGUISTIC, "u2")
+    again = pickle.loads(pickle.dumps(raised.value))
+    assert again.clashes == raised.value.clashes == ((L("p", False), L("p")),)
+    assert str(again) == str(raised.value) == (
+        "contradictory literals: ((Literal(atom='p', positive=False), "
+        "Literal(atom='p', positive=True)),)")
+
+
+def test_weaker_contrary_entry_raises_until_the_caller_defeats_it():
+    """The store reports a clash with a strictly weaker contrary and never
+    settles it: the assertion raises before any write, and goes through
+    once the contrary is defeated."""
     ctx = Context()
     ctx.assert_prop(lit("rule_it_out"), Strength.LINGUISTIC, "u1")
     ctx.assert_prop(lit("q"), Strength.LINGUISTIC, "u2")
     ctx.closure()
     old = ctx.assert_prop(lit("weak"), Strength.DEFAULT, "api")
+    before, by_key, counter = full_view(ctx), dict(ctx._by_key), ctx._counter
+    changed, logged = set(ctx._changed), len(ctx._trail)
+    with pytest.raises(ConflictDetected) as raised:
+        ctx.assert_prop(lit("!weak"), Strength.LINGUISTIC, "u3")
+    assert raised.value.clashes == ((L("weak", False), L("weak")),)
+    assert full_view(ctx) == before and ctx._by_key == by_key and ctx._counter == counter
+    assert ctx._changed == changed and len(ctx._trail) == logged
+    assert old.status == LIVE and ctx.lookup(lit("weak")) is old
+    assert ctx.defeat_entry(old.entry_id) == [old.entry_id]
     new = ctx.assert_prop(lit("!weak"), Strength.LINGUISTIC, "u3")
     assert old.status == DEFEATED
     assert new.status == LIVE
@@ -651,6 +678,12 @@ def test_incremental_saturation_matches_from_scratch_reference(steps):
             _, p, strength = step
             got = clashes_of(lambda: ctx.assert_prop(p, strength, source).entry_id)
             assert got == clashes_of(lambda: ref.assert_prop(p, strength, source).entry_id)
+            other = None if got[0] is None else ctx.lookup(got[0][0][1])
+            if other is not None and other.strength < strength:
+                # settled as the defeat phase would: the weaker contrary goes
+                assert ctx.defeat_entry(other.entry_id) == ref.defeat_entry(other.entry_id)
+                assert ctx.assert_prop(p, strength, source).entry_id == \
+                    ref.assert_prop(p, strength, source).entry_id
         elif step[0] == "saturate":
             got = clashes_of(lambda: [e.entry_id for e in ctx.commit(ctx.saturate())])
             want = clashes_of(lambda: [e.entry_id for e in

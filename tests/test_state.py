@@ -1,5 +1,6 @@
 """Acceptance, conflict, defeat/retraction, and support-link behavior."""
 
+import gc
 import heapq
 import random
 import sys
@@ -231,11 +232,75 @@ def test_detect_conflict_trial_that_fails_leaves_the_context_as_it_was(monkeypat
     assert saturation_view(state.context) == saturated
 
 
+def graph_tables(context):
+    """The implication graph's tables and the run, by value."""
+    graph = context._graph
+    return [dict(t) for t in (graph.edges, graph.multis, graph.into, graph.forced,
+                              context._run)]
+
+
+def direct_contrary_state(setup):
+    """A committed context holding ``setup``'s propositions, each said by u0."""
+    state = fresh_state()
+    for text in setup:
+        state.context.assert_prop(P(text), Strength.LINGUISTIC, "u0")
+    state.context.closure()
+    return state
+
+
+@pytest.mark.parametrize("setup, realizes, live, strength", [
+    (("p",), ("!p",), "p", Strength.LINGUISTIC),
+    (("p", "p -> q"), ("!q",), "q", Strength.INFERENCE),  # derived
+    (("p",), ("r -> s", "!p"), "p", Strength.LINGUISTIC),  # a rule is linked first
+], ids=["linguistic", "derived", "after-a-rule"])
+def test_the_trial_finds_a_direct_contrary(setup, realizes, live, strength):
+    """A realized literal whose contrary is live raises in the trial's own
+    assertion: the evidence is that pair against the live half, and the
+    rollback leaves the context, its graph, its run and its changed keys as
+    they were."""
+    state = direct_contrary_state(setup)
+    context = state.context
+    came = P(realizes[-1])
+    assert context.lookup(P(live)).strength is strength
+    before, saturated = trial_view(context), saturation_view(context)
+    tables, changed = graph_tables(context), set(context._changed)
+    fixpoints = []
+    conflict = detect_conflict(state, event("u1", 1, speaker="b", addressee="a",
+                                            realizes=tuple(map(P, realizes))), fixpoints)
+    assert conflict == ConflictEvidence((came, P(live)), CONTRADICTORY_ASSERTION,
+                                        frozenset([live]))
+    assert fixpoints == [] and context._trials == 0
+    assert trial_view(context) == before and saturation_view(context) == saturated
+    assert graph_tables(context) == tables and context._changed == changed
+
+
+@pytest.mark.parametrize("setup, realizes", [
+    (("q", "!r"), ("q -> r",)),  # clashes only once saturated
+    (("p",), ("!p",)),  # a direct contrary
+], ids=["saturated", "direct"])
+def test_a_caught_clash_leaves_no_garbage(setup, realizes):
+    """A clash the trial catches leaves nothing for the cyclic collector:
+    ``detect_conflict`` keeps the clashes and drops the exception, whose
+    traceback holds its frame."""
+    state = direct_contrary_state(setup)
+    clashing = event("u1", 1, speaker="b", addressee="a", realizes=tuple(map(P, realizes)))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert detect_conflict(state, clashing, []) is not None
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_trial_undoes_a_defeat_and_restores_the_run():
     ctx = rollback_state().context
     before, saturated = trial_view(ctx), saturation_view(ctx)
     mark = ctx.trial()
-    ctx.assert_prop(P("!p"), Strength.LINGUISTIC, "u3")  # defeats the weaker p
+    ctx.defeat_entry("u0")  # the weaker p
+    ctx.assert_prop(P("!p"), Strength.LINGUISTIC, "u3")
     assert ctx.lookup(P("p")) is None
     ctx.assert_prop(P("!q"), Strength.LINGUISTIC, "u4")
     ctx.assert_prop(P("!q -> p"), Strength.LINGUISTIC, "u5")
@@ -251,7 +316,8 @@ def test_a_kept_inner_trial_is_undone_with_the_outer_one():
     before, saturated = trial_view(ctx), saturation_view(ctx)
     outer = ctx.trial()
     inner = ctx.trial()
-    ctx.assert_prop(P("!p"), Strength.LINGUISTIC, "u3")  # defeats the weaker p
+    ctx.defeat_entry("u0")  # the weaker p
+    ctx.assert_prop(P("!p"), Strength.LINGUISTIC, "u3")
     ctx.assert_prop(P("q -> s"), Strength.LINGUISTIC, "u4")
     ctx.commit(ctx.saturate())
     ctx.keep(inner)
@@ -310,15 +376,21 @@ trail_steps = st.recursive(
 
 
 def apply_trail_step(ctx, step, sources):
-    """Apply one drawn step; a clashing assertion leaves the context as it
-    was, a clashing saturation is settled by defeating the latest live
-    literal, if any, and the defeat of a rule or of a defeated entry is
-    refused."""
+    """Apply one drawn step.  A clashing assertion is settled as the defeat
+    phase would: a strictly weaker contrary is defeated and the assertion
+    made again, and otherwise the context stays as it was.  A clashing
+    saturation is settled by defeating the latest live literal, if any, and
+    the defeat of a rule or of a defeated entry is refused."""
     if step[0] == "assert":
+        _, p, strength = step
+        source = next(sources)
         try:
-            ctx.assert_prop(step[1], step[2], next(sources))
-        except ConflictDetected:
-            pass
+            ctx.assert_prop(p, strength, source)
+        except ConflictDetected as clash:
+            other = ctx.lookup(clash.clashes[0][1])
+            if other.strength < strength:
+                ctx.defeat_entry(other.entry_id)
+                ctx.assert_prop(p, strength, source)
     elif step[0] == "saturate":
         try:
             fixpoint = ctx.saturate()
@@ -363,10 +435,8 @@ def test_rollback_undoes_every_write_of_a_trial(before_steps, steps):
     ctx, sources = Context(), (f"u{n}" for n in range(10**6))
     for step in before_steps:
         apply_trail_step(ctx, step, sources)
-    graph = ctx._graph
-    tables = (graph.edges, graph.multis, graph.into, graph.forced, ctx._run)
     before, saturated = trial_view(ctx), saturation_outcome(ctx)
-    copies, changed = [dict(t) for t in tables], set(ctx._changed)
+    tables, changed = graph_tables(ctx), set(ctx._changed)
     outer = ctx.trial()
     for step in steps:
         apply_trail_step(ctx, step, sources)
@@ -374,7 +444,7 @@ def test_rollback_undoes_every_write_of_a_trial(before_steps, steps):
     assert ctx._trials == 0
     assert trial_view(ctx) == before
     assert saturation_outcome(ctx) == saturated
-    assert list(tables) == copies and ctx._changed == changed
+    assert graph_tables(ctx) == tables and ctx._changed == changed
     for nid, node in ctx.nodes.items():
         assert all(nid in ctx._dependents.get(dep, ()) for dep in node.dependencies)
 
@@ -630,6 +700,44 @@ def test_record_support_is_idempotent():
     assert list(state.support_between.values()) == [first]
 
 
+def test_record_support_replaces_a_defeated_link():
+    """A defeated link is not handed back: a new one joins the endpoints,
+    takes its place in the index, and the live acceptances of the goal
+    depend on it."""
+    state = fresh_state()
+    seeded(state, "u1", "belief_prop")
+    goal_event = seeded(state, "u2", "goal_prop")
+    first = record_support(state, P("belief_prop"), P("goal_prop"))
+    state.context.defeat_entry(first.link_id)
+    [goal] = _accepted(state, goal_event, "u3")
+    second = record_support(state, P("belief_prop"), P("goal_prop"))
+    assert (first.status, second.status) == (DEFEATED, LIVE)
+    assert second.link_id != first.link_id and state.nodes[second.link_id] is second
+    assert state.support_between == {("belief_prop", "goal_prop"): second}
+    assert second.dependencies == {"u1", "u2"}
+    assert second.link_id in goal.dependencies
+    assert record_support(state, P("belief_prop"), P("goal_prop")) is second
+
+
+#: b puts the support that u5 swept away forward again, after u6 derived
+#: penalty again
+SUPPORT_AGAIN = load_fixture("disputes/dispute_support.dlg") + (
+    "\nid: u7\nturn: 7\nspeaker: b\naddressee: a\ntext: the penalty is why\n"
+    "act: other\nsupports: penalty => take_money\n")
+
+
+def test_a_support_said_again_after_its_link_was_defeated_is_live():
+    engine, _ = replay_transcript(parse(SUPPORT_AGAIN))
+    state = engine.state
+    assert state.nodes["s1"].status == DEFEATED
+    link = state.support_between[("penalty", "take_money")]
+    penalty, goal = state.context.lookup(P("penalty")), state.context.lookup(P("take_money"))
+    assert link.status == LIVE and state.nodes[link.link_id] is link
+    assert link.dependencies == {penalty.entry_id, goal.entry_id}
+    for belief in state.live_acceptances_of({"take_money"}):
+        assert link.link_id in belief.dependencies
+
+
 def test_record_support_unknown_endpoint():
     state = fresh_state()
     seeded(state, "u1", "belief_prop")
@@ -829,7 +937,10 @@ def _accepted(state, prev, trigger):
     return [state.find_acceptance(p, prev.addressee) for p in prev.realizes]
 
 
-def test_assert_prop_defeat_of_a_weaker_contrary_cascades_through_the_graph():
+def test_defeat_of_a_weaker_contrary_cascades_through_the_graph():
+    """A contrary asserted over a weaker derived entry clashes until the
+    defeat phase's call defeats that entry; the defeat cascades through the
+    acceptance beliefs and support links that rest on it."""
     state = fresh_state()
     seeded(state, "u1", "p -> q")
     seeded(state, "u2", "p")
@@ -842,6 +953,11 @@ def test_assert_prop_defeat_of_a_weaker_contrary_cascades_through_the_graph():
     prev = event("u5", 5, realizes=(P("q"),))
     [belief] = _accepted(state, prev, "u6")
     assert q.entry_id in belief.dependencies and link.link_id in goal.dependencies
+    with pytest.raises(ConflictDetected):
+        state.context.assert_prop(P("!q"), Strength.LINGUISTIC, "u7")
+    assert q.status == LIVE
+    against = ConflictEvidence((P("!q"), P("q")), CONTRADICTORY_ASSERTION, frozenset(["q"]))
+    defeat(state, q.entry_id, against)
     state.context.assert_prop(P("!q"), Strength.LINGUISTIC, "u7")
     assert q.status == DEFEATED
     assert (belief.status, link.status, goal.status) == (DEFEATED, DEFEATED, DEFEATED)
