@@ -270,11 +270,12 @@ class Context:
     graph of its rules (``saturation.Graph``), which only grows, as a rule
     once entered is never defeated (``defeat_entry``): a rule's edges join
     when it is inserted and join again at the new strength when it is
-    raised; the run, every literal's item as its committed saturations
-    settled it; and the literal keys whose seeds or in-edges changed since
-    the last commit (literals inserted or raised by an assertion or raised by
-    ``commit``, the keys of defeated literals, the targets of the rules
-    inserted or raised, and the literals whose forced seed changed).
+    raised; the run, each mentioned key's item (``Graph.mentions``) as its
+    committed saturations settled it; and the mentioned literal keys whose
+    seeds or in-edges changed since the last commit (literals inserted or
+    raised by an assertion or raised by ``commit``, the keys of defeated
+    literals, the targets of the rules inserted or raised, and the literals
+    whose forced seed changed).  Any other label is a live entry's seed.
 
     Single-threaded per dialogue by contract; distinct dialogues never share
     a context.  Every write logs one undo record ``(holder, slot, old)``, a
@@ -293,8 +294,8 @@ class Context:
         self._trail: list[tuple] = []  # undo records: (dict, key, old) or (object, name, old)
         self._trials = 0  # open trials
         self._graph = Graph(self._trail)
-        self._run: dict[str, Item] = {}  # key -> settled item, as last committed
-        self._changed: set[str] = set()  # literal keys with new seeds or in-edges since
+        self._run: dict[str, Item] = {}  # mentioned key -> settled item, as last committed
+        self._changed: set[str] = set()  # mentioned keys with new seeds or in-edges since
 
     # -- plumbing ---------------------------------------------------------
 
@@ -303,8 +304,8 @@ class Context:
         clone sees every id, so it allocates the ids this context would; a
         defeat on the clone would reach the shared acceptance beliefs and
         support links.  The clone enters its live entries as an assertion
-        does and has no run, so its first saturation covers every key.  Off
-        the per-event path: the conflict trial runs on the context itself
+        does and has no run, so its first saturation covers every mentioned
+        key.  Off the per-event path: the conflict trial runs on the context itself
         (``trial``)."""
         other = Context()
         other.utterances = self.utterances
@@ -418,9 +419,23 @@ class Context:
         literal's seed, or a rule's edges, which join the graph."""
         p = entry.proposition
         if isinstance(p, Literal):
-            self._changed.add(p.key)
+            self._mark(p.key)
         else:
             self._changed |= self._graph.link(entry.entry_id, entry.strength, entry.order, p)
+
+    def _mark(self, key: str) -> None:
+        if self._graph.mentions(key):  # else no label but its own seed rests on it
+            self._changed.add(key)
+
+    def _label(self, key: str) -> Optional[Item]:
+        """The item of ``key`` as last committed: in the run, else its live
+        entry's seed, else None."""
+        item = self._run.get(key)
+        if item is None:
+            entry = self.lookup_key(key)
+            if entry is not None:
+                return _seed(entry)
+        return item
 
     # -- assertion --------------------------------------------------------
 
@@ -463,8 +478,8 @@ class Context:
         DefeatRejected, naming it, before any write.  A rule, once entered,
         stays in the implication graph: a defeat whose ids hold a rule entry
         raises DefeatRejected, naming them, before any write.  Each literal
-        entry that goes marks its key changed.  Every key whose committed
-        label rested on a defeated entry is reached from those keys (see
+        entry that goes marks its key changed (``_mark``).  Every key whose
+        committed label rested on a defeated entry is reached from those keys (see
         ``saturate``), so the next saturation covers it; defeating only
         beliefs and links changes nothing there."""
         defeated = retract(self.nodes, node_id, self._dependents)
@@ -478,7 +493,7 @@ class Context:
         for nid in defeated:  # each one live: the target, and what retract found
             node = self.nodes[nid]
             if nid in entries:
-                self._changed.add(node.proposition.key)
+                self._mark(node.proposition.key)
             self._set(node, "status", DEFEATED)
         return defeated
 
@@ -508,38 +523,48 @@ class Context:
 
         The saturation covers an area: the keys whose seeds or in-edges
         changed since the last commit, and every key the rule graph leads to
-        from them.  It runs the labelled search on the area only, and merges
-        in the run's items of the keys outside the area with an edge or a
-        rule into it, where a search over every key would pop them
+        from them; with no key changed it is empty at once.  It runs the
+        labelled search on the area only, and merges in the labels
+        (``_label``) of the keys outside the area with an edge or a rule into
+        it, where a search over every key would pop them
         (``saturation.settle``).  No edge leads out of the area, so the other
         keys keep their labels, and the result is exactly the saturation of
         the whole context.  Seeding the changed keys with the stored labels as
         bounds would not be: a label that gains strength can, once capped at
         inference, pass on a greater rank than the label it replaced.
 
+        The run holds the label of every mentioned key (``Graph.mentions``)
+        a commit settled, and every other live literal's label is its seed.
+        Only mentioned keys count as changed, so only they enter the area
+        and the run.  An unmentioned key has no derivation, no forced seed
+        and no edge out; a key gaining an edge in counts as changed.
+
         A label outside the area never rests on a defeated entry.  Only
         literals are defeated, and the graph only grows.  Follow a label's
-        derivation from the last defeated entry in it to the key: that
-        entry's key changed, and every later step is an edge or a rule in the
-        graph.  So the area holds every key whose label rested on a defeated
-        entry, also one whose own entry stays live because its label was a
-        derivation of equal strength and smaller rank.  A forced label
-        changes only with an edge on a chain from its negation to it, and
-        then its key counts as changed.  A fresh context and a clone have no
-        run, and every live entry counted as changed when it entered, so the
-        area is every key the search can reach.  The fixpoint holds labels,
-        not entries: ``commit`` looks up the live entry of each key itself.
+        derivation from the last defeated entry in it to the key: a step
+        after it makes that entry's key mentioned, so changed, and every
+        later step is an edge or a rule in the graph.  So the area holds
+        every key whose label rested on a defeated entry, also one whose own
+        entry stays live because its label was a derivation of equal strength
+        and smaller rank.  A forced label changes only with an edge on a
+        chain from its negation to it, and then its key counts as changed.
+        A fresh context and a clone have no run, and every mentioned key
+        with a live entry or an edge in counted as changed, so the area
+        holds every key whose label is not its seed.  The fixpoint holds
+        labels, not entries: ``commit`` looks up each key's live entry.
 
         Raises ConflictDetected if the fixpoint contains both polarities of
         an atom, listing the clashing literals by atom.
         """
-        graph, run = self._graph, self._run
+        if not self._changed:
+            return Fixpoint([], {})
+        graph, label = self._graph, self._label
         area = forward(graph, self._changed)
         seeds = [_seed(e) for e in map(self.lookup_key, area) if e is not None]
         seeds += [graph.forced[key] for key in area if key in graph.forced]
-        settled = settle(graph, seeds, self._rank, boundary(graph, run, area), area)
-        # the run has no clash, so a clash has a key in the area
-        clashing = clashes(settled, run, area)
+        settled = settle(graph, seeds, self._rank, boundary(graph, label, area), area)
+        # the labels outside the area have no clash, so a clash has a key in it
+        clashing = clashes(settled, label, area)
         if clashing:
             raise ConflictDetected(clashing)
         fresh = [(key, (item[1], item[2])) for key, item in settled.items() if key in area]
@@ -558,12 +583,13 @@ class Context:
         at inference; one resting on the entry's own id starts from that
         seed, which settles the key first and never raises it.
 
-        The context stores the fixpoint's items of its area in the run.  The
-        raised keys become the changed keys of the next saturation, since a
-        raised entry's own seed may now win its label.  An inserted entry's
-        seed ranks after every premise of its derivation, so it never pops
-        first and its key stays unchanged.  Keys outside the fixpoint's area
-        kept their labels, so committing them again would change nothing."""
+        The context stores the fixpoint's items of its area, all mentioned
+        keys, in the run.  The raised keys become the changed keys of the
+        next saturation, since a raised entry's own seed may now win its
+        label.  An inserted entry's seed ranks after every premise of its
+        derivation, so it never pops first and its key stays unchanged.  Keys
+        outside the fixpoint's area kept their labels, so committing them
+        again would change nothing."""
         for key, item in fixpoint.run.items():
             put(self._trail, self._run, key, item)
         self._changed = set()

@@ -51,6 +51,10 @@ class Graph:
     it, for ``boundary``.  ``forced`` maps the key of each forced literal to
     its seed item (``forced_item``).
 
+    A rule mentions a key (``mentions``) when the key is in ``edges``,
+    ``into`` or ``multis``; a forced key is in ``into``, as forcing needs an
+    edge in.
+
     ``link`` adds a rule and returns the keys whose in-edges or forced seed
     changed.  Nothing removes one: a rule, once entered, is never defeated,
     and a raised rule is linked again at its new strength beside its weaker
@@ -81,6 +85,9 @@ class Graph:
             self._add(self.edges, src.key, (dst, rule_id, strength, order))
             self._add(self.into, dst.key, src.key)
         return {dst.key for _, dst in edges} | self._reforce(self._forceable(edges))
+
+    def mentions(self, key: str) -> bool:
+        return key in self.into or key in self.edges or key in self.multis
 
     def _add(self, table: dict, key: str, value) -> None:
         put(self.trail, table, key, table.get(key, ()) + (value,))
@@ -190,25 +197,26 @@ def settle(graph: Graph, seeds: Iterable[Item], rank: Callable[[set[str]], tuple
     return settled
 
 
-def boundary(graph: Graph, run: dict[str, Item], area: set[str]) -> list[Item]:
-    """The items of ``run`` for the keys outside ``area`` with an edge or a
-    rule into it: what ``settle`` merges in."""
+def boundary(graph: Graph, label: Callable[[str], Optional[Item]], area: set[str]) -> list[Item]:
+    """The items (``label``) of the keys outside ``area`` with an edge or a
+    rule into it, what ``settle`` merges in: a ``k`` said before ``k -> m``
+    has its seed."""
     into = graph.into
     keys = {src for key in area for src in into.get(key, ()) if src not in area}
-    return [run[key] for key in keys if key in run]
+    return [item for item in map(label, keys) if item is not None]
 
 
-def clashes(settled: dict[str, Item], run: dict[str, Item],
+def clashes(settled: dict[str, Item], label: Callable[[str], Optional[Item]],
             area: set[str]) -> list[tuple[object, object]]:
     """The (positive, negative) literal pairs settled together, by atom, for
-    every atom of ``area``: ``settled`` holds the area's items and ``run``
-    those of the other keys."""
+    every atom of ``area``: ``settled`` holds the area's items and ``label``
+    gives the others', such as the seed of a ``!c`` no rule mentions."""
     pairs = {}
     for key in area:
         if key in settled:
             lit = settled[key][1]
             neg = contrary(lit)
-            other = settled.get(neg) if neg in area else run.get(neg)
+            other = settled.get(neg) if neg in area else label(neg)
             if other is not None:
                 pairs[lit.atom] = (lit, other[1]) if lit.positive else (other[1], lit)
     return [pairs[atom] for atom in sorted(pairs)]

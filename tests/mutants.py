@@ -93,7 +93,26 @@ MUTANTS = (
     Mutant("defeat-status-unlogged", "commonground/propositions.py",
            "            self._set(node, \"status\", DEFEATED)\n",
            "            setattr(node, \"status\", DEFEATED)\n",
-           ("tests/test_state.py::test_trial_undoes_a_defeat_and_restores_the_run",)),
+           ("tests/test_state.py::test_trial_undoes_a_defeat_and_restores_the_run",
+            "tests/test_state.py::test_rollback_undoes_every_write_of_a_trial")),
+    Mutant("clashes-read-only-the-run", "commonground/propositions.py",
+           "        clashing = clashes(settled, label, area)\n",
+           "        clashing = clashes(settled, self._run.get, area)\n",
+           ("tests/test_state.py::"
+            "test_a_rule_derives_the_contrary_of_a_literal_no_rule_mentioned",)),
+    Mutant("boundary-reads-only-the-run", "commonground/propositions.py",
+           "boundary(graph, label, area)",
+           "boundary(graph, self._run.get, area)",
+           ("tests/test_state.py::"
+            "test_a_rule_over_an_unmentioned_literal_derives_its_consequent",)),
+    Mutant("every-literal-marked", "commonground/propositions.py",
+           "        if isinstance(p, Literal):\n"
+           "            self._mark(p.key)\n",
+           "        if isinstance(p, Literal):\n"
+           "            self._changed.add(p.key)\n",
+           ("tests/test_state.py::test_literals_no_rule_mentions_are_never_searched",
+            "tests/test_propositions.py::"
+            "test_incremental_saturation_matches_from_scratch_reference")),
     Mutant("understanding-takes-max", "commonground/grounding.py",
            "    return min(record.strengths.values())\n",
            "    return max(record.strengths.values())\n",

@@ -7,7 +7,7 @@ import sys
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commonground import (AcceptanceBelief, AcceptanceOutcome, ActType, ConflictDetected,
@@ -295,6 +295,74 @@ def test_a_caught_clash_leaves_no_garbage(setup, realizes):
             gc.enable()
 
 
+def test_a_rule_derives_the_contrary_of_a_literal_no_rule_mentioned():
+    """``!c`` was said while no rule mentioned it, so the run holds no item
+    for it; ``a & b -> c`` has no edge into ``!c``, and the trial still
+    finds the derived ``c`` against the live ``!c``."""
+    state = direct_contrary_state(("!c", "a", "b"))
+    assert state.context._run == {}
+    conflict = detect_conflict(state, event("u1", 1, speaker="b", addressee="a",
+                                            realizes=(P("a & b -> c"),)), [])
+    assert conflict == ConflictEvidence((P("c"), P("!c")), CONTRADICTORY_ASSERTION,
+                                        frozenset(["!c"]))
+
+
+def test_a_rule_over_an_unmentioned_literal_derives_its_consequent():
+    """``k`` was said while no rule mentioned it; the rule ``k -> m`` said
+    later reads ``k``'s label off its entry and derives ``m`` from both."""
+    ctx = direct_contrary_state(("k",)).context
+    assert ctx._run == {}
+    ctx.assert_prop(P("k -> m"), Strength.LINGUISTIC, "u1")
+    derived = ctx.commit(ctx.saturate())
+    assert [(e.proposition, e.strength, e.dependencies) for e in derived] == \
+        [(P("m"), Strength.INFERENCE, {"u0", "u1"})]
+
+
+def test_literals_no_rule_mentions_are_never_searched(monkeypatch):
+    """A dialogue of literals that no rule mentions, with two contradictions
+    and a rejection, never runs the labelled search and leaves the run
+    empty: each literal's label is its entry's seed.  Defeating one of the
+    literals then changes no key either."""
+    calls, settle = [], propositions.settle
+
+    def counted(*args):
+        calls.append(args)
+        return settle(*args)
+
+    monkeypatch.setattr(propositions, "settle", counted)
+    engine = DialogueEngine(fresh_state())
+    dialogue = [dict(realizes=(P("p"),)), dict(realizes=(P("q"), P("!r"))),
+                dict(realizes=(P("!p"),)), dict(act=ActType.AFFIRMATION, text="right"),
+                dict(realizes=(P("s"),)), dict(act=ActType.OTHER, rejects="u4"),
+                dict(realizes=(P("r"),))]
+    conflicts = 0
+    for i, kw in enumerate(dialogue):
+        speaker, addressee = ("a", "b") if i % 2 == 0 else ("b", "a")
+        conflicts += engine.process(event(f"u{i}", i, speaker, addressee, **kw)).conflict \
+            is not None
+    context = engine.state.context
+    assert conflicts == 3
+    assert {e.proposition.key for e in context.live_entries()} == {"p", "q", "!r", "s"}
+    assert calls == [] and context._run == {}
+    assert "u0" in context.defeat_entry("u0")
+    assert context._changed == set()
+
+
+def test_a_rolled_back_rule_leaves_its_literals_unmentioned():
+    """A trial links ``p -> q``, which mentions the said ``p``, and clashes
+    with ``!q``; after the rollback no rule mentions ``p``, so raising it
+    changes no key and the next saturation is empty."""
+    state = direct_contrary_state(("p", "!q"))
+    context = state.context
+    conflict = detect_conflict(state, event("u1", 1, speaker="b", addressee="a",
+                                            realizes=(P("p -> q"),)), [])
+    assert conflict is not None and context._trials == 0
+    assert not any(map(context._graph.mentions, ("p", "!p", "q", "!q")))
+    context.assert_prop(P("p"), Strength.PHYSICAL, "u2")
+    assert context._changed == set()
+    assert context.saturate() == ([], {})
+
+
 def test_trial_undoes_a_defeat_and_restores_the_run():
     ctx = rollback_state().context
     before, saturated = trial_view(ctx), saturation_view(ctx)
@@ -424,13 +492,23 @@ def saturation_outcome(context):
         return clash.clashes
 
 
+#: before the trial p and p -> q derive q (d3); inside it p (u0) is
+#: defeated, with q, which only a logged status write can restore
+DEFEAT_IN_THE_TRIAL = ([("assert", Literal("p"), Strength.DEFAULT),
+                        ("assert", Rule((Literal("p"),), Literal("q")), Strength.LINGUISTIC),
+                        ("saturate",)],
+                       [("defeat", 1), ("saturate",)])
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(trail_steps, max_size=6), st.lists(trail_steps, min_size=1, max_size=6))
+@example(*DEFEAT_IN_THE_TRIAL)
 def test_rollback_undoes_every_write_of_a_trial(before_steps, steps):
     """Writes before a trial, and then inside it assertions, saturations with
     their commits, defeats and nested trials, kept or rolled back: rolling
     the trial back restores the context, its graph and its run, and closes
-    every trial.  The reverse-dependency index only grows, so it still names
+    every trial.  The example defeats a literal inside the trial, which the
+    drawn steps do only now and then.  The reverse-dependency index only grows, so it still names
     every dependency of every node."""
     ctx, sources = Context(), (f"u{n}" for n in range(10**6))
     for step in before_steps:
