@@ -24,7 +24,9 @@ The phases compute values; ``process`` gathers them, with the event, into a
 
 The functions the benchmark's tracer wraps (``bench/run.py``'s span targets)
 are called through their modules' attributes, looked up at each call, never
-inlined here: a traced run must see every call.
+inlined here: a traced run must see every call.  The rule governs calls
+between modules.  ``propositions.Context`` reads its own map of live entries
+directly, so its own reads are not ``lookup_key`` calls.
 """
 
 from __future__ import annotations
@@ -219,13 +221,13 @@ class DialogueEngine:
             asserted.append((p, entry.strength, verdict))
         if not event.realizes:
             return asserted, derived
-        premise = next((p for p in event.realizes if isinstance(p, Literal)), event.realizes[0])
         for entry in state.context.commit(
                 fixpoint if fixpoint is not None else state.context.saturate()):
             roots = sorted(state.context.asserted_roots(entry))
             derived.append((entry.proposition, entry.strength, tuple(roots)))
-            if uid in roots:
-                # from the event's first literal, or else its first proposition
+            if uid in roots:  # from the event's first literal, or else its first proposition
+                premise = next((p for p in event.realizes if isinstance(p, Literal)),
+                               event.realizes[0])
                 link = LicenseLink(premise, entry.proposition, Strength.INFERENCE,
                                    LicenseLink.ORIGIN_INFERENCE, uid)
                 licenses.append(_license_values(

@@ -272,20 +272,20 @@ def classify_iru(event: UtteranceEvent, state: "DiscourseState",
         if (link.origin == LicenseLink.ORIGIN_IMPLICATURE
                 and link.strength < Strength.LINGUISTIC):
             return IRUClass.IMPLICATURE_REINFORCEMENT
-    if any(v.kind == RedundancyVerdict.ENTAILED for v in verdicts):
-        return IRUClass.EXPLICIT_INFERENCE
-    said = [v for v in verdicts if v.kind == RedundancyVerdict.SAID]
-    if said:
-        candidates = set(event.antecedent_ids)
-        for v in said:
-            candidates |= v.antecedents
-        tokens = event.tokens
-        for ant in sorted(candidates):
-            prior = state.events.get(ant)
-            if prior is not None and tokens_match_repeat(tokens, prior.tokens):
-                return IRUClass.REPEAT
-        return IRUClass.PARAPHRASE
-    return IRUClass.NONE
+    candidates = None  # the antecedents of a said proposition, once there is one
+    for v in verdicts:
+        if v.kind == RedundancyVerdict.ENTAILED:
+            return IRUClass.EXPLICIT_INFERENCE
+        if v.kind == RedundancyVerdict.SAID:
+            candidates = (candidates or set(event.antecedent_ids)) | v.antecedents
+    if candidates is None:
+        return IRUClass.NONE
+    tokens = event.tokens
+    for ant in sorted(candidates):
+        prior = state.events.get(ant)
+        if prior is not None and tokens_match_repeat(tokens, prior.tokens):
+            return IRUClass.REPEAT
+    return IRUClass.PARAPHRASE
 
 
 def record_license_evidence(state: "DiscourseState", link: LicenseLink,
@@ -296,7 +296,8 @@ def record_license_evidence(state: "DiscourseState", link: LicenseLink,
     already be in the context (UnknownProposition otherwise)."""
     if state.context.lookup(link.premise) is None:
         raise UnknownProposition(f"license premise {link.premise} not in context")
-    stored = state.license_links.get(link.key)
+    key = link.key  # the stored copy's too
+    stored = state.license_links.get(key)
     if stored is None:
         stored = LicenseLink(link.premise, link.conclusion,
                              max(strength, link.strength), link.origin, link.owner)
@@ -306,7 +307,7 @@ def record_license_evidence(state: "DiscourseState", link: LicenseLink,
     owner = state.records.get(stored.owner)
     if owner is not None:
         owner.raise_to(LICENSE, stored.strength)
-        owner.license_keys.add(stored.key)
+        owner.license_keys.add(key)
     return stored
 
 
@@ -319,9 +320,11 @@ def resolved_antecedents(event: UtteranceEvent, state: "DiscourseState", cls: IR
     ids = set(event.antecedent_ids)
     if cls in (IRUClass.REPEAT, IRUClass.PARAPHRASE, IRUClass.EXPLICIT_INFERENCE):
         for verdict in verdicts:  # a verdict that is not redundant has no antecedents
-            ids |= {a for a in verdict.antecedents if a in state.events}
+            ids |= state.events.keys() & verdict.antecedents
     if cls is IRUClass.IMPLICATURE_REINFORCEMENT:
         ids |= {link.owner for link in links if link.origin == LicenseLink.ORIGIN_IMPLICATURE}
+    if len(ids) < 2:
+        return tuple(ids)
     return tuple(sorted(ids, key=lambda u: state.events[u].turn_index))
 
 

@@ -30,8 +30,7 @@ from .errors import BadPropositionSyntax, ConflictDetected, DefeatRejected
 from .evidence import Strength
 # the status names stay importable from here, as the package does
 from .retraction import DEFEATED, LIVE, add_dependents, retract  # noqa: F401
-from .saturation import Derivation, Fixpoint, Graph, Item, boundary, clashes, contrary, \
-    forward, put, settle
+from .saturation import Fixpoint, Graph, Item, clashes, contrary, forward, put, settle
 
 ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
@@ -260,10 +259,13 @@ class Context:
     dialogue's utterances by id.  Ids are allocated against every node and
     utterance, so no node overwrites or aliases another or an utterance.
     Every index names a proposition by its ``key``, which it carries from
-    construction.  Every node joins through ``add_node``, beliefs and links
-    gain dependencies through ``depend``, and ``commit`` indexes those it
-    gives an entry: so the context keeps the index ``retract`` walks, for
-    each id the nodes whose dependencies may hold it.
+    construction.  ``_live`` maps each key with a live entry to that entry:
+    ``_insert`` and ``defeat_entry`` write it, the context reads it directly,
+    and other modules read it through ``lookup`` and ``lookup_key``.  Every
+    node joins through ``add_node``, beliefs and links gain dependencies
+    through ``depend``, and ``commit`` indexes those it gives an entry: so
+    the context keeps the index ``retract`` walks, for each id the nodes
+    whose dependencies may hold it.
 
     For saturation the context also keeps three things, each written only
     where an assertion, a defeat or a commit changes it: the implication
@@ -288,7 +290,7 @@ class Context:
         self.nodes: dict[str, object] = {}
         self.entries: dict[str, ContextEntry] = {}
         self.utterances: dict[str, object] = {}
-        self._by_key: dict[str, str] = {}  # proposition key -> latest entry id
+        self._live: dict[str, ContextEntry] = {}  # proposition key -> its live entry
         self._dependents: dict[str, set[str]] = {}  # id -> nodes that may depend on it
         self._counter = 0
         self._trail: list[tuple] = []  # undo records: (dict, key, old) or (object, name, old)
@@ -310,7 +312,6 @@ class Context:
         other = Context()
         other.utterances = self.utterances
         other._counter = self._counter
-        other._by_key.update(self._by_key)
         other.nodes.update(self.nodes)
         other._dependents = {nid: set(ids) for nid, ids in self._dependents.items()}
         for eid, e in self.entries.items():
@@ -318,6 +319,7 @@ class Context:
                 e.entry_id, e.proposition, e.strength, e.sources, set(e.dependencies),
                 e.status, e.order)
             if entry.status == LIVE:
+                other._live[entry.proposition.key] = entry
                 other._enter(entry)
         return other
 
@@ -367,14 +369,10 @@ class Context:
         return [e for e in self.entries.values() if e.status == LIVE]
 
     def lookup(self, p: Proposition) -> Optional[ContextEntry]:
-        return self.lookup_key(p.key)
+        return self._live.get(p.key)
 
     def lookup_key(self, key: str) -> Optional[ContextEntry]:
-        eid = self._by_key.get(key)
-        if eid is None:
-            return None
-        entry = self.entries[eid]
-        return entry if entry.status == LIVE else None
+        return self._live.get(key)
 
     def fresh_id(self, prefix: str, n: int) -> str:
         """The first of ``<prefix><n>``, ``<prefix><n+1>``, ... that names no
@@ -411,7 +409,7 @@ class Context:
         entry = ContextEntry(eid, p, strength, sources, dependencies, LIVE, self._counter)
         put(self._trail, self.entries, eid, entry)
         self.add_node(eid, entry)
-        put(self._trail, self._by_key, p.key, eid)
+        put(self._trail, self._live, p.key, entry)
         return entry
 
     def _enter(self, entry: ContextEntry) -> None:
@@ -432,7 +430,7 @@ class Context:
         entry's seed, else None."""
         item = self._run.get(key)
         if item is None:
-            entry = self.lookup_key(key)
+            entry = self._live.get(key)
             if entry is not None:
                 return _seed(entry)
         return item
@@ -448,7 +446,7 @@ class Context:
         reports a clash and never settles it, as defeats belong to the
         caller (``acceptance.defeat``).
         """
-        existing = self.lookup_key(p.key)
+        existing = self._live.get(p.key)
         if existing is not None:
             if source not in existing.sources:
                 self._set(existing, "sources", existing.sources + (source,))
@@ -461,7 +459,7 @@ class Context:
                 self._enter(existing)
             return existing
         if isinstance(p, Literal):
-            other = self.lookup_key(contrary(p))
+            other = self._live.get(contrary(p))
             if other is not None:
                 raise ConflictDetected([(p, other.proposition)])
         entry = self._insert(p, strength, (source,), set())
@@ -478,10 +476,11 @@ class Context:
         DefeatRejected, naming it, before any write.  A rule, once entered,
         stays in the implication graph: a defeat whose ids hold a rule entry
         raises DefeatRejected, naming them, before any write.  Each literal
-        entry that goes marks its key changed (``_mark``).  Every key whose
-        committed label rested on a defeated entry is reached from those keys (see
-        ``saturate``), so the next saturation covers it; defeating only
-        beliefs and links changes nothing there."""
+        entry that goes leaves ``_live`` and marks its key changed
+        (``_mark``).  Every key whose committed label rested on a defeated
+        entry is reached from those keys (see ``saturate``), so the next
+        saturation covers it; defeating only beliefs and links changes
+        nothing there."""
         defeated = retract(self.nodes, node_id, self._dependents)
         if self.nodes[node_id].status != LIVE:
             raise DefeatRejected(f"already defeated: {node_id}")
@@ -493,6 +492,7 @@ class Context:
         for nid in defeated:  # each one live: the target, and what retract found
             node = self.nodes[nid]
             if nid in entries:
+                put(self._trail, self._live, node.proposition.key, None)
                 self._mark(node.proposition.key)
             self._set(node, "status", DEFEATED)
         return defeated
@@ -523,15 +523,18 @@ class Context:
 
         The saturation covers an area: the keys whose seeds or in-edges
         changed since the last commit, and every key the rule graph leads to
-        from them; with no key changed it is empty at once.  It runs the
-        labelled search on the area only, and merges in the labels
-        (``_label``) of the keys outside the area with an edge or a rule into
-        it, where a search over every key would pop them
-        (``saturation.settle``).  No edge leads out of the area, so the other
-        keys keep their labels, and the result is exactly the saturation of
-        the whole context.  Seeding the changed keys with the stored labels as
-        bounds would not be: a label that gains strength can, once capped at
-        inference, pass on a greater rank than the label it replaced.
+        from them; with no key changed it is empty at once.  One walk of the
+        area collects the search's items: the seeds of its live entries, its
+        forced seeds, and the labels (``_label``) of the keys outside the
+        area with an edge or a rule into it, which the search merges in where
+        a search over every key would pop them (``saturation.settle``).  No
+        edge leads out of the area, so the other keys keep their labels, and
+        the result is exactly the saturation of the whole context.  Seeding
+        the changed keys with the stored labels as bounds would not be: a
+        label that gains strength can, once capped at inference, pass on a
+        greater rank than the label it replaced.  Labels of equal strength
+        and rank commit in the order the search pops them, which is key
+        order.
 
         The run holds the label of every mentioned key (``Graph.mentions``)
         a commit settled, and every other live literal's label is its seed.
@@ -558,18 +561,33 @@ class Context:
         """
         if not self._changed:
             return Fixpoint([], {})
-        graph, label = self._graph, self._label
+        graph, live, label = self._graph, self._live, self._label
         area = forward(graph, self._changed)
-        seeds = [_seed(e) for e in map(self.lookup_key, area) if e is not None]
-        seeds += [graph.forced[key] for key in area if key in graph.forced]
-        settled = settle(graph, seeds, self._rank, boundary(graph, label, area), area)
+        items, sources = [], set()
+        for key in area:
+            entry = live.get(key)
+            if entry is not None:
+                items.append(_seed(entry))
+            if key in graph.forced:
+                items.append(graph.forced[key])
+            sources.update(graph.into.get(key, ()))
+        for key in sources - area:  # a k said before k -> m has its seed
+            item = label(key)
+            if item is not None:
+                items.append(item)
+        settled = settle(graph, items, self._rank, area)
         # the labels outside the area have no clash, so a clash has a key in it
         clashing = clashes(settled, label, area)
         if clashing:
             raise ConflictDetected(clashing)
-        fresh = [(key, (item[1], item[2])) for key, item in settled.items() if key in area]
-        fresh.sort(key=lambda kv: kv[1][1].rank[::-1])
-        return Fixpoint(fresh, {key: settled.get(key) for key in area})
+        run, fresh = dict.fromkeys(area), []
+        for key, item in settled.items():  # in pop order, which orders equal ranks
+            if key in run:
+                run[key] = item
+                fresh.append((key, (item[1], item[2])))
+        if len(fresh) > 1:  # by rank, earliest premise first
+            fresh.sort(key=lambda kv: kv[1][1][2][::-1])
+        return Fixpoint(fresh, run)
 
     def commit(self, fixpoint: Fixpoint) -> list[ContextEntry]:
         """Apply a fixpoint from ``saturate``: raise the live entry of each
@@ -594,14 +612,14 @@ class Context:
             put(self._trail, self._run, key, item)
         self._changed = set()
         inserted = []
-        for key, (lit, deriv) in fixpoint.settled:
-            existing = self.lookup_key(key)
+        for key, (lit, (strength, deps, _)) in fixpoint.settled:
+            existing = self._live.get(key)
             if existing is None:
-                inserted.append(self._insert(lit, deriv.strength, (), set(deriv.deps)))
-            elif deriv.strength > existing.strength:
-                self._set(existing, "strength", deriv.strength)
-                self._set(existing, "dependencies", set(deriv.deps))
-                add_dependents(self._dependents, existing.entry_id, deriv.deps)
+                inserted.append(self._insert(lit, strength, (), set(deps)))
+            elif strength > existing.strength:
+                self._set(existing, "strength", strength)
+                self._set(existing, "dependencies", set(deps))
+                add_dependents(self._dependents, existing.entry_id, deps)
                 self._changed.add(key)
         return inserted
 
@@ -649,4 +667,4 @@ class Context:
 def _seed(entry: ContextEntry) -> Item:
     """The saturation's seed item for a live literal entry."""
     return ((-entry.strength, (entry.order,), entry.proposition.key), entry.proposition,
-            Derivation(entry.strength, frozenset([entry.entry_id]), (entry.order,)))
+            (entry.strength, frozenset((entry.entry_id,)), (entry.order,)))

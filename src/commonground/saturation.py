@@ -1,6 +1,6 @@
 """The labelled search that saturates a context's literals.
 
-A literal settles with a ``Derivation``: its strength (MIN over its
+A literal settles with a label (``Derivation``): its strength (MIN over its
 premises, derived content capped at inference), its premises, and their
 insertion orders, latest first, which break ties in favour of the smaller
 such tuple.  Adding a premise or taking a union never makes that tuple
@@ -11,7 +11,8 @@ index them by the ``key`` each literal carries (``p``, ``!p``); ``contrary``
 gives the key of a literal's negation without building it.  ``settle``
 covers an area of the keys and merges in the recorded items of the keys
 outside it that lead into it.
-``propositions.Context`` keeps the state and decides what changed.
+``propositions.Context`` keeps the state, decides what changed and collects
+the items a search starts from.
 """
 
 from __future__ import annotations
@@ -21,23 +22,21 @@ from typing import Callable, Iterable, NamedTuple, Optional
 
 from .evidence import DERIVED_CAP, Strength
 
+#: a literal's label, a plain tuple: (strength, the ids of its premises, rank),
+#: where the rank holds the premises' insertion orders, latest first, and the
+#: smaller rank wins ties.  A plain tuple costs a tenth of a ``NamedTuple``
+#: call to build, and the search builds one per push.
+Derivation = tuple[Strength, frozenset[str], tuple[int, ...]]
 
-class Derivation(NamedTuple):
-    """Best-known derivation label for a literal during saturation."""
-
-    strength: Strength
-    deps: frozenset[str]
-    rank: tuple[int, ...]  # insertion orders of deps, latest first; the smaller rank wins ties
-
-
-#: one labelled item: ((-strength, rank, literal.key), literal, derivation).
+#: one labelled item: ((-strength, rank, literal.key), literal, label).
 #: Heap order is a total order on the items that can differ.
 Item = tuple[tuple[int, tuple[int, ...], str], object, Derivation]
 
 #: an edge of the graph: (target, rule id, rule strength, rule order)
 Edge = tuple[object, str, Strength, int]
-#: a multi-antecedent rule: (antecedents, consequent, rule id, rule strength)
-Multi = tuple[tuple[object, ...], object, str, Strength]
+#: a multi-antecedent rule: (consequent, antecedents, rule id, rule strength);
+#: an edge and a rule both hold their target first
+Multi = tuple[object, tuple[object, ...], str, Strength]
 
 
 class Graph:
@@ -48,8 +47,8 @@ class Graph:
     is an edge exactly when u -> v is.  ``multis`` maps each antecedent's key
     of a multi-antecedent rule to the rule.  ``into`` maps a key to the source
     key of every edge into it and every antecedent of a rule that concludes
-    it, for ``boundary``.  ``forced`` maps the key of each forced literal to
-    its seed item (``forced_item``).
+    it, for the keys a saturation merges in.  ``forced`` maps the key of
+    each forced literal to its seed item (``forced_item``).
 
     A rule mentions a key (``mentions``) when the key is in ``edges``,
     ``into`` or ``multis``; a forced key is in ``into``, as forcing needs an
@@ -60,8 +59,8 @@ class Graph:
     and a raised rule is linked again at its new strength beside its weaker
     copies, which have the same id and order and so never give a stronger
     label.  Each write replaces the value under one key and logs the old
-    value (``put``) on ``trail``, the undo trail of the context that owns
-    the graph.
+    value, as ``put`` does, on ``trail``, the undo trail of the context that
+    owns the graph.
     """
 
     def __init__(self, trail: list):
@@ -73,47 +72,50 @@ class Graph:
 
     def link(self, rule_id: str, strength: Strength, order: int, rule) -> set[str]:
         """Add a rule or biconditional: its ``edges``, or, for a rule with
-        none, its multi-antecedent form."""
-        edges = rule.edges
-        if not edges:
+        none, its multi-antecedent form.  Each write appends one value to the
+        tuple under a key of a table."""
+        edges, writes, changed = rule.edges, [], set()
+        if edges:
+            for src, dst in edges:
+                writes += ((self.edges, src.key, (dst, rule_id, strength, order)),
+                           (self.into, dst.key, src.key))
+                changed.add(dst.key)
+        else:
             ants, dst = rule.antecedents, rule.consequent
             for a in ants:
-                self._add(self.multis, a.key, (ants, dst, rule_id, strength))
-                self._add(self.into, dst.key, a.key)
-            return {dst.key}
-        for src, dst in edges:
-            self._add(self.edges, src.key, (dst, rule_id, strength, order))
-            self._add(self.into, dst.key, src.key)
-        return {dst.key for _, dst in edges} | self._reforce(self._forceable(edges))
+                writes += ((self.multis, a.key, (dst, ants, rule_id, strength)),
+                           (self.into, dst.key, a.key))
+            changed.add(dst.key)
+        trail = self.trail
+        for table, key, value in writes:
+            old = table.get(key)
+            trail.append((table, key, old))
+            table[key] = (value,) if old is None else old + (value,)
+        if edges:
+            changed |= self._reforce(edges)
+        return changed
 
     def mentions(self, key: str) -> bool:
         return key in self.into or key in self.edges or key in self.multis
 
-    def _add(self, table: dict, key: str, value) -> None:
-        put(self.trail, table, key, table.get(key, ()) + (value,))
-
-    def _forceable(self, edges: tuple[tuple[object, object], ...]) -> dict[str, object]:
-        """The literals an edge u -> v or its contrapositive !v -> !u can
-        force: every L with !L reaching u and v reaching L.  The graph holds
-        each edge's contrapositive, so !L reaches u exactly when !u reaches
-        L, and the contrapositive gives the same literals.  ``edges`` holds
-        edges and then, in the same order, their contrapositives, as a
-        rule's ``edges`` do."""
+    def _reforce(self, edges: tuple[tuple[object, object], ...]) -> set[str]:
+        """Search again the forced seed of each literal an edge u -> v or its
+        contrapositive !v -> !u can force, and return the keys whose seed
+        changed.  Those literals are every L with !L reaching u and v
+        reaching L.  The graph holds each edge's contrapositive, so !L
+        reaches u exactly when !u reaches L, and the contrapositive gives the
+        same literals.  ``edges`` holds edges and then, in the same order,
+        their contrapositives, as a rule's ``edges`` do."""
         half = len(edges) // 2
-        found: dict[str, object] = {}
+        changed = set()
         for (_, dst), (_, negated_src) in zip(edges[:half], edges[half:]):
             back = _reach(self.edges, negated_src)
-            found.update((key, lit) for key, lit in _reach(self.edges, dst).items()
-                         if key in back)
-        return found
-
-    def _reforce(self, candidates: dict[str, object]) -> set[str]:
-        changed = set()
-        for key, lit in candidates.items():
-            item = forced_item(self.edges, lit)
-            if item != self.forced.get(key):
-                put(self.trail, self.forced, key, item)
-                changed.add(key)
+            for key, lit in _reach(self.edges, dst).items():
+                if key in back:  # a key both edges reach is searched again, to the same seed
+                    item = forced_item(self.edges, lit)
+                    if item != self.forced.get(key):
+                        put(self.trail, self.forced, key, item)
+                        changed.add(key)
         return changed
 
 
@@ -132,36 +134,37 @@ class Fixpoint(NamedTuple):
     """A settled saturation of one context, ready for ``Context.commit``.
 
     ``settled`` holds every literal the saturation settled in its area as
-    (key, (literal, winning derivation)), in commit order: earliest premises
-    first.  ``commit`` looks up the live entry of each key itself.  ``run``
-    maps every key of the area to its settled item, or to None when it no
-    longer settles; the context stores them once it commits.
+    (key, (literal, winning label)), in commit order: earliest premises
+    first, and equal ranks in the search's pop order.  ``commit`` looks up
+    the live entry of each key itself.  ``run`` maps every key of the area
+    to its settled item, or to None when it no longer settles; the context
+    stores them once it commits.
     """
 
     settled: list[tuple[str, tuple[object, Derivation]]]
     run: dict[str, Optional[Item]]
 
 
-def settle(graph: Graph, seeds: Iterable[Item], rank: Callable[[set[str]], tuple[int, ...]],
-           recorded: Iterable[Item], area: set[str]) -> dict[str, Item]:
-    """Settle every literal of ``area`` the seeds and ``recorded`` reach,
-    strongest first, then smallest rank; returns the settled items by key,
-    with the recorded ones.  ``rank`` gives the insertion orders of a set of
-    entry ids, latest first.
+def settle(graph: Graph, items: Iterable[Item], rank: Callable[[set[str]], tuple[int, ...]],
+           area: set[str]) -> dict[str, Item]:
+    """Settle every literal of ``area`` that ``items`` reach, strongest
+    first, then smallest rank; returns the settled items by key, with the
+    recorded ones.  ``rank`` gives the insertion orders of a set of entry
+    ids, latest first.
 
-    ``area`` is a set of keys closed under ``graph``, and the seeds are
-    those of the area.  ``recorded`` holds the settled items (from an earlier
-    search) of the keys outside the area that have an edge or a rule into it.
-    No edge leads out of the area, so those keys keep their items, and the
-    search pops each one from the same heap as its own items.  That is where
-    a search over every key pops it: the (strength, rank) part of a heap key
+    ``area`` is a set of keys closed under ``graph``.  ``items`` holds the
+    seeds of the area and the recorded items (from an earlier search) of
+    the keys outside the area that have an edge or a rule into it.  No edge
+    leads out of the area, so those keys keep their items, and the search
+    pops each one from the same heap as its own items.  That is where a
+    search over every key pops it: the (strength, rank) part of a heap key
     never falls along an edge or a rule, and stays equal only when a step
     reuses a rule already in the derivation.
     """
     edges, multis = graph.edges, graph.multis
     push, pop = heapq.heappush, heapq.heappop
     heap: list[Item] = []
-    for item in (*seeds, *recorded):
+    for item in items:
         push(heap, item)
     settled: dict[str, Item] = {}
     while heap:
@@ -170,40 +173,31 @@ def settle(graph: Graph, seeds: Iterable[Item], rank: Callable[[set[str]], tuple
         if key in settled:
             continue
         settled[key] = item
-        deriv = item[2]
+        strength, deps, order = item[2]
         for dst, rule_id, rule_strength, rule_order in edges.get(key, ()):
             dst_key = dst.key
             if dst_key in settled or dst_key not in area:
                 continue
-            strength = min(deriv.strength, rule_strength, DERIVED_CAP)
-            if rule_id in deriv.deps:
-                deps, order = deriv.deps, deriv.rank
+            weakest = min(strength, rule_strength, DERIVED_CAP)
+            if rule_id in deps:
+                joined, ranked = deps, order
             else:
-                deps, order = deriv.deps | {rule_id}, _with_order(deriv.rank, rule_order)
-            push(heap, ((-strength, order, dst_key), dst, Derivation(strength, deps, order)))
-        for ants, dst, rule_id, rule_strength in multis.get(key, ()):
+                joined, ranked = deps | {rule_id}, _with_order(order, rule_order)
+            push(heap, ((-weakest, ranked, dst_key), dst, (weakest, joined, ranked)))
+        for dst, ants, rule_id, rule_strength in multis.get(key, ()):
             dst_key = dst.key
             if dst_key in settled or dst_key not in area:
                 continue
             premises = [settled.get(a.key) for a in ants]
             if None not in premises:
-                strength = min(min(p[2].strength for p in premises), rule_strength, DERIVED_CAP)
-                deps = {rule_id}
+                weakest = min(min(p[2][0] for p in premises), rule_strength, DERIVED_CAP)
+                joined = {rule_id}
                 for p in premises:
-                    deps |= p[2].deps
-                order = rank(deps)
-                push(heap, ((-strength, order, dst_key), dst,
-                            Derivation(strength, frozenset(deps), order)))
+                    joined |= p[2][1]
+                ranked = rank(joined)
+                push(heap, ((-weakest, ranked, dst_key), dst,
+                            (weakest, frozenset(joined), ranked)))
     return settled
-
-
-def boundary(graph: Graph, label: Callable[[str], Optional[Item]], area: set[str]) -> list[Item]:
-    """The items (``label``) of the keys outside ``area`` with an edge or a
-    rule into it, what ``settle`` merges in: a ``k`` said before ``k -> m``
-    has its seed."""
-    into = graph.into
-    keys = {src for key in area for src in into.get(key, ()) if src not in area}
-    return [item for item in map(label, keys) if item is not None]
 
 
 def clashes(settled: dict[str, Item], label: Callable[[str], Optional[Item]],
@@ -230,16 +224,15 @@ def contrary(lit) -> str:
 def forward(graph: Graph, keys: Iterable[str]) -> set[str]:
     """``keys`` plus every key reachable from them along the edges and
     through multi-antecedent rules (any antecedent reaches the consequent)."""
+    edges, multis = graph.edges, graph.multis
     area = set(keys)
     stack = list(area)
     while stack:
         key = stack.pop()
-        targets = [edge[0] for edge in graph.edges.get(key, ())]
-        targets += [rule[1] for rule in graph.multis.get(key, ())]
-        for dst in targets:
-            if dst.key not in area:
-                area.add(dst.key)
-                stack.append(dst.key)
+        for step in edges.get(key, ()) + multis.get(key, ()):  # each holds its target first
+            if step[0].key not in area:
+                area.add(step[0].key)
+                stack.append(step[0].key)
     return area
 
 
@@ -254,8 +247,8 @@ def forced_item(edges: dict[str, tuple[Edge, ...]], lit) -> Optional[Item]:
     key, start = lit.key, contrary(lit)
     best: dict[str, Derivation] = {}
     heap: list[tuple[tuple[int, tuple[int, ...], str], str, Derivation]] = []
-    seed = Derivation(Strength.PHYSICAL, frozenset(), ())
-    heapq.heappush(heap, ((-seed.strength, (), start), start, seed))
+    heapq.heappush(heap, ((-Strength.PHYSICAL, (), start), start,
+                          (Strength.PHYSICAL, frozenset(), ())))
     while heap:
         _, node, deriv = heapq.heappop(heap)
         if node in best:
@@ -263,21 +256,22 @@ def forced_item(edges: dict[str, tuple[Edge, ...]], lit) -> Optional[Item]:
         best[node] = deriv
         if node == key:
             break
+        strength, deps, rank = deriv
         for dst, rule_id, rule_strength, rule_order in edges.get(node, ()):
             dk = dst.key
             if dk in best:
                 continue
-            if rule_id in deriv.deps:
-                deps, rank = deriv.deps, deriv.rank
+            if rule_id in deps:
+                joined, ranked = deps, rank
             else:
-                deps, rank = deriv.deps | {rule_id}, _with_order(deriv.rank, rule_order)
-            cand = Derivation(min(deriv.strength, rule_strength), deps, rank)
-            heapq.heappush(heap, ((-cand.strength, cand.rank, dk), dk, cand))
-    if key not in best or not best[key].deps:
+                joined, ranked = deps | {rule_id}, _with_order(rank, rule_order)
+            weakest = min(strength, rule_strength)
+            heapq.heappush(heap, ((-weakest, ranked, dk), dk, (weakest, joined, ranked)))
+    if key not in best or not best[key][1]:
         return None
-    d = best[key]
-    strength = min(d.strength, DERIVED_CAP)
-    return (-strength, d.rank, key), lit, Derivation(strength, d.deps, d.rank)
+    strength, deps, rank = best[key]
+    strength = min(strength, DERIVED_CAP)
+    return (-strength, rank, key), lit, (strength, deps, rank)
 
 
 def _reach(edges: dict[str, tuple[Edge, ...]], start) -> dict[str, object]:

@@ -77,7 +77,9 @@ class DiscourseState:
     def links_concluding(self, props: Iterable[Proposition]) -> list[LicenseLink]:
         """The stored license links that conclude one of ``props``, in the
         order ``add_license_link`` stored them."""
-        found = {order: link for p in props for order, link in self._links_to.get(p.key, ())}
+        found: dict[int, LicenseLink] = {}
+        for p in props:
+            found.update(self._links_to.get(p.key, ()))
         return [found[order] for order in sorted(found)] if found else []
 
     def add_acceptance(self, belief: AcceptanceBelief) -> None:

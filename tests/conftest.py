@@ -23,6 +23,19 @@ def load_fixture(name: str) -> str:
     return (FIXTURES / name).read_text(encoding="utf-8")
 
 
+def live_ids(context):
+    """``context``'s map of live entries, as the id of each key's entry."""
+    return {key: entry.entry_id for key, entry in context._live.items()}
+
+
+def check_live_map(context):
+    """``_live`` maps the key of each live entry to that entry, and holds
+    nothing else."""
+    live = {e.proposition.key: e for e in context.live_entries()}
+    assert context._live.keys() == live.keys()
+    assert all(context._live[key] is entry for key, entry in live.items())
+
+
 def latest_live_literal(context):
     """The id of ``context``'s live literal entry inserted last, or None if
     none is live: what the property tests defeat to settle a clash."""

@@ -101,10 +101,28 @@ MUTANTS = (
            ("tests/test_state.py::"
             "test_a_rule_derives_the_contrary_of_a_literal_no_rule_mentioned",)),
     Mutant("boundary-reads-only-the-run", "commonground/propositions.py",
-           "boundary(graph, label, area)",
-           "boundary(graph, self._run.get, area)",
+           "            item = label(key)\n",
+           "            item = self._run.get(key)\n",
            ("tests/test_state.py::"
             "test_a_rule_over_an_unmentioned_literal_derives_its_consequent",)),
+    Mutant("defeat-leaves-key-live", "commonground/propositions.py",
+           "                put(self._trail, self._live, node.proposition.key, None)\n",
+           "",
+           ("tests/test_state.py::test_trial_undoes_a_defeat_and_restores_the_run",
+            "tests/test_state.py::test_rollback_undoes_every_write_of_a_trial",
+            "tests/test_propositions.py::"
+            "test_weaker_contrary_entry_raises_until_the_caller_defeats_it")),
+    Mutant("live-map-unlogged", "commonground/propositions.py",
+           "        put(self._trail, self._live, p.key, entry)\n",
+           "        self._live[p.key] = entry\n",
+           ("tests/test_state.py::test_detect_conflict_trial_leaves_the_context_as_it_was",
+            "tests/test_state.py::test_a_kept_inner_trial_is_undone_with_the_outer_one")),
+    Mutant("settled-in-area-order", "commonground/propositions.py",
+           "        for key, item in settled.items():  # in pop order, which orders equal ranks\n",
+           "        for key, item in [(key, settled[key]) for key in area if key in settled]:\n",
+           ("tests/test_propositions.py::test_equal_labels_commit_in_pop_order",
+            "tests/test_propositions.py::"
+            "test_incremental_saturation_matches_from_scratch_reference")),
     Mutant("every-literal-marked", "commonground/propositions.py",
            "        if isinstance(p, Literal):\n"
            "            self._mark(p.key)\n",

@@ -7,16 +7,26 @@ must give the same labels, commit order and clash lists.  The reachability
 pre-test of the forced-literal search is left out: it skips only searches
 that find nothing.  Keys are rebuilt from the surface text
 (``reference_key``), independently of the key each proposition carries.
+Its labels are ``Derivation`` records, which equal the plain
+(strength, deps, rank) tuples of ``commonground.saturation``.
 """
 
 import heapq
+from typing import NamedTuple
 
 from commonground import Biconditional, ConflictDetected, Literal, Rule, Strength
 from commonground.evidence import DERIVED_CAP
 from commonground.retraction import add_dependents
-from commonground.saturation import Derivation
 
 L = Literal
+
+
+class Derivation(NamedTuple):
+    """A label of the reference search, with its fields named."""
+
+    strength: Strength
+    deps: frozenset[str]
+    rank: tuple[int, ...]  # insertion orders of deps, latest first; the smaller rank wins ties
 
 
 def reference_key(p):

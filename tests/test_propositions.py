@@ -10,9 +10,10 @@ from commonground import (BadPropositionSyntax, Biconditional, ConflictDetected,
                           DefeatRejected, Literal, RedundancyVerdict, Rule, Strength,
                           parse_proposition)
 from commonground.propositions import DEFEATED, LIVE, retract
-from commonground.saturation import Derivation, _with_order
-from conftest import latest_live_literal
-from saturation_reference import reference_commit, reference_key, reference_saturate
+from commonground.saturation import _with_order
+from conftest import check_live_map, latest_live_literal, live_ids
+from saturation_reference import Derivation, reference_commit, reference_key, \
+    reference_saturate
 from truthtable import literal_consequences
 
 L = Literal
@@ -189,12 +190,12 @@ def test_weaker_contrary_entry_raises_until_the_caller_defeats_it():
     ctx.assert_prop(lit("q"), Strength.LINGUISTIC, "u2")
     ctx.closure()
     old = ctx.assert_prop(lit("weak"), Strength.DEFAULT, "api")
-    before, by_key, counter = full_view(ctx), dict(ctx._by_key), ctx._counter
+    before, live, counter = full_view(ctx), live_ids(ctx), ctx._counter
     changed, logged = set(ctx._changed), len(ctx._trail)
     with pytest.raises(ConflictDetected) as raised:
         ctx.assert_prop(lit("!weak"), Strength.LINGUISTIC, "u3")
     assert raised.value.clashes == ((L("weak", False), L("weak")),)
-    assert full_view(ctx) == before and ctx._by_key == by_key and ctx._counter == counter
+    assert full_view(ctx) == before and live_ids(ctx) == live and ctx._counter == counter
     assert ctx._changed == changed and len(ctx._trail) == logged
     assert old.status == LIVE and ctx.lookup(lit("weak")) is old
     assert ctx.defeat_entry(old.entry_id) == [old.entry_id]
@@ -619,10 +620,39 @@ LABEL_OF_AN_UNRAISED_ENTRY = [("assert", lit("x -> b"), Strength.LINGUISTIC),
                               ("assert", lit("b -> t"), Strength.LINGUISTIC), ("saturate",),
                               ("assert", lit("c -> t"), Strength.LINGUISTIC), ("saturate",)]
 
+#: rules alone force !a ... !f, each through every rule, so all six settle
+#: with one strength and one rank: they commit, and take their ids, in the
+#: search's pop order, which is key order, whatever order the area's set
+#: holds them in
+EQUAL_RANKS = [("assert", lit(text), Strength.LINGUISTIC)
+               for text in ("a <-> b", "b <-> c", "c <-> d", "d <-> e", "e <-> f", "a -> !f")] \
+    + [("saturate",)]
+
+#: rules alone force !b and d with one strength and one rank
+EQUAL_RANKS_IN_AN_EVENT = [("assert", lit("b -> d"), Strength.HYPOTHESIS),
+                           ("event", [lit("b <-> !d")])]
+
 
 #: distinct insertion orders, each flagged as in a subset of them or not
 flagged_orders = st.lists(st.tuples(st.integers(0, 10**6), st.booleans()), min_size=1,
                           unique_by=lambda t: t[0])
+
+
+def test_equal_labels_commit_in_pop_order():
+    """Six literals settle in one saturation with one strength and one rank
+    (``EQUAL_RANKS``).  The fixpoint lists them, and ``commit`` inserts them
+    and gives them ids, in the order the search pops them: by key."""
+    ctx = Context()
+    for n, (_, p, strength) in enumerate(EQUAL_RANKS[:-1]):
+        ctx.assert_prop(p, strength, f"u{n}")
+    fixpoint = ctx.saturate()
+    assert len({label for _, (_, label) in fixpoint.settled}) == 1
+    inserted = ctx.commit(fixpoint)
+    keys = ["!a", "!b", "!c", "!d", "!e", "!f"]
+    assert [key for key, _ in fixpoint.settled] == keys
+    assert [e.proposition.key for e in inserted] == keys
+    assert [e.entry_id for e in inserted] == ["d7", "d9", "d11", "d13", "d15", "d17"]
+    assert [e.order for e in inserted] == [8, 10, 12, 14, 16, 18]
 
 
 @given(flagged_orders)
@@ -674,6 +704,8 @@ def clashes_of(run):
 @example(RAISED_RULE_JOINS_AGAIN)
 @example(MERGED_IN_POP_ORDER)
 @example(LABEL_OF_AN_UNRAISED_ENTRY)
+@example(EQUAL_RANKS)
+@example(EQUAL_RANKS_IN_AN_EVENT)
 def test_incremental_saturation_matches_from_scratch_reference(steps):
     """Random assert / saturate+commit / trial event / defeat sequences give
     the same entries, inserted ids and clash lists as the from-scratch
@@ -734,6 +766,7 @@ def test_incremental_saturation_matches_from_scratch_reference(steps):
 
             def trial_clone():
                 scratch = ref.clone()
+                check_live_map(scratch)
                 for p in props:
                     scratch.assert_prop(p, Strength.LINGUISTIC, source)
                 return reference_saturate(scratch)
@@ -759,4 +792,6 @@ def test_incremental_saturation_matches_from_scratch_reference(steps):
                     with pytest.raises(DefeatRejected):
                         ctx.defeat_entry(target)
         assert full_view(ctx) == full_view(ref)
-        assert ctx._by_key == ref._by_key and ctx._counter == ref._counter
+        assert live_ids(ctx) == live_ids(ref) and ctx._counter == ref._counter
+        check_live_map(ctx)
+        check_live_map(ref)

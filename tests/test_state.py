@@ -19,7 +19,8 @@ from commonground import (AcceptanceBelief, AcceptanceOutcome, ActType, Conflict
 from commonground import Biconditional, Context, Literal, Rule, propositions, saturation
 from commonground.acceptance import CONTRADICTORY_ASSERTION, EXPLICIT_REJECTION
 from commonground.propositions import DEFEATED, LIVE
-from conftest import DIALOGUES, DISPUTES, latest_live_literal, load_fixture
+from conftest import DIALOGUES, DISPUTES, check_live_map, latest_live_literal, live_ids, \
+    load_fixture
 
 P = parse_proposition
 
@@ -167,7 +168,7 @@ def test_detect_conflict_hands_over_nothing_on_a_clash():
 
 def trial_view(context):
     """Everything a conflict trial may write, by value."""
-    return (list(context.entries), list(context.nodes), dict(context._by_key),
+    return (list(context.entries), list(context.nodes), live_ids(context),
             context._counter,
             {eid: (e.sources, e.strength, frozenset(e.dependencies), e.status)
              for eid, e in context.entries.items()})
@@ -448,7 +449,8 @@ def apply_trail_step(ctx, step, sources):
     phase would: a strictly weaker contrary is defeated and the assertion
     made again, and otherwise the context stays as it was.  A clashing
     saturation is settled by defeating the latest live literal, if any, and
-    the defeat of a rule or of a defeated entry is refused."""
+    the defeat of a rule or of a defeated entry is refused.  After the step,
+    and after each step of a trial, the map of live entries is checked."""
     if step[0] == "assert":
         _, p, strength = step
         source = next(sources)
@@ -483,6 +485,7 @@ def apply_trail_step(ctx, step, sources):
         for inner in step[2]:
             apply_trail_step(ctx, inner, sources)
         (ctx.keep if step[1] else ctx.rollback)(mark)
+    check_live_map(ctx)
 
 
 def saturation_outcome(context):
@@ -519,6 +522,7 @@ def test_rollback_undoes_every_write_of_a_trial(before_steps, steps):
     for step in steps:
         apply_trail_step(ctx, step, sources)
     ctx.rollback(outer)
+    check_live_map(ctx)
     assert ctx._trials == 0
     assert trial_view(ctx) == before
     assert saturation_outcome(ctx) == saturated
