@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 from .errors import ConflictDetected, DefeatRejected, OrderingViolation, UnknownProposition
 from .evidence import Strength, defeats
 from .grounding import ActType, Intonation, IRUClass, UtteranceEvent
-from .propositions import LIVE, Literal, Proposition, Slotted
+from .propositions import LIVE, Literal, Proposition, Slotted, new_record
 from .saturation import Fixpoint
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -112,37 +112,35 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
 
     Annotation first: a ``rejects`` link (to an earlier utterance, as
     admission checked) is explicit rejection regardless of content.
-    Otherwise a trial: the event's propositions are asserted (linguistic)
-    on the live context and saturated (``Context.saturate``) under an undo
-    trail (``Context.trial``).  Any clash is contradictory assertion
-    evidence against the previously live half of the pair, and
+    Otherwise a trial (``Context.trial``): the event's propositions are
+    asserted (linguistic) and saturated.  A clash is contradictory assertion
+    evidence against the previously live half of each pair, and
     ``Context.rollback`` leaves the context as it was; so does any other
-    exception, which is raised again.
+    exception, which is raised again.  A realized literal whose contrary is
+    live raises in its own assertion (``Context.assert_prop``), and the
+    first such one does: none makes a later literal's contrary live or not
+    live (admission refuses ``p`` with ``!p``, and an assertion defeats
+    nothing).
 
-    A realized literal whose contrary is live raises in its own assertion
-    (``Context.assert_prop``): the evidence is that pair, against the live
-    contrary.  The propositions are asserted in order, and none makes a
-    later literal's contrary live or not live (admission refuses ``p`` with
-    ``!p``, and an assertion defeats nothing), so the first such one raises.
-
-    When the trial finds no clash, the trial is the event's assertion:
-    ``Context.keep`` lets its writes stand and the trial's fixpoint is
-    appended to ``fixpoints``, for the caller to commit as long as nothing
-    writes the context in between.  The context then holds entries for the
-    keys it did not hold before (the propositions whose redundancy verdict
-    is ``not_redundant``).
+    With no clash the trial is the event's assertion: ``Context.keep`` lets
+    its writes stand, and its fixpoint goes onto ``fixpoints`` for the
+    caller to commit while nothing writes the context in between.  The
+    context then holds entries for the propositions whose redundancy
+    verdict is ``not_redundant``.
     """
-    if event.rejects is not None:
-        props = state.events[event.rejects].realizes
+    rejects, realizes, uid = event.rejects, event.realizes, event.utterance_id
+    if rejects is not None:
+        props = state.events[rejects].realizes
         pair = (props[0], props[0]) if props else (Literal("nothing"), Literal("nothing"))
-        return ConflictEvidence(pair, EXPLICIT_REJECTION, frozenset(p.key for p in props))
-    if not event.realizes:
+        return new_record(ConflictEvidence,
+                          (pair, EXPLICIT_REJECTION, frozenset([p.key for p in props])))
+    if not realizes:
         return None
     context, clashes = state.context, None
     mark = context.trial()
     try:
-        for p in event.realizes:
-            context.assert_prop(p, Strength.LINGUISTIC, event.utterance_id)
+        for p in realizes:
+            context.assert_prop(p, Strength.LINGUISTIC, uid)
         fixpoint = context.saturate()
     except ConflictDetected as raised:
         # the clashes only: the exception's traceback holds this frame
@@ -164,7 +162,7 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
             if context.lookup(live) is not None:
                 against.add(live.key)
                 pair = (came, live)
-    return ConflictEvidence(pair, CONTRADICTORY_ASSERTION, frozenset(against))
+    return new_record(ConflictEvidence, (pair, CONTRADICTORY_ASSERTION, frozenset(against)))
 
 
 def evaluate_acceptance(state: "DiscourseState", prev_event: UtteranceEvent,
@@ -179,15 +177,15 @@ def evaluate_acceptance(state: "DiscourseState", prev_event: UtteranceEvent,
     intonation on any other next turn defers the default without blocking
     visibly.
     """
-    if next_event.speaker != prev_event.addressee:
+    agent, trigger = next_event.speaker, next_event.utterance_id
+    if agent != prev_event.addressee:
         raise OrderingViolation(
-            f"{next_event.utterance_id} does not answer {prev_event.utterance_id}")
+            f"{trigger} does not answer {prev_event.utterance_id}")
     if next_event.interrupted:
         return []
     props = prev_event.realizes
     if not props:
         return []
-    agent, trigger = next_event.speaker, next_event.utterance_id
     if next_event.act is ActType.AFFIRMATION:
         return [_accept(state, p, agent, Strength.LINGUISTIC, trigger) for p in props]
     if conflict is not None and conflict.applies_to(props):
@@ -231,7 +229,7 @@ def reevaluate_pending(state: "DiscourseState", event: UtteranceEvent, *,
 
 def _refused(kind: str, props, agent: str, trigger: str, detail: str) -> list[AcceptanceOutcome]:
     """A rejected or blocked outcome for each of ``props``."""
-    return [AcceptanceOutcome(kind, p, agent, trigger, None, detail) for p in props]
+    return [new_record(AcceptanceOutcome, (kind, p, agent, trigger, None, detail)) for p in props]
 
 
 def _accept(state: "DiscourseState", p: Proposition, agent: str, strength: Strength,
@@ -248,7 +246,8 @@ def _accept(state: "DiscourseState", p: Proposition, agent: str, strength: Stren
     else:
         belief.strength = max(belief.strength, strength)
         state.context.depend(belief.belief_id, deps)
-    return AcceptanceOutcome(AcceptanceOutcome.ACCEPTED, p, agent, trigger, belief.strength)
+    return new_record(AcceptanceOutcome,
+                      (AcceptanceOutcome.ACCEPTED, p, agent, trigger, belief.strength, ""))
 
 
 def defeat(state: "DiscourseState", target_id: str, by: ConflictEvidence) -> RetractionReport:
@@ -268,7 +267,7 @@ def defeat(state: "DiscourseState", target_id: str, by: ConflictEvidence) -> Ret
     if not defeats(by.strength, node.strength):
         raise DefeatRejected(
             f"{by.strength} evidence cannot defeat a {node.strength} belief")
-    return RetractionReport(tuple(state.context.defeat_entry(target_id)))
+    return new_record(RetractionReport, (tuple(state.context.defeat_entry(target_id)),))
 
 
 def record_support(state: "DiscourseState", belief: Proposition,

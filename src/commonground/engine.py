@@ -20,7 +20,8 @@ The order is fixed, and it matters:
   nothing to do.
 
 The phases compute values; ``process`` gathers them, with the event, into a
-``trace.TraceRecord``, and ``trace`` alone renders a record as text.
+``trace.TraceRecord`` (built as ``propositions.Slotted`` tells), and ``trace``
+alone renders a record as text.
 
 The functions the benchmark's tracer wraps (``bench/run.py``'s span targets)
 are called through their modules' attributes, looked up at each call, never
@@ -39,7 +40,7 @@ from .errors import DanglingAntecedent, DuplicateUtterance, OrderingViolation, \
     SelfContradiction
 from .evidence import Strength
 from .grounding import AssumptionRecord, IRUClass, LicenseLink, UtteranceEvent
-from .propositions import LIVE, Literal, Proposition
+from .propositions import LIVE, Literal, Proposition, new_record
 from .saturation import Fixpoint
 from .state import DiscourseState
 from .trace import TraceRecord, snapshot_record
@@ -77,8 +78,9 @@ class DialogueEngine:
         prev = self._admit(event)
         touched = self._any_next_upgrade(event)
         # 3. classify the event against the context before it
-        matched = state.links_concluding(event.realizes)
-        verdicts = [state.context.is_redundant(p) for p in event.realizes]
+        realizes = event.realizes
+        matched = state.links_concluding(realizes)
+        verdicts = [state.context.is_redundant(p) for p in realizes]
         cls = grd.classify_iru(event, state, verdicts, matched)
         antecedents = grd.resolved_antecedents(event, state, cls, verdicts, matched)
         licenses = self._iru_upgrade(event, cls, antecedents, matched, touched)
@@ -88,7 +90,8 @@ class DialogueEngine:
         if prev is not None and prev.addressee == event.speaker:
             outcomes += acc.evaluate_acceptance(state, prev, event,
                                                 iru_class=cls, conflict=conflict)
-        state.arriving = frozenset()
+        if state.arriving:
+            state.arriving = frozenset()
         retractions, contested = self._defeat(conflict)
         asserted = derived = supports = ()
         if not contested:
@@ -98,11 +101,11 @@ class DialogueEngine:
         events = state.events
         records = sorted(touched.values(), key=lambda r: events[r.utterance_id].turn_index) \
             if len(touched) > 1 else touched.values()
-        trace = TraceRecord(
+        trace = new_record(TraceRecord, (
             event, cls, antecedents,
             tuple([snapshot_record(r, grd.understanding_strength(r)) for r in records]),
             tuple(licenses), conflict, tuple(outcomes), tuple(asserted), tuple(derived),
-            tuple(supports), tuple(retractions))
+            tuple(supports), tuple(retractions)))
         self.traces.append(trace)
         return trace
 
@@ -111,15 +114,14 @@ class DialogueEngine:
     def _admit(self, event: UtteranceEvent) -> Optional[UtteranceEvent]:
         """1. Raise the first ``grounding.admission_issues`` issue, then open
         the event's assumption record and enter it; returns the event before."""
-        state = self.state
-        issues = grd.admission_issues(event, state.participant_ids, state.events,
-                                      len(state.events))
+        state, events = self.state, self.state.events
+        issues = grd.admission_issues(event, state.participant_ids, events, len(events))
         if issues:
             _, code, message = issues[0]
             raise ADMISSION_ERRORS[code](f"{event.utterance_id}: {message}")
-        prev = next(reversed(state.events.values()), None)
+        prev = next(reversed(events.values()), None)
         grd.open_record(state, event)
-        state.events[event.utterance_id] = event
+        events[event.utterance_id] = event
         return prev
 
     def _any_next_upgrade(self, event: UtteranceEvent) -> dict[str, AssumptionRecord]:
@@ -152,12 +154,12 @@ class DialogueEngine:
         state, lifted = self.state, []
         if cls is IRUClass.NONE:
             return lifted
-        events, ids = state.events, antecedents
+        events, ids, speaker = state.events, antecedents, event.speaker
         if cls is IRUClass.PROMPT and not ids:
             ids = next(((e.utterance_id,) for e in reversed(events.values())
-                        if e.addressee == event.speaker), ())
+                        if e.addressee == speaker), ())
         for uid in ids:
-            if events[uid].addressee == event.speaker:
+            if events[uid].addressee == speaker:
                 target = state.records[uid]
                 grd.apply_iru_upgrade(target, cls)
                 touched[uid] = target
@@ -178,11 +180,11 @@ class DialogueEngine:
         (verdict ``not_redundant``) until step 6 is done."""
         fixpoints: list[Fixpoint] = []
         conflict = acc.detect_conflict(self.state, event, fixpoints)
-        fixpoint = fixpoints[0] if fixpoints else None
-        self.state.arriving = frozenset(
-            p.key for p, verdict in zip(event.realizes, verdicts)
-            if not verdict.redundant) if fixpoint is not None else frozenset()
-        return conflict, fixpoint
+        if not fixpoints:
+            return conflict, None
+        self.state.arriving = frozenset([p.key for p, verdict in zip(event.realizes, verdicts)
+                                         if not verdict.redundant])
+        return conflict, fixpoints[0]
 
     def _defeat(self, conflict: Optional[acc.ConflictEvidence]) -> tuple[list, bool]:
         """7. Defeat the live acceptances of the contested propositions that
@@ -213,21 +215,20 @@ class DialogueEngine:
         they are asserted and saturated here, along with what a defeat
         changed.  Returns the asserted and derived values; license values go
         onto ``licenses``."""
-        state, uid = self.state, event.utterance_id
+        state, uid, realizes = self.state, event.utterance_id, event.realizes
         asserted, derived = [], []
-        for p, verdict in zip(event.realizes, verdicts):
+        for p, verdict in zip(realizes, verdicts):
             entry = state.context.lookup(p) if fixpoint is not None else \
                 state.context.assert_prop(p, Strength.LINGUISTIC, uid)
             asserted.append((p, entry.strength, verdict))
-        if not event.realizes:
+        if not realizes:
             return asserted, derived
         for entry in state.context.commit(
                 fixpoint if fixpoint is not None else state.context.saturate()):
             roots = sorted(state.context.asserted_roots(entry))
             derived.append((entry.proposition, entry.strength, tuple(roots)))
             if uid in roots:  # from the event's first literal, or else its first proposition
-                premise = next((p for p in event.realizes if isinstance(p, Literal)),
-                               event.realizes[0])
+                premise = next((p for p in realizes if isinstance(p, Literal)), realizes[0])
                 link = LicenseLink(premise, entry.proposition, Strength.INFERENCE,
                                    LicenseLink.ORIGIN_INFERENCE, uid)
                 licenses.append(_license_values(
@@ -240,14 +241,15 @@ class DialogueEngine:
         its values onto ``licenses``) and support link; returns the supports'
         (belief, goal) pairs."""
         state, supports = self.state, []
-        if event.implicates is not None:
-            premise, conclusion = event.implicates
+        implicates, supported = event.implicates, event.supports
+        if implicates is not None:
+            premise, conclusion = implicates
             link = LicenseLink(premise, conclusion, Strength.HYPOTHESIS,
                                LicenseLink.ORIGIN_IMPLICATURE, event.utterance_id)
             licenses.append(_license_values(
                 grd.record_license_evidence(state, link, Strength.HYPOTHESIS)))
-        if event.supports is not None:
-            belief, goal = event.supports
+        if supported is not None:
+            belief, goal = supported
             acc.record_support(state, belief, goal)
             supports.append((belief, goal))
         return supports

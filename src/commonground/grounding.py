@@ -32,6 +32,7 @@ LICENSE = "license"
 
 BASE_ASSUMPTIONS = (COPRESENT, ATTEND, HEAR, REALIZE)
 ASSUMPTION_ORDER = (COPRESENT, ATTEND, HEAR, REALIZE, LICENSE)
+TOKEN_RE = re.compile(r"[a-z0-9']+")  # a token of ``normalize_tokens``, compiled once
 
 
 class ActType(Enum):
@@ -108,9 +109,10 @@ def admission_issues(event: UtteranceEvent, participants: Collection[str], earli
     record's first line, and ``DialogueEngine.process`` raises the first
     before it changes any state.
     """
-    if event.speaker == event.addressee:
+    speaker, addressee, realizes = event.speaker, event.addressee, event.realizes
+    if speaker == addressee:
         return [(None, "bad-value", "speaker and addressee coincide")]
-    if event.act is ActType.PROMPT and event.realizes:
+    if event.act is ActType.PROMPT and realizes:
         return [(None, "bad-value", "a prompt realizes no propositions")]
     uid = event.utterance_id
     if uid and uid in earlier:
@@ -118,11 +120,10 @@ def admission_issues(event: UtteranceEvent, participants: Collection[str], earli
     issues = [] if uid else [("id", "bad-value", "utterance id must be nonempty")]
     if "," in uid:  # an ``antecedents`` field could not name it
         issues.append(("id", "bad-value", "utterance id must not contain ','"))
-    if participants and event.speaker not in participants:
-        issues.append(("speaker", "bad-value", f"speaker {event.speaker!r} not a participant"))
-    if participants and event.addressee not in participants:
-        issues.append(("addressee", "bad-value",
-                       f"addressee {event.addressee!r} not a participant"))
+    if participants and speaker not in participants:
+        issues.append(("speaker", "bad-value", f"speaker {speaker!r} not a participant"))
+    if participants and addressee not in participants:
+        issues.append(("addressee", "bad-value", f"addressee {addressee!r} not a participant"))
     if event.turn_index != position:
         issues.append(("turn", "turn-order",
                        f"turn {event.turn_index} out of place; expected {position}"))
@@ -130,20 +131,21 @@ def admission_issues(event: UtteranceEvent, participants: Collection[str], earli
         if ant not in earlier:
             issues.append(("antecedents", "dangling-antecedent",
                            f"antecedent {ant!r} not an earlier utterance"))
-    if event.rejects is not None and event.rejects not in earlier:
+    rejects = event.rejects
+    if rejects is not None and rejects not in earlier:
         issues.append(("rejects", "dangling-antecedent",
-                       f"rejected utterance {event.rejects!r} not defined earlier"))
-    if len(event.realizes) > 1:
-        realized = set(event.realizes)
+                       f"rejected utterance {rejects!r} not defined earlier"))
+    if len(realizes) > 1:
+        realized = set(realizes)
         issues += [("realizes", "self-contradiction", f"realizes both {p} and {p.negated()}")
-                   for p in event.realizes
+                   for p in realizes
                    if isinstance(p, Literal) and p.positive and p.negated() in realized]
     return issues
 
 
 def normalize_tokens(text: str) -> tuple[str, ...]:
     """Lowercase, strip punctuation, collapse whitespace."""
-    return tuple(re.findall(r"[a-z0-9']+", text.lower()))
+    return tuple(TOKEN_RE.findall(text.lower()))
 
 
 def _contiguous(needle: tuple[str, ...], haystack: tuple[str, ...]) -> bool:
@@ -216,8 +218,8 @@ def open_record(state: "DiscourseState", event: UtteranceEvent) -> AssumptionRec
     strengths = {COPRESENT: h, ATTEND: h, HEAR: h, REALIZE: h}  # BASE_ASSUMPTIONS
     if event.implicates is not None:
         strengths[LICENSE] = h
-    record = AssumptionRecord(event.utterance_id, strengths)
-    state.records[event.utterance_id] = record
+    uid = event.utterance_id
+    record = state.records[uid] = AssumptionRecord(uid, strengths)
     return record
 
 
@@ -246,8 +248,10 @@ def apply_any_next_upgrade(record: AssumptionRecord) -> AssumptionRecord:
     gives it only to a record whose utterance was not interrupted
     (``DialogueEngine.process`` never queues an interrupted one)."""
     strengths = record.strengths  # holds copresence, as every record does
+    if strengths[COPRESENT] < Strength.LINGUISTIC:
+        strengths[COPRESENT] = Strength.LINGUISTIC
+    floor = Strength.DEFAULT
     for name, current in strengths.items():
-        floor = Strength.LINGUISTIC if name == COPRESENT else Strength.DEFAULT
         if current < floor:
             strengths[name] = floor  # an existing key: the dict keeps its size
     return record

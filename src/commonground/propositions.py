@@ -33,6 +33,7 @@ from .retraction import DEFEATED, LIVE, add_dependents, retract  # noqa: F401
 from .saturation import Fixpoint, Graph, Item, clashes, contrary, forward, put, settle
 
 ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+new_record = tuple.__new__  # (cls, every field's value) -> a NamedTuple record; see Slotted
 
 
 class Slotted:
@@ -42,11 +43,12 @@ class Slotted:
     unhashable unless it defines ``__hash__``, as ``Frozen`` does.
 
     The constructors that run once or more per event (``ContextEntry``,
-    ``AcceptanceBelief``, ``AssumptionRecord``, and the ``NamedTuple``
-    records ``TraceRecord`` and ``AcceptanceOutcome``) are called
-    positionally: the interpreter matches each keyword argument to a
-    parameter by name on every call, which costs a per-event path more than
-    the binding itself."""
+    ``AcceptanceBelief``, ``AssumptionRecord``) are called positionally: the
+    interpreter matches each keyword argument by name on every call.  The
+    event path builds its ``NamedTuple`` records with ``new_record(cls,
+    values)``, which is ``tuple.__new__``: it costs half the ``__new__`` that
+    ``NamedTuple`` generates in Python, but checks no arity and fills in no
+    default, so each call passes every field, in order."""
 
     __slots__ = ()
     _fields: tuple[str, ...]  # set by each subclass
@@ -217,6 +219,8 @@ class RedundancyVerdict(NamedTuple):
 
 #: the one verdict ``Context.is_redundant`` gives every proposition it does not hold
 _NOT_REDUNDANT = RedundancyVerdict(RedundancyVerdict.NOT_REDUNDANT)
+#: the fixpoint of every saturation with no key changed; ``commit`` only reads it
+NO_CHANGE = Fixpoint([], {})
 
 
 class ContextEntry(Slotted):
@@ -253,37 +257,34 @@ class Context:
     """Mutable common-ground store for one dialogue, and the one dependency
     graph of its discourse state.
 
-    ``nodes`` maps every id to its node: the proposition entries, and the
-    acceptance beliefs and support links that rest on them.  ``entries``
-    holds the proposition entries among them, and ``utterances`` the
-    dialogue's utterances by id.  Ids are allocated against every node and
-    utterance, so no node overwrites or aliases another or an utterance.
-    Every index names a proposition by its ``key``, which it carries from
-    construction.  ``_live`` maps each key with a live entry to that entry:
-    ``_insert`` and ``defeat_entry`` write it, the context reads it directly,
-    and other modules read it through ``lookup`` and ``lookup_key``.  Every
-    node joins through ``add_node``, beliefs and links gain dependencies
-    through ``depend``, and ``commit`` indexes those it gives an entry: so
-    the context keeps the index ``retract`` walks, for each id the nodes
-    whose dependencies may hold it.
+    ``nodes`` maps every id to its node: the proposition entries
+    (``entries``), and the acceptance beliefs and support links that rest on
+    them; ``utterances`` maps ids to the dialogue's utterances.  Ids are
+    allocated against every node and utterance, so none aliases another.
+    Every index names a proposition by its ``key``.  ``_live`` maps each key
+    with a live entry to that entry; other modules read it through
+    ``lookup`` and ``lookup_key``.  Nodes join through ``add_node`` (entries
+    through ``_insert``) and gain dependencies through ``depend`` or
+    ``commit``, and each of these indexes them for ``retract``: for each id,
+    the nodes whose dependencies may hold it.
 
-    For saturation the context also keeps three things, each written only
-    where an assertion, a defeat or a commit changes it: the implication
-    graph of its rules (``saturation.Graph``), which only grows, as a rule
-    once entered is never defeated (``defeat_entry``): a rule's edges join
-    when it is inserted and join again at the new strength when it is
-    raised; the run, each mentioned key's item (``Graph.mentions``) as its
-    committed saturations settled it; and the mentioned literal keys whose
-    seeds or in-edges changed since the last commit (literals inserted or
-    raised by an assertion or raised by ``commit``, the keys of defeated
-    literals, the targets of the rules inserted or raised, and the literals
-    whose forced seed changed).  Any other label is a live entry's seed.
+    For saturation the context keeps the implication graph of its rules
+    (``saturation.Graph``), which only grows, as a rule once entered is
+    never defeated: a rule's edges join when it is inserted and again at
+    each raise; the run; and the changed keys, the mentioned keys
+    (``Graph.mentions``) whose seeds or in-edges changed since the last
+    commit (a literal an assertion inserts or raises, a defeat takes or a
+    commit raises; a rule's targets; a key whose forced seed changed).  The
+    run's invariant, which ``saturate`` rests on and ``commit`` keeps: the
+    run holds each mentioned key's item as the last commit of an area
+    holding it settled it, and any other live literal's label is its seed.
+    A fresh context and a clone have no run, and count as changed every
+    mentioned key with a live entry or an edge in.
 
-    Single-threaded per dialogue by contract; distinct dialogues never share
-    a context.  Every write logs one undo record ``(holder, slot, old)``, a
-    dict slot (``saturation.put``) or an attribute (an entry's field, a
-    node's status), on the trail the graph shares; ``trial`` marks a
-    position on it for ``rollback`` to undo back to, or ``keep`` to close.
+    Single-threaded per dialogue by contract.  Every write logs one undo
+    record ``(holder, slot, old)``, a dict slot (``saturation.put``) or an
+    attribute, on the trail the graph shares; ``trial`` marks a position on
+    it for ``rollback`` to undo back to, or ``keep`` to close.
     """
 
     def __init__(self):
@@ -407,9 +408,12 @@ class Context:
             eid = sources[0]
         self._counter += 1
         entry = ContextEntry(eid, p, strength, sources, dependencies, LIVE, self._counter)
-        put(self._trail, self.entries, eid, entry)
-        self.add_node(eid, entry)
-        put(self._trail, self._live, p.key, entry)
+        entries, nodes, live, key = self.entries, self.nodes, self._live, p.key
+        self._trail += ((entries, eid, entries.get(eid)), (nodes, eid, nodes.get(eid)),
+                        (live, key, live.get(key)))  # each as ``put`` logs it
+        entries[eid] = nodes[eid] = live[key] = entry
+        if dependencies:
+            add_dependents(self._dependents, eid, dependencies)
         return entry
 
     def _enter(self, entry: ContextEntry) -> None:
@@ -463,7 +467,11 @@ class Context:
             if other is not None:
                 raise ConflictDetected([(p, other.proposition)])
         entry = self._insert(p, strength, (source,), set())
-        self._enter(entry)
+        graph, key = self._graph, p.key
+        if not isinstance(p, Literal):
+            self._enter(entry)
+        elif key in graph.into or key in graph.edges or key in graph.multis:  # _mark, inline
+            self._changed.add(key)
         return entry
 
     def defeat_entry(self, node_id: str) -> list[str]:
@@ -472,15 +480,11 @@ class Context:
         alike.  Returns the defeated ids, sorted.  This is the one place a
         node's status changes, each write logged (``_set``).
 
-        A node is defeated once: a target that is not live raises
-        DefeatRejected, naming it, before any write.  A rule, once entered,
-        stays in the implication graph: a defeat whose ids hold a rule entry
-        raises DefeatRejected, naming them, before any write.  Each literal
-        entry that goes leaves ``_live`` and marks its key changed
-        (``_mark``).  Every key whose committed label rested on a defeated
-        entry is reached from those keys (see ``saturate``), so the next
-        saturation covers it; defeating only beliefs and links changes
-        nothing there."""
+        A target that is not live, or a defeat whose ids hold a rule entry
+        (a rule stays in the implication graph), raises DefeatRejected,
+        naming them, before any write.  Each literal entry that goes leaves
+        ``_live`` and marks its key changed (``_mark``), from which the next
+        saturation reaches every label that rested on it (``saturate``)."""
         defeated = retract(self.nodes, node_id, self._dependents)
         if self.nodes[node_id].status != LIVE:
             raise DefeatRejected(f"already defeated: {node_id}")
@@ -519,28 +523,21 @@ class Context:
         self-refutation (a literal whose own negation implies it is forced).
         A derived literal's strength is MIN over its premises, capped at
         inference.  Labels settle in a Dijkstra order: strongest first, then
-        the smallest rank (premise orders, latest first).
+        the smallest rank (premise orders, latest first); equal labels in
+        pop order, which is key order.
 
-        The saturation covers an area: the keys whose seeds or in-edges
-        changed since the last commit, and every key the rule graph leads to
-        from them; with no key changed it is empty at once.  One walk of the
-        area collects the search's items: the seeds of its live entries, its
-        forced seeds, and the labels (``_label``) of the keys outside the
-        area with an edge or a rule into it, which the search merges in where
-        a search over every key would pop them (``saturation.settle``).  No
-        edge leads out of the area, so the other keys keep their labels, and
-        the result is exactly the saturation of the whole context.  Seeding
-        the changed keys with the stored labels as bounds would not be: a
+        The search covers an area: the changed keys and every key the rule
+        graph leads to from them (none changed: ``NO_CHANGE``).  Its items
+        are the area's seeds and forced seeds, and the labels (``_label``) of
+        the keys outside it with an edge or a rule into it, merged in where a
+        search over every key would pop them (``saturation.settle``).  No
+        edge leads out of the area, so the other keys keep their labels and
+        the result is the saturation of the whole context.  Seeding the
+        changed keys with their stored labels as bounds would not be: a
         label that gains strength can, once capped at inference, pass on a
-        greater rank than the label it replaced.  Labels of equal strength
-        and rank commit in the order the search pops them, which is key
-        order.
-
-        The run holds the label of every mentioned key (``Graph.mentions``)
-        a commit settled, and every other live literal's label is its seed.
-        Only mentioned keys count as changed, so only they enter the area
-        and the run.  An unmentioned key has no derivation, no forced seed
-        and no edge out; a key gaining an edge in counts as changed.
+        greater rank than the label it replaced.  Only mentioned keys count
+        as changed: an unmentioned key has no derivation, no forced seed and
+        no edge out.
 
         A label outside the area never rests on a defeated entry.  Only
         literals are defeated, and the graph only grows.  Follow a label's
@@ -551,16 +548,13 @@ class Context:
         entry stays live because its label was a derivation of equal strength
         and smaller rank.  A forced label changes only with an edge on a
         chain from its negation to it, and then its key counts as changed.
-        A fresh context and a clone have no run, and every mentioned key
-        with a live entry or an edge in counted as changed, so the area
-        holds every key whose label is not its seed.  The fixpoint holds
-        labels, not entries: ``commit`` looks up each key's live entry.
+        The fixpoint holds labels, not entries.
 
         Raises ConflictDetected if the fixpoint contains both polarities of
         an atom, listing the clashing literals by atom.
         """
         if not self._changed:
-            return Fixpoint([], {})
+            return NO_CHANGE
         graph, live, label = self._graph, self._live, self._label
         area = forward(graph, self._changed)
         items, sources = [], set()
@@ -587,7 +581,7 @@ class Context:
                 fresh.append((key, (item[1], item[2])))
         if len(fresh) > 1:  # by rank, earliest premise first
             fresh.sort(key=lambda kv: kv[1][1][2][::-1])
-        return Fixpoint(fresh, run)
+        return new_record(Fixpoint, (fresh, run))
 
     def commit(self, fixpoint: Fixpoint) -> list[ContextEntry]:
         """Apply a fixpoint from ``saturate``: raise the live entry of each
@@ -601,13 +595,14 @@ class Context:
         at inference; one resting on the entry's own id starts from that
         seed, which settles the key first and never raises it.
 
-        The context stores the fixpoint's items of its area, all mentioned
-        keys, in the run.  The raised keys become the changed keys of the
-        next saturation, since a raised entry's own seed may now win its
-        label.  An inserted entry's seed ranks after every premise of its
-        derivation, so it never pops first and its key stays unchanged.  Keys
-        outside the fixpoint's area kept their labels, so committing them
-        again would change nothing."""
+        It keeps the run's invariant (``Context``): the area's items go into
+        the run, and the raised keys become the changed keys, since a raised
+        entry's own seed may now win its label.  An inserted entry's seed
+        ranks after every premise of its derivation, so it never pops first
+        and its key stays unchanged.  A fixpoint with no area (``NO_CHANGE``)
+        commits nothing."""
+        if not fixpoint.run:  # from a saturation with no key changed
+            return []
         for key, item in fixpoint.run.items():
             put(self._trail, self._run, key, item)
         self._changed = set()
@@ -642,9 +637,9 @@ class Context:
         if entry is None:
             return _NOT_REDUNDANT
         if entry.sources:
-            return RedundancyVerdict(RedundancyVerdict.SAID, frozenset(entry.sources))
-        return RedundancyVerdict(RedundancyVerdict.ENTAILED,
-                                 frozenset(self.asserted_roots(entry)))
+            return new_record(RedundancyVerdict, (RedundancyVerdict.SAID, frozenset(entry.sources)))
+        roots = frozenset(self.asserted_roots(entry))
+        return new_record(RedundancyVerdict, (RedundancyVerdict.ENTAILED, roots))
 
     def asserted_roots(self, entry: ContextEntry) -> set[str]:
         """Utterances at the bottom of an entry's derivation chain."""

@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 from .acceptance import AcceptanceOutcome, ConflictEvidence
 from .evidence import Strength
 from .grounding import ASSUMPTION_ORDER, IRUClass, UtteranceEvent
-from .propositions import Proposition, RedundancyVerdict
+from .propositions import Proposition, RedundancyVerdict, new_record
 
 
 class RecordSnapshot(NamedTuple):
@@ -91,7 +91,7 @@ def write_trace(records: list[TraceRecord]) -> str:
 
 def snapshot_record(record, understanding: Strength) -> RecordSnapshot:
     """The record's id and strengths as they stand now, and its understanding."""
-    return RecordSnapshot(record.utterance_id, dict(record.strengths), understanding)
+    return new_record(RecordSnapshot, (record.utterance_id, dict(record.strengths), understanding))
 
 
 def prop_text(p: Proposition) -> str:

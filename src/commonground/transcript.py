@@ -43,7 +43,7 @@ from typing import NamedTuple
 
 from .errors import BadPropositionSyntax, ParseIssue, TranscriptError
 from .grounding import ActType, Intonation, UtteranceEvent, admission_issues, is_affirmation_text
-from .propositions import Proposition, parse_proposition
+from .propositions import Proposition, new_record, parse_proposition
 
 HEADER_KEYS = frozenset(("dialogue", "participants", "require-acceptance"))
 EVENT_KEYS = frozenset(("id", "turn", "speaker", "addressee", "text", "act", "intonation",
@@ -197,10 +197,10 @@ def parse(text: str) -> Transcript:
             supports = _parse_pair(*fields["supports"], issues, "supports")
         interrupted = _choice(fields, "interrupted", FLAGS, False, issues,
                               "interrupted: true|false")
-        event = UtteranceEvent(
+        event = new_record(UtteranceEvent, (
             uid, turn, fields["speaker"][1], fields["addressee"][1], utt_text, act,
             intonation, realizes, antecedents, implicates, supports, interrupted,
-            fields["rejects"][1] if "rejects" in fields else None)
+            fields["rejects"][1] if "rejects" in fields else None))
         for field, code, message in admission_issues(event, participants, earlier, position):
             issues.append(ParseIssue(fields[field][0], code, message) if field is not None
                           else ParseIssue(start_line, code, f"{uid}: {message}"))

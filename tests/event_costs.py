@@ -1,11 +1,14 @@
-"""Print the Python calls and bytecodes per completed event, by event kind.
+"""Print the Python calls and bytecodes per completed event, by event kind,
+and per event at the two text ends of a pass.
 
 It replays the first 100 contested dialogues of seed 0 (``bench/gen.py``)
 and counts, inside each ``DialogueEngine.process`` call, every Python
 function call and every bytecode the interpreter runs (``sys.settrace``
 with ``f_trace_opcodes``).  An event that raises is left out.  The kind of
 an event is the generator's, read back off its text and intonation.  The
-counts are deterministic: two runs of one checkout print the same table.
+second table counts the same inside ``transcript.parse``, per event parsed,
+and inside ``trace.write_trace``, per trace record rendered.  The counts
+are deterministic: two runs of one checkout print the same tables.
 To compare two checkouts, run this file with ``PYTHONPATH`` at each one's
 ``src``.
 pytest does not collect this file (its name does not start with ``test``).
@@ -19,6 +22,7 @@ import sys
 from pathlib import Path
 
 from commonground import CommonGroundError, DialogueEngine, Intonation
+from commonground.trace import write_trace
 from commonground.transcript import parse
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -55,36 +59,54 @@ class Counter:
         return self.local_trace
 
 
-def measure(texts: list[str]) -> dict[str, list[int]]:
-    """kind -> [events, calls, bytecodes] over the completed events."""
+def counted(row: list[int], function, *args):
+    """``function(*args)``, adding its calls and bytecodes to ``row[1:]``."""
+    counter = Counter()
+    sys.settrace(counter.global_trace)
+    try:
+        return function(*args)
+    finally:
+        sys.settrace(None)
+        row[1] += counter.calls
+        row[2] += counter.opcodes
+
+
+def measure(texts: list[str]) -> tuple[dict[str, list[int]], dict[str, list[int]]]:
+    """kind -> [events, calls, bytecodes] over the completed events, and the
+    same for ``parse`` and ``write_trace`` over the events each handles."""
     totals: dict[str, list[int]] = {}
+    ends = {"parse": [0, 0, 0], "write_trace": [0, 0, 0]}
     for text in texts:
-        transcript = parse(text)
+        transcript = counted(ends["parse"], parse, text)
+        ends["parse"][0] += len(transcript.events)
         engine = DialogueEngine.for_transcript(transcript)
         for event in transcript.events:
-            counter = Counter()
-            sys.settrace(counter.global_trace)
+            cost = [1, 0, 0]
             try:
-                engine.process(event)
+                counted(cost, engine.process, event)
             except CommonGroundError:
                 break
-            finally:
-                sys.settrace(None)
             row = totals.setdefault(kind_of(event), [0, 0, 0])
-            row[0] += 1
-            row[1] += counter.calls
-            row[2] += counter.opcodes
-    return totals
+            for i in range(3):
+                row[i] += cost[i]
+        counted(ends["write_trace"], write_trace, engine.traces)
+        ends["write_trace"][0] += len(engine.traces)
+    return totals, ends
+
+
+def print_rows(rows: dict[str, list[int]], total: bool) -> None:
+    print(f"{'kind':14s} {'events':>7s} {'calls/event':>12s} {'bytecodes/event':>16s}")
+    if total:
+        rows = dict(rows, all=[sum(row[i] for row in rows.values()) for i in range(3)])
+    for kind, (events, calls, opcodes) in rows.items():
+        print(f"{kind:14s} {events:7d} {calls / events:12.1f} {opcodes / events:16.1f}")
 
 
 def main() -> int:
-    totals = measure(gen.contested(0)[:DIALOGUES])
-    print(f"{'kind':14s} {'events':>7s} {'calls/event':>12s} {'bytecodes/event':>16s}")
-    for kind in sorted(totals):
-        events, calls, opcodes = totals[kind]
-        print(f"{kind:14s} {events:7d} {calls / events:12.1f} {opcodes / events:16.1f}")
-    events, calls, opcodes = (sum(row[i] for row in totals.values()) for i in range(3))
-    print(f"{'all':14s} {events:7d} {calls / events:12.1f} {opcodes / events:16.1f}")
+    totals, ends = measure(gen.contested(0)[:DIALOGUES])
+    print_rows(dict(sorted(totals.items())), total=True)
+    print()
+    print_rows(ends, total=False)
     return 0
 
 

@@ -113,8 +113,8 @@ MUTANTS = (
             "tests/test_propositions.py::"
             "test_weaker_contrary_entry_raises_until_the_caller_defeats_it")),
     Mutant("live-map-unlogged", "commonground/propositions.py",
-           "        put(self._trail, self._live, p.key, entry)\n",
-           "        self._live[p.key] = entry\n",
+           "                        (live, key, live.get(key)))  # each as ``put`` logs it\n",
+           "                        )  # the _live record left out\n",
            ("tests/test_state.py::test_detect_conflict_trial_leaves_the_context_as_it_was",
             "tests/test_state.py::test_a_kept_inner_trial_is_undone_with_the_outer_one")),
     Mutant("settled-in-area-order", "commonground/propositions.py",
@@ -152,13 +152,13 @@ MUTANTS = (
            ("tests/test_state.py::"
             "test_license_evidence_sees_the_context_as_it_was_before_the_event",)),
     Mutant("self-addressed-admitted", "commonground/grounding.py",
-           "    if event.speaker == event.addressee:\n"
+           "    if speaker == addressee:\n"
            "        return [(None, \"bad-value\", \"speaker and addressee coincide\")]\n",
            "",
            ("tests/test_admission.py::test_a_record_level_refusal_is_reported_alone",
             "tests/test_admission.py::test_parse_raises_exactly_when_process_refuses_an_event")),
     Mutant("prompt-with-content-admitted", "commonground/grounding.py",
-           "    if event.act is ActType.PROMPT and event.realizes:\n"
+           "    if event.act is ActType.PROMPT and realizes:\n"
            "        return [(None, \"bad-value\", \"a prompt realizes no propositions\")]\n",
            "",
            ("tests/test_admission.py::test_a_record_level_refusal_is_reported_alone",
@@ -195,6 +195,48 @@ MUTANTS = (
            "\"dialogue id must be nonempty\"))\n",
            "",
            ("tests/test_transcript.py::test_empty_dialogue_id",)),
+    Mutant("accepted-outcome-without-detail", "commonground/acceptance.py",
+           "                      (AcceptanceOutcome.ACCEPTED, p, agent, trigger, "
+           "belief.strength, \"\"))\n",
+           "                      (AcceptanceOutcome.ACCEPTED, p, agent, trigger, "
+           "belief.strength))\n",
+           ("tests/test_records.py::"
+            "test_every_record_of_the_event_path_holds_one_value_per_field",)),
+    Mutant("refused-outcome-without-detail", "commonground/acceptance.py",
+           "(kind, p, agent, trigger, None, detail)) for p in props]\n",
+           "(kind, p, agent, trigger, None)) for p in props]\n",
+           ("tests/test_records.py::"
+            "test_every_record_of_the_event_path_holds_one_value_per_field",
+            "tests/test_golden.py::test_cli_output_matches_golden")),
+    Mutant("any-next-copresence-at-default", "commonground/grounding.py",
+           "    if strengths[COPRESENT] < Strength.LINGUISTIC:\n"
+           "        strengths[COPRESENT] = Strength.LINGUISTIC\n",
+           "",
+           ("tests/test_grounding.py::test_any_next_on_fresh_record",
+            "tests/test_grounding.py::"
+            "test_any_next_after_repeat_keeps_linguistic_and_fills_default",
+            "tests/test_golden.py::test_cli_output_matches_golden")),
+    Mutant("empty-commit-leaves-changed-stale", "commonground/propositions.py",
+           "        if not fixpoint.run:  # from a saturation with no key changed\n",
+           "        if not fixpoint.settled:\n",
+           ("tests/test_propositions.py::"
+            "test_a_commit_that_settles_nothing_stores_its_area_and_clears_the_changed_keys",)),
+    Mutant("new-literal-always-marked", "commonground/propositions.py",
+           "        elif key in graph.into or key in graph.edges or key in graph.multis:  "
+           "# _mark, inline\n",
+           "        else:\n",
+           ("tests/test_state.py::test_literals_no_rule_mentions_are_never_searched",)),
+    Mutant("insert-leaves-dependents-unindexed", "commonground/propositions.py",
+           "        if dependencies:\n"
+           "            add_dependents(self._dependents, eid, dependencies)\n",
+           "",
+           ("tests/test_propositions.py::test_retract_walks_reverse_dependencies",
+            "tests/test_state.py::test_retraction_index_names_every_dependent")),
+    Mutant("arriving-left-set", "commonground/engine.py",
+           "        if state.arriving:\n"
+           "            state.arriving = frozenset()\n",
+           "",
+           ("tests/test_state.py::test_arriving_keys_end_with_their_event",)),
 )
 
 

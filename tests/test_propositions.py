@@ -315,6 +315,22 @@ def test_commit_returns_inserted_entries_in_order():
     assert ctx.commit(ctx.saturate()) == []
 
 
+def test_a_commit_that_settles_nothing_stores_its_area_and_clears_the_changed_keys():
+    """A rule over literals no entry holds changes its targets' keys, and its
+    saturation settles none of them: the commit still stores the area (as
+    no item) and leaves no key changed.  Only a fixpoint with no area is
+    committed by returning at once."""
+    ctx = Context()
+    ctx.assert_prop(lit("a -> b"), Strength.LINGUISTIC, "u1")
+    assert ctx._changed == {"b", "!a"}
+    fixpoint = ctx.saturate()
+    assert fixpoint.settled == [] and fixpoint.run.keys() == {"b", "!a"}
+    ctx._run["b"] = "stale"  # only a commit of the area removes it
+    assert ctx.commit(fixpoint) == []
+    assert ctx._changed == set() and "b" not in ctx._run
+    assert ctx.saturate().run == {}
+
+
 def test_clone_fixpoint_commits_like_a_fresh_closure():
     ctx = chained_context()
     ctx.closure()

@@ -345,6 +345,7 @@ def test_literals_no_rule_mentions_are_never_searched(monkeypatch):
     assert conflicts == 3
     assert {e.proposition.key for e in context.live_entries()} == {"p", "q", "!r", "s"}
     assert calls == [] and context._run == {}
+    assert context.clone()._changed == set()
     assert "u0" in context.defeat_entry("u0")
     assert context._changed == set()
 
@@ -979,6 +980,16 @@ def test_acceptance_sees_the_context_as_it_was_before_the_event():
     assert (belief.proposition, belief.accepting_agent) == (P("x"), "a")
     assert belief.dependencies == {"u2"}
     assert state.context.lookup(P("x")).entry_id == "u2#2"
+
+
+def test_arriving_keys_end_with_their_event():
+    # u0's kept trial holds p only until u0's acceptance step; u1 keeps no
+    # trial, and its acceptance of p rests on the entry u0 left as well
+    engine = DialogueEngine(fresh_state())
+    engine.process(event("u0", 0, realizes=(P("p"),)))
+    assert engine.state.arriving == frozenset()
+    engine.process(event("u1", 1, "b", "a", text="go on"))
+    assert engine.state.find_acceptance(P("p"), "b").dependencies == {"u1", "u0"}
 
 
 def test_license_evidence_sees_the_context_as_it_was_before_the_event():
