@@ -221,6 +221,8 @@ class RedundancyVerdict(NamedTuple):
 _NOT_REDUNDANT = RedundancyVerdict(RedundancyVerdict.NOT_REDUNDANT)
 #: the fixpoint of every saturation with no key changed; ``commit`` only reads it
 NO_CHANGE = Fixpoint([], {})
+#: a label's negated strength -> the strength
+_STRENGTH = {-s: s for s in Strength}
 
 
 class ContextEntry(Slotted):
@@ -270,16 +272,16 @@ class Context:
 
     For saturation the context keeps the implication graph of its rules
     (``saturation.Graph``), which only grows, as a rule once entered is
-    never defeated: a rule's edges join when it is inserted and again at
+    never defeated: a rule's steps join when it is inserted and again at
     each raise; the run; and the changed keys, the mentioned keys
-    (``Graph.mentions``) whose seeds or in-edges changed since the last
+    (``Graph.mentions``) whose seeds or in-steps changed since the last
     commit (a literal an assertion inserts or raises, a defeat takes or a
     commit raises; a rule's targets; a key whose forced seed changed).  The
     run's invariant, which ``saturate`` rests on and ``commit`` keeps: the
     run holds each mentioned key's item as the last commit of an area
     holding it settled it, and any other live literal's label is its seed.
     A fresh context and a clone have no run, and count as changed every
-    mentioned key with a live entry or an edge in.
+    mentioned key with a live entry or a step in.
 
     Single-threaded per dialogue by contract.  Every write logs one undo
     record ``(holder, slot, old)``, a dict slot (``saturation.put``) or an
@@ -418,7 +420,7 @@ class Context:
 
     def _enter(self, entry: ContextEntry) -> None:
         """Mark what a live entry brings to saturation at its strength: a
-        literal's seed, or a rule's edges, which join the graph."""
+        literal's seed, or a rule's steps, which join the graph."""
         p = entry.proposition
         if isinstance(p, Literal):
             self._mark(p.key)
@@ -470,7 +472,7 @@ class Context:
         graph, key = self._graph, p.key
         if not isinstance(p, Literal):
             self._enter(entry)
-        elif key in graph.into or key in graph.edges or key in graph.multis:  # _mark, inline
+        elif key in graph.into or key in graph.steps:  # _mark, inline
             self._changed.add(key)
         return entry
 
@@ -529,26 +531,26 @@ class Context:
         The search covers an area: the changed keys and every key the rule
         graph leads to from them (none changed: ``NO_CHANGE``).  Its items
         are the area's seeds and forced seeds, and the labels (``_label``) of
-        the keys outside it with an edge or a rule into it, merged in where a
-        search over every key would pop them (``saturation.settle``).  No
-        edge leads out of the area, so the other keys keep their labels and
+        the keys outside it with a step into it, merged in where a search
+        over every key would pop them (``saturation.settle``).  No step
+        leads out of the area, so the other keys keep their labels and
         the result is the saturation of the whole context.  Seeding the
         changed keys with their stored labels as bounds would not be: a
         label that gains strength can, once capped at inference, pass on a
         greater rank than the label it replaced.  Only mentioned keys count
         as changed: an unmentioned key has no derivation, no forced seed and
-        no edge out.
+        no step out.
 
         A label outside the area never rests on a defeated entry.  Only
         literals are defeated, and the graph only grows.  Follow a label's
         derivation from the last defeated entry in it to the key: a step
         after it makes that entry's key mentioned, so changed, and every
-        later step is an edge or a rule in the graph.  So the area holds
-        every key whose label rested on a defeated entry, also one whose own
-        entry stays live because its label was a derivation of equal strength
-        and smaller rank.  A forced label changes only with an edge on a
-        chain from its negation to it, and then its key counts as changed.
-        The fixpoint holds labels, not entries.
+        later step is in the graph.  So the area holds every key whose label
+        rested on a defeated entry, also one whose own entry stays live
+        because its label was a derivation of equal strength and smaller
+        rank.  A forced label changes only with a step on a chain from its
+        negation to it, and then its key counts as changed.  The fixpoint
+        holds labels, not entries.
 
         Raises ConflictDetected if the fixpoint contains both polarities of
         an atom, listing the clashing literals by atom.
@@ -569,7 +571,7 @@ class Context:
             item = label(key)
             if item is not None:
                 items.append(item)
-        settled = settle(graph, items, self._rank, area)
+        settled = settle(graph, items, area)
         # the labels outside the area have no clash, so a clash has a key in it
         clashing = clashes(settled, label, area)
         if clashing:
@@ -578,16 +580,16 @@ class Context:
         for key, item in settled.items():  # in pop order, which orders equal ranks
             if key in run:
                 run[key] = item
-                fresh.append((key, (item[1], item[2])))
+                fresh.append(item)
         if len(fresh) > 1:  # by rank, earliest premise first
-            fresh.sort(key=lambda kv: kv[1][1][2][::-1])
+            fresh.sort(key=lambda item: item[1][::-1])
         return new_record(Fixpoint, (fresh, run))
 
     def commit(self, fixpoint: Fixpoint) -> list[ContextEntry]:
         """Apply a fixpoint from ``saturate``: raise the live entry of each
-        settled key whose label is stronger, with the label's dependencies,
-        and insert the literals it derives.  Returns the inserted entries in
-        insertion order.
+        settled key whose label is stronger, with the label's premises as
+        dependencies, and insert the literals it derives.  Returns the
+        inserted entries in insertion order.
 
         The entries are the ones ``saturate`` saw: commit follows it, or a
         rollback that replays the same assertions under the same ids.  A
@@ -607,8 +609,8 @@ class Context:
             put(self._trail, self._run, key, item)
         self._changed = set()
         inserted = []
-        for key, (lit, (strength, deps, _)) in fixpoint.settled:
-            existing = self._live.get(key)
+        for negated, _, key, lit, deps in fixpoint.settled:
+            strength, existing = _STRENGTH[negated], self._live.get(key)
             if existing is None:
                 inserted.append(self._insert(lit, strength, (), set(deps)))
             elif strength > existing.strength:
@@ -617,9 +619,6 @@ class Context:
                 add_dependents(self._dependents, existing.entry_id, deps)
                 self._changed.add(key)
         return inserted
-
-    def _rank(self, deps: Iterable[str]) -> tuple[int, ...]:
-        return tuple(sorted((self.entries[d].order for d in deps), reverse=True))
 
     # -- redundancy -------------------------------------------------------
 
@@ -661,5 +660,5 @@ class Context:
 
 def _seed(entry: ContextEntry) -> Item:
     """The saturation's seed item for a live literal entry."""
-    return ((-entry.strength, (entry.order,), entry.proposition.key), entry.proposition,
-            (entry.strength, frozenset((entry.entry_id,)), (entry.order,)))
+    return (-entry.strength, (entry.order,), entry.proposition.key, entry.proposition,
+            frozenset((entry.entry_id,)))

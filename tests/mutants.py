@@ -222,8 +222,7 @@ MUTANTS = (
            ("tests/test_propositions.py::"
             "test_a_commit_that_settles_nothing_stores_its_area_and_clears_the_changed_keys",)),
     Mutant("new-literal-always-marked", "commonground/propositions.py",
-           "        elif key in graph.into or key in graph.edges or key in graph.multis:  "
-           "# _mark, inline\n",
+           "        elif key in graph.into or key in graph.steps:  # _mark, inline\n",
            "        else:\n",
            ("tests/test_state.py::test_literals_no_rule_mentions_are_never_searched",)),
     Mutant("insert-leaves-dependents-unindexed", "commonground/propositions.py",
@@ -232,6 +231,25 @@ MUTANTS = (
            "",
            ("tests/test_propositions.py::test_retract_walks_reverse_dependencies",
             "tests/test_state.py::test_retraction_index_names_every_dependent")),
+    Mutant("forced-walks-multi-steps", "commonground/saturation.py",
+           "            if len(ants) == 1 and dst.key not in done:\n",
+           "            if dst.key not in done:\n",
+           ("tests/test_propositions.py::"
+            "test_incremental_saturation_matches_from_scratch_reference",)),
+    Mutant("step-fires-without-a-premise", "commonground/saturation.py",
+           "                if premise is None:\n"
+           "                    break\n",
+           "                if premise is None:\n"
+           "                    continue\n",
+           ("tests/test_propositions.py::test_rank_never_falls_along_a_derivation",
+            "tests/test_propositions.py::"
+            "test_incremental_saturation_matches_from_scratch_reference")),
+    Mutant("rank-drops-rule-order", "commonground/saturation.py",
+           "{rule_id}, {rule_order}\n",
+           "{rule_id}, set()\n",
+           ("tests/test_propositions.py::test_rank_never_falls_along_a_derivation",
+            "tests/test_propositions.py::"
+            "test_incremental_saturation_matches_from_scratch_reference")),
     Mutant("arriving-left-set", "commonground/engine.py",
            "        if state.arriving:\n"
            "            state.arriving = frozenset()\n",

@@ -10,7 +10,7 @@ from commonground import (BadPropositionSyntax, Biconditional, ConflictDetected,
                           DefeatRejected, Literal, RedundancyVerdict, Rule, Strength,
                           parse_proposition)
 from commonground.propositions import DEFEATED, LIVE, retract
-from commonground.saturation import _with_order
+from commonground.saturation import Graph, settle
 from conftest import check_live_map, latest_live_literal, live_ids
 from saturation_reference import Derivation, reference_commit, reference_key, \
     reference_saturate
@@ -291,7 +291,7 @@ def test_saturate_writes_nothing():
     before = entry_view(ctx)
     fixpoint = ctx.saturate()
     assert entry_view(ctx) == before
-    assert {key for key, _ in fixpoint.settled} == {"a", "b", "c"}
+    assert {item[2] for item in fixpoint.settled} == {"a", "b", "c"}
 
 
 def test_saturate_raises_and_leaves_context_unchanged():
@@ -636,13 +636,20 @@ LABEL_OF_AN_UNRAISED_ENTRY = [("assert", lit("x -> b"), Strength.LINGUISTIC),
                               ("assert", lit("b -> t"), Strength.LINGUISTIC), ("saturate",),
                               ("assert", lit("c -> t"), Strength.LINGUISTIC), ("saturate",)]
 
-#: rules alone force !a ... !f, each through every rule, so all six settle
+#: rules alone force !a ... !j, each through every rule, so all ten settle
 #: with one strength and one rank: they commit, and take their ids, in the
 #: search's pop order, which is key order, whatever order the area's set
-#: holds them in
-EQUAL_RANKS = [("assert", lit(text), Strength.LINGUISTIC)
-               for text in ("a <-> b", "b <-> c", "c <-> d", "d <-> e", "e <-> f", "a -> !f")] \
-    + [("saturate",)]
+#: holds them in (an order that matches key order by chance is 1 in 10!)
+EQUAL_RANKS = [("assert", lit(f"{a} <-> {b}"), Strength.LINGUISTIC)
+               for a, b in zip("abcdefghi", "bcdefghij")] \
+    + [("assert", lit("a -> !j"), Strength.LINGUISTIC), ("saturate",)]
+
+#: the chain !a -> c -> a forces a; the older rule !a & b -> a would give a
+#: better-ranked route from !a to a, were a step with two antecedents walked
+#: as an edge, and a's forced seed would rest on it alone
+FORCED_BY_EDGES_ONLY = [("assert", lit("!a & b -> a"), Strength.LINGUISTIC),
+                        ("assert", lit("!a -> c"), Strength.LINGUISTIC),
+                        ("assert", lit("c -> a"), Strength.LINGUISTIC), ("saturate",)]
 
 #: rules alone force !b and d with one strength and one rank
 EQUAL_RANKS_IN_AN_EVENT = [("assert", lit("b -> d"), Strength.HYPOTHESIS),
@@ -655,38 +662,47 @@ flagged_orders = st.lists(st.tuples(st.integers(0, 10**6), st.booleans()), min_s
 
 
 def test_equal_labels_commit_in_pop_order():
-    """Six literals settle in one saturation with one strength and one rank
+    """Ten literals settle in one saturation with one strength and one rank
     (``EQUAL_RANKS``).  The fixpoint lists them, and ``commit`` inserts them
     and gives them ids, in the order the search pops them: by key."""
     ctx = Context()
     for n, (_, p, strength) in enumerate(EQUAL_RANKS[:-1]):
         ctx.assert_prop(p, strength, f"u{n}")
     fixpoint = ctx.saturate()
-    assert len({label for _, (_, label) in fixpoint.settled}) == 1
+    assert len({(item[0], item[1], item[4]) for item in fixpoint.settled}) == 1
     inserted = ctx.commit(fixpoint)
-    keys = ["!a", "!b", "!c", "!d", "!e", "!f"]
-    assert [key for key, _ in fixpoint.settled] == keys
+    keys = ["!" + atom for atom in "abcdefghij"]
+    assert [item[2] for item in fixpoint.settled] == keys
     assert [e.proposition.key for e in inserted] == keys
-    assert [e.entry_id for e in inserted] == ["d7", "d9", "d11", "d13", "d15", "d17"]
-    assert [e.order for e in inserted] == [8, 10, 12, 14, 16, 18]
+    assert [e.entry_id for e in inserted] == [f"d{n}" for n in range(11, 30, 2)]
+    assert [e.order for e in inserted] == list(range(12, 31, 2))
 
 
 @given(flagged_orders)
 def test_rank_never_falls_along_a_derivation(flagged):
     """A rank only rises along a derivation, so ``settle`` can merge recorded
-    items by heap key: one more premise order makes a rank greater, and a
-    superset of premises never ranks below a subset of them."""
+    items by heap key.  The rank ``settle`` builds for ``c`` from ``a & b ->
+    c`` holds the orders of both premises and the rule's, split between the
+    premises by flag: it is greater than each premise's, as the rule's order
+    is new to both.  The step ``c -> e`` of the same rule adds no order, and
+    ``e``'s rank equals ``c``'s."""
     orders = [o for o, _ in flagged]
-    rank = tuple(sorted(orders[1:], reverse=True))
-    assert _with_order(rank, orders[0]) > rank
-    ctx = SimpleNamespace(entries={f"e{o}": SimpleNamespace(order=o) for o in orders})
-    subset = {f"e{o}" for o, kept in flagged if kept}
-    assert Context._rank(ctx, set(ctx.entries)) >= Context._rank(ctx, subset)
+    graph = Graph([])
+    for rule in ("a & b -> c", "c -> e"):
+        graph.link("r", Strength.LINGUISTIC, orders[0], lit(rule))
+    items = [(-Strength.LINGUISTIC, tuple(sorted((o for o, kept in flagged[1:] if kept is flag),
+                                                 reverse=True)), key, lit(key), frozenset())
+             for key, flag in (("a", True), ("b", False))]
+    settled = settle(graph, items, {"a", "b", "c", "e"})
+    assert settled["c"][1] == tuple(sorted(orders, reverse=True))
+    assert settled["c"][1] > settled["a"][1] and settled["c"][1] > settled["b"][1]
+    assert settled["e"][1] == settled["c"][1] and settled["e"][4] == settled["c"][4] == {"r"}
 
 
 def run_labels(ctx):
     """The labels ``ctx`` keeps in its run, as the reference gives them."""
-    return {key: (item[1], item[2]) for key, item in ctx._run.items()}
+    return {key: (item[3], Derivation(Strength(-item[0]), item[4], item[1]))
+            for key, item in ctx._run.items()}
 
 
 def check_run(ctx, labels, committed):
@@ -722,6 +738,7 @@ def clashes_of(run):
 @example(LABEL_OF_AN_UNRAISED_ENTRY)
 @example(EQUAL_RANKS)
 @example(EQUAL_RANKS_IN_AN_EVENT)
+@example(FORCED_BY_EDGES_ONLY)
 def test_incremental_saturation_matches_from_scratch_reference(steps):
     """Random assert / saturate+commit / trial event / defeat sequences give
     the same entries, inserted ids and clash lists as the from-scratch

@@ -2,6 +2,7 @@
 
 import gc
 import heapq
+import itertools
 import random
 import sys
 from types import SimpleNamespace
@@ -10,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from commonground import (AcceptanceBelief, AcceptanceOutcome, ActType, ConflictDetected,
+from commonground import (AcceptanceBelief, AcceptanceOutcome, ActType, CommonGroundError,
+                          ConflictDetected,
                           ConflictEvidence, ContextEntry, DefeatRejected, DialogueEngine,
                           DiscourseState, IRUClass, Intonation, OrderingViolation,
                           Strength, SupportLink, UnknownProposition, UtteranceEvent, defeat,
@@ -21,6 +23,8 @@ from commonground.acceptance import CONTRADICTORY_ASSERTION, EXPLICIT_REJECTION
 from commonground.propositions import DEFEATED, LIVE
 from conftest import DIALOGUES, DISPUTES, check_live_map, latest_live_literal, live_ids, \
     load_fixture
+from enumerate_dialogues import KINDS, event as enumerated_event
+from truthtable import literal_consequences
 
 P = parse_proposition
 
@@ -148,7 +152,7 @@ def test_detect_conflict_hands_over_the_trial_fixpoint():
     consistent = event("u2", 1, speaker="b", addressee="a", realizes=(P("p"),))
     fixpoints = []
     assert detect_conflict(state, consistent, fixpoints) is None
-    assert {key for key, _ in fixpoints[0].settled} == {"p", "q"}
+    assert {item[2] for item in fixpoints[0].settled} == {"p", "q"}
     # the trial stands as the event's assertion
     direct.context.assert_prop(P("p"), Strength.LINGUISTIC, "u2")
     assert trial_view(state.context) == trial_view(direct.context)
@@ -236,8 +240,7 @@ def test_detect_conflict_trial_that_fails_leaves_the_context_as_it_was(monkeypat
 def graph_tables(context):
     """The implication graph's tables and the run, by value."""
     graph = context._graph
-    return [dict(t) for t in (graph.edges, graph.multis, graph.into, graph.forced,
-                              context._run)]
+    return [dict(t) for t in (graph.steps, graph.into, graph.forced, context._run)]
 
 
 def direct_contrary_state(setup):
@@ -1099,6 +1102,28 @@ def test_one_dependency_graph_after_every_event(text):
             key = (belief.proposition.key, belief.accepting_agent)
             assert state.find_acceptance(belief.proposition, belief.accepting_agent) \
                 is live.get(key), (ev.utterance_id, key)
+
+
+def test_live_literals_are_the_consequences_of_the_live_assertions():
+    """Soundness and completeness over every dialogue of three events of
+    ``tests/enumerate_dialogues.py``'s space: after each completed event, the
+    live literal entries are exactly the literals that the live asserted
+    propositions entail (``tests/truthtable.py``).  An event that raises ends
+    its dialogue; every other one is checked."""
+    checked = 0
+    for kinds in itertools.product(KINDS, repeat=3):
+        engine = DialogueEngine(DiscourseState("enumerated", ("a", "b"), True))
+        for turn, kind in enumerate(kinds):
+            try:
+                engine.process(enumerated_event(kind, turn))
+            except CommonGroundError:
+                break
+            live = engine.state.context.live_entries()
+            asserted = [e.proposition for e in live if e.sources]
+            literals = {e.proposition for e in live if isinstance(e.proposition, Literal)}
+            assert literals == literal_consequences(asserted), (kinds, turn)
+            checked += 1
+    assert checked == 8168
 
 
 @pytest.mark.parametrize("path", DIALOGUES + DISPUTES, ids=lambda path: path.stem)
