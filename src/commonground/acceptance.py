@@ -113,20 +113,19 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
     Annotation first: a ``rejects`` link (to an earlier utterance, as
     admission checked) is explicit rejection regardless of content.
     Otherwise a trial (``Context.trial``): the event's propositions are
-    asserted (linguistic) and saturated.  A clash is contradictory assertion
-    evidence against the previously live half of each pair, and
-    ``Context.rollback`` leaves the context as it was; so does any other
-    exception, which is raised again.  A realized literal whose contrary is
-    live raises in its own assertion (``Context.assert_prop``), and the
-    first such one does: none makes a later literal's contrary live or not
-    live (admission refuses ``p`` with ``!p``, and an assertion defeats
-    nothing).
+    asserted (linguistic) and saturated, by ``Context.assert_all``.  A clash
+    is contradictory assertion evidence against the previously live half of
+    each pair, and ``Context.rollback`` leaves the context as it was; so
+    does any other exception, which is raised again.  A realized literal
+    whose contrary is live raises in its own assertion, and the first such
+    one does: none makes a later literal's contrary live or not live
+    (admission refuses ``p`` with ``!p``, and an assertion defeats nothing).
 
     With no clash the trial is the event's assertion: ``Context.keep`` lets
     its writes stand, and its fixpoint goes onto ``fixpoints`` for the
     caller to commit while nothing writes the context in between.  The
     context then holds entries for the propositions whose redundancy
-    verdict is ``not_redundant``.
+    verdict is ``not_redundant``; with no trial kept, it holds none.
     """
     rejects, realizes, uid = event.rejects, event.realizes, event.utterance_id
     if rejects is not None:
@@ -139,9 +138,7 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
     context, clashes = state.context, None
     mark = context.trial()
     try:
-        for p in realizes:
-            context.assert_prop(p, Strength.LINGUISTIC, uid)
-        fixpoint = context.saturate()
+        fixpoint = context.assert_all(realizes, Strength.LINGUISTIC, uid)
     except ConflictDetected as raised:
         # the clashes only: the exception's traceback holds this frame
         clashes = raised.clashes

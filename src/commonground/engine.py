@@ -12,12 +12,13 @@ The order is fixed, and it matters:
   context before the event, and a license premise it refuses leaves no
   trial entry behind;
 - acceptance (6) sees the context as it was before the event: its lookups
-  pass over the entries a kept conflict trial (5) inserted;
+  pass over the keys step 5 puts in ``state.arriving``;
 - defeats (7) follow acceptance (6) and precede the assertion (8), so
   contested content never enters the common ground;
-- a clash-free trial (5) is the event's assertion and step 8 commits its
+- one call, ``Context.assert_all``, asserts the event's content: a
+  clash-free trial (5) is the event's assertion and step 8 commits its
   fixpoint as it stands, so step 6 writes no context entry and step 7 has
-  nothing to do.
+  nothing to do; else step 8 makes the call.
 
 The phases compute values; ``process`` gathers them, with the event, into a
 ``trace.TraceRecord`` (built as ``propositions.Slotted`` tells), and ``trace``
@@ -84,7 +85,11 @@ class DialogueEngine:
         cls = grd.classify_iru(event, state, verdicts, matched)
         antecedents = grd.resolved_antecedents(event, state, cls, verdicts, matched)
         licenses = self._iru_upgrade(event, cls, antecedents, matched, touched)
-        conflict, fixpoint = self._detect_conflict(event, verdicts)
+        # 5. detect conflict evidence; a kept trial hands over its fixpoint
+        fixpoints: list[Fixpoint] = []
+        conflict = acc.detect_conflict(state, event, fixpoints)
+        state.arriving = frozenset([p.key for p, verdict in zip(realizes, verdicts)
+                                    if not verdict.redundant])
         # 6. settle acceptance: pending questions first, then the adjacent pair
         outcomes = acc.reevaluate_pending(state, event, conflict=conflict)
         if prev is not None and prev.addressee == event.speaker:
@@ -95,7 +100,7 @@ class DialogueEngine:
         retractions, contested = self._defeat(conflict)
         asserted = derived = supports = ()
         if not contested:
-            asserted, derived = self._assert(event, verdicts, fixpoint, touched, licenses)
+            asserted, derived = self._assert(event, verdicts, fixpoints, touched, licenses)
             supports = self._register_links(event, licenses)
 
         events = state.events
@@ -172,20 +177,6 @@ class DialogueEngine:
                     touched[link.owner] = owner
         return lifted
 
-    def _detect_conflict(self, event: UtteranceEvent, verdicts) \
-            -> tuple[Optional[acc.ConflictEvidence], Optional[Fixpoint]]:
-        """5. Detect conflict evidence (``acceptance.detect_conflict``).  A
-        clash-free trial stands as the event's assertion: its fixpoint is
-        returned for step 8, and ``state.arriving`` holds the keys it inserted
-        (verdict ``not_redundant``) until step 6 is done."""
-        fixpoints: list[Fixpoint] = []
-        conflict = acc.detect_conflict(self.state, event, fixpoints)
-        if not fixpoints:
-            return conflict, None
-        self.state.arriving = frozenset([p.key for p, verdict in zip(event.realizes, verdicts)
-                                         if not verdict.redundant])
-        return conflict, fixpoints[0]
-
     def _defeat(self, conflict: Optional[acc.ConflictEvidence]) -> tuple[list, bool]:
         """7. Defeat the live acceptances of the contested propositions that
         are weaker than the conflict evidence, then their entries if every one
@@ -206,26 +197,26 @@ class DialogueEngine:
                 retracted.append(acc.defeat(state, e.entry_id, conflict).defeated)
         return retracted, False
 
-    def _assert(self, event: UtteranceEvent, verdicts, fixpoint: Optional[Fixpoint],
+    def _assert(self, event: UtteranceEvent, verdicts, fixpoints: list[Fixpoint],
                 touched: dict, licenses: list) -> tuple[list, list]:
         """8. Assert the event's propositions (linguistic), commit the closure
         and license an inference for each derivation resting on the event.
-        A kept trial's propositions stand asserted and its fixpoint is
+        A kept trial asserted them, and its fixpoint (on ``fixpoints``) is
         committed; after conflict evidence that left the content uncontested
         they are asserted and saturated here, along with what a defeat
         changed.  Returns the asserted and derived values; license values go
         onto ``licenses``."""
         state, uid, realizes = self.state, event.utterance_id, event.realizes
         asserted, derived = [], []
-        for p, verdict in zip(realizes, verdicts):
-            entry = state.context.lookup(p) if fixpoint is not None else \
-                state.context.assert_prop(p, Strength.LINGUISTIC, uid)
-            asserted.append((p, entry.strength, verdict))
         if not realizes:
             return asserted, derived
-        for entry in state.context.commit(
-                fixpoint if fixpoint is not None else state.context.saturate()):
-            roots = sorted(state.context.asserted_roots(entry))
+        context = state.context
+        fixpoint = fixpoints[0] if fixpoints else \
+            context.assert_all(realizes, Strength.LINGUISTIC, uid)
+        for p, verdict in zip(realizes, verdicts):
+            asserted.append((p, context.lookup(p).strength, verdict))
+        for entry in context.commit(fixpoint):
+            roots = sorted(context.asserted_roots(entry))
             derived.append((entry.proposition, entry.strength, tuple(roots)))
             if uid in roots:  # from the event's first literal, or else its first proposition
                 premise = next((p for p in realizes if isinstance(p, Literal)), realizes[0])

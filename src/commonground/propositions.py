@@ -111,11 +111,11 @@ class Literal(Frozen):
 
 class Rule(Frozen):
     """``key`` sorts the antecedents, so notational variants share it.
-    ``edges`` holds the implication edges of a single-antecedent rule: the
-    rule and then its contrapositive; a rule with several antecedents has
-    none.  Neither takes part in equality, hashing or repr."""
+    ``steps`` holds its ``(target, antecedents)`` implication steps: the
+    rule, then for a single antecedent its contrapositive.  Neither takes
+    part in equality, hashing or repr."""
 
-    __slots__ = ("antecedents", "consequent", "key", "edges")
+    __slots__ = ("antecedents", "consequent", "key", "steps")
     _fields = ("antecedents", "consequent")
 
     def __init__(self, antecedents: tuple[Literal, ...], consequent: Literal):
@@ -128,19 +128,19 @@ class Rule(Frozen):
         object.__setattr__(self, "key", " & ".join(sorted(a.key for a in antecedents))
                            + " -> " + consequent.key)
         a, c = antecedents[0], consequent
-        object.__setattr__(self, "edges", ((a, c), (c.negated(), a.negated()))
-                           if len(antecedents) == 1 else ())
+        object.__setattr__(self, "steps", ((c, antecedents), (a.negated(), (c.negated(),)))
+                           if len(antecedents) == 1 else ((c, antecedents),))
 
     def __str__(self) -> str:
         return " & ".join(a.key for a in self.antecedents) + " -> " + self.consequent.key
 
 
 class Biconditional(Frozen):
-    """``key`` sorts the sides, so notational variants share it.  ``edges``
-    holds its implication edges: both ways, and then their contrapositives
-    in the same order.  Neither takes part in equality, hashing or repr."""
+    """``key`` sorts the sides, so notational variants share it.  ``steps``
+    holds its steps both ways, then their contrapositives in the same
+    order.  Neither takes part in equality, hashing or repr."""
 
-    __slots__ = ("left", "right", "key", "edges")
+    __slots__ = ("left", "right", "key", "steps")
     _fields = ("left", "right")
 
     def __init__(self, left: Literal, right: Literal):
@@ -148,8 +148,8 @@ class Biconditional(Frozen):
         object.__setattr__(self, "right", right)
         object.__setattr__(self, "key", " <-> ".join(sorted((left.key, right.key))))
         not_l, not_r = left.negated(), right.negated()
-        object.__setattr__(self, "edges", ((left, right), (right, left), (not_r, not_l),
-                                           (not_l, not_r)))
+        object.__setattr__(self, "steps", ((right, (left,)), (left, (right,)),
+                                           (not_l, (not_r,)), (not_r, (not_l,))))
 
     def __str__(self) -> str:
         return f"{self.left.key} <-> {self.right.key}"
@@ -300,7 +300,7 @@ class Context:
         self._trials = 0  # open trials
         self._graph = Graph(self._trail)
         self._run: dict[str, Item] = {}  # mentioned key -> settled item, as last committed
-        self._changed: set[str] = set()  # mentioned keys with new seeds or in-edges since
+        self._changed: set[str] = set()  # mentioned keys with new seeds or in-steps since
 
     # -- plumbing ---------------------------------------------------------
 
@@ -461,7 +461,7 @@ class Context:
                 self._set(existing, "strength", strength)
                 # direct assertion supersedes any derivation as support
                 self._set(existing, "dependencies", set())
-            if raised:  # its seed, or its edges once more, at the new strength
+            if raised:  # its seed, or its steps once more, at the new strength
                 self._enter(existing)
             return existing
         if isinstance(p, Literal):
@@ -475,6 +475,13 @@ class Context:
         elif key in graph.into or key in graph.steps:  # _mark, inline
             self._changed.add(key)
         return entry
+
+    def assert_all(self, props: tuple, strength: Strength, source: str) -> Fixpoint:
+        """Assert each of ``props`` (``assert_prop``), then saturate; returns
+        the fixpoint for ``commit``.  Raises ConflictDetected as they do."""
+        for p in props:
+            self.assert_prop(p, strength, source)
+        return self.saturate()
 
     def defeat_entry(self, node_id: str) -> list[str]:
         """Mark a node defeated, with every live node whose dependencies

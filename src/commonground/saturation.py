@@ -33,13 +33,13 @@ class Graph:
     """The implication graph of a context's rules, which only grows.
 
     ``steps`` maps a literal's key to the steps it is an antecedent of:
-    (target, antecedents, rule id, rule strength, rule order).  Each pair of
-    a rule's or biconditional's ``edges`` is a step with one antecedent, the
-    contrapositives among them, so !v -> !u is a step exactly when u -> v
-    is; a rule with several antecedents is one step under each of their
-    keys.  ``into`` maps a key to the antecedent keys of every step into it,
-    for the keys a saturation merges in.  ``forced`` maps the key of each
-    forced literal to its seed item (``forced_item``).
+    (target, antecedents, rule id, rule strength, rule order).  A rule or
+    biconditional gives one for each of its own ``steps`` under the key of
+    each antecedent.  A single-antecedent rule's contrapositive is among
+    them, so !v -> !u is a step exactly when u -> v is.  ``into`` maps a
+    key to the antecedent keys of every step into it, for the keys a
+    saturation merges in.  ``forced`` maps the key of each forced literal
+    to its seed item (``forced_item``).
 
     A rule mentions a key (``mentions``) when the key is in ``steps`` or
     ``into``; a forced key is in ``into``, as forcing needs a step in.
@@ -60,46 +60,39 @@ class Graph:
         self.trail = trail
 
     def link(self, rule_id: str, strength: Strength, order: int, rule) -> set[str]:
-        """Add a rule or biconditional: a step for each of its ``edges``, or,
-        for a rule with none, one step with all its antecedents.  Each write
-        appends one value to the tuple under a key of a table."""
-        edges, steps, into, writes, changed = rule.edges, self.steps, self.into, [], set()
-        for src, dst in edges:
-            writes += ((steps, src.key, (dst, (src,), rule_id, strength, order)),
-                       (into, dst.key, src.key))
-            changed.add(dst.key)
-        if not edges:
-            ants, dst = rule.antecedents, rule.consequent
+        """Add a rule or biconditional: each of its ``steps`` under each of
+        the step's antecedents.  Each write appends one value to the tuple
+        under a key of a table."""
+        steps, into, trail, changed = self.steps, self.into, self.trail, set()
+        for dst, ants in rule.steps:
+            step = (dst, ants, rule_id, strength, order)
             for a in ants:
-                writes += ((steps, a.key, (dst, ants, rule_id, strength, order)),
-                           (into, dst.key, a.key))
+                for table, key, value in ((steps, a.key, step), (into, dst.key, a.key)):
+                    old = table.get(key)
+                    trail.append((table, key, old))
+                    table[key] = (value,) if old is None else old + (value,)
             changed.add(dst.key)
-        trail = self.trail
-        for table, key, value in writes:
-            old = table.get(key)
-            trail.append((table, key, old))
-            table[key] = (value,) if old is None else old + (value,)
-        if edges:
-            changed |= self._reforce(edges)
+        changed |= self._reforce(rule.steps)
         return changed
 
     def mentions(self, key: str) -> bool:
         return key in self.into or key in self.steps
 
-    def _reforce(self, edges: tuple[tuple[object, object], ...]) -> set[str]:
-        """Search again the forced seed of each literal an edge u -> v or its
-        contrapositive !v -> !u can force, and return the keys whose seed
-        changed.  Those literals are every L with !L reaching u and v
-        reaching L.  The graph holds each edge's contrapositive, so !L
-        reaches u exactly when !u reaches L, and the contrapositive gives the
-        same literals.  ``edges`` holds edges and then, in the same order,
-        their contrapositives, as a rule's ``edges`` do."""
-        half = len(edges) // 2
+    def _reforce(self, steps: tuple[tuple, ...]) -> set[str]:
+        """Search again the forced seed of each literal a rule's ``steps`` can
+        force, and return the keys whose seed changed.  A first step u -> v
+        with one antecedent can force every L with !L reaching u and v
+        reaching L; its contrapositive !v -> !u, halfway along, is in the
+        graph, so !L reaches u exactly when !u reaches L.  A biconditional's
+        other direction gives the same literals: u and v reach each other,
+        and so do !u and !v.  A rule with several antecedents forces nothing
+        (``forced_item`` walks only steps with one antecedent)."""
+        (dst, ants), (negated_src, _) = steps[0], steps[len(steps) // 2]
         changed = set()
-        for (_, dst), (_, negated_src) in zip(edges[:half], edges[half:]):
+        if len(ants) == 1:
             back = _reach(self.steps, negated_src)
             for key, lit in _reach(self.steps, dst).items():
-                if key in back:  # a key both edges reach is searched again, to the same seed
+                if key in back:
                     item = forced_item(self.steps, lit)
                     if item != self.forced.get(key):
                         put(self.trail, self.forced, key, item)

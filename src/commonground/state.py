@@ -53,8 +53,8 @@ class DiscourseState:
         #: (belief key, goal key) -> the link ``record_support`` added
         self.support_between: dict[tuple[str, str], SupportLink] = {}
         #: keys of the current event's propositions that the context did not
-        #: hold before the event, while its kept conflict trial holds them
-        #: ahead of its assertion step (see ``entry_before_event``)
+        #: hold before it, set for every event from its conflict trial until
+        #: its acceptance step is done (see ``entry_before_event``)
         self.arriving: frozenset[str] = frozenset()
         self.pending: list[PendingAcceptance] = []
 
@@ -66,7 +66,7 @@ class DiscourseState:
     def entry_before_event(self, p: Proposition) -> ContextEntry | None:
         """The live entry of ``p`` as the context held it before the current
         event: none for a key in ``arriving``.  Its one reader is acceptance,
-        which runs while a kept conflict trial holds the event's content."""
+        which may run while a kept conflict trial holds the event's content."""
         return None if p.key in self.arriving else self.context.lookup(p)
 
     def add_license_link(self, link: LicenseLink) -> None:

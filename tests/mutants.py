@@ -10,7 +10,8 @@ working directory is the copy's temporary directory, where hypothesis keeps
 its example database, so no mutant replays another's failing examples.
 The script exits nonzero if a mutant survives, or if a mutant's old text is
 not in its file exactly once: then the code it was written against has
-changed, and the mutant must be written again.
+changed, and the mutant must be written again; ``tests/test_mutants.py``
+checks that, and the tests each mutant names, without running a mutant.
 pytest does not collect this file (its name does not start with ``test``).
 
     python3 tests/mutants.py [mutant-name ...]
@@ -45,7 +46,7 @@ MUTANTS = (
            "",
            ("tests/test_state.py::test_a_rule_entry_is_never_defeated",)),
     Mutant("raised-entry-not-entered", "commonground/propositions.py",
-           "            if raised:  # its seed, or its edges once more, at the new strength\n"
+           "            if raised:  # its seed, or its steps once more, at the new strength\n"
            "                self._enter(existing)\n",
            "",
            ("tests/test_propositions.py::"
@@ -146,8 +147,11 @@ MUTANTS = (
            ("tests/test_state.py::test_one_dependency_graph_after_every_event[reaccepted]",)),
     Mutant("trial-before-iru-upgrade", "commonground/engine.py",
            "        licenses = self._iru_upgrade(event, cls, antecedents, matched, touched)\n"
-           "        conflict, fixpoint = self._detect_conflict(event, verdicts)\n",
-           "        conflict, fixpoint = self._detect_conflict(event, verdicts)\n"
+           "        # 5. detect conflict evidence; a kept trial hands over its fixpoint\n"
+           "        fixpoints: list[Fixpoint] = []\n"
+           "        conflict = acc.detect_conflict(state, event, fixpoints)\n",
+           "        fixpoints: list[Fixpoint] = []\n"
+           "        conflict = acc.detect_conflict(state, event, fixpoints)\n"
            "        licenses = self._iru_upgrade(event, cls, antecedents, matched, touched)\n",
            ("tests/test_state.py::"
             "test_license_evidence_sees_the_context_as_it_was_before_the_event",)),
@@ -255,6 +259,27 @@ MUTANTS = (
            "            state.arriving = frozenset()\n",
            "",
            ("tests/test_state.py::test_arriving_keys_end_with_their_event",)),
+    Mutant("rule-without-contrapositive", "commonground/propositions.py",
+           "((c, antecedents), (a.negated(), (c.negated(),)))\n",
+           "((c, antecedents),)\n",
+           ("tests/test_propositions.py::"
+            "test_incremental_saturation_matches_from_scratch_reference",)),
+    Mutant("empty-event-saturates", "commonground/engine.py",
+           "        if not realizes:\n"
+           "            return asserted, derived\n"
+           "        context = state.context\n",
+           "        context = state.context\n",
+           ("tests/test_golden.py::test_cli_output_matches_golden",)),
+    Mutant("arriving-holds-repeated-keys", "commonground/engine.py",
+           "        state.arriving = frozenset([p.key for p, verdict in zip(realizes, verdicts)\n"
+           "                                    if not verdict.redundant])\n",
+           "        state.arriving = frozenset([p.key for p in realizes])\n",
+           ("tests/test_state.py::test_a_repeated_proposition_is_not_arriving",)),
+    Mutant("kept-trial-asserted-again", "commonground/engine.py",
+           "        fixpoint = fixpoints[0] if fixpoints else \\\n"
+           "            context.assert_all(realizes, Strength.LINGUISTIC, uid)\n",
+           "        fixpoint = context.assert_all(realizes, Strength.LINGUISTIC, uid)\n",
+           ("tests/test_state.py::test_a_clash_free_event_is_saturated_once",)),
 )
 
 

@@ -109,7 +109,7 @@ def test_carried_key_is_the_canonical_key(p, rng):
         assert repr(l) == f"Literal(atom={l.atom!r}, positive={l.positive})"
         assert hash(l) == hash((l.atom, l.positive))
     # equality and hashing are over the fields alone: never a plain tuple of
-    # them, never a proposition of another type, and never key or edges
+    # them, never a proposition of another type, and never key or steps
     names = ("atom", "positive") if isinstance(p, L) else \
         ("antecedents", "consequent") if isinstance(p, Rule) else ("left", "right")
     fields = tuple(getattr(p, name) for name in names)
@@ -122,9 +122,10 @@ def test_carried_key_is_the_canonical_key(p, rng):
         assert (Rule(tuple(ants), p.consequent) == p) == (tuple(ants) == p.antecedents)
     elif isinstance(p, Biconditional):
         assert (Biconditional(p.right, p.left) == p) == (p.left == p.right)
-    for name in (*names, "key", *(() if isinstance(p, L) else ("edges",))):
+    for name in (*names, "key", *(() if isinstance(p, L) else ("steps",))):
+        value = getattr(p, name)  # outside the block: a name it lacks fails here
         with pytest.raises(AttributeError):
-            setattr(p, name, getattr(p, name))
+            setattr(p, name, value)
 
 
 # -- assertion --------------------------------------------------------------

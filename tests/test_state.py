@@ -537,7 +537,7 @@ def test_rollback_undoes_every_write_of_a_trial(before_steps, steps):
 
 def test_a_clash_free_event_is_asserted_once(monkeypatch):
     """The conflict trial of an event with no clash is its assertion: a
-    rule's edges join the graph in one ``Graph.link`` call, and nothing is
+    rule's steps join the graph in one ``Graph.link`` call, and nothing is
     rolled back."""
     calls = {"link": 0, "rollback": 0}
 
@@ -993,6 +993,32 @@ def test_arriving_keys_end_with_their_event():
     assert engine.state.arriving == frozenset()
     engine.process(event("u1", 1, "b", "a", text="go on"))
     assert engine.state.find_acceptance(P("p"), "b").dependencies == {"u1", "u0"}
+
+
+#: u0 says p and p -> q, and u1 says p again, in a dialogue requiring acceptance
+REPEATED_PREMISE = (utterance("u0", 0, "p; p -> q"), utterance("u1", 1, "p"))
+
+
+def test_a_repeated_proposition_is_not_arriving():
+    # p was in the context before u1 said it again, so b's default
+    # acceptance of u0's p rests on u0's entry as well as on the trigger
+    state = replay_checked("true", *REPEATED_PREMISE)
+    assert state.find_acceptance(P("p"), "b").dependencies == {"u0", "u1"}
+
+
+def test_a_clash_free_event_is_saturated_once(monkeypatch):
+    """A kept conflict trial is the event's assertion: step 8 neither asserts
+    nor saturates the event's content again."""
+    saturations = []
+    saturate = Context.saturate
+    monkeypatch.setattr(Context, "saturate",
+                        lambda self: saturations.append(1) or saturate(self))
+    transcript = parse(mini("true", *REPEATED_PREMISE))
+    engine = DialogueEngine.for_transcript(transcript)
+    for ev in transcript.events:
+        before = len(saturations)
+        assert engine.process(ev).conflict is None
+        assert len(saturations) - before == 1, ev.utterance_id
 
 
 def test_license_evidence_sees_the_context_as_it_was_before_the_event():
