@@ -28,12 +28,13 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import BadPropositionSyntax, ConflictDetected, DefeatRejected
 from .evidence import Strength
-# the status names stay importable from here, as the package does
-from .retraction import DEFEATED, LIVE, add_dependents, retract  # noqa: F401
 from .saturation import Fixpoint, Graph, Item, clashes, contrary, forward, put, settle
 
 ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 new_record = tuple.__new__  # (cls, every field's value) -> a NamedTuple record; see Slotted
+#: the status of a node of the dependency graph (``Context``)
+LIVE = "live"
+DEFEATED = "defeated"
 
 
 class Slotted:
@@ -268,7 +269,8 @@ class Context:
     ``lookup`` and ``lookup_key``.  Nodes join through ``add_node`` (entries
     through ``_insert``) and gain dependencies through ``depend`` or
     ``commit``, and each of these indexes them for ``retract``: for each id,
-    the nodes whose dependencies may hold it.
+    the nodes whose dependencies may hold it.  The index only grows, and a
+    raise replaces an entry's dependencies, so ``retract`` checks each node.
 
     For saturation the context keeps the implication graph of its rules
     (``saturation.Graph``), which only grows, as a rule once entered is
@@ -452,7 +454,8 @@ class Context:
         reports a clash and never settles it, as defeats belong to the
         caller (``acceptance.defeat``).
         """
-        existing = self._live.get(p.key)
+        key = p.key
+        existing = self._live.get(key)
         if existing is not None:
             if source not in existing.sources:
                 self._set(existing, "sources", existing.sources + (source,))
@@ -465,11 +468,11 @@ class Context:
                 self._enter(existing)
             return existing
         if isinstance(p, Literal):
-            other = self._live.get(contrary(p))
+            other = self._live.get(contrary(key))
             if other is not None:
                 raise ConflictDetected([(p, other.proposition)])
         entry = self._insert(p, strength, (source,), set())
-        graph, key = self._graph, p.key
+        graph = self._graph
         if not isinstance(p, Literal):
             self._enter(entry)
         elif key in graph.into or key in graph.steps:  # _mark, inline
@@ -663,6 +666,38 @@ class Context:
             else:
                 stack.extend(e.dependencies)
         return roots
+
+
+def add_dependents(index: dict[str, set[str]], node_id: str, ids: Iterable[str]) -> None:
+    """Record in a reverse-dependency index that ``node_id`` depends on ``ids``."""
+    for dep in ids:
+        index.setdefault(dep, set()).add(node_id)
+
+
+def retract(nodes: dict, target_id: str, dependents: dict[str, Iterable[str]]) -> list[str]:
+    """The ids of ``target_id`` and of every live node whose dependency
+    closure reaches it, sorted; it writes nothing.  ``nodes`` maps ids to
+    objects with ``status`` and ``dependencies`` attributes; dependency ids
+    with no node (e.g. raw event ids kept for provenance) are ignored, and
+    nodes that are not live neither join nor pass the defeat on.
+    ``dependents`` maps an id to the ids of the nodes whose dependencies may
+    hold it: every node that depends on it, and perhaps others, since each
+    one is checked."""
+    if target_id not in nodes:
+        raise KeyError(target_id)
+    defeated = {target_id}
+    frontier = [target_id]
+    while frontier:
+        dep = frontier.pop()
+        for nid in dependents.get(dep, ()):
+            if nid in defeated:
+                continue
+            node = nodes.get(nid)
+            if (node is not None and getattr(node, "status", LIVE) == LIVE
+                    and dep in node.dependencies):
+                defeated.add(nid)
+                frontier.append(nid)
+    return sorted(defeated)
 
 
 def _seed(entry: ContextEntry) -> Item:

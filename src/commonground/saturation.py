@@ -8,9 +8,10 @@ smaller rank wins ties.  Adding a premise or taking a union never makes it
 smaller, so the first two fields never fall along a derivation.  The search
 is a Dijkstra over the steps of the live rules (``Graph``).  The graph and
 the search hold ``Literal`` objects, and index them by the ``key`` each
-literal carries (``p``, ``!p``); ``contrary`` gives the key of a literal's
-negation without building it.  ``settle`` covers an area of the keys and
-merges in the recorded items of the keys outside it that lead into it.
+literal carries (``p``, ``!p``); ``contrary`` negates a key.  ``forward``
+gives a search's area, and a superset of the literals a new rule may force,
+each of which ``forced_item`` checks.  ``settle`` covers an area of the keys
+and merges in the recorded items of the keys outside it that lead into it.
 ``propositions.Context`` keeps the state, decides what changed and collects
 the items a search starts from.
 """
@@ -39,7 +40,8 @@ class Graph:
     them, so !v -> !u is a step exactly when u -> v is.  ``into`` maps a
     key to the antecedent keys of every step into it, for the keys a
     saturation merges in.  ``forced`` maps the key of each forced literal
-    to its seed item (``forced_item``).
+    to its seed item, searched again for each key a new rule may force
+    (``_reforce``).
 
     A rule mentions a key (``mentions``) when the key is in ``steps`` or
     ``into``; a forced key is in ``into``, as forcing needs a step in.
@@ -79,24 +81,24 @@ class Graph:
         return key in self.into or key in self.steps
 
     def _reforce(self, steps: tuple[tuple, ...]) -> set[str]:
-        """Search again the forced seed of each literal a rule's ``steps`` can
+        """Search again the forced seed of each literal a rule's ``steps`` may
         force, and return the keys whose seed changed.  A first step u -> v
-        with one antecedent can force every L with !L reaching u and v
+        with one antecedent can force only an L with !L reaching u and v
         reaching L; its contrapositive !v -> !u, halfway along, is in the
-        graph, so !L reaches u exactly when !u reaches L.  A biconditional's
+        graph, so !L reaches u exactly when !u reaches L.  ``forward`` also
+        follows steps with several antecedents, which force nothing, so the
+        keys it reaches from both v and !u are a superset, and
+        ``forced_item`` gives None for a key not forced.  A biconditional's
         other direction gives the same literals: u and v reach each other,
-        and so do !u and !v.  A rule with several antecedents forces nothing
-        (``forced_item`` walks only steps with one antecedent)."""
+        and so do !u and !v."""
         (dst, ants), (negated_src, _) = steps[0], steps[len(steps) // 2]
         changed = set()
         if len(ants) == 1:
-            back = _reach(self.steps, negated_src)
-            for key, lit in _reach(self.steps, dst).items():
-                if key in back:
-                    item = forced_item(self.steps, lit)
-                    if item != self.forced.get(key):
-                        put(self.trail, self.forced, key, item)
-                        changed.add(key)
+            for key in forward(self, (dst.key,)) & forward(self, (negated_src.key,)):
+                item = forced_item(self.steps, key)
+                if item != self.forced.get(key):
+                    put(self.trail, self.forced, key, item)
+                    changed.add(key)
         return changed
 
 
@@ -180,16 +182,16 @@ def clashes(settled: dict[str, Item], label: Callable[[str], Optional[Item]],
     for key in area:
         if key in settled:
             lit = settled[key][3]
-            neg = contrary(lit)
+            neg = contrary(key)
             other = settled.get(neg) if neg in area else label(neg)
             if other is not None:
                 pairs[lit.atom] = (lit, other[3]) if lit.positive else (other[3], lit)
     return [pairs[atom] for atom in sorted(pairs)]
 
 
-def contrary(lit) -> str:
-    """The key of ``lit``'s negation, read off its atom and polarity."""
-    return "!" + lit.atom if lit.positive else lit.atom
+def contrary(key: str) -> str:
+    """The key of the negation of the literal with key ``key``."""
+    return key[1:] if key[0] == "!" else "!" + key
 
 
 def forward(graph: Graph, keys: Iterable[str]) -> set[str]:
@@ -206,19 +208,19 @@ def forward(graph: Graph, keys: Iterable[str]) -> set[str]:
     return area
 
 
-def forced_item(steps: dict[str, tuple[tuple, ...]], lit) -> Optional[Item]:
-    """The seed item of ``lit`` if its negation implies it along the steps
-    with one antecedent, else None.
+def forced_item(steps: dict[str, tuple[tuple, ...]], key: str) -> Optional[Item]:
+    """The seed item of the literal keyed ``key`` (the target of the step
+    that reaches it) if its negation implies it along the steps with one
+    antecedent, else None, as for a key ``Graph._reforce`` proposes in vain.
 
     A chain !L -> ... -> L forces L regardless of any asserted facts; this
     closes the gap left by pure unit propagation (e.g. a -> b plus !a -> b
     forces b).  The widest (strongest-weakest-rule) chain wins.
     """
-    key, start = lit.key, contrary(lit)
     done: set[str] = set()
-    heap: list[Item] = [(-Strength.PHYSICAL, (), start, None, frozenset())]
+    heap: list[Item] = [(-Strength.PHYSICAL, (), contrary(key), None, frozenset())]
     while heap:
-        weakest, rank, node, _, ids = heapq.heappop(heap)
+        weakest, rank, node, lit, ids = heapq.heappop(heap)
         if node in done:
             continue
         done.add(node)
@@ -231,16 +233,3 @@ def forced_item(steps: dict[str, tuple[tuple, ...]], lit) -> Optional[Item]:
                                       dst.key, dst, ids | {rule_id}))
     return None
 
-
-def _reach(steps: dict[str, tuple[tuple, ...]], start) -> dict[str, object]:
-    """``start`` and every literal reachable from it along the steps with one
-    antecedent, by key."""
-    seen = {start.key: start}
-    stack = [start.key]
-    while stack:
-        for step in steps.get(stack.pop(), ()):
-            dst = step[0]
-            if len(step[1]) == 1 and dst.key not in seen:
-                seen[dst.key] = dst
-                stack.append(dst.key)
-    return seen

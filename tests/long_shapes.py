@@ -13,7 +13,8 @@ For each shape and length it prints, per event in each quarter of the
 dialogue, the Python calls and bytecodes inside ``DialogueEngine.process``
 (``event_costs.Counter``) and the growth in gc-tracked objects, read after a
 full collection at each quarter's end.  The last column is the growth of the
-peak RSS over a replay without the tracer, in a fresh interpreter.  The
+peak RSS over a replay without the tracer, in a fresh interpreter; every
+such replay runs first, and its pool closes before the counts begin.  The
 counts are deterministic; the RSS depends on the host's allocator.
 pytest does not collect this file (its name does not start with ``test``).
 
@@ -85,18 +86,19 @@ def rss_growth_kb(shape: str, length: int) -> int:
 
 def main() -> int:
     print(f"{'shape':6s} {'events':>6s} {'measure':>9s} {'Q1':>10s} {'Q2':>10s} {'Q3':>10s} "
-          f"{'Q4':>10s} {'RSS growth':>11s}")
-    # one fresh interpreter per replay, so no replay reuses another's freed memory
+          f"{'Q4':>10s} {'RSS growth':>11s}", flush=True)
+    runs = [(shape, length) for length in LENGTHS for shape in SHAPES]
+    # one fresh interpreter per replay, so no replay reuses another's freed memory;
+    # the pool closes before the object counts, so no worker starts during them
     spawn = multiprocessing.get_context("spawn")
     with ProcessPoolExecutor(1, mp_context=spawn, max_tasks_per_child=1) as pool:
-        for length in LENGTHS:
-            for shape in SHAPES:
-                rss = pool.submit(rss_growth_kb, shape, length).result()
-                rows = quarters(shape, length)
-                for i, measure in enumerate(("calls", "bytecodes", "objects")):
-                    cells = "".join(f" {row[i]:10.1f}" for row in rows)
-                    last = f" {rss / 1024:8.1f} MB" if i == 0 else ""
-                    print(f"{shape:6s} {length:6d} {measure:>9s}{cells}{last}", flush=True)
+        growth = [pool.submit(rss_growth_kb, *run).result() for run in runs]
+    for (shape, length), rss in zip(runs, growth):
+        rows = quarters(shape, length)
+        for i, measure in enumerate(("calls", "bytecodes", "objects")):
+            cells = "".join(f" {row[i]:10.1f}" for row in rows)
+            last = f" {rss / 1024:8.1f} MB" if i == 0 else ""
+            print(f"{shape:6s} {length:6d} {measure:>9s}{cells}{last}", flush=True)
     return 0
 
 

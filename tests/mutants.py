@@ -235,6 +235,17 @@ MUTANTS = (
            "",
            ("tests/test_propositions.py::test_retract_walks_reverse_dependencies",
             "tests/test_state.py::test_retraction_index_names_every_dependent")),
+    Mutant("retract-ignores-replaced-dependencies", "commonground/propositions.py",
+           "            if (node is not None and getattr(node, \"status\", LIVE) == LIVE\n"
+           "                    and dep in node.dependencies):\n",
+           "            if node is not None and getattr(node, \"status\", LIVE) == LIVE:\n",
+           ("tests/test_propositions.py::test_retract_ignores_replaced_dependencies",)),
+    Mutant("roots-stop-at-derived-premise", "commonground/propositions.py",
+           "            else:\n"
+           "                stack.extend(e.dependencies)\n",
+           "",
+           ("tests/test_propositions.py::"
+            "test_is_redundant_entailed_walks_through_a_derived_premise",)),
     Mutant("forced-walks-multi-steps", "commonground/saturation.py",
            "            if len(ants) == 1 and dst.key not in done:\n",
            "            if dst.key not in done:\n",

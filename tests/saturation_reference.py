@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from commonground import Biconditional, ConflictDetected, Literal, Rule, Strength
 from commonground.evidence import DERIVED_CAP
-from commonground.retraction import add_dependents
+from commonground.propositions import add_dependents
 
 L = Literal
 

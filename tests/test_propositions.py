@@ -460,6 +460,35 @@ def test_is_redundant_fresh_atom():
     assert not verdict.redundant
 
 
+def replaced_derivation():
+    """A context where ``d3``, derived from ``a`` at default, is raised to
+    inference by a derivation from ``b``: its dependencies become
+    ``{u3, u4}``, and the index still lists ``d3`` under ``u1``."""
+    ctx = Context()
+    ctx.assert_prop(lit("a"), Strength.DEFAULT, "u1")
+    ctx.assert_prop(lit("a -> d"), Strength.LINGUISTIC, "u2")
+    ctx.closure()
+    ctx.assert_prop(lit("b"), Strength.LINGUISTIC, "u3")
+    ctx.assert_prop(lit("b -> d"), Strength.LINGUISTIC, "u4")
+    ctx.closure()
+    d = ctx.lookup(lit("d"))
+    assert (d.entry_id, d.strength, d.dependencies) == ("d3", Strength.INFERENCE, {"u3", "u4"})
+    assert "d3" in ctx._dependents["u1"]
+    return ctx
+
+
+def test_is_redundant_entailed_walks_through_a_derived_premise():
+    """``d3``'s own seed outranks its derivation from ``b``, so ``e`` rests
+    on ``d3``, and its roots are those of ``d3``'s derivation."""
+    ctx = replaced_derivation()
+    ctx.assert_prop(lit("d -> e"), Strength.LINGUISTIC, "u5")
+    ctx.closure()
+    assert ctx.lookup(lit("e")).dependencies == {"d3", "u5"}
+    verdict = ctx.is_redundant(lit("e"))
+    assert verdict.kind == RedundancyVerdict.ENTAILED
+    assert verdict.antecedents == frozenset({"u3", "u4", "u5"})
+
+
 def test_entailed_then_said_becomes_said():
     ctx = Context()
     ctx.assert_prop(lit("a -> b"), Strength.LINGUISTIC, "u1")
@@ -484,6 +513,13 @@ def test_retract_walks_reverse_dependencies():
                                       if e.derived}
     assert ctx.lookup(lit("leaf")) is None
     assert ctx.lookup(lit("root")) is None
+
+
+def test_retract_ignores_replaced_dependencies():
+    """A stale index entry leads nowhere: ``d3`` no longer rests on ``u1``."""
+    ctx = replaced_derivation()
+    assert ctx.defeat_entry("u1") == ["u1"]
+    assert ctx.lookup(lit("d")).status == LIVE
 
 
 def test_retract_unknown_target():
@@ -652,6 +688,13 @@ FORCED_BY_EDGES_ONLY = [("assert", lit("!a & b -> a"), Strength.LINGUISTIC),
                         ("assert", lit("!a -> c"), Strength.LINGUISTIC),
                         ("assert", lit("c -> a"), Strength.LINGUISTIC), ("saturate",)]
 
+#: the walks from b and from !a both reach x, each through a step with two
+#: antecedents, so linking a -> b proposes x; no chain !x -> ... -> x exists,
+#: and x gets no forced seed
+PROPOSED_NOT_FORCED = [("assert", lit("b & c -> x"), Strength.LINGUISTIC),
+                       ("assert", lit("!a & d -> x"), Strength.LINGUISTIC),
+                       ("assert", lit("a -> b"), Strength.LINGUISTIC), ("saturate",)]
+
 #: rules alone force !b and d with one strength and one rank
 EQUAL_RANKS_IN_AN_EVENT = [("assert", lit("b -> d"), Strength.HYPOTHESIS),
                            ("event", [lit("b <-> !d")])]
@@ -740,6 +783,7 @@ def clashes_of(run):
 @example(EQUAL_RANKS)
 @example(EQUAL_RANKS_IN_AN_EVENT)
 @example(FORCED_BY_EDGES_ONLY)
+@example(PROPOSED_NOT_FORCED)
 def test_incremental_saturation_matches_from_scratch_reference(steps):
     """Random assert / saturate+commit / trial event / defeat sequences give
     the same entries, inserted ids and clash lists as the from-scratch
