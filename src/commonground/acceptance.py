@@ -19,7 +19,7 @@ from .errors import ConflictDetected, DefeatRejected, OrderingViolation, Unknown
 from .evidence import Strength, defeats
 from .grounding import ActType, Intonation, IRUClass, UtteranceEvent
 from .propositions import LIVE, Literal, Proposition, Slotted, new_record
-from .saturation import Fixpoint
+from .saturation import Item
 
 if TYPE_CHECKING:  # pragma: no cover
     from .state import DiscourseState
@@ -107,7 +107,7 @@ class RetractionReport(NamedTuple):
 
 
 def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
-                    fixpoints: list[Fixpoint]) -> Optional[ConflictEvidence]:
+                    fixpoints: list[list[Item]]) -> Optional[ConflictEvidence]:
     """Does this event evidence non-acceptance of live content?
 
     Annotation first: a ``rejects`` link (to an earlier utterance, as

@@ -42,7 +42,7 @@ from .errors import DanglingAntecedent, DuplicateUtterance, OrderingViolation, \
 from .evidence import Strength
 from .grounding import AssumptionRecord, IRUClass, LicenseLink, UtteranceEvent
 from .propositions import LIVE, Literal, Proposition, new_record
-from .saturation import Fixpoint
+from .saturation import Item
 from .state import DiscourseState
 from .trace import TraceRecord, snapshot_record
 
@@ -86,7 +86,7 @@ class DialogueEngine:
         antecedents = grd.resolved_antecedents(event, state, cls, verdicts, matched)
         licenses = self._iru_upgrade(event, cls, antecedents, matched, touched)
         # 5. detect conflict evidence; a kept trial hands over its fixpoint
-        fixpoints: list[Fixpoint] = []
+        fixpoints: list[list[Item]] = []
         conflict = acc.detect_conflict(state, event, fixpoints)
         state.arriving = frozenset([p.key for p, verdict in zip(realizes, verdicts)
                                     if not verdict.redundant])
@@ -197,7 +197,7 @@ class DialogueEngine:
                 retracted.append(acc.defeat(state, e.entry_id, conflict).defeated)
         return retracted, False
 
-    def _assert(self, event: UtteranceEvent, verdicts, fixpoints: list[Fixpoint],
+    def _assert(self, event: UtteranceEvent, verdicts, fixpoints: list[list[Item]],
                 touched: dict, licenses: list) -> tuple[list, list]:
         """8. Assert the event's propositions (linguistic), commit the closure
         and license an inference for each derivation resting on the event.

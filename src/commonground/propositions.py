@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import BadPropositionSyntax, ConflictDetected, DefeatRejected
 from .evidence import Strength
-from .saturation import Fixpoint, Graph, Item, clashes, contrary, forward, put, settle
+from .saturation import Graph, Item, clashes, contrary, forward, put, settle
 
 ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 new_record = tuple.__new__  # (cls, every field's value) -> a NamedTuple record; see Slotted
@@ -220,8 +220,6 @@ class RedundancyVerdict(NamedTuple):
 
 #: the one verdict ``Context.is_redundant`` gives every proposition it does not hold
 _NOT_REDUNDANT = RedundancyVerdict(RedundancyVerdict.NOT_REDUNDANT)
-#: the fixpoint of every saturation with no key changed; ``commit`` only reads it
-NO_CHANGE = Fixpoint([], {})
 #: a label's negated strength -> the strength
 _STRENGTH = {-s: s for s in Strength}
 
@@ -235,10 +233,14 @@ class ContextEntry(Slotted):
     entry's strength is the MIN over those premises, capped at inference.
     An entry joins a context's dependency graph through ``Context.add_node``,
     as every node does; the context indexes the dependencies it writes.
+    A literal entry's ``label`` is the item its key last settled with
+    (``saturation.Item``), or None for its seed; it takes no part in
+    equality or repr, and only ``Context.commit`` writes it.
     """
 
-    _fields = __slots__ = ("entry_id", "proposition", "strength", "sources", "dependencies",
-                           "status", "order")
+    _fields = ("entry_id", "proposition", "strength", "sources", "dependencies", "status",
+               "order")
+    __slots__ = _fields + ("label",)
 
     def __init__(self, entry_id: str, proposition: Proposition, strength: Strength,
                  sources: tuple[str, ...] = (), dependencies: Optional[set[str]] = None,
@@ -250,6 +252,7 @@ class ContextEntry(Slotted):
         self.dependencies = set() if dependencies is None else dependencies
         self.status = status
         self.order = order
+        self.label = None
 
     @property
     def derived(self) -> bool:
@@ -275,15 +278,16 @@ class Context:
     For saturation the context keeps the implication graph of its rules
     (``saturation.Graph``), which only grows, as a rule once entered is
     never defeated: a rule's steps join when it is inserted and again at
-    each raise; the run; and the changed keys, the mentioned keys
+    each raise; and the changed keys, the mentioned keys
     (``Graph.mentions``) whose seeds or in-steps changed since the last
     commit (a literal an assertion inserts or raises, a defeat takes or a
     commit raises; a rule's targets; a key whose forced seed changed).  The
-    run's invariant, which ``saturate`` rests on and ``commit`` keeps: the
-    run holds each mentioned key's item as the last commit of an area
-    holding it settled it, and any other live literal's label is its seed.
-    A fresh context and a clone have no run, and count as changed every
-    mentioned key with a live entry or a step in.
+    labels' invariant, which ``saturate`` rests on and ``commit`` keeps:
+    each live literal entry's ``label`` is the item its key settled with in
+    the last commit of an area holding it, or None when none did, and then
+    its label is its seed (``_label``).  A defeated entry's label is never
+    read.  A fresh context's and a clone's entries have no label, and they
+    count as changed every mentioned key with a live entry or a step in.
 
     Single-threaded per dialogue by contract.  Every write logs one undo
     record ``(holder, slot, old)``, a dict slot (``saturation.put``) or an
@@ -301,7 +305,6 @@ class Context:
         self._trail: list[tuple] = []  # undo records: (dict, key, old) or (object, name, old)
         self._trials = 0  # open trials
         self._graph = Graph(self._trail)
-        self._run: dict[str, Item] = {}  # mentioned key -> settled item, as last committed
         self._changed: set[str] = set()  # mentioned keys with new seeds or in-steps since
 
     # -- plumbing ---------------------------------------------------------
@@ -311,9 +314,9 @@ class Context:
         clone sees every id, so it allocates the ids this context would; a
         defeat on the clone would reach the shared acceptance beliefs and
         support links.  The clone enters its live entries as an assertion
-        does and has no run, so its first saturation covers every mentioned
-        key.  Off the per-event path: the conflict trial runs on the context itself
-        (``trial``)."""
+        does, with no label, so its first saturation covers every mentioned
+        key.  Off the per-event path: the conflict trial runs on the context
+        itself (``trial``)."""
         other = Context()
         other.utterances = self.utterances
         other._counter = self._counter
@@ -434,14 +437,12 @@ class Context:
             self._changed.add(key)
 
     def _label(self, key: str) -> Optional[Item]:
-        """The item of ``key`` as last committed: in the run, else its live
-        entry's seed, else None."""
-        item = self._run.get(key)
-        if item is None:
-            entry = self._live.get(key)
-            if entry is not None:
-                return _seed(entry)
-        return item
+        """The item of ``key`` as last committed: its live entry's label, else
+        that entry's seed; None with no live entry."""
+        entry = self._live.get(key)
+        if entry is not None:
+            return entry.label or _seed(entry)
+        return None
 
     # -- assertion --------------------------------------------------------
 
@@ -479,9 +480,9 @@ class Context:
             self._changed.add(key)
         return entry
 
-    def assert_all(self, props: tuple, strength: Strength, source: str) -> Fixpoint:
+    def assert_all(self, props: tuple, strength: Strength, source: str) -> list[Item]:
         """Assert each of ``props`` (``assert_prop``), then saturate; returns
-        the fixpoint for ``commit``.  Raises ConflictDetected as they do."""
+        the settled items for ``commit``.  Raises ConflictDetected as they do."""
         for p in props:
             self.assert_prop(p, strength, source)
         return self.saturate()
@@ -527,7 +528,7 @@ class Context:
         return {e.proposition for e in self.live_entries()
                 if isinstance(e.proposition, Literal)}
 
-    def saturate(self) -> Fixpoint:
+    def saturate(self) -> list[Item]:
         """Chain the live entries to fixpoint without writing anything.
 
         Mechanisms: modus ponens on rules, biconditionals expanded to both
@@ -539,10 +540,11 @@ class Context:
         pop order, which is key order.
 
         The search covers an area: the changed keys and every key the rule
-        graph leads to from them (none changed: ``NO_CHANGE``).  Its items
-        are the area's seeds and forced seeds, and the labels (``_label``) of
-        the keys outside it with a step into it, merged in where a search
-        over every key would pop them (``saturation.settle``).  No step
+        graph leads to from them; with none changed it returns an empty
+        list.  Its items are the area's seeds and forced seeds, and the
+        labels (``_label``) of the keys outside it with a step into it,
+        merged in where a search over every key would pop them
+        (``saturation.settle``).  No step
         leads out of the area, so the other keys keep their labels and
         the result is the saturation of the whole context.  Seeding the
         changed keys with their stored labels as bounds would not be: a
@@ -559,14 +561,16 @@ class Context:
         rested on a defeated entry, also one whose own entry stays live
         because its label was a derivation of equal strength and smaller
         rank.  A forced label changes only with a step on a chain from its
-        negation to it, and then its key counts as changed.  The fixpoint
-        holds labels, not entries.
+        negation to it, and then its key counts as changed.
 
-        Raises ConflictDetected if the fixpoint contains both polarities of
-        an atom, listing the clashing literals by atom.
+        Returns the items the area settled, in commit order: earliest
+        premises first, and equal ranks in pop order.  ``commit`` looks up
+        each key's live entry itself.  Raises ConflictDetected if the
+        fixpoint contains both polarities of an atom, listing the clashing
+        literals by atom.
         """
         if not self._changed:
-            return NO_CHANGE
+            return []
         graph, live, label = self._graph, self._live, self._label
         area = forward(graph, self._changed)
         items, sources = [], set()
@@ -586,20 +590,18 @@ class Context:
         clashing = clashes(settled, label, area)
         if clashing:
             raise ConflictDetected(clashing)
-        run, fresh = dict.fromkeys(area), []
-        for key, item in settled.items():  # in pop order, which orders equal ranks
-            if key in run:
-                run[key] = item
-                fresh.append(item)
+        # in pop order, which orders equal ranks
+        fresh = [item for key, item in settled.items() if key in area]
         if len(fresh) > 1:  # by rank, earliest premise first
             fresh.sort(key=lambda item: item[1][::-1])
-        return new_record(Fixpoint, (fresh, run))
+        return fresh
 
-    def commit(self, fixpoint: Fixpoint) -> list[ContextEntry]:
-        """Apply a fixpoint from ``saturate``: raise the live entry of each
-        settled key whose label is stronger, with the label's premises as
-        dependencies, and insert the literals it derives.  Returns the
-        inserted entries in insertion order.
+    def commit(self, settled: list[Item]) -> list[ContextEntry]:
+        """Apply the items ``saturate`` settled: raise the live entry of each
+        key whose label is stronger, with the label's premises as
+        dependencies, insert the literals they derive, and store each item
+        as its entry's ``label``.  Returns the inserted entries in insertion
+        order.
 
         The entries are the ones ``saturate`` saw: commit follows it, or a
         rollback that replays the same assertions under the same ids.  A
@@ -607,27 +609,26 @@ class Context:
         at inference; one resting on the entry's own id starts from that
         seed, which settles the key first and never raises it.
 
-        It keeps the run's invariant (``Context``): the area's items go into
-        the run, and the raised keys become the changed keys, since a raised
-        entry's own seed may now win its label.  An inserted entry's seed
-        ranks after every premise of its derivation, so it never pops first
-        and its key stays unchanged.  A fixpoint with no area (``NO_CHANGE``)
-        commits nothing."""
-        if not fixpoint.run:  # from a saturation with no key changed
-            return []
-        for key, item in fixpoint.run.items():
-            put(self._trail, self._run, key, item)
+        It keeps the labels' invariant (``Context``): the raised keys become
+        the changed keys, since a raised entry's own seed may now win its
+        label.  An inserted entry's seed ranks after every premise of its
+        derivation, so it never pops first and its key stays unchanged.  A
+        key of the area that settles nothing has no live entry, so no label
+        to keep."""
         self._changed = set()
         inserted = []
-        for negated, _, key, lit, deps in fixpoint.settled:
-            strength, existing = _STRENGTH[negated], self._live.get(key)
-            if existing is None:
-                inserted.append(self._insert(lit, strength, (), set(deps)))
-            elif strength > existing.strength:
-                self._set(existing, "strength", strength)
-                self._set(existing, "dependencies", set(deps))
-                add_dependents(self._dependents, existing.entry_id, deps)
+        for item in settled:
+            negated, _, key, lit, deps = item
+            strength, entry = _STRENGTH[negated], self._live.get(key)
+            if entry is None:
+                entry = self._insert(lit, strength, (), set(deps))
+                inserted.append(entry)
+            elif strength > entry.strength:
+                self._set(entry, "strength", strength)
+                self._set(entry, "dependencies", set(deps))
+                add_dependents(self._dependents, entry.entry_id, deps)
                 self._changed.add(key)
+            self._set(entry, "label", item)
         return inserted
 
     # -- redundancy -------------------------------------------------------

@@ -11,15 +11,15 @@ the search hold ``Literal`` objects, and index them by the ``key`` each
 literal carries (``p``, ``!p``); ``contrary`` negates a key.  ``forward``
 gives a search's area, and a superset of the literals a new rule may force,
 each of which ``forced_item`` checks.  ``settle`` covers an area of the keys
-and merges in the recorded items of the keys outside it that lead into it.
-``propositions.Context`` keeps the state, decides what changed and collects
-the items a search starts from.
+and merges in the labels of the keys outside it that lead into it.
+``propositions.Context`` keeps the state, each live literal's label on its
+entry, decides what changed and collects the items a search starts from.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Callable, Iterable, Optional
 
 from .evidence import DERIVED_CAP, Strength
 
@@ -113,29 +113,15 @@ def put(trail: list, table: dict, key: str, value) -> None:
         table[key] = value
 
 
-class Fixpoint(NamedTuple):
-    """A settled saturation of one context, ready for ``Context.commit``.
-
-    ``settled`` holds the item of every literal the saturation settled in
-    its area, in commit order: earliest premises first, and equal ranks in
-    the search's pop order.  ``commit`` looks up the live entry of each key
-    itself.  ``run`` maps every key of the area to its settled item, or to
-    None when it no longer settles; the context stores them once it commits.
-    """
-
-    settled: list[Item]
-    run: dict[str, Optional[Item]]
-
-
 def settle(graph: Graph, items: Iterable[Item], area: set[str]) -> dict[str, Item]:
     """Settle every literal of ``area`` that ``items`` reach, strongest
     first, then smallest rank; returns the settled items by key, with the
-    recorded ones.  A step fires once each of its antecedents has settled:
+    labels merged in.  A step fires once each of its antecedents has settled:
     its rank is the premises' orders and the rule's order, latest first.
 
     ``area`` is a set of keys closed under ``graph``.  ``items`` holds the
-    seeds of the area and the recorded items (from an earlier search) of
-    the keys outside the area that have a step into it.  No step leads out
+    seeds of the area and the labels (from an earlier search) of the keys
+    outside the area that have a step into it.  No step leads out
     of the area, so those keys keep their items, and the search pops each
     one from the same heap as its own items.  That is where a search over
     every key pops it: the first two fields of an item never fall along a

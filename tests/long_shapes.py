@@ -12,10 +12,11 @@ acceptance required:
 For each shape and length it prints, per event in each quarter of the
 dialogue, the Python calls and bytecodes inside ``DialogueEngine.process``
 (``event_costs.Counter``) and the growth in gc-tracked objects, read after a
-full collection at each quarter's end.  The last column is the growth of the
-peak RSS over a replay without the tracer, in a fresh interpreter; every
-such replay runs first, and its pool closes before the counts begin.  The
-counts are deterministic; the RSS depends on the host's allocator.
+full collection at each quarter's end.  The last column is the Python heap
+that a replay without the tracer keeps: ``tracemalloc``'s current size once
+the replay ends, with tracing on only during it.  It counts the memory
+Python allocates, not the process's RSS, so it does not depend on the host's
+allocator.  Every column is deterministic: two runs print the same table.
 pytest does not collect this file (its name does not start with ``test``).
 
     PYTHONPATH=src python3 tests/long_shapes.py
@@ -24,10 +25,8 @@ pytest does not collect this file (its name does not start with ``test``).
 from __future__ import annotations
 
 import gc
-import multiprocessing
-import resource
 import sys
-from concurrent.futures import ProcessPoolExecutor
+import tracemalloc
 from pathlib import Path
 
 from commonground import DialogueEngine, DiscourseState, UtteranceEvent, parse_proposition
@@ -74,31 +73,30 @@ def quarters(shape: str, length: int) -> list[tuple[float, float, float]]:
     return rows
 
 
-def rss_growth_kb(shape: str, length: int) -> int:
-    """The growth of this process's peak RSS over one replay, in KiB."""
-    todo = events(shape, length)
-    replay = engine()
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    for event in todo:
-        replay.process(event)
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+def heap_kept(shape: str, length: int) -> int:
+    """The bytes of Python heap allocated during one replay and still held
+    when it ends."""
+    todo, replay = events(shape, length), engine()
+    tracemalloc.start()
+    try:
+        for event in todo:
+            replay.process(event)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
 
 
 def main() -> int:
     print(f"{'shape':6s} {'events':>6s} {'measure':>9s} {'Q1':>10s} {'Q2':>10s} {'Q3':>10s} "
-          f"{'Q4':>10s} {'RSS growth':>11s}", flush=True)
-    runs = [(shape, length) for length in LENGTHS for shape in SHAPES]
-    # one fresh interpreter per replay, so no replay reuses another's freed memory;
-    # the pool closes before the object counts, so no worker starts during them
-    spawn = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(1, mp_context=spawn, max_tasks_per_child=1) as pool:
-        growth = [pool.submit(rss_growth_kb, *run).result() for run in runs]
-    for (shape, length), rss in zip(runs, growth):
-        rows = quarters(shape, length)
-        for i, measure in enumerate(("calls", "bytecodes", "objects")):
-            cells = "".join(f" {row[i]:10.1f}" for row in rows)
-            last = f" {rss / 1024:8.1f} MB" if i == 0 else ""
-            print(f"{shape:6s} {length:6d} {measure:>9s}{cells}{last}", flush=True)
+          f"{'Q4':>10s} {'heap kept':>12s}", flush=True)
+    for length in LENGTHS:
+        for shape in SHAPES:
+            kept = heap_kept(shape, length)
+            rows = quarters(shape, length)
+            for i, measure in enumerate(("calls", "bytecodes", "objects")):
+                cells = "".join(f" {row[i]:10.1f}" for row in rows)
+                last = f" {kept / 1e6:9.3f} MB" if i == 0 else ""
+                print(f"{shape:6s} {length:6d} {measure:>9s}{cells}{last}", flush=True)
     return 0
 
 

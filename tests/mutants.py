@@ -38,6 +38,14 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest ids, relative to the repository root
 
 
+#: the enumerated replay whose checks of the model's invariants the three
+#: mutants before ``kept-trial-asserted-again`` break, one check each.  Its
+#: check that no live node depends on a defeated one has no mutant: in that
+#: space only acceptance beliefs are defeated in an event that completes,
+#: and no node depends on one
+LIVE_LITERALS = ("tests/test_state.py::"
+                 "test_live_literals_are_the_consequences_of_the_live_assertions")
+
 MUTANTS = (
     Mutant("rule-defeat-allowed", "commonground/propositions.py",
            "        if rules:\n"
@@ -94,22 +102,27 @@ MUTANTS = (
     Mutant("defeat-status-unlogged", "commonground/propositions.py",
            "            self._set(node, \"status\", DEFEATED)\n",
            "            setattr(node, \"status\", DEFEATED)\n",
-           ("tests/test_state.py::test_trial_undoes_a_defeat_and_restores_the_run",
+           ("tests/test_state.py::test_trial_undoes_a_defeat_and_restores_the_labels",
             "tests/test_state.py::test_rollback_undoes_every_write_of_a_trial")),
-    Mutant("clashes-read-only-the-run", "commonground/propositions.py",
+    Mutant("label-write-unlogged", "commonground/propositions.py",
+           "            self._set(entry, \"label\", item)\n",
+           "            entry.label = item\n",
+           ("tests/test_state.py::test_rollback_undoes_every_write_of_a_trial",)),
+    Mutant("clashes-read-only-the-labels", "commonground/propositions.py",
            "        clashing = clashes(settled, label, area)\n",
-           "        clashing = clashes(settled, self._run.get, area)\n",
+           "        clashing = clashes(settled,\n"
+           "                           lambda key: getattr(live.get(key), \"label\", None), area)\n",
            ("tests/test_state.py::"
             "test_a_rule_derives_the_contrary_of_a_literal_no_rule_mentioned",)),
-    Mutant("boundary-reads-only-the-run", "commonground/propositions.py",
+    Mutant("boundary-reads-only-the-labels", "commonground/propositions.py",
            "            item = label(key)\n",
-           "            item = self._run.get(key)\n",
+           "            item = getattr(live.get(key), \"label\", None)\n",
            ("tests/test_state.py::"
             "test_a_rule_over_an_unmentioned_literal_derives_its_consequent",)),
     Mutant("defeat-leaves-key-live", "commonground/propositions.py",
            "                put(self._trail, self._live, node.proposition.key, None)\n",
            "",
-           ("tests/test_state.py::test_trial_undoes_a_defeat_and_restores_the_run",
+           ("tests/test_state.py::test_trial_undoes_a_defeat_and_restores_the_labels",
             "tests/test_state.py::test_rollback_undoes_every_write_of_a_trial",
             "tests/test_propositions.py::"
             "test_weaker_contrary_entry_raises_until_the_caller_defeats_it")),
@@ -119,8 +132,8 @@ MUTANTS = (
            ("tests/test_state.py::test_detect_conflict_trial_leaves_the_context_as_it_was",
             "tests/test_state.py::test_a_kept_inner_trial_is_undone_with_the_outer_one")),
     Mutant("settled-in-area-order", "commonground/propositions.py",
-           "        for key, item in settled.items():  # in pop order, which orders equal ranks\n",
-           "        for key, item in [(key, settled[key]) for key in area if key in settled]:\n",
+           "        fresh = [item for key, item in settled.items() if key in area]\n",
+           "        fresh = [settled[key] for key in area if key in settled]\n",
            ("tests/test_propositions.py::test_equal_labels_commit_in_pop_order",
             "tests/test_propositions.py::"
             "test_incremental_saturation_matches_from_scratch_reference")),
@@ -148,9 +161,9 @@ MUTANTS = (
     Mutant("trial-before-iru-upgrade", "commonground/engine.py",
            "        licenses = self._iru_upgrade(event, cls, antecedents, matched, touched)\n"
            "        # 5. detect conflict evidence; a kept trial hands over its fixpoint\n"
-           "        fixpoints: list[Fixpoint] = []\n"
+           "        fixpoints: list[list[Item]] = []\n"
            "        conflict = acc.detect_conflict(state, event, fixpoints)\n",
-           "        fixpoints: list[Fixpoint] = []\n"
+           "        fixpoints: list[list[Item]] = []\n"
            "        conflict = acc.detect_conflict(state, event, fixpoints)\n"
            "        licenses = self._iru_upgrade(event, cls, antecedents, matched, touched)\n",
            ("tests/test_state.py::"
@@ -221,10 +234,14 @@ MUTANTS = (
             "test_any_next_after_repeat_keeps_linguistic_and_fills_default",
             "tests/test_golden.py::test_cli_output_matches_golden")),
     Mutant("empty-commit-leaves-changed-stale", "commonground/propositions.py",
-           "        if not fixpoint.run:  # from a saturation with no key changed\n",
-           "        if not fixpoint.settled:\n",
+           "        self._changed = set()\n"
+           "        inserted = []\n",
+           "        if not settled:\n"
+           "            return []\n"
+           "        self._changed = set()\n"
+           "        inserted = []\n",
            ("tests/test_propositions.py::"
-            "test_a_commit_that_settles_nothing_stores_its_area_and_clears_the_changed_keys",)),
+            "test_a_commit_that_settles_nothing_clears_the_changed_keys",)),
     Mutant("new-literal-always-marked", "commonground/propositions.py",
            "        elif key in graph.into or key in graph.steps:  # _mark, inline\n",
            "        else:\n",
@@ -286,6 +303,22 @@ MUTANTS = (
            "                                    if not verdict.redundant])\n",
            "        state.arriving = frozenset([p.key for p in realizes])\n",
            ("tests/test_state.py::test_a_repeated_proposition_is_not_arriving",)),
+    Mutant("repeat-capped-as-derived", "commonground/propositions.py",
+           "                self._set(existing, \"strength\", strength)\n"
+           "                # direct assertion",
+           "                self._set(existing, \"strength\", min(strength, Strength.INFERENCE))\n"
+           "                # direct assertion",
+           (LIVE_LITERALS,)),  # an entry's strength falls
+    Mutant("derivation-uncapped", "commonground/saturation.py",
+           "weakest, ids, orders = -min(rule_strength, DERIVED_CAP),",
+           "weakest, ids, orders = -rule_strength,",
+           (LIVE_LITERALS,)),  # a derived entry above inference
+    Mutant("contrary-assertion-admitted", "commonground/propositions.py",
+           "            if other is not None:\n"
+           "                raise ConflictDetected([(p, other.proposition)])\n",
+           "            if other is not None:\n"
+           "                pass\n",
+           (LIVE_LITERALS,)),  # an atom live in both polarities
     Mutant("kept-trial-asserted-again", "commonground/engine.py",
            "        fixpoint = fixpoints[0] if fixpoints else \\\n"
            "            context.assert_all(realizes, Strength.LINGUISTIC, uid)\n",

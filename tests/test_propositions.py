@@ -290,9 +290,9 @@ def chained_context():
 def test_saturate_writes_nothing():
     ctx = chained_context()
     before = entry_view(ctx)
-    fixpoint = ctx.saturate()
+    settled = ctx.saturate()
     assert entry_view(ctx) == before
-    assert {item[2] for item in fixpoint.settled} == {"a", "b", "c"}
+    assert {item[2] for item in settled} == {"a", "b", "c"}
 
 
 def test_saturate_raises_and_leaves_context_unchanged():
@@ -316,20 +316,16 @@ def test_commit_returns_inserted_entries_in_order():
     assert ctx.commit(ctx.saturate()) == []
 
 
-def test_a_commit_that_settles_nothing_stores_its_area_and_clears_the_changed_keys():
+def test_a_commit_that_settles_nothing_clears_the_changed_keys():
     """A rule over literals no entry holds changes its targets' keys, and its
-    saturation settles none of them: the commit still stores the area (as
-    no item) and leaves no key changed.  Only a fixpoint with no area is
-    committed by returning at once."""
+    saturation settles none of them: the commit of that empty list still
+    leaves no key changed."""
     ctx = Context()
     ctx.assert_prop(lit("a -> b"), Strength.LINGUISTIC, "u1")
     assert ctx._changed == {"b", "!a"}
-    fixpoint = ctx.saturate()
-    assert fixpoint.settled == [] and fixpoint.run.keys() == {"b", "!a"}
-    ctx._run["b"] = "stale"  # only a commit of the area removes it
-    assert ctx.commit(fixpoint) == []
-    assert ctx._changed == set() and "b" not in ctx._run
-    assert ctx.saturate().run == {}
+    assert ctx.saturate() == []
+    assert ctx.commit([]) == []
+    assert ctx._changed == set()
 
 
 def test_clone_fixpoint_commits_like_a_fresh_closure():
@@ -707,16 +703,16 @@ flagged_orders = st.lists(st.tuples(st.integers(0, 10**6), st.booleans()), min_s
 
 def test_equal_labels_commit_in_pop_order():
     """Ten literals settle in one saturation with one strength and one rank
-    (``EQUAL_RANKS``).  The fixpoint lists them, and ``commit`` inserts them
+    (``EQUAL_RANKS``).  ``saturate`` lists them, and ``commit`` inserts them
     and gives them ids, in the order the search pops them: by key."""
     ctx = Context()
     for n, (_, p, strength) in enumerate(EQUAL_RANKS[:-1]):
         ctx.assert_prop(p, strength, f"u{n}")
-    fixpoint = ctx.saturate()
-    assert len({(item[0], item[1], item[4]) for item in fixpoint.settled}) == 1
-    inserted = ctx.commit(fixpoint)
+    settled = ctx.saturate()
+    assert len({(item[0], item[1], item[4]) for item in settled}) == 1
+    inserted = ctx.commit(settled)
     keys = ["!" + atom for atom in "abcdefghij"]
-    assert [item[2] for item in fixpoint.settled] == keys
+    assert [item[2] for item in settled] == keys
     assert [e.proposition.key for e in inserted] == keys
     assert [e.entry_id for e in inserted] == [f"d{n}" for n in range(11, 30, 2)]
     assert [e.order for e in inserted] == list(range(12, 31, 2))
@@ -743,23 +739,25 @@ def test_rank_never_falls_along_a_derivation(flagged):
     assert settled["e"][1] == settled["c"][1] and settled["e"][4] == settled["c"][4] == {"r"}
 
 
-def run_labels(ctx):
-    """The labels ``ctx`` keeps in its run, as the reference gives them."""
-    return {key: (item[3], Derivation(Strength(-item[0]), item[4], item[1]))
-            for key, item in ctx._run.items()}
+def entry_labels(ctx):
+    """The labels the live entries of ``ctx`` hold, by key, as the reference
+    gives them."""
+    return {e.proposition.key: (e.label[3], Derivation(Strength(-e.label[0]), e.label[4],
+                                                       e.label[1]))
+            for e in ctx.live_entries() if e.label is not None}
 
 
-def check_run(ctx, labels, committed):
-    """The run holds only keys a rule mentions, each with the label of
-    ``labels``, the reference's at the last commit.  Right after a commit
-    (``committed``), every other label of ``labels`` is the seed of its key's
-    live entry, and no edge or rule leads into that key."""
-    run = run_labels(ctx)
-    assert all(ctx._graph.mentions(key) for key in run)
-    assert {key: labels.get(key) for key in run} == run
+def check_labels(ctx, labels, committed):
+    """Only the live entries of keys a rule mentions hold a label, each the
+    label of ``labels``, the reference's at the last commit.  Right after a
+    commit (``committed``), every other label of ``labels`` is the seed of
+    its key's live entry, and no edge or rule leads into that key."""
+    held = entry_labels(ctx)
+    assert all(ctx._graph.mentions(key) for key in held)
+    assert {key: labels.get(key) for key in held} == held
     if committed:
         for key, label in labels.items():
-            if key not in run:
+            if key not in held:
                 entry = ctx.lookup_key(key)
                 assert key not in ctx._graph.into
                 assert label == (entry.proposition, Derivation(
@@ -788,9 +786,9 @@ def test_incremental_saturation_matches_from_scratch_reference(steps):
     """Random assert / saturate+commit / trial event / defeat sequences give
     the same entries, inserted ids and clash lists as the from-scratch
     saturation, step by step.  After each commit and each rolled-back trial
-    the labels the context keeps in its run are the reference's labels at
-    the last commit, on the keys a rule mentions; after each commit every
-    other reference label is its key's seed (``check_run``).  A defeat of a
+    the labels the live entries hold are the reference's labels at the last
+    commit, on the keys a rule mentions; after each commit every other
+    reference label is its key's seed (``check_labels``).  A defeat of a
     literal goes through; that of a rule is refused."""
     ctx, ref = Context(), Context()
     labels = {}  # key -> (literal, derivation) the reference settled at the last commit
@@ -818,7 +816,7 @@ def test_incremental_saturation_matches_from_scratch_reference(steps):
                                        reference_commit(ref, recorded(reference_saturate(ref)))])
             assert got == want
             if got[0] is None:
-                check_run(ctx, labels, committed=True)
+                check_labels(ctx, labels, committed=True)
             else:
                 # settle the clash so later steps work on a consistent context,
                 # unless rules alone force the clashing literals
@@ -859,7 +857,7 @@ def test_incremental_saturation_matches_from_scratch_reference(steps):
                 assert full_view(ctx) == full_view(ref)
                 assert [e.entry_id for e in ctx.commit(fixpoint)] == \
                     [e.entry_id for e in reference_commit(ref, recorded(ref_fixpoint))]
-            check_run(ctx, labels, committed=fixpoint is not None)
+            check_labels(ctx, labels, committed=fixpoint is not None)
         else:
             live = sorted(e.entry_id for e in ctx.live_entries())
             if live:

@@ -13,8 +13,7 @@ import pytest
 from commonground import CommonGroundError, DialogueEngine, acceptance
 from commonground.acceptance import AcceptanceOutcome, ConflictEvidence, RetractionReport
 from commonground.grounding import UtteranceEvent
-from commonground.propositions import Context, RedundancyVerdict
-from commonground.saturation import Fixpoint
+from commonground.propositions import RedundancyVerdict
 from commonground.trace import RecordSnapshot, TraceRecord
 from commonground.transcript import parse
 from conftest import DIALOGUES, DISPUTES
@@ -54,7 +53,6 @@ def test_every_record_of_the_event_path_holds_one_value_per_field(source, monkey
             return result
         return wrapper
 
-    monkeypatch.setattr(Context, "saturate", keep(Fixpoint, Context.saturate))
     monkeypatch.setattr(acceptance, "defeat", keep(RetractionReport, acceptance.defeat))
     seen = set()
     for text in texts:
@@ -71,4 +69,4 @@ def test_every_record_of_the_event_path_holds_one_value_per_field(source, monkey
         assert type(record) is cls and len(record) == len(cls._fields), (cls, record)
         seen.add(cls)
     assert seen == {TraceRecord, UtteranceEvent, RecordSnapshot, ConflictEvidence,
-                    AcceptanceOutcome, RedundancyVerdict, Fixpoint, RetractionReport}
+                    AcceptanceOutcome, RedundancyVerdict, RetractionReport}

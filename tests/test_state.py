@@ -152,7 +152,7 @@ def test_detect_conflict_hands_over_the_trial_fixpoint():
     consistent = event("u2", 1, speaker="b", addressee="a", realizes=(P("p"),))
     fixpoints = []
     assert detect_conflict(state, consistent, fixpoints) is None
-    assert {item[2] for item in fixpoints[0].settled} == {"p", "q"}
+    assert {item[2] for item in fixpoints[0]} == {"p", "q"}
     # the trial stands as the event's assertion
     direct.context.assert_prop(P("p"), Strength.LINGUISTIC, "u2")
     assert trial_view(state.context) == trial_view(direct.context)
@@ -179,7 +179,7 @@ def trial_view(context):
 
 
 def saturation_view(context):
-    return context.saturate().settled
+    return context.saturate()
 
 
 def rollback_state():
@@ -215,7 +215,7 @@ def test_detect_conflict_trial_leaves_the_context_as_it_was(realizes, clash):
     assert state.context._trials == 0
     assert state.context.lookup(P("p")).sources == (("u0",) if clash else ("u0", "u3"))
     assert saturation_view(state.context) == saturated
-    assert clash or fixpoints[0].settled == saturated
+    assert clash or fixpoints[0] == saturated
 
 
 def test_detect_conflict_trial_that_fails_leaves_the_context_as_it_was(monkeypatch):
@@ -238,9 +238,10 @@ def test_detect_conflict_trial_that_fails_leaves_the_context_as_it_was(monkeypat
 
 
 def graph_tables(context):
-    """The implication graph's tables and the run, by value."""
+    """The implication graph's tables and every entry's label, by value."""
     graph = context._graph
-    return [dict(t) for t in (graph.steps, graph.into, graph.forced, context._run)]
+    return [dict(t) for t in (graph.steps, graph.into, graph.forced)] + \
+        [{eid: e.label for eid, e in context.entries.items()}]
 
 
 def direct_contrary_state(setup):
@@ -260,8 +261,8 @@ def direct_contrary_state(setup):
 def test_the_trial_finds_a_direct_contrary(setup, realizes, live, strength):
     """A realized literal whose contrary is live raises in the trial's own
     assertion: the evidence is that pair against the live half, and the
-    rollback leaves the context, its graph, its run and its changed keys as
-    they were."""
+    rollback leaves the context, its graph, its labels and its changed keys
+    as they were."""
     state = direct_contrary_state(setup)
     context = state.context
     came = P(realizes[-1])
@@ -300,11 +301,11 @@ def test_a_caught_clash_leaves_no_garbage(setup, realizes):
 
 
 def test_a_rule_derives_the_contrary_of_a_literal_no_rule_mentioned():
-    """``!c`` was said while no rule mentioned it, so the run holds no item
-    for it; ``a & b -> c`` has no edge into ``!c``, and the trial still
-    finds the derived ``c`` against the live ``!c``."""
+    """``!c`` was said while no rule mentioned it, so its entry holds no
+    label; ``a & b -> c`` has no edge into ``!c``, and the trial still finds
+    the derived ``c`` against the live ``!c``."""
     state = direct_contrary_state(("!c", "a", "b"))
-    assert state.context._run == {}
+    assert [e.label for e in state.context.entries.values()] == [None] * 3
     conflict = detect_conflict(state, event("u1", 1, speaker="b", addressee="a",
                                             realizes=(P("a & b -> c"),)), [])
     assert conflict == ConflictEvidence((P("c"), P("!c")), CONTRADICTORY_ASSERTION,
@@ -315,7 +316,7 @@ def test_a_rule_over_an_unmentioned_literal_derives_its_consequent():
     """``k`` was said while no rule mentioned it; the rule ``k -> m`` said
     later reads ``k``'s label off its entry and derives ``m`` from both."""
     ctx = direct_contrary_state(("k",)).context
-    assert ctx._run == {}
+    assert ctx.lookup(P("k")).label is None
     ctx.assert_prop(P("k -> m"), Strength.LINGUISTIC, "u1")
     derived = ctx.commit(ctx.saturate())
     assert [(e.proposition, e.strength, e.dependencies) for e in derived] == \
@@ -324,8 +325,8 @@ def test_a_rule_over_an_unmentioned_literal_derives_its_consequent():
 
 def test_literals_no_rule_mentions_are_never_searched(monkeypatch):
     """A dialogue of literals that no rule mentions, with two contradictions
-    and a rejection, never runs the labelled search and leaves the run
-    empty: each literal's label is its entry's seed.  Defeating one of the
+    and a rejection, never runs the labelled search and leaves no entry a
+    label: each literal's label is its entry's seed.  Defeating one of the
     literals then changes no key either."""
     calls, settle = [], propositions.settle
 
@@ -347,7 +348,7 @@ def test_literals_no_rule_mentions_are_never_searched(monkeypatch):
     context = engine.state.context
     assert conflicts == 3
     assert {e.proposition.key for e in context.live_entries()} == {"p", "q", "!r", "s"}
-    assert calls == [] and context._run == {}
+    assert calls == [] and all(e.label is None for e in context.entries.values())
     assert context.clone()._changed == set()
     assert "u0" in context.defeat_entry("u0")
     assert context._changed == set()
@@ -365,12 +366,12 @@ def test_a_rolled_back_rule_leaves_its_literals_unmentioned():
     assert not any(map(context._graph.mentions, ("p", "!p", "q", "!q")))
     context.assert_prop(P("p"), Strength.PHYSICAL, "u2")
     assert context._changed == set()
-    assert context.saturate() == ([], {})
+    assert context.saturate() == []
 
 
-def test_trial_undoes_a_defeat_and_restores_the_run():
+def test_trial_undoes_a_defeat_and_restores_the_labels():
     ctx = rollback_state().context
-    before, saturated = trial_view(ctx), saturation_view(ctx)
+    before, saturated, tables = trial_view(ctx), saturation_view(ctx), graph_tables(ctx)
     mark = ctx.trial()
     ctx.defeat_entry("u0")  # the weaker p
     ctx.assert_prop(P("!p"), Strength.LINGUISTIC, "u3")
@@ -381,7 +382,7 @@ def test_trial_undoes_a_defeat_and_restores_the_run():
         ctx.saturate()
     ctx.rollback(mark)
     assert trial_view(ctx) == before
-    assert saturation_view(ctx) == saturated
+    assert saturation_view(ctx) == saturated and graph_tables(ctx) == tables
 
 
 def test_a_kept_inner_trial_is_undone_with_the_outer_one():
@@ -505,18 +506,24 @@ DEFEAT_IN_THE_TRIAL = ([("assert", Literal("p"), Strength.DEFAULT),
                         ("assert", Rule((Literal("p"),), Literal("q")), Strength.LINGUISTIC),
                         ("saturate",)],
                        [("defeat", 1), ("saturate",)])
+#: the same before the trial; inside it p is raised to linguistic and
+#: saturated, which changes the labels of p and q, as logged writes
+LABEL_IN_THE_TRIAL = (DEFEAT_IN_THE_TRIAL[0],
+                      [("assert", Literal("p"), Strength.LINGUISTIC), ("saturate",)])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(trail_steps, max_size=6), st.lists(trail_steps, min_size=1, max_size=6))
 @example(*DEFEAT_IN_THE_TRIAL)
+@example(*LABEL_IN_THE_TRIAL)
 def test_rollback_undoes_every_write_of_a_trial(before_steps, steps):
     """Writes before a trial, and then inside it assertions, saturations with
     their commits, defeats and nested trials, kept or rolled back: rolling
-    the trial back restores the context, its graph and its run, and closes
-    every trial.  The example defeats a literal inside the trial, which the
-    drawn steps do only now and then.  The reverse-dependency index only grows, so it still names
-    every dependency of every node."""
+    the trial back restores the context, its graph and its labels, and
+    closes every trial.  The examples defeat a literal, and change a label,
+    inside the trial, which the drawn steps do only now and then.  The
+    reverse-dependency index only grows, so it still names every dependency
+    of every node."""
     ctx, sources = Context(), (f"u{n}" for n in range(10**6))
     for step in before_steps:
         apply_trail_step(ctx, step, sources)
@@ -1134,20 +1141,34 @@ def test_live_literals_are_the_consequences_of_the_live_assertions():
     """Soundness and completeness over every dialogue of three events of
     ``tests/enumerate_dialogues.py``'s space: after each completed event, the
     live literal entries are exactly the literals that the live asserted
-    propositions entail (``tests/truthtable.py``).  An event that raises ends
-    its dialogue; every other one is checked."""
+    propositions entail (``tests/truthtable.py``).  Before that, the model's
+    invariants (ROADMAP item 8): no entry's strength has fallen, every
+    derived entry is at or below inference, no atom is live in both
+    polarities, and no live node depends on a defeated one.  An event that
+    raises ends its dialogue; every other one is checked."""
     checked = 0
     for kinds in itertools.product(KINDS, repeat=3):
         engine = DialogueEngine(DiscourseState("enumerated", ("a", "b"), True))
+        strengths = {}  # entry id -> its strength after the last event
         for turn, kind in enumerate(kinds):
             try:
                 engine.process(enumerated_event(kind, turn))
             except CommonGroundError:
                 break
-            live = engine.state.context.live_entries()
-            asserted = [e.proposition for e in live if e.sources]
+            where, context = (kinds, turn), engine.state.context
+            entries, nodes = context.entries.values(), context.nodes
+            assert all(e.strength >= strengths.get(e.entry_id, e.strength) for e in entries), \
+                where
+            strengths = {e.entry_id: e.strength for e in entries}
+            assert all(e.strength <= Strength.INFERENCE for e in entries if e.derived), where
+            live = context.live_entries()
             literals = {e.proposition for e in live if isinstance(e.proposition, Literal)}
-            assert literals == literal_consequences(asserted), (kinds, turn)
+            atoms = [p.atom for p in literals]
+            assert len(atoms) == len(set(atoms)), where
+            assert all(nodes[dep].status == LIVE for node in nodes.values() if node.status == LIVE
+                       for dep in node.dependencies if dep in nodes), where
+            asserted = [e.proposition for e in live if e.sources]
+            assert literals == literal_consequences(asserted), where
             checked += 1
     assert checked == 8168
 
