@@ -16,8 +16,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import ConflictDetected, DefeatRejected, OrderingViolation, UnknownProposition
-from .evidence import Strength, defeats
-from .grounding import ActType, Intonation, IRUClass, UtteranceEvent
+from .evidence import DEFAULT, LINGUISTIC, Strength, defeats
+from .grounding import ACT_AFFIRMATION, ACT_ASSERT, IRU_NONE, RISING, IRUClass, UtteranceEvent
 from .propositions import LIVE, Literal, Proposition, Slotted, new_record
 from .saturation import Item
 
@@ -138,7 +138,7 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
     context, clashes = state.context, None
     mark = context.trial()
     try:
-        fixpoint = context.assert_all(realizes, Strength.LINGUISTIC, uid)
+        fixpoint = context.assert_all(realizes, LINGUISTIC, uid)
     except ConflictDetected as raised:
         # the clashes only: the exception's traceback holds this frame
         clashes = raised.clashes
@@ -183,19 +183,19 @@ def evaluate_acceptance(state: "DiscourseState", prev_event: UtteranceEvent,
     props = prev_event.realizes
     if not props:
         return []
-    if next_event.act is ActType.AFFIRMATION:
-        return [_accept(state, p, agent, Strength.LINGUISTIC, trigger) for p in props]
+    if next_event.act is ACT_AFFIRMATION:
+        return [_accept(state, p, agent, LINGUISTIC, trigger) for p in props]
     if conflict is not None and conflict.applies_to(props):
         return _refused(AcceptanceOutcome.REJECTED, props, agent, trigger, conflict.kind)
-    by_default = state.require_acceptance and prev_event.act is ActType.ASSERT
-    if next_event.intonation is Intonation.RISING:
-        blocked = iru_class is not IRUClass.NONE
+    by_default = state.require_acceptance and prev_event.act is ACT_ASSERT
+    if next_event.intonation is RISING:
+        blocked = iru_class is not IRU_NONE
         if blocked or by_default:
             state.pending.append(PendingAcceptance(prev_event.utterance_id, props, agent))
         return _refused(AcceptanceOutcome.BLOCKED, props, agent, trigger,
                         "rising") if blocked else []
     if by_default:
-        return [_accept(state, p, agent, Strength.DEFAULT, trigger) for p in props]
+        return [_accept(state, p, agent, DEFAULT, trigger) for p in props]
     return []
 
 
@@ -216,10 +216,10 @@ def reevaluate_pending(state: "DiscourseState", event: UtteranceEvent, *,
             remaining.append(item)
         elif conflict is not None and conflict.applies_to(props):
             outcomes += _refused(AcceptanceOutcome.REJECTED, props, agent, trigger, conflict.kind)
-        elif event.intonation is Intonation.RISING:
+        elif event.intonation is RISING:
             remaining.append(item)
-        elif state.require_acceptance and state.events[source].act is ActType.ASSERT:
-            outcomes += [_accept(state, p, agent, Strength.DEFAULT, trigger) for p in props]
+        elif state.require_acceptance and state.events[source].act is ACT_ASSERT:
+            outcomes += [_accept(state, p, agent, DEFAULT, trigger) for p in props]
     state.pending = remaining
     return outcomes
 
@@ -241,7 +241,8 @@ def _accept(state: "DiscourseState", p: Proposition, agent: str, strength: Stren
                                   p, agent, strength, deps)
         state.add_acceptance(belief)
     else:
-        belief.strength = max(belief.strength, strength)
+        if strength > belief.strength:
+            belief.strength = strength
         state.context.depend(belief.belief_id, deps)
     return new_record(AcceptanceOutcome,
                       (AcceptanceOutcome.ACCEPTED, p, agent, trigger, belief.strength, ""))

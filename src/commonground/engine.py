@@ -39,9 +39,10 @@ from . import acceptance as acc
 from . import grounding as grd
 from .errors import DanglingAntecedent, DuplicateUtterance, OrderingViolation, \
     SelfContradiction
-from .evidence import Strength
-from .grounding import AssumptionRecord, IRUClass, LicenseLink, UtteranceEvent
-from .propositions import LIVE, Literal, Proposition, new_record
+from .evidence import DEFAULT, HYPOTHESIS, INFERENCE, LINGUISTIC, Strength
+from .grounding import IRU_EXPLICIT_INFERENCE, IRU_IMPLICATURE_REINFORCEMENT, IRU_NONE, \
+    IRU_PROMPT, AssumptionRecord, IRUClass, LicenseLink, UtteranceEvent
+from .propositions import LIVE, Literal, Proposition, RedundancyVerdict, new_record
 from .saturation import Item
 from .state import DiscourseState
 from .trace import TraceRecord, snapshot_record
@@ -89,7 +90,7 @@ class DialogueEngine:
         fixpoints: list[list[Item]] = []
         conflict = acc.detect_conflict(state, event, fixpoints)
         state.arriving = frozenset([p.key for p, verdict in zip(realizes, verdicts)
-                                    if not verdict.redundant])
+                                    if verdict.kind == RedundancyVerdict.NOT_REDUNDANT])
         # 6. settle acceptance: pending questions first, then the adjacent pair
         outcomes = acc.reevaluate_pending(state, event, conflict=conflict)
         if prev is not None and prev.addressee == event.speaker:
@@ -144,7 +145,8 @@ class DialogueEngine:
             grd.apply_any_next_upgrade(prior)
             for key in prior.license_keys:
                 link = state.license_links[key]
-                link.strength = max(link.strength, Strength.DEFAULT)
+                if link.strength < DEFAULT:
+                    link.strength = DEFAULT
             touched[uid] = prior
         state.awaiting.setdefault(event.addressee, []).append(event.utterance_id)
         return touched
@@ -157,10 +159,10 @@ class DialogueEngine:
         implicature reinforcement lifts the matched license links to
         linguistic.  Returns the lifted links' values."""
         state, lifted = self.state, []
-        if cls is IRUClass.NONE:
+        if cls is IRU_NONE:
             return lifted
         events, ids, speaker = state.events, antecedents, event.speaker
-        if cls is IRUClass.PROMPT and not ids:
+        if cls is IRU_PROMPT and not ids:
             ids = next(((e.utterance_id,) for e in reversed(events.values())
                         if e.addressee == speaker), ())
         for uid in ids:
@@ -168,10 +170,10 @@ class DialogueEngine:
                 target = state.records[uid]
                 grd.apply_iru_upgrade(target, cls)
                 touched[uid] = target
-        if cls in (IRUClass.EXPLICIT_INFERENCE, IRUClass.IMPLICATURE_REINFORCEMENT):
+        if cls in (IRU_EXPLICIT_INFERENCE, IRU_IMPLICATURE_REINFORCEMENT):
             for link in matched:
                 lifted.append(_license_values(
-                    grd.record_license_evidence(state, link, Strength.LINGUISTIC)))
+                    grd.record_license_evidence(state, link, LINGUISTIC)))
                 owner = state.records.get(link.owner)
                 if owner is not None:
                     touched[link.owner] = owner
@@ -211,8 +213,7 @@ class DialogueEngine:
         if not realizes:
             return asserted, derived
         context = state.context
-        fixpoint = fixpoints[0] if fixpoints else \
-            context.assert_all(realizes, Strength.LINGUISTIC, uid)
+        fixpoint = fixpoints[0] if fixpoints else context.assert_all(realizes, LINGUISTIC, uid)
         for p, verdict in zip(realizes, verdicts):
             asserted.append((p, context.lookup(p).strength, verdict))
         for entry in context.commit(fixpoint):
@@ -220,10 +221,10 @@ class DialogueEngine:
             derived.append((entry.proposition, entry.strength, tuple(roots)))
             if uid in roots:  # from the event's first literal, or else its first proposition
                 premise = next((p for p in realizes if isinstance(p, Literal)), realizes[0])
-                link = LicenseLink(premise, entry.proposition, Strength.INFERENCE,
+                link = LicenseLink(premise, entry.proposition, INFERENCE,
                                    LicenseLink.ORIGIN_INFERENCE, uid)
                 licenses.append(_license_values(
-                    grd.record_license_evidence(state, link, Strength.INFERENCE)))
+                    grd.record_license_evidence(state, link, INFERENCE)))
                 touched[uid] = state.records[uid]
         return asserted, derived
 
@@ -235,10 +236,9 @@ class DialogueEngine:
         implicates, supported = event.implicates, event.supports
         if implicates is not None:
             premise, conclusion = implicates
-            link = LicenseLink(premise, conclusion, Strength.HYPOTHESIS,
+            link = LicenseLink(premise, conclusion, HYPOTHESIS,
                                LicenseLink.ORIGIN_IMPLICATURE, event.utterance_id)
-            licenses.append(_license_values(
-                grd.record_license_evidence(state, link, Strength.HYPOTHESIS)))
+            licenses.append(_license_values(grd.record_license_evidence(state, link, HYPOTHESIS)))
         if supported is not None:
             belief, goal = supported
             acc.record_support(state, belief, goal)

@@ -36,6 +36,16 @@ class Strength(IntEnum):
 for _member in Strength:
     _member.label = _member.name.lower()
 
+# Function bodies read the members through these names, bound once: on
+# Python 3.11 the enum metaclass defines ``__getattr__``, so every
+# ``Strength.X`` read takes the slow attribute hook, at about five times the
+# cost of a module global.
+HYPOTHESIS = Strength.HYPOTHESIS
+DEFAULT = Strength.DEFAULT
+INFERENCE = Strength.INFERENCE
+LINGUISTIC = Strength.LINGUISTIC
+PHYSICAL = Strength.PHYSICAL
+
 #: Derived (never-uttered) content is capped at inference grade.
 DERIVED_CAP = Strength.INFERENCE
 

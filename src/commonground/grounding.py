@@ -18,7 +18,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Collection, Container, NamedTuple, Optional, Sequence
 
 from .errors import UnknownProposition
-from .evidence import Strength
+from .evidence import DEFAULT, HYPOTHESIS, LINGUISTIC, Strength
 from .propositions import Literal, Proposition, RedundancyVerdict, Slotted
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -43,10 +43,23 @@ class ActType(Enum):
     OTHER = "other"
 
 
+# Function bodies read the members through the names bound once below each
+# enum, as ``evidence`` does for ``Strength``: an ``ActType.X`` read takes the
+# enum metaclass's slow ``__getattr__`` hook on Python 3.11.
+ACT_ASSERT = ActType.ASSERT
+ACT_PROMPT = ActType.PROMPT
+ACT_AFFIRMATION = ActType.AFFIRMATION
+ACT_OTHER = ActType.OTHER
+
+
 class Intonation(Enum):
     RISING = "rising"
     FALLING = "falling"
     UNMARKED = "unmarked"
+
+
+RISING = Intonation.RISING
+UNMARKED = Intonation.UNMARKED
 
 
 class IRUClass(Enum):
@@ -56,6 +69,14 @@ class IRUClass(Enum):
     EXPLICIT_INFERENCE = "explicit_inference"
     IMPLICATURE_REINFORCEMENT = "implicature_reinforcement"
     NONE = "none"
+
+
+IRU_PROMPT = IRUClass.PROMPT
+IRU_REPEAT = IRUClass.REPEAT
+IRU_PARAPHRASE = IRUClass.PARAPHRASE
+IRU_EXPLICIT_INFERENCE = IRUClass.EXPLICIT_INFERENCE
+IRU_IMPLICATURE_REINFORCEMENT = IRUClass.IMPLICATURE_REINFORCEMENT
+IRU_NONE = IRUClass.NONE
 
 
 #: Assumptions each redundant-utterance class upgrades to linguistic.
@@ -112,7 +133,7 @@ def admission_issues(event: UtteranceEvent, participants: Collection[str], earli
     speaker, addressee, realizes = event.speaker, event.addressee, event.realizes
     if speaker == addressee:
         return [(None, "bad-value", "speaker and addressee coincide")]
-    if event.act is ActType.PROMPT and realizes:
+    if event.act is ACT_PROMPT and realizes:
         return [(None, "bad-value", "a prompt realizes no propositions")]
     uid = event.utterance_id
     if uid and uid in earlier:
@@ -214,7 +235,7 @@ def open_record(state: "DiscourseState", event: UtteranceEvent) -> AssumptionRec
     """Create the assumption record for a new utterance: the base
     assumptions, and the license when it is annotated with an implicature,
     all at hypothesis."""
-    h = Strength.HYPOTHESIS
+    h = HYPOTHESIS
     strengths = {COPRESENT: h, ATTEND: h, HEAR: h, REALIZE: h}  # BASE_ASSUMPTIONS
     if event.implicates is not None:
         strengths[LICENSE] = h
@@ -235,10 +256,10 @@ def apply_iru_upgrade(record: AssumptionRecord, cls: IRUClass) -> AssumptionReco
     Classes that address the license assumption add the slot if absent: the
     redundant utterance is itself the evidence that an inference was
     intended.  Nothing is ever lowered."""
-    if cls is IRUClass.NONE:
+    if cls is IRU_NONE:
         raise ValueError("no upgrade for an unclassified utterance")
     for name in UPGRADE_TABLE[cls]:
-        record.raise_to(name, Strength.LINGUISTIC)
+        record.raise_to(name, LINGUISTIC)
     return record
 
 
@@ -248,12 +269,11 @@ def apply_any_next_upgrade(record: AssumptionRecord) -> AssumptionRecord:
     gives it only to a record whose utterance was not interrupted
     (``DialogueEngine.process`` never queues an interrupted one)."""
     strengths = record.strengths  # holds copresence, as every record does
-    if strengths[COPRESENT] < Strength.LINGUISTIC:
-        strengths[COPRESENT] = Strength.LINGUISTIC
-    floor = Strength.DEFAULT
+    if strengths[COPRESENT] < LINGUISTIC:
+        strengths[COPRESENT] = LINGUISTIC
     for name, current in strengths.items():
-        if current < floor:
-            strengths[name] = floor  # an existing key: the dict keeps its size
+        if current < DEFAULT:
+            strengths[name] = DEFAULT  # an existing key: the dict keeps its size
     return record
 
 
@@ -270,26 +290,25 @@ def classify_iru(event: UtteranceEvent, state: "DiscourseState",
     utterances.  Precedence on overlap: implicature reinforcement beats
     explicit inference beats repeat beats paraphrase.
     """
-    if event.act is ActType.PROMPT:
-        return IRUClass.PROMPT
+    if event.act is ACT_PROMPT:
+        return IRU_PROMPT
     for link in links:
-        if (link.origin == LicenseLink.ORIGIN_IMPLICATURE
-                and link.strength < Strength.LINGUISTIC):
-            return IRUClass.IMPLICATURE_REINFORCEMENT
+        if link.origin == LicenseLink.ORIGIN_IMPLICATURE and link.strength < LINGUISTIC:
+            return IRU_IMPLICATURE_REINFORCEMENT
     candidates = None  # the antecedents of a said proposition, once there is one
     for v in verdicts:
         if v.kind == RedundancyVerdict.ENTAILED:
-            return IRUClass.EXPLICIT_INFERENCE
+            return IRU_EXPLICIT_INFERENCE
         if v.kind == RedundancyVerdict.SAID:
             candidates = (candidates or set(event.antecedent_ids)) | v.antecedents
     if candidates is None:
-        return IRUClass.NONE
+        return IRU_NONE
     tokens = event.tokens
     for ant in sorted(candidates):
         prior = state.events.get(ant)
         if prior is not None and tokens_match_repeat(tokens, prior.tokens):
-            return IRUClass.REPEAT
-    return IRUClass.PARAPHRASE
+            return IRU_REPEAT
+    return IRU_PARAPHRASE
 
 
 def record_license_evidence(state: "DiscourseState", link: LicenseLink,
@@ -303,11 +322,11 @@ def record_license_evidence(state: "DiscourseState", link: LicenseLink,
     key = link.key  # the stored copy's too
     stored = state.license_links.get(key)
     if stored is None:
-        stored = LicenseLink(link.premise, link.conclusion,
-                             max(strength, link.strength), link.origin, link.owner)
+        top = link.strength if link.strength > strength else strength
+        stored = LicenseLink(link.premise, link.conclusion, top, link.origin, link.owner)
         state.add_license_link(stored)
-    else:
-        stored.strength = max(stored.strength, strength)
+    elif strength > stored.strength:
+        stored.strength = strength
     owner = state.records.get(stored.owner)
     if owner is not None:
         owner.raise_to(LICENSE, stored.strength)
@@ -322,10 +341,10 @@ def resolved_antecedents(event: UtteranceEvent, state: "DiscourseState", cls: IR
     plus whatever the redundancy verdicts or the matched implicature links
     add.  ``verdicts`` and ``links`` are the ones ``classify_iru`` took."""
     ids = set(event.antecedent_ids)
-    if cls in (IRUClass.REPEAT, IRUClass.PARAPHRASE, IRUClass.EXPLICIT_INFERENCE):
+    if cls in (IRU_REPEAT, IRU_PARAPHRASE, IRU_EXPLICIT_INFERENCE):
         for verdict in verdicts:  # a verdict that is not redundant has no antecedents
             ids |= state.events.keys() & verdict.antecedents
-    if cls is IRUClass.IMPLICATURE_REINFORCEMENT:
+    if cls is IRU_IMPLICATURE_REINFORCEMENT:
         ids |= {link.owner for link in links if link.origin == LicenseLink.ORIGIN_IMPLICATURE}
     if len(ids) < 2:
         return tuple(ids)

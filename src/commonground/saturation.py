@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Iterable, Optional
 
-from .evidence import DERIVED_CAP, Strength
+from .evidence import DERIVED_CAP, PHYSICAL, Strength
 
 #: a literal's label and heap key, a plain tuple:
 #: (-strength, rank, literal.key, literal, the ids of its premises).  Heap
@@ -204,7 +204,7 @@ def forced_item(steps: dict[str, tuple[tuple, ...]], key: str) -> Optional[Item]
     forces b).  The widest (strongest-weakest-rule) chain wins.
     """
     done: set[str] = set()
-    heap: list[Item] = [(-Strength.PHYSICAL, (), contrary(key), None, frozenset())]
+    heap: list[Item] = [(-PHYSICAL, (), contrary(key), None, frozenset())]
     while heap:
         weakest, rank, node, lit, ids = heapq.heappop(heap)
         if node in done:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .grounding import ActType, Intonation, IRUClass
+from .grounding import ACT_AFFIRMATION, IRU_NONE, RISING, IRUClass
 from .trace import TraceRecord
 from .transcript import Transcript
 
@@ -61,14 +61,14 @@ def collect_observations(transcript: Transcript,
     events = {e.utterance_id: e for e in utterances}
     observations = []
     for i, trace in enumerate(traces):
-        if trace.iru_class is IRUClass.NONE:
+        if trace.iru_class is IRU_NONE:
             continue
         event = trace.event
         ants = trace.antecedents
         gaps = [event.turn_index - events[a].turn_index for a in ants]
         min_gap = min(gaps) if gaps else None
         all_self = all(events[a].speaker == event.speaker for a in ants) if ants else None
-        followed = i + 1 < len(utterances) and utterances[i + 1].act is ActType.AFFIRMATION
+        followed = i + 1 < len(utterances) and utterances[i + 1].act is ACT_AFFIRMATION
         observations.append(IRUObservation(
             dialogue_id=transcript.dialogue_id,
             event_id=event.utterance_id,
@@ -76,7 +76,7 @@ def collect_observations(transcript: Transcript,
             antecedents=ants,
             min_gap=min_gap,
             all_self=all_self,
-            rising=event.intonation is Intonation.RISING,
+            rising=event.intonation is RISING,
             affirmation_followed=followed,
         ))
     return observations
@@ -136,7 +136,7 @@ def render_classification(observations: list[IRUObservation], fmt: str = "text")
         rows.append((
             o.dialogue_id,
             o.event_id,
-            o.iru_class.value,
+            o.iru_class._value_,
             ",".join(o.antecedents) if o.antecedents else "-",
             str(o.min_gap) if o.min_gap is not None else "-",
             ("self" if o.all_self else "other") if o.all_self is not None else "-",

@@ -42,7 +42,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import BadPropositionSyntax, ParseIssue, TranscriptError
-from .grounding import ActType, Intonation, UtteranceEvent, admission_issues, is_affirmation_text
+from .grounding import ACT_AFFIRMATION, ACT_ASSERT, ACT_OTHER, UNMARKED, ActType, Intonation, \
+    UtteranceEvent, admission_issues, is_affirmation_text
 from .propositions import Proposition, new_record, parse_proposition
 
 HEADER_KEYS = frozenset(("dialogue", "participants", "require-acceptance"))
@@ -180,10 +181,10 @@ def parse(text: str) -> Transcript:
             realizes = _parse_prop_list(*fields["realizes"], issues)
         act = _choice(fields, "act", ACTS, None, issues, "unknown act {!r}")
         if act is None and is_affirmation_text(utt_text):
-            act = ActType.AFFIRMATION
+            act = ACT_AFFIRMATION
         elif act is None:
-            act = ActType.ASSERT if realizes else ActType.OTHER
-        intonation = _choice(fields, "intonation", INTONATIONS, Intonation.UNMARKED, issues,
+            act = ACT_ASSERT if realizes else ACT_OTHER
+        intonation = _choice(fields, "intonation", INTONATIONS, UNMARKED, issues,
                              "unknown intonation {!r}")
         antecedents: tuple[str, ...] = ()
         if "antecedents" in fields:
@@ -230,8 +231,8 @@ def serialize(t: Transcript) -> str:
         out.append(f"speaker: {e.speaker}")
         out.append(f"addressee: {e.addressee}")
         out.append(f"text: {e.text}")
-        out.append(f"act: {e.act.value}")
-        out.append(f"intonation: {e.intonation.value}")
+        out.append(f"act: {e.act._value_}")
+        out.append(f"intonation: {e.intonation._value_}")
         if e.realizes:
             out.append("realizes: " + "; ".join(str(p) for p in e.realizes))
         if e.antecedent_ids:

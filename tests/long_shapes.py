@@ -14,9 +14,13 @@ dialogue, the Python calls and bytecodes inside ``DialogueEngine.process``
 (``event_costs.Counter``) and the growth in gc-tracked objects, read after a
 full collection at each quarter's end.  The last column is the Python heap
 that a replay without the tracer keeps: ``tracemalloc``'s current size once
-the replay ends, with tracing on only during it.  It counts the memory
-Python allocates, not the process's RSS, so it does not depend on the host's
-allocator.  Every column is deterministic: two runs print the same table.
+the replay ends, with tracing on only during it.  A full collection runs
+just before the replay and just before the size is read, so neither the
+garbage the process made before the replay nor the garbage the replay
+leaves moves the figure.  It counts the memory Python allocates, not the
+process's RSS, so it does not depend on the host's allocator.  Every column
+is deterministic: two runs print the same table, and so do two checkouts
+whose code differs only in text that the replay never runs.
 pytest does not collect this file (its name does not start with ``test``).
 
     PYTHONPATH=src python3 tests/long_shapes.py
@@ -77,10 +81,12 @@ def heap_kept(shape: str, length: int) -> int:
     """The bytes of Python heap allocated during one replay and still held
     when it ends."""
     todo, replay = events(shape, length), engine()
+    gc.collect()
     tracemalloc.start()
     try:
         for event in todo:
             replay.process(event)
+        gc.collect()
         return tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()

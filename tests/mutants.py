@@ -175,7 +175,7 @@ MUTANTS = (
            ("tests/test_admission.py::test_a_record_level_refusal_is_reported_alone",
             "tests/test_admission.py::test_parse_raises_exactly_when_process_refuses_an_event")),
     Mutant("prompt-with-content-admitted", "commonground/grounding.py",
-           "    if event.act is ActType.PROMPT and realizes:\n"
+           "    if event.act is ACT_PROMPT and realizes:\n"
            "        return [(None, \"bad-value\", \"a prompt realizes no propositions\")]\n",
            "",
            ("tests/test_admission.py::test_a_record_level_refusal_is_reported_alone",
@@ -226,8 +226,8 @@ MUTANTS = (
             "test_every_record_of_the_event_path_holds_one_value_per_field",
             "tests/test_golden.py::test_cli_output_matches_golden")),
     Mutant("any-next-copresence-at-default", "commonground/grounding.py",
-           "    if strengths[COPRESENT] < Strength.LINGUISTIC:\n"
-           "        strengths[COPRESENT] = Strength.LINGUISTIC\n",
+           "    if strengths[COPRESENT] < LINGUISTIC:\n"
+           "        strengths[COPRESENT] = LINGUISTIC\n",
            "",
            ("tests/test_grounding.py::test_any_next_on_fresh_record",
             "tests/test_grounding.py::"
@@ -300,7 +300,8 @@ MUTANTS = (
            ("tests/test_golden.py::test_cli_output_matches_golden",)),
     Mutant("arriving-holds-repeated-keys", "commonground/engine.py",
            "        state.arriving = frozenset([p.key for p, verdict in zip(realizes, verdicts)\n"
-           "                                    if not verdict.redundant])\n",
+           "                                    if verdict.kind == "
+           "RedundancyVerdict.NOT_REDUNDANT])\n",
            "        state.arriving = frozenset([p.key for p in realizes])\n",
            ("tests/test_state.py::test_a_repeated_proposition_is_not_arriving",)),
     Mutant("repeat-capped-as-derived", "commonground/propositions.py",
@@ -320,10 +321,22 @@ MUTANTS = (
            "                pass\n",
            (LIVE_LITERALS,)),  # an atom live in both polarities
     Mutant("kept-trial-asserted-again", "commonground/engine.py",
-           "        fixpoint = fixpoints[0] if fixpoints else \\\n"
-           "            context.assert_all(realizes, Strength.LINGUISTIC, uid)\n",
-           "        fixpoint = context.assert_all(realizes, Strength.LINGUISTIC, uid)\n",
+           "        fixpoint = fixpoints[0] if fixpoints else "
+           "context.assert_all(realizes, LINGUISTIC, uid)\n",
+           "        fixpoint = context.assert_all(realizes, LINGUISTIC, uid)\n",
            ("tests/test_state.py::test_a_clash_free_event_is_saturated_once",)),
+    Mutant("stored-license-strength-falls", "commonground/grounding.py",
+           "    elif strength > stored.strength:\n"
+           "        stored.strength = strength\n",
+           "    else:\n"
+           "        stored.strength = strength\n",
+           ("tests/test_grounding.py::test_record_license_evidence_strengthens_to_max",)),
+    # output stays byte-identical: only the guard sees the slower read
+    Mutant("member-read-through-its-enum", "commonground/acceptance.py",
+           "        fixpoint = context.assert_all(realizes, LINGUISTIC, uid)\n",
+           "        fixpoint = context.assert_all(realizes, Strength.LINGUISTIC, uid)\n",
+           ("tests/test_member_loads.py::"
+            "test_no_function_loads_an_enum_member_through_its_class",)),
 )
 
 
