@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING, NamedTuple, Optional
 from .errors import ConflictDetected, DefeatRejected, OrderingViolation, UnknownProposition
 from .evidence import DEFAULT, LINGUISTIC, Strength, defeats
 from .grounding import ACT_AFFIRMATION, ACT_ASSERT, IRU_NONE, RISING, IRUClass, UtteranceEvent
-from .propositions import LIVE, Literal, Proposition, Slotted, new_record
+from .propositions import LIVE, Literal, Proposition, Slotted, key_of, new_record
 from .saturation import Item
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -42,7 +42,7 @@ class ConflictEvidence(NamedTuple):
     strength = Strength.LINGUISTIC  # of every kind of conflict evidence
 
     def applies_to(self, props) -> bool:
-        return any(p.key in self.against for p in props)
+        return not self.against.isdisjoint(map(key_of, props))
 
 
 class AcceptanceBelief(Slotted):
@@ -132,7 +132,7 @@ def detect_conflict(state: "DiscourseState", event: UtteranceEvent,
         props = state.events[rejects].realizes
         pair = (props[0], props[0]) if props else (Literal("nothing"), Literal("nothing"))
         return new_record(ConflictEvidence,
-                          (pair, EXPLICIT_REJECTION, frozenset([p.key for p in props])))
+                          (pair, EXPLICIT_REJECTION, frozenset(map(key_of, props))))
     if not realizes:
         return None
     context, clashes = state.context, None
@@ -184,7 +184,7 @@ def evaluate_acceptance(state: "DiscourseState", prev_event: UtteranceEvent,
     if not props:
         return []
     if next_event.act is ACT_AFFIRMATION:
-        return [_accept(state, p, agent, LINGUISTIC, trigger) for p in props]
+        return _accept(state, props, agent, LINGUISTIC, trigger)
     if conflict is not None and conflict.applies_to(props):
         return _refused(AcceptanceOutcome.REJECTED, props, agent, trigger, conflict.kind)
     by_default = state.require_acceptance and prev_event.act is ACT_ASSERT
@@ -195,7 +195,7 @@ def evaluate_acceptance(state: "DiscourseState", prev_event: UtteranceEvent,
         return _refused(AcceptanceOutcome.BLOCKED, props, agent, trigger,
                         "rising") if blocked else []
     if by_default:
-        return [_accept(state, p, agent, DEFAULT, trigger) for p in props]
+        return _accept(state, props, agent, DEFAULT, trigger)
     return []
 
 
@@ -219,33 +219,42 @@ def reevaluate_pending(state: "DiscourseState", event: UtteranceEvent, *,
         elif event.intonation is RISING:
             remaining.append(item)
         elif state.require_acceptance and state.events[source].act is ACT_ASSERT:
-            outcomes += [_accept(state, p, agent, DEFAULT, trigger) for p in props]
+            outcomes += _accept(state, props, agent, DEFAULT, trigger)
     state.pending = remaining
     return outcomes
 
 
 def _refused(kind: str, props, agent: str, trigger: str, detail: str) -> list[AcceptanceOutcome]:
     """A rejected or blocked outcome for each of ``props``."""
-    return [new_record(AcceptanceOutcome, (kind, p, agent, trigger, None, detail)) for p in props]
+    outcomes = []
+    for p in props:
+        outcomes.append(new_record(AcceptanceOutcome, (kind, p, agent, trigger, None, detail)))
+    return outcomes
 
 
-def _accept(state: "DiscourseState", p: Proposition, agent: str, strength: Strength,
-            trigger: str) -> AcceptanceOutcome:
-    belief = state.find_acceptance(p, agent)
-    deps = {trigger}
-    entry = state.entry_before_event(p)
-    if entry is not None:
-        deps.add(entry.entry_id)
-    if belief is None:
-        belief = AcceptanceBelief(state.context.fresh_id("a", len(state.acceptance_beliefs) + 1),
-                                  p, agent, strength, deps)
-        state.add_acceptance(belief)
-    else:
-        if strength > belief.strength:
-            belief.strength = strength
-        state.context.depend(belief.belief_id, deps)
-    return new_record(AcceptanceOutcome,
-                      (AcceptanceOutcome.ACCEPTED, p, agent, trigger, belief.strength, ""))
+def _accept(state: "DiscourseState", props, agent: str, strength: Strength,
+            trigger: str) -> list[AcceptanceOutcome]:
+    """``agent``'s acceptance of each of ``props`` at ``strength``, in order:
+    a new live belief, or the live one raised and resting on ``trigger`` too."""
+    outcomes = []
+    for p in props:
+        belief = state.find_acceptance(p, agent)
+        deps = {trigger}
+        entry = state.entry_before_event(p)
+        if entry is not None:
+            deps.add(entry.entry_id)
+        if belief is None:
+            belief = AcceptanceBelief(
+                state.context.fresh_id("a", len(state.acceptance_beliefs) + 1),
+                p, agent, strength, deps)
+            state.add_acceptance(belief)
+        else:
+            if strength > belief.strength:
+                belief.strength = strength
+            state.context.depend(belief.belief_id, deps)
+        outcomes.append(new_record(AcceptanceOutcome, (AcceptanceOutcome.ACCEPTED, p, agent,
+                                                       trigger, belief.strength, "")))
+    return outcomes
 
 
 def defeat(state: "DiscourseState", target_id: str, by: ConflictEvidence) -> RetractionReport:

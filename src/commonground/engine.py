@@ -12,7 +12,9 @@ The order is fixed, and it matters:
   context before the event, and a license premise it refuses leaves no
   trial entry behind;
 - acceptance (6) sees the context as it was before the event: its lookups
-  pass over the keys step 5 puts in ``state.arriving``;
+  pass over the entries inserted after ``state.arriving_after``, the
+  context's ``counter`` just before step 5's trial, which is cleared once
+  step 6 is done;
 - defeats (7) follow acceptance (6) and precede the assertion (8), so
   contested content never enters the common ground;
 - one call, ``Context.assert_all``, asserts the event's content: a
@@ -29,6 +31,13 @@ are called through their modules' attributes, looked up at each call, never
 inlined here: a traced run must see every call.  The rule governs calls
 between modules.  ``propositions.Context`` reads its own map of live entries
 directly, so its own reads are not ``lookup_key`` calls.
+
+Nothing ``process`` runs, in this module or the ones it calls, uses a
+comprehension or a generator expression: Python 3.11 runs each in a frame
+of its own, a call that does no model work (3.12 inlines comprehensions,
+PEP 709).  The event path uses ``map``, ``filter``, ``sorted`` and plain
+loops instead; ``tests/test_event_frames.py`` holds it to that.  Code off
+the event path (``clone``, ``closure``, the parser, rendering) keeps them.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from .errors import DanglingAntecedent, DuplicateUtterance, OrderingViolation, \
 from .evidence import DEFAULT, HYPOTHESIS, INFERENCE, LINGUISTIC, Strength
 from .grounding import IRU_EXPLICIT_INFERENCE, IRU_IMPLICATURE_REINFORCEMENT, IRU_NONE, \
     IRU_PROMPT, AssumptionRecord, IRUClass, LicenseLink, UtteranceEvent
-from .propositions import LIVE, Literal, Proposition, RedundancyVerdict, new_record
+from .propositions import LIVE, Literal, Proposition, new_record
 from .saturation import Item
 from .state import DiscourseState
 from .trace import TraceRecord, snapshot_record
@@ -82,22 +91,20 @@ class DialogueEngine:
         # 3. classify the event against the context before it
         realizes = event.realizes
         matched = state.links_concluding(realizes)
-        verdicts = [state.context.is_redundant(p) for p in realizes]
+        verdicts = list(map(state.context.is_redundant, realizes))
         cls = grd.classify_iru(event, state, verdicts, matched)
         antecedents = grd.resolved_antecedents(event, state, cls, verdicts, matched)
         licenses = self._iru_upgrade(event, cls, antecedents, matched, touched)
         # 5. detect conflict evidence; a kept trial hands over its fixpoint
         fixpoints: list[list[Item]] = []
+        state.arriving_after = state.context.counter
         conflict = acc.detect_conflict(state, event, fixpoints)
-        state.arriving = frozenset([p.key for p, verdict in zip(realizes, verdicts)
-                                    if verdict.kind == RedundancyVerdict.NOT_REDUNDANT])
         # 6. settle acceptance: pending questions first, then the adjacent pair
         outcomes = acc.reevaluate_pending(state, event, conflict=conflict)
         if prev is not None and prev.addressee == event.speaker:
             outcomes += acc.evaluate_acceptance(state, prev, event,
                                                 iru_class=cls, conflict=conflict)
-        if state.arriving:
-            state.arriving = frozenset()
+        state.arriving_after = None
         retractions, contested = self._defeat(conflict)
         asserted = derived = supports = ()
         if not contested:
@@ -109,7 +116,7 @@ class DialogueEngine:
             if len(touched) > 1 else touched.values()
         trace = new_record(TraceRecord, (
             event, cls, antecedents,
-            tuple([snapshot_record(r, grd.understanding_strength(r)) for r in records]),
+            tuple(map(snapshot_record, records, map(grd.understanding_strength, records))),
             tuple(licenses), conflict, tuple(outcomes), tuple(asserted), tuple(derived),
             tuple(supports), tuple(retractions)))
         self.traces.append(trace)
@@ -163,8 +170,10 @@ class DialogueEngine:
             return lifted
         events, ids, speaker = state.events, antecedents, event.speaker
         if cls is IRU_PROMPT and not ids:
-            ids = next(((e.utterance_id,) for e in reversed(events.values())
-                        if e.addressee == speaker), ())
+            for e in reversed(events.values()):
+                if e.addressee == speaker:
+                    ids = (e.utterance_id,)
+                    break
         for uid in ids:
             if events[uid].addressee == speaker:
                 target = state.records[uid]
@@ -190,10 +199,10 @@ class DialogueEngine:
         for belief in state.live_acceptances_of(conflict.against):
             if belief.strength < conflict.strength:
                 retracted.append(acc.defeat(state, belief.belief_id, conflict).defeated)
-        entries = [e for e in map(state.context.lookup_key, sorted(conflict.against))
-                   if e is not None]
-        if any(e.strength >= conflict.strength for e in entries):
-            return retracted, True
+        entries = list(filter(None, map(state.context.lookup_key, sorted(conflict.against))))
+        for e in entries:
+            if e.strength >= conflict.strength:
+                return retracted, True
         for e in entries:
             if e.status == LIVE:  # else already swept up by an earlier cascade
                 retracted.append(acc.defeat(state, e.entry_id, conflict).defeated)
@@ -220,7 +229,11 @@ class DialogueEngine:
             roots = sorted(context.asserted_roots(entry))
             derived.append((entry.proposition, entry.strength, tuple(roots)))
             if uid in roots:  # from the event's first literal, or else its first proposition
-                premise = next((p for p in realizes if isinstance(p, Literal)), realizes[0])
+                for premise in realizes:
+                    if isinstance(premise, Literal):
+                        break
+                else:
+                    premise = realizes[0]
                 link = LicenseLink(premise, entry.proposition, INFERENCE,
                                    LicenseLink.ORIGIN_INFERENCE, uid)
                 licenses.append(_license_values(

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Collection, Container, NamedTuple, Optional, S
 
 from .errors import UnknownProposition
 from .evidence import DEFAULT, HYPOTHESIS, LINGUISTIC, Strength
-from .propositions import Literal, Proposition, RedundancyVerdict, Slotted
+from .propositions import Literal, Proposition, RedundancyVerdict, Slotted, key_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from .state import DiscourseState
@@ -157,10 +157,11 @@ def admission_issues(event: UtteranceEvent, participants: Collection[str], earli
         issues.append(("rejects", "dangling-antecedent",
                        f"rejected utterance {rejects!r} not defined earlier"))
     if len(realizes) > 1:
-        realized = set(realizes)
-        issues += [("realizes", "self-contradiction", f"realizes both {p} and {p.negated()}")
-                   for p in realizes
-                   if isinstance(p, Literal) and p.positive and p.negated() in realized]
+        realized = set(map(key_of, realizes))
+        for p in realizes:
+            if isinstance(p, Literal) and p.positive and p.contrary_key in realized:
+                issues.append(("realizes", "self-contradiction",
+                               f"realizes both {p} and {p.negated()}"))
     return issues
 
 
@@ -170,10 +171,12 @@ def normalize_tokens(text: str) -> tuple[str, ...]:
 
 
 def _contiguous(needle: tuple[str, ...], haystack: tuple[str, ...]) -> bool:
-    if not needle or len(needle) > len(haystack):
-        return False
-    return any(haystack[i:i + len(needle)] == needle
-               for i in range(len(haystack) - len(needle) + 1))
+    n = len(needle)
+    if n:
+        for i in range(len(haystack) - n + 1):
+            if haystack[i:i + n] == needle:
+                return True
+    return False
 
 
 def tokens_match_repeat(a: tuple[str, ...], b: tuple[str, ...]) -> bool:
@@ -345,7 +348,9 @@ def resolved_antecedents(event: UtteranceEvent, state: "DiscourseState", cls: IR
         for verdict in verdicts:  # a verdict that is not redundant has no antecedents
             ids |= state.events.keys() & verdict.antecedents
     if cls is IRU_IMPLICATURE_REINFORCEMENT:
-        ids |= {link.owner for link in links if link.origin == LicenseLink.ORIGIN_IMPLICATURE}
+        for link in links:
+            if link.origin == LicenseLink.ORIGIN_IMPLICATURE:
+                ids.add(link.owner)
     if len(ids) < 2:
         return tuple(ids)
     return tuple(sorted(ids, key=lambda u: state.events[u].turn_index))

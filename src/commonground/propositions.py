@@ -24,14 +24,16 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .errors import BadPropositionSyntax, ConflictDetected, DefeatRejected
 from .evidence import Strength
-from .saturation import Graph, Item, clashes, contrary, forward, put, settle
+from .saturation import Graph, Item, clashes, forward, put, settle
 
 ATOM_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 new_record = tuple.__new__  # (cls, every field's value) -> a NamedTuple record; see Slotted
+key_of = attrgetter("key")  # a proposition's key, in C: no frame (see ``engine``)
 #: the status of a node of the dependency graph (``Context``)
 LIVE = "live"
 DEFEATED = "defeated"
@@ -91,9 +93,11 @@ class Frozen(Slotted):
 
 class Literal(Frozen):
     """An atom or its negation.  ``key`` is the canonical text (``p``,
-    ``!p``); it takes no part in equality, hashing or repr."""
+    ``!p``) and ``contrary_key`` its negation's, so the clash checks on the
+    event path call no ``saturation.contrary``; neither takes part in
+    equality, hashing or repr."""
 
-    __slots__ = ("atom", "positive", "key")
+    __slots__ = ("atom", "positive", "key", "contrary_key")
     _fields = ("atom", "positive")
 
     def __init__(self, atom: str, positive: bool = True):
@@ -102,6 +106,7 @@ class Literal(Frozen):
         object.__setattr__(self, "atom", atom)
         object.__setattr__(self, "positive", positive)
         object.__setattr__(self, "key", atom if positive else "!" + atom)
+        object.__setattr__(self, "contrary_key", "!" + atom if positive else atom)
 
     def negated(self) -> "Literal":
         return Literal(self.atom, not self.positive)
@@ -301,7 +306,9 @@ class Context:
         self.utterances: dict[str, object] = {}
         self._live: dict[str, ContextEntry] = {}  # proposition key -> its live entry
         self._dependents: dict[str, set[str]] = {}  # id -> nodes that may depend on it
-        self._counter = 0
+        #: stepped up by each insertion, whose entry takes it as its ``order``,
+        #: and by each derived entry's id
+        self.counter = 0
         self._trail: list[tuple] = []  # undo records: (dict, key, old) or (object, name, old)
         self._trials = 0  # open trials
         self._graph = Graph(self._trail)
@@ -319,7 +326,7 @@ class Context:
         itself (``trial``)."""
         other = Context()
         other.utterances = self.utterances
-        other._counter = self._counter
+        other.counter = self.counter
         other.nodes.update(self.nodes)
         other._dependents = {nid: set(ids) for nid, ids in self._dependents.items()}
         for eid, e in self.entries.items():
@@ -334,7 +341,7 @@ class Context:
     def trial(self) -> int:
         """Open a trial and return its mark, the trail's length: ``rollback``
         undoes every write after it and ``keep`` lets them stand.  Each trial
-        logs the id counter and the changed keys, restored as a whole; an
+        logs the ``counter`` and the changed keys, restored as a whole; an
         outermost one first empties the trail, as nothing can undo the writes
         before it.  Trials nest.  Of the nodes the context does not own
         (acceptance beliefs, support links), a rollback restores only their
@@ -343,7 +350,7 @@ class Context:
             self._trail.clear()
         self._trials += 1
         mark = len(self._trail)
-        self._trail.extend(((self, "_counter", self._counter), (self, "_changed", self._changed)))
+        self._trail.extend(((self, "counter", self.counter), (self, "_changed", self._changed)))
         self._changed = set(self._changed)
         return mark
 
@@ -407,14 +414,14 @@ class Context:
     def _insert(self, p: Proposition, strength: Strength, sources: tuple[str, ...],
                 dependencies: set[str]) -> ContextEntry:
         if not sources:
-            self._counter += 1
-            eid = self.fresh_id("d", self._counter)
+            self.counter += 1
+            eid = self.fresh_id("d", self.counter)
         elif sources[0] in self.nodes:
             eid = self.fresh_id(sources[0] + "#", 2)
         else:
             eid = sources[0]
-        self._counter += 1
-        entry = ContextEntry(eid, p, strength, sources, dependencies, LIVE, self._counter)
+        self.counter += 1
+        entry = ContextEntry(eid, p, strength, sources, dependencies, LIVE, self.counter)
         entries, nodes, live, key = self.entries, self.nodes, self._live, p.key
         self._trail += ((entries, eid, entries.get(eid)), (nodes, eid, nodes.get(eid)),
                         (live, key, live.get(key)))  # each as ``put`` logs it
@@ -469,7 +476,7 @@ class Context:
                 self._enter(existing)
             return existing
         if isinstance(p, Literal):
-            other = self._live.get(contrary(key))
+            other = self._live.get(p.contrary_key)
             if other is not None:
                 raise ConflictDetected([(p, other.proposition)])
         entry = self._insert(p, strength, (source,), set())
@@ -501,9 +508,10 @@ class Context:
         defeated = retract(self.nodes, node_id, self._dependents)
         if self.nodes[node_id].status != LIVE:
             raise DefeatRejected(f"already defeated: {node_id}")
-        entries = self.entries
-        rules = [nid for nid in defeated
-                 if nid in entries and not isinstance(entries[nid].proposition, Literal)]
+        entries, rules = self.entries, []
+        for nid in defeated:
+            if nid in entries and not isinstance(entries[nid].proposition, Literal):
+                rules.append(nid)
         if rules:
             raise DefeatRejected(f"a rule stays in the implication graph: {', '.join(rules)}")
         for nid in defeated:  # each one live: the target, and what retract found
@@ -591,7 +599,10 @@ class Context:
         if clashing:
             raise ConflictDetected(clashing)
         # in pop order, which orders equal ranks
-        fresh = [item for key, item in settled.items() if key in area]
+        fresh = []
+        for key, item in settled.items():
+            if key in area:
+                fresh.append(item)
         if len(fresh) > 1:  # by rank, earliest premise first
             fresh.sort(key=lambda item: item[1][::-1])
         return fresh

@@ -8,7 +8,8 @@ smaller rank wins ties.  Adding a premise or taking a union never makes it
 smaller, so the first two fields never fall along a derivation.  The search
 is a Dijkstra over the steps of the live rules (``Graph``).  The graph and
 the search hold ``Literal`` objects, and index them by the ``key`` each
-literal carries (``p``, ``!p``); ``contrary`` negates a key.  ``forward``
+literal carries (``p``, ``!p``).  A literal also carries its contrary's key
+(``contrary_key``); ``contrary`` negates a bare key.  ``forward``
 gives a search's area, and a superset of the literals a new rule may force,
 each of which ``forced_item`` checks.  ``settle`` covers an area of the keys
 and merges in the labels of the keys outside it that lead into it.
@@ -168,11 +169,11 @@ def clashes(settled: dict[str, Item], label: Callable[[str], Optional[Item]],
     for key in area:
         if key in settled:
             lit = settled[key][3]
-            neg = contrary(key)
+            neg = lit.contrary_key
             other = settled.get(neg) if neg in area else label(neg)
             if other is not None:
                 pairs[lit.atom] = (lit, other[3]) if lit.positive else (other[3], lit)
-    return [pairs[atom] for atom in sorted(pairs)]
+    return list(map(pairs.get, sorted(pairs)))
 
 
 def contrary(key: str) -> str:

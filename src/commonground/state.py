@@ -24,8 +24,10 @@ class DiscourseState:
     whom, whether it was interrupted) live only there; ``records`` holds its
     assumption strengths under the same id, in the same order.  A
     proposition and agent have at most one live acceptance belief: the one
-    added last.  Strictly sequential within a dialogue; independent
-    dialogues may run in parallel.
+    added last.  While an event's acceptance step runs, ``arriving_after``
+    marks where the event's own entries begin, so acceptance sees the
+    context as it was before the event (``entry_before_event``).  Strictly
+    sequential within a dialogue; independent dialogues may run in parallel.
     """
 
     def __init__(self, dialogue_id: str, participants: tuple[str, str],
@@ -52,10 +54,10 @@ class DiscourseState:
         self._acceptances: dict[tuple[str, str], tuple[int, AcceptanceBelief]] = {}
         #: (belief key, goal key) -> the link ``record_support`` added
         self.support_between: dict[tuple[str, str], SupportLink] = {}
-        #: keys of the current event's propositions that the context did not
-        #: hold before it, set for every event from its conflict trial until
-        #: its acceptance step is done (see ``entry_before_event``)
-        self.arriving: frozenset[str] = frozenset()
+        #: the context's ``counter`` just before the current event's conflict
+        #: trial, until its acceptance step is done, else None: the entries
+        #: with a greater ``order`` arrived with the event (``entry_before_event``)
+        self.arriving_after: int | None = None
         self.pending: list[PendingAcceptance] = []
 
     @property
@@ -65,9 +67,15 @@ class DiscourseState:
 
     def entry_before_event(self, p: Proposition) -> ContextEntry | None:
         """The live entry of ``p`` as the context held it before the current
-        event: none for a key in ``arriving``.  Its one reader is acceptance,
-        which may run while a kept conflict trial holds the event's content."""
-        return None if p.key in self.arriving else self.context.lookup(p)
+        event: none for an entry inserted after ``arriving_after``.  Its one
+        reader is acceptance, which may run while a kept conflict trial holds
+        the event's content.  Only that trial inserts entries between the
+        mark and acceptance, one for each proposition the context did not
+        hold; a rolled-back trial leaves none."""
+        entry, mark = self.context.lookup(p), self.arriving_after
+        if entry is not None and mark is not None and entry.order > mark:
+            return None
+        return entry
 
     def add_license_link(self, link: LicenseLink) -> None:
         """Store a license link under its key and index it by its conclusion."""
@@ -80,7 +88,7 @@ class DiscourseState:
         found: dict[int, LicenseLink] = {}
         for p in props:
             found.update(self._links_to.get(p.key, ()))
-        return [found[order] for order in sorted(found)] if found else []
+        return list(map(found.get, sorted(found))) if found else []
 
     def add_acceptance(self, belief: AcceptanceBelief) -> None:
         """Add a belief to the acceptance beliefs, the graph and the index.
@@ -99,7 +107,11 @@ class DiscourseState:
     def live_acceptances_of(self, keys: Iterable[str]) -> list[AcceptanceBelief]:
         """The live beliefs of either participant in the propositions with
         ``keys``, in the order ``add_acceptance`` added them."""
-        found = [pair for key in keys for agent in self.participant_ids
-                 if (pair := self._acceptances.get((key, agent))) is not None
-                 and pair[1].status == LIVE]
-        return [belief for _, belief in sorted(found, key=lambda f: f[0])]
+        found: dict[int, AcceptanceBelief] = {}
+        acceptances, agents = self._acceptances, self.participant_ids
+        for key in keys:
+            for agent in agents:
+                pair = acceptances.get((key, agent))
+                if pair is not None and pair[1].status == LIVE:
+                    found[pair[0]] = pair[1]
+        return list(map(found.get, sorted(found)))

@@ -132,8 +132,12 @@ MUTANTS = (
            ("tests/test_state.py::test_detect_conflict_trial_leaves_the_context_as_it_was",
             "tests/test_state.py::test_a_kept_inner_trial_is_undone_with_the_outer_one")),
     Mutant("settled-in-area-order", "commonground/propositions.py",
-           "        fresh = [item for key, item in settled.items() if key in area]\n",
-           "        fresh = [settled[key] for key in area if key in settled]\n",
+           "        for key, item in settled.items():\n"
+           "            if key in area:\n"
+           "                fresh.append(item)\n",
+           "        for key in area:\n"
+           "            if key in settled:\n"
+           "                fresh.append(settled[key])\n",
            ("tests/test_propositions.py::test_equal_labels_commit_in_pop_order",
             "tests/test_propositions.py::"
             "test_incremental_saturation_matches_from_scratch_reference")),
@@ -153,17 +157,19 @@ MUTANTS = (
             "test_understanding_is_a_member_and_lower_bound_in_any_slot_order",
             "tests/test_grounding.py::test_raising_a_held_slot_never_lowers_understanding")),
     Mutant("accept-always-adds-a-belief", "commonground/acceptance.py",
-           "    if belief is None:\n"
-           "        belief = AcceptanceBelief(",
-           "    if True:\n"
-           "        belief = AcceptanceBelief(",
+           "        if belief is None:\n"
+           "            belief = AcceptanceBelief(",
+           "        if True:\n"
+           "            belief = AcceptanceBelief(",
            ("tests/test_state.py::test_one_dependency_graph_after_every_event[reaccepted]",)),
     Mutant("trial-before-iru-upgrade", "commonground/engine.py",
            "        licenses = self._iru_upgrade(event, cls, antecedents, matched, touched)\n"
            "        # 5. detect conflict evidence; a kept trial hands over its fixpoint\n"
            "        fixpoints: list[list[Item]] = []\n"
+           "        state.arriving_after = state.context.counter\n"
            "        conflict = acc.detect_conflict(state, event, fixpoints)\n",
            "        fixpoints: list[list[Item]] = []\n"
+           "        state.arriving_after = state.context.counter\n"
            "        conflict = acc.detect_conflict(state, event, fixpoints)\n"
            "        licenses = self._iru_upgrade(event, cls, antecedents, matched, touched)\n",
            ("tests/test_state.py::"
@@ -213,15 +219,15 @@ MUTANTS = (
            "",
            ("tests/test_transcript.py::test_empty_dialogue_id",)),
     Mutant("accepted-outcome-without-detail", "commonground/acceptance.py",
-           "                      (AcceptanceOutcome.ACCEPTED, p, agent, trigger, "
-           "belief.strength, \"\"))\n",
-           "                      (AcceptanceOutcome.ACCEPTED, p, agent, trigger, "
-           "belief.strength))\n",
+           "                                                       trigger, "
+           "belief.strength, \"\")))\n",
+           "                                                       trigger, "
+           "belief.strength)))\n",
            ("tests/test_records.py::"
             "test_every_record_of_the_event_path_holds_one_value_per_field",)),
     Mutant("refused-outcome-without-detail", "commonground/acceptance.py",
-           "(kind, p, agent, trigger, None, detail)) for p in props]\n",
-           "(kind, p, agent, trigger, None)) for p in props]\n",
+           "(kind, p, agent, trigger, None, detail)))\n",
+           "(kind, p, agent, trigger, None)))\n",
            ("tests/test_records.py::"
             "test_every_record_of_the_event_path_holds_one_value_per_field",
             "tests/test_golden.py::test_cli_output_matches_golden")),
@@ -283,8 +289,7 @@ MUTANTS = (
             "tests/test_propositions.py::"
             "test_incremental_saturation_matches_from_scratch_reference")),
     Mutant("arriving-left-set", "commonground/engine.py",
-           "        if state.arriving:\n"
-           "            state.arriving = frozenset()\n",
+           "        state.arriving_after = None\n",
            "",
            ("tests/test_state.py::test_arriving_keys_end_with_their_event",)),
     Mutant("rule-without-contrapositive", "commonground/propositions.py",
@@ -298,12 +303,13 @@ MUTANTS = (
            "        context = state.context\n",
            "        context = state.context\n",
            ("tests/test_golden.py::test_cli_output_matches_golden",)),
-    Mutant("arriving-holds-repeated-keys", "commonground/engine.py",
-           "        state.arriving = frozenset([p.key for p, verdict in zip(realizes, verdicts)\n"
-           "                                    if verdict.kind == "
-           "RedundancyVerdict.NOT_REDUNDANT])\n",
-           "        state.arriving = frozenset([p.key for p in realizes])\n",
-           ("tests/test_state.py::test_a_repeated_proposition_is_not_arriving",)),
+    Mutant("arriving-read-after-the-trial", "commonground/engine.py",
+           "        state.arriving_after = state.context.counter\n"
+           "        conflict = acc.detect_conflict(state, event, fixpoints)\n",
+           "        conflict = acc.detect_conflict(state, event, fixpoints)\n"
+           "        state.arriving_after = state.context.counter\n",
+           ("tests/test_state.py::"
+            "test_acceptance_sees_the_context_as_it_was_before_the_event",)),
     Mutant("repeat-capped-as-derived", "commonground/propositions.py",
            "                self._set(existing, \"strength\", strength)\n"
            "                # direct assertion",
@@ -337,6 +343,18 @@ MUTANTS = (
            "        fixpoint = context.assert_all(realizes, Strength.LINGUISTIC, uid)\n",
            ("tests/test_member_loads.py::"
             "test_no_function_loads_an_enum_member_through_its_class",)),
+    Mutant("contrary-is-own-key", "commonground/propositions.py",
+           "\"contrary_key\", \"!\" + atom if positive else atom)",
+           "\"contrary_key\", atom if positive else \"!\" + atom)",
+           ("tests/test_propositions.py::test_carried_key_is_the_canonical_key",
+            "tests/test_state.py::test_the_trial_finds_a_direct_contrary",
+            "tests/test_state.py::test_detect_conflict_through_closure")),
+    # output stays byte-identical: only the guard sees the comprehension's frame
+    Mutant("comprehension-back-on-the-event-path", "commonground/engine.py",
+           "        verdicts = list(map(state.context.is_redundant, realizes))\n",
+           "        verdicts = [state.context.is_redundant(p) for p in realizes]\n",
+           ("tests/test_event_frames.py::"
+            "test_no_comprehension_frame_starts_on_the_event_path",)),
 )
 
 

@@ -106,6 +106,7 @@ def test_carried_key_is_the_canonical_key(p, rng):
     for l in literals:
         assert l.negated().negated() == l
         assert l.negated().key == reference_key(L(l.atom, not l.positive))
+        assert l.contrary_key == l.negated().key == pickle.loads(pickle.dumps(l)).contrary_key
         assert repr(l) == f"Literal(atom={l.atom!r}, positive={l.positive})"
         assert hash(l) == hash((l.atom, l.positive))
     # equality and hashing are over the fields alone: never a plain tuple of
@@ -191,12 +192,12 @@ def test_weaker_contrary_entry_raises_until_the_caller_defeats_it():
     ctx.assert_prop(lit("q"), Strength.LINGUISTIC, "u2")
     ctx.closure()
     old = ctx.assert_prop(lit("weak"), Strength.DEFAULT, "api")
-    before, live, counter = full_view(ctx), live_ids(ctx), ctx._counter
+    before, live, counter = full_view(ctx), live_ids(ctx), ctx.counter
     changed, logged = set(ctx._changed), len(ctx._trail)
     with pytest.raises(ConflictDetected) as raised:
         ctx.assert_prop(lit("!weak"), Strength.LINGUISTIC, "u3")
     assert raised.value.clashes == ((L("weak", False), L("weak")),)
-    assert full_view(ctx) == before and live_ids(ctx) == live and ctx._counter == counter
+    assert full_view(ctx) == before and live_ids(ctx) == live and ctx.counter == counter
     assert ctx._changed == changed and len(ctx._trail) == logged
     assert old.status == LIVE and ctx.lookup(lit("weak")) is old
     assert ctx.defeat_entry(old.entry_id) == [old.entry_id]
@@ -868,6 +869,6 @@ def test_incremental_saturation_matches_from_scratch_reference(steps):
                     with pytest.raises(DefeatRejected):
                         ctx.defeat_entry(target)
         assert full_view(ctx) == full_view(ref)
-        assert live_ids(ctx) == live_ids(ref) and ctx._counter == ref._counter
+        assert live_ids(ctx) == live_ids(ref) and ctx.counter == ref.counter
         check_live_map(ctx)
         check_live_map(ref)

@@ -173,7 +173,7 @@ def test_detect_conflict_hands_over_nothing_on_a_clash():
 def trial_view(context):
     """Everything a conflict trial may write, by value."""
     return (list(context.entries), list(context.nodes), live_ids(context),
-            context._counter,
+            context.counter,
             {eid: (e.sources, e.strength, frozenset(e.dependencies), e.status)
              for eid, e in context.entries.items()})
 
@@ -993,13 +993,18 @@ def test_acceptance_sees_the_context_as_it_was_before_the_event():
 
 
 def test_arriving_keys_end_with_their_event():
-    # u0's kept trial holds p only until u0's acceptance step; u1 keeps no
-    # trial, and its acceptance of p rests on the entry u0 left as well
+    # u0's kept trial holds p only until u0's acceptance step, after which
+    # the mark is cleared: an entry inserted between events counts as live
+    # before the next one; u1 keeps no trial, and its acceptance of p rests
+    # on the entry u0 left as well
     engine = DialogueEngine(fresh_state())
+    state = engine.state
     engine.process(event("u0", 0, realizes=(P("p"),)))
-    assert engine.state.arriving == frozenset()
+    assert state.arriving_after is None
+    late = state.context.assert_prop(P("r"), Strength.LINGUISTIC, "x0")
+    assert state.entry_before_event(P("r")) is late
     engine.process(event("u1", 1, "b", "a", text="go on"))
-    assert engine.state.find_acceptance(P("p"), "b").dependencies == {"u1", "u0"}
+    assert state.find_acceptance(P("p"), "b").dependencies == {"u1", "u0"}
 
 
 #: u0 says p and p -> q, and u1 says p again, in a dialogue requiring acceptance
